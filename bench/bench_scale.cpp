@@ -118,13 +118,14 @@ int main(int argc, char** argv) {
       // simulated rank keeps the footprint linear-but-small. The searches
       // use explicit steal stacks, not call recursion, so 96k is ample.
       rcfg.fiber_stack_bytes = 96 * 1024;
-      const bool parallel =
-          psim::PsimEngine::parallel_eligible(rcfg, eng.workers());
 
       benchutil::Stopwatch sw;
       const ws::SearchResult r = ws::run_algo(eng, rcfg, row.algo, prob, chunk);
       const double wall = sw.seconds();
       const psim::PsimEngine::Stats ps = eng.last_stats();
+      // The lane the engine actually took: only the parallel lane closes
+      // windows. (rcfg alone cannot tell; run_search decides mediation.)
+      const bool parallel = ps.windows > 0;
       const double epw = ps.windows > 0 ? static_cast<double>(ps.events) /
                                               static_cast<double>(ps.windows)
                                         : 0;

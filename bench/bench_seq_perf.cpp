@@ -3,10 +3,13 @@
 // The paper reports 2.10 M nodes/s on Topsail (Xeon E5345) and 2.39 M
 // nodes/s on Kitty Hawk (Xeon E5150), noting the rate "primarily reflects
 // the speed at which the processor can calculate SHA-1 hash evaluations".
-// This bench measures (a) raw SHA-1 throughput, (b) the real sequential UTS
-// rate on this machine, and (c) the virtual-time rate the simulator's cost
-// model is calibrated to.
+// This bench measures (a) single-block SHA-1 throughput of the portable
+// kernel and of the dispatched one (SHA-NI where the CPU has it), (b) the
+// real sequential UTS rate on this machine, which uses the dispatched
+// kernel, and (c) the virtual-time rate the simulator's cost model is
+// calibrated to.
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 
 #include "common.hpp"
@@ -20,19 +23,24 @@ using benchutil::Mode;
 
 namespace {
 
-double sha1_mbps(std::size_t block, double seconds_budget) {
-  std::vector<std::uint8_t> buf(block, 0xAB);
+/// Single-block compressions per second through `compress`: one padded
+/// 24-byte spawn message per call, the SHA-1 work of one UTS child. Each
+/// digest seeds the next block.
+double hashes_per_sec(sha1::Digest (*compress)(const std::uint8_t*),
+                      double seconds_budget) {
+  std::uint8_t block[64] = {};
+  block[24] = 0x80;
+  block[63] = 192;
   benchutil::Stopwatch sw;
-  std::uint64_t bytes = 0;
-  sha1::Digest d{};
+  std::uint64_t n = 0;
   while (sw.seconds() < seconds_budget) {
-    for (int i = 0; i < 64; ++i) {
-      d = sha1::hash(buf.data(), buf.size());
-      buf[0] = d[0];  // defeat dead-code elimination
-      bytes += buf.size();
+    for (int i = 0; i < 256; ++i) {
+      const sha1::Digest d = compress(block);
+      std::memcpy(block, d.data(), d.size());
     }
+    n += 256;
   }
-  return static_cast<double>(bytes) / sw.seconds() / 1e6;
+  return static_cast<double>(n) / sw.seconds();
 }
 
 }  // namespace
@@ -52,17 +60,25 @@ int main(int argc, char** argv) {
 
   benchutil::BenchReporter rep("bench_seq_perf", mode);
 
-  stats::Table sha({"SHA-1 block bytes", "MB/s", "hashes/s"});
-  for (std::size_t block : {24u, 64u, 256u, 4096u}) {
-    const double mbps = sha1_mbps(block, 0.2);
-    sha.add_row({stats::Table::fmt(static_cast<std::uint64_t>(block)),
-                 stats::Table::fmt(mbps, 1),
-                 stats::Table::fmt(mbps * 1e6 / block, 0)});
-    rep.result("sha1_block" + std::to_string(block))
-        .metric("mb_per_sec", mbps)
-        .metric("hashes_per_sec", mbps * 1e6 / static_cast<double>(block));
+  stats::Table sha({"SHA-1 path", "kernel", "ns/hash", "hashes/s"});
+  const struct {
+    const char* row;
+    const char* kernel;
+    sha1::Digest (*compress)(const std::uint8_t*);
+  } kernels[] = {
+      {"sha1_portable", "portable", sha1::compress_block_portable},
+      {"sha1_dispatched", sha1::kernel_name(), sha1::compress_block},
+  };
+  for (const auto& k : kernels) {
+    const double hps = hashes_per_sec(k.compress, 0.2);
+    sha.add_row({k.row, k.kernel, stats::Table::fmt(1e9 / hps, 1),
+                 stats::Table::fmt(hps, 0)});
+    rep.result(k.row)
+        .metric("hashes_per_sec", hps)
+        .metric("ns_per_hash", 1e9 / hps)
+        .note("kernel", k.kernel);
   }
-  std::printf("\nSHA-1 throughput (this machine):\n");
+  std::printf("\nSHA-1 single-block throughput (this machine):\n");
   sha.print(std::cout);
 
   const auto r = uts::search_sequential(tree);
@@ -78,6 +94,7 @@ int main(int argc, char** argv) {
   t.add_row({"max DFS stack", stats::Table::fmt(
                                   static_cast<std::uint64_t>(r->max_stack))});
   t.add_row({"elapsed s", stats::Table::fmt(r->seconds, 3)});
+  t.add_row({"SHA-1 kernel", sha1::kernel_name()});
   t.add_row({"measured M nodes/s (real)",
              stats::Table::fmt(r->nodes_per_sec() / 1e6, 2)});
   t.add_row({"simulator-calibrated M nodes/s (450 ns/node)",

@@ -6,6 +6,9 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <thread>
+
+#include "sha1/sha1.hpp"
 
 namespace upcws::benchutil {
 
@@ -115,6 +118,10 @@ void BenchReporter::write_json(std::ostream& os) const {
   os << "  \"schema\": \"upcws-bench-v1\",\n";
   os << "  \"bench\": \"" << json_escape(bench_) << "\",\n";
   os << "  \"mode\": \"" << mode_name(mode_) << "\",\n";
+  // Host context: host-time metrics compare only between files that agree
+  // on both (tools/compare_bench.py notes any difference).
+  os << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
+  os << "  \"sha1_kernel\": \"" << sha1::kernel_name() << "\",\n";
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const Result& r = results_[i];

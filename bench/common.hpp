@@ -52,7 +52,9 @@ class Stopwatch {
 /// Collects named results with numeric metrics and emits them as a
 /// schema-versioned JSON document (`upcws-bench-v1`) that
 /// tools/compare_bench.py validates and diffs against a checked-in
-/// baseline. One reporter per bench binary.
+/// baseline. Every document also records its host context: `nproc`
+/// (hardware threads) and `sha1_kernel` (sha1::kernel_name()). One
+/// reporter per bench binary.
 class BenchReporter {
  public:
   /// A single benchmark configuration's measurements.

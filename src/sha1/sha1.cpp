@@ -1,6 +1,17 @@
 #include "sha1/sha1.hpp"
 
 #include <cstring>
+#include <utility>
+
+// The SHA-NI kernel is built only where the compiler can target the SHA
+// extensions per function (x86-64, GCC or Clang); the rest of the file is
+// compiled for the baseline ISA, and the kernel runs only on CPUs whose
+// CPUID reports SHA, SSSE3 and SSE4.1.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define UPCWS_SHA1_SHANI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace upcws::sha1 {
 namespace {
@@ -26,10 +37,9 @@ inline void store_be64(std::uint8_t* p, std::uint64_t v) {
   store_be32(p + 4, static_cast<std::uint32_t>(v));
 }
 
-/// The SHA-1 compression function: fold one 64-byte block into `state`.
-/// Shared by the incremental Hasher and the single-block fast path.
-void compress(std::array<std::uint32_t, 5>& state,
-              const std::uint8_t* block) {
+}  // namespace
+
+void compress_portable(State& state, const std::uint8_t* block) {
   // Message schedule. RFC 3174 method 1, with the usual rolling expansion.
   std::uint32_t w[80];
   for (int t = 0; t < 16; ++t) w[t] = load_be32(block + 4 * t);
@@ -61,8 +71,97 @@ void compress(std::array<std::uint32_t, 5>& state,
   state[4] += e;
 }
 
-constexpr std::array<std::uint32_t, 5> kIv = {
-    0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+namespace {
+
+#if UPCWS_SHA1_SHANI
+#define UPCWS_SHANI_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+/// Rounds 4G..4G+3 of the SHA-NI compression. m[k % 4] holds message words
+/// W[4k..4k+3] for the group k that reads them next; each group also
+/// advances the schedule for groups G+1..G+3 (msg1, xor, msg2), so W[16..79]
+/// never sit in memory. e[G % 2] carries E into this group's rounds, and
+/// the other register saves A, which becomes E four rounds later.
+template <int G>
+UPCWS_SHANI_TARGET inline void shani_group(__m128i& abcd, __m128i (&e)[2],
+                                           __m128i (&m)[4]) {
+  __m128i& sum = e[G % 2];
+  if constexpr (G == 0)
+    sum = _mm_add_epi32(sum, m[0]);
+  else
+    sum = _mm_sha1nexte_epu32(sum, m[G % 4]);
+  e[1 - G % 2] = abcd;
+  abcd = _mm_sha1rnds4_epu32(abcd, sum, G / 5);
+  if constexpr (G >= 3 && G <= 18)
+    m[(G + 1) % 4] = _mm_sha1msg2_epu32(m[(G + 1) % 4], m[G % 4]);
+  if constexpr (G >= 2 && G <= 17)
+    m[(G + 2) % 4] = _mm_xor_si128(m[(G + 2) % 4], m[G % 4]);
+  if constexpr (G >= 1 && G <= 16)
+    m[(G + 3) % 4] = _mm_sha1msg1_epu32(m[(G + 3) % 4], m[G % 4]);
+}
+
+template <int... G>
+UPCWS_SHANI_TARGET inline void shani_rounds(
+    __m128i& abcd, __m128i (&e)[2], __m128i (&m)[4],
+    std::integer_sequence<int, G...>) {
+  (shani_group<G>(abcd, e, m), ...);
+}
+
+/// The SHA-1 compression on the x86 SHA extensions. Same contract as
+/// compress_portable; the lanes hold A..D and E most-significant first,
+/// and the message words are byte-swapped into the same order.
+UPCWS_SHANI_TARGET void compress_shani(State& state,
+                                       const std::uint8_t* block) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  const __m128i abcd_in = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0x1B);
+  const __m128i e_in = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  __m128i m[4];
+  for (int i = 0; i < 4; ++i)
+    m[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
+        bswap);
+  __m128i abcd = abcd_in;
+  __m128i e[2] = {e_in, _mm_setzero_si128()};
+  shani_rounds(abcd, e, m, std::make_integer_sequence<int, 20>{});
+  // e[0] holds A from before the last four rounds: rotated, it is E.
+  const __m128i e_out = _mm_sha1nexte_epu32(e[0], e_in);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
+                   _mm_shuffle_epi32(_mm_add_epi32(abcd, abcd_in), 0x1B));
+  state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e_out, 3));
+}
+
+bool cpu_has_sha_ni() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+  if ((c & bit_SSSE3) == 0 || (c & bit_SSE4_1) == 0) return false;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  return (b & bit_SHA) != 0;
+}
+
+/// Decided once, on first use. A function-local static is initialised on
+/// its first call, so a static constructor elsewhere that hashes still
+/// sees the real answer, and exactly once even when psim workers and
+/// ThreadEngine threads make that first call together.
+bool use_sha_ni() {
+  static const bool yes = cpu_has_sha_ni();
+  return yes;
+}
+#endif  // UPCWS_SHA1_SHANI
+
+/// The compression behind Hasher and compress_block.
+void compress(State& state, const std::uint8_t* block) {
+#if UPCWS_SHA1_SHANI
+  if (use_sha_ni()) return compress_shani(state, block);
+#endif
+  compress_portable(state, block);
+}
+
+Digest to_digest(const State& state) {
+  Digest out;
+  for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state[i]);
+  return out;
+}
 
 }  // namespace
 
@@ -118,9 +217,7 @@ Digest Hasher::finish() {
   store_be64(len_be, bit_len);
   update(len_be, 8);
 
-  Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state_[i]);
-  return out;
+  return to_digest(state_);
 }
 
 Digest hash(const void* data, std::size_t len) {
@@ -130,11 +227,22 @@ Digest hash(const void* data, std::size_t len) {
 }
 
 Digest compress_block(const std::uint8_t* block64) {
-  std::array<std::uint32_t, 5> state = kIv;
+  State state = kIv;
   compress(state, block64);
-  Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state[i]);
-  return out;
+  return to_digest(state);
+}
+
+Digest compress_block_portable(const std::uint8_t* block64) {
+  State state = kIv;
+  compress_portable(state, block64);
+  return to_digest(state);
+}
+
+const char* kernel_name() {
+#if UPCWS_SHA1_SHANI
+  if (use_sha_ni()) return "sha-ni";
+#endif
+  return "portable";
 }
 
 std::string to_hex(const Digest& d) {

@@ -9,6 +9,12 @@
 // The implementation is self-contained (no OpenSSL), supports incremental
 // hashing, and is verified against the RFC 3174 / FIPS 180-1 test vectors in
 // tests/test_sha1.cpp.
+//
+// Two compression kernels sit behind Hasher and compress_block: the x86 SHA
+// extensions (SHA-NI) where the CPU reports them, and the portable scalar
+// code everywhere else. The choice is made once per process from CPUID;
+// both produce bit-identical digests, so every tree, golden and virtual
+// metric is the same on either.
 #pragma once
 
 #include <array>
@@ -24,6 +30,13 @@ inline constexpr std::size_t kDigestBytes = 20;
 
 /// A raw 160-bit SHA-1 digest.
 using Digest = std::array<std::uint8_t, kDigestBytes>;
+
+/// Chaining value carried from block to block: the words H0..H4.
+using State = std::array<std::uint32_t, 5>;
+
+/// The FIPS 180-1 initial chaining value.
+inline constexpr State kIv = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                              0x10325476u, 0xC3D2E1F0u};
 
 /// Incremental SHA-1 hasher.
 ///
@@ -53,7 +66,7 @@ class Hasher {
  private:
   void process_block(const std::uint8_t* block);
 
-  std::array<std::uint32_t, 5> state_;
+  State state_;
   std::uint64_t total_bytes_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_;
@@ -70,6 +83,20 @@ Digest hash(const void* data, std::size_t len);
 /// template and patch only the bytes that change between calls, skipping
 /// all incremental-hasher bookkeeping.
 Digest compress_block(const std::uint8_t* block64);
+
+/// The portable SHA-1 compression: fold one 64-byte block into `state`
+/// with the scalar RFC 3174 rounds. It is the only kernel on CPUs without
+/// the SHA extensions and on non-x86 builds, and the reference the
+/// dispatched kernel is tested against. Hot paths use Hasher and
+/// compress_block, which pick the fastest kernel themselves.
+void compress_portable(State& state, const std::uint8_t* block64);
+
+/// compress_block through the portable kernel, whatever the CPU.
+Digest compress_block_portable(const std::uint8_t* block64);
+
+/// The kernel Hasher and compress_block use in this process: "sha-ni" or
+/// "portable".
+const char* kernel_name();
 
 /// One-shot convenience for string-like input.
 inline Digest hash(std::string_view sv) { return hash(sv.data(), sv.size()); }

@@ -238,6 +238,36 @@ TEST(Psim, ParallelEligibility) {
   EXPECT_FALSE(psim::PsimEngine::parallel_eligible(free_net, 4));
 }
 
+TEST(Psim, BenchScaleRowsReportTheLaneTaken) {
+  // bench_scale labels each row's lane from last_stats().windows after the
+  // run: eligibility checked on the caller's RunConfig beforehand reads
+  // "serial" for every row, because run_search is what marks the body's
+  // remote ops mediated. Pin the three row shapes: the Fig-5 rows run the
+  // parallel lane, the Fig-6 row (locked family on the shared-memory model)
+  // the serial one.
+  const ws::UtsProblem prob(uts::test_small(3));
+  struct Row {
+    ws::Algo algo;
+    pgas::NetModel net;
+    bool parallel;
+  };
+  const Row rows[] = {
+      {ws::Algo::kUpcDistMem, pgas::NetModel::distributed(), true},
+      {ws::Algo::kMpiWs, pgas::NetModel::distributed(), true},
+      {ws::Algo::kUpcSharedMem, pgas::NetModel::shared_memory(), false},
+  };
+  psim::PsimEngine eng(2);
+  for (const Row& row : rows) {
+    pgas::RunConfig rcfg;
+    rcfg.nranks = 16;
+    rcfg.net = row.net;
+    rcfg.seed = 7;
+    ws::run_algo(eng, rcfg, row.algo, prob, 10);
+    EXPECT_EQ(eng.last_stats().windows > 0, row.parallel)
+        << ws::algo_label(row.algo);
+  }
+}
+
 TEST(Psim, MemoryLeanFourThousandRanks) {
   // Full-scale acceptance: 4096 simulated ranks in one process. Slim fiber
   // stacks (the searches use explicit steal stacks, not call recursion)

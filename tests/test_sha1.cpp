@@ -1,11 +1,15 @@
 // SHA-1 correctness against RFC 3174 / FIPS 180-1 vectors, plus incremental
-// hashing and boundary-condition behaviour.
+// hashing and boundary-condition behaviour. Every vector runs through both
+// the dispatched kernel (Hasher, hash, compress_block: SHA-NI where the CPU
+// has it) and the portable reference kernel, so each is pinned on its own
+// and a CPU with the SHA extensions also checks one against the other.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sha1/sha1.hpp"
@@ -14,22 +18,51 @@ namespace {
 
 using upcws::sha1::Digest;
 using upcws::sha1::Hasher;
+using upcws::sha1::State;
 using upcws::sha1::compress_block;
+using upcws::sha1::compress_block_portable;
+using upcws::sha1::compress_portable;
 using upcws::sha1::hash;
+using upcws::sha1::kIv;
+using upcws::sha1::kernel_name;
 using upcws::sha1::to_hex;
 
+/// SHA-1 of `msg` through the portable kernel alone: the padding done by
+/// hand, then one compress_portable per 64-byte block.
+Digest portable_hash(std::string_view msg) {
+  std::string m(msg);
+  m.push_back('\x80');
+  while (m.size() % 64 != 56) m.push_back('\0');
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) m.push_back(static_cast<char>(bits >> (8 * i)));
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(m.data());
+  State s = kIv;
+  for (std::size_t off = 0; off < m.size(); off += 64)
+    compress_portable(s, bytes + off);
+  Digest d;
+  for (int i = 0; i < 5; ++i)
+    for (int j = 0; j < 4; ++j)
+      d[4 * i + j] = static_cast<std::uint8_t>(s[i] >> (24 - 8 * j));
+  return d;
+}
+
+/// `msg` must hash to `want` through the dispatched and the portable kernel.
+void expect_vector(std::string_view msg, const char* want) {
+  EXPECT_EQ(to_hex(hash(msg)), want) << "dispatched";
+  EXPECT_EQ(to_hex(portable_hash(msg)), want) << "portable";
+}
+
 TEST(Sha1, EmptyString) {
-  EXPECT_EQ(to_hex(hash("")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  expect_vector("", "da39a3ee5e6b4b0d3255bfef95601890afd80709");
 }
 
 TEST(Sha1, Abc) {
-  EXPECT_EQ(to_hex(hash("abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  expect_vector("abc", "a9993e364706816aba3e25717850c26c9cd0d89d");
 }
 
 TEST(Sha1, TwoBlockMessage) {
-  EXPECT_EQ(
-      to_hex(hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-      "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  expect_vector("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
 }
 
 TEST(Sha1, MillionAs) {
@@ -37,22 +70,29 @@ TEST(Sha1, MillionAs) {
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.update(chunk);
   EXPECT_EQ(to_hex(h.finish()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  expect_vector(std::string(1'000'000, 'a'),
+                "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
 TEST(Sha1, Rfc3174Repeated) {
   // RFC 3174 test 4: "0123456701234567..." repeated 10 times, x80... the RFC
   // uses 80 repetitions of "01234567".
   Hasher h;
-  for (int i = 0; i < 80; ++i) h.update("01234567");
+  std::string msg;
+  for (int i = 0; i < 80; ++i) {
+    h.update("01234567");
+    msg += "01234567";
+  }
   EXPECT_EQ(to_hex(h.finish()), "dea356a2cddd90c7a7ecedc5ebb563934f460452");
+  expect_vector(msg, "dea356a2cddd90c7a7ecedc5ebb563934f460452");
 }
 
 TEST(Sha1, TwoBlock896Bit) {
   // FIPS 180-2 appendix vector: 896-bit (112-byte) message.
-  EXPECT_EQ(to_hex(hash("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghi"
-                        "jklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrs"
-                        "tnopqrstu")),
-            "a49b2446a02c645bf419f995b67091253a04a259");
+  expect_vector("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghi"
+                "jklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrs"
+                "tnopqrstu",
+                "a49b2446a02c645bf419f995b67091253a04a259");
 }
 
 TEST(Sha1, CompressBlockMatchesHasher) {
@@ -71,7 +111,50 @@ TEST(Sha1, CompressBlockMatchesHasher) {
     for (int i = 0; i < 8; ++i)
       block[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
     EXPECT_EQ(compress_block(block), hash(msg, len)) << "len " << len;
+    EXPECT_EQ(compress_block_portable(block), hash(msg, len)) << "len " << len;
   }
+}
+
+TEST(Sha1, KernelsAgreeOnChainedRandomBlocks) {
+  // 100k random single blocks, each carrying the previous digest in its
+  // first 20 bytes as UTS spawn blocks do, compressed from the IV by both
+  // kernels. The same blocks are then hashed as one 6.4 MB message, so both
+  // kernels also fold blocks into chaining values other than the IV.
+  constexpr int kBlocks = 100'000;
+  std::mt19937_64 rng(13);
+  std::string all;
+  all.reserve(static_cast<std::size_t>(kBlocks) * 64);
+  std::uint8_t block[64];
+  Digest prev{};
+  int mismatches = 0;
+  for (int i = 0; i < kBlocks; ++i) {
+    for (int w = 0; w < 8; ++w) {
+      const std::uint64_t r = rng();
+      std::memcpy(block + 8 * w, &r, sizeof r);
+    }
+    std::memcpy(block, prev.data(), prev.size());
+    prev = compress_block(block);
+    if (prev != compress_block_portable(block)) ++mismatches;
+    all.append(reinterpret_cast<const char*>(block), sizeof block);
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(hash(all), portable_hash(all));
+}
+
+TEST(Sha1, KernelMatchesCpu) {
+  // The dispatcher reads CPUID itself; cross-check its choice with the
+  // compiler's own feature probe, so a SHA-capable CPU cannot silently fall
+  // back to the portable kernel.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+  const bool sha_ni = __builtin_cpu_supports("sha") &&
+                      __builtin_cpu_supports("ssse3") &&
+                      __builtin_cpu_supports("sse4.1");
+  EXPECT_STREQ(kernel_name(), sha_ni ? "sha-ni" : "portable");
+#elif !defined(__x86_64__)
+  EXPECT_STREQ(kernel_name(), "portable");
+#else
+  GTEST_SKIP() << "no independent CPU feature probe for this compiler";
+#endif
 }
 
 TEST(Sha1, RandomSplitsMatchOneShot) {

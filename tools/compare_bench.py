@@ -18,6 +18,11 @@ Usage:
   compare_bench.py --self-test
       Run the built-in unit checks on canned JSON and exit.
 
+Each file records its host context (`nproc`, `sha1_kernel`). When the current
+file and the baseline differ in either, the comparison prints a NOTE first:
+host-time deltas then mix the host with the change. The note never changes
+the exit code.
+
 Regression direction is inferred from the metric name: *_per_sec and plain
 counters are better-higher; ns_per_* and *_s (durations) are better-lower.
 Metrics that are neither (e.g. `nodes`, `switches`) are checked for drift in
@@ -37,6 +42,9 @@ INVARIANT = {"nodes", "switches", "virtual_elapsed_s"}
 # Metrics that legitimately vary with the host (psim shard layout follows the
 # worker count): printed for the record, never flagged as regression or drift.
 NEUTRAL = {"windows", "events", "events_per_window"}
+
+# Host context BenchReporter writes at the top of every file.
+CONTEXT = ("nproc", "sha1_kernel")
 
 
 def load(path):
@@ -96,7 +104,25 @@ def direction(metric):
     return +1
 
 
+def context_diffs(cur, base):
+    """One line per host-context field on which the two files differ; a
+    field a file lacks reads as 'unrecorded'."""
+    diffs = []
+    for key in CONTEXT:
+        c, b = cur.get(key, "unrecorded"), base.get(key, "unrecorded")
+        if c != b:
+            diffs.append(f"{key}: baseline {b}, current {c}")
+    return diffs
+
+
 def compare(cur, base, threshold, fail_on_regression, fail_over=None):
+    diffs = context_diffs(cur, base)
+    if diffs:
+        print("compare_bench: NOTE: the files come from different host "
+              "contexts, so host-time deltas mix the host with the change:")
+        for d in diffs:
+            print(f"  {d}")
+        print()
     cur_by = {r["name"]: r for r in cur["results"]}
     base_by = {r["name"]: r for r in base["results"]}
     regressions = []
@@ -189,11 +215,16 @@ def self_test():
     cases = []
 
     def run_compare(cur, base, **kw):
-        with contextlib.redirect_stdout(io.StringIO()), \
+        return run_compare_out(cur, base, **kw)[0]
+
+    def run_compare_out(cur, base, **kw):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
              contextlib.redirect_stderr(io.StringIO()):
-            return compare(cur, base, kw.pop("threshold", 0.15),
-                           kw.pop("fail_on_regression", False),
-                           kw.pop("fail_over", None))
+            rc = compare(cur, base, kw.pop("threshold", 0.15),
+                         kw.pop("fail_on_regression", False),
+                         kw.pop("fail_over", None))
+        return rc, out.getvalue()
 
     def quiet_validate(doc):
         with contextlib.redirect_stderr(io.StringIO()):
@@ -242,6 +273,19 @@ def self_test():
     neut_cur["results"][0]["metrics"]["windows"] = 500
     cases.append(("neutral metric change never flagged, even over fail-over",
                   run_compare(neut_cur, neut_base, fail_over=0.30) == 0))
+
+    ctx_base = dict(_canned(100.0), nproc=4, sha1_kernel="portable")
+    ctx_kernel = dict(ctx_base, sha1_kernel="sha-ni")
+    rc, out = run_compare_out(ctx_base, ctx_base)
+    cases.append(("same host context prints no note",
+                  rc == 0 and "NOTE" not in out))
+    rc, out = run_compare_out(ctx_kernel, ctx_base, fail_on_regression=True)
+    cases.append(("sha1_kernel difference is noted, exit stays 0",
+                  rc == 0 and "NOTE" in out and
+                  "sha1_kernel: baseline portable, current sha-ni" in out))
+    rc, out = run_compare_out(ctx_base, _canned(100.0))
+    cases.append(("context missing from the baseline is noted as unrecorded",
+                  rc == 0 and "nproc: baseline unrecorded, current 4" in out))
 
     failed = 0
     for name, ok in cases:
