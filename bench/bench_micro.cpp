@@ -13,6 +13,7 @@
 #include "pgas/sim_engine.hpp"
 #include "sha1/sha1.hpp"
 #include "sim/fiber.hpp"
+#include "sim/ready_queue.hpp"
 #include "sim/scheduler.hpp"
 #include "uts/sequential.hpp"
 #include "uts/tree.hpp"
@@ -102,8 +103,24 @@ static void BM_FiberSwitch(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberSwitch);
 
+// One ready-queue step of the scheduler's round-robin pattern across
+// `range` tasks: the running task re-queues 10 ns later and the minimum
+// comes out, as the fused push_pop of a handoff.
+static void BM_ReadyQueuePushPop(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  sim::ReadyQueue rq;
+  for (int t = 1; t < n; ++t) rq.push(0, t);
+  sim::ReadyQueue::Entry cur{0, 0};
+  for (auto _ : state) {
+    cur = rq.push_pop(cur.vt + 10, cur.task);
+    benchmark::DoNotOptimize(cur);
+  }
+}
+BENCHMARK(BM_ReadyQueuePushPop)->Arg(16)->Arg(32)->Arg(128);
+
 static void BM_SchedulerRoundRobin(benchmark::State& state) {
-  // Cost of one scheduler dispatch across `range` runnable fibers.
+  // Cost of one scheduler dispatch across `range` runnable fibers: each
+  // yield hands the step straight to the next fiber.
   const int n = static_cast<int>(state.range(0));
   const std::uint64_t yields = 2000;
   for (auto _ : state) {

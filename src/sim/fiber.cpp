@@ -161,6 +161,16 @@ struct Fiber::Impl {
     top[-7] = nullptr;                     // r15
     self_sp = &top[-7];
   }
+
+  /// From the resumer into this fiber; returns when control comes back.
+  void switch_in() { upcws_fiber_switch(&resumer_sp, self_sp); }
+  /// From this fiber to its resumer (`last`: it finished, never returns).
+  void switch_out(bool /*last*/) { upcws_fiber_switch(&self_sp, resumer_sp); }
+  /// From this fiber straight into `next`, which inherits the resumer.
+  void switch_to(Impl& next) {
+    next.resumer_sp = resumer_sp;
+    upcws_fiber_switch(&self_sp, next.self_sp);
+  }
 };
 
 }  // namespace upcws::sim
@@ -176,20 +186,6 @@ extern "C" void upcws_fiber_entry(void* fiber) {
 
 namespace upcws::sim {
 
-/// Body of the first activation (shared shape with the ucontext
-/// trampoline): run the task, mark finished, switch to the resumer.
-void Fiber::entry() {
-  try {
-    fn_();
-  } catch (const Cancelled&) {
-    // cancel() unwound the fiber stack; destructors have run.
-  }
-  finished_ = true;
-  g_current_fiber = nullptr;
-  void* dead_sp = nullptr;  // this context is never re-entered
-  upcws_fiber_switch(&dead_sp, impl_->resumer_sp);
-}
-
 Fiber::Fiber(Fn fn, std::size_t stack_bytes)
     : impl_(std::make_unique<Impl>()), fn_(std::move(fn)) {
   impl_->stack = g_stack_pool.acquire(stack_bytes);
@@ -203,49 +199,20 @@ Fiber::~Fiber() {
   g_stack_pool.release(std::move(impl_->stack));
 }
 
-void Fiber::resume() {
-  if (finished_) throw std::logic_error("Fiber::resume on finished fiber");
-  Fiber* prev = g_current_fiber;
-  g_current_fiber = this;
-  eh_base_ = std::uncaught_exceptions();
-  if (!started_) {
-    started_ = true;
-    impl_->prepare(this);
-  }
-  upcws_fiber_switch(&impl_->resumer_sp, impl_->self_sp);
-  g_current_fiber = prev;
-}
-
-void Fiber::yield_current() {
-  Fiber* f = g_current_fiber;
-  if (f == nullptr)
-    throw std::logic_error("Fiber::yield_current outside fiber context");
-  if (f->unwinding_) return;  // mid-cancel: destructors must not suspend
-  f->unwind_depth_ = std::uncaught_exceptions() - f->eh_base_;
-  g_current_fiber = nullptr;
-  upcws_fiber_switch(&f->impl_->self_sp, f->impl_->resumer_sp);
-  g_current_fiber = f;
-  if (f->cancel_) {
-    // Throwing here is only safe from a plain yield: if the fiber
-    // suspended mid-unwind of another exception, or inside a shielded
-    // region (a lock release reached from a noexcept destructor), a
-    // second throw terminates the process. Leave the cancel pending; the
-    // next safe yield delivers it.
-    if (f->unwind_depth_ > 0 || f->shield_) return;
-    f->unwinding_ = true;
-    throw Cancelled{};
-  }
-}
-
 #else  // !UPCWS_FAST_FIBER — ucontext backend (sanitizers, other arches)
 
+// A handoff (switch_to) passes three things from the running fiber to the
+// next rather than letting the next re-learn them from its peer: the
+// resumer's context, its stack bounds (ASan) and its TSan fiber.
 struct Fiber::Impl {
-  ucontext_t self{};     // context of the fiber
-  ucontext_t resumer{};  // context to return to on yield/finish
+  ucontext_t self{};               // context of the fiber
+  ucontext_t* resumer = nullptr;   // context to return to on yield/finish
   std::vector<std::uint8_t> stack;
 #ifdef UPCWS_ASAN_FIBERS
-  void* fiber_fake = nullptr;          // fiber's fake stack while suspended
-  const void* sched_bottom = nullptr;  // resumer's stack, learned on entry
+  void* fiber_fake = nullptr;  // fiber's fake stack while suspended
+  // The resumer's stack: switch_in clears it so the fiber learns it on its
+  // next wake; switch_to copies it into the next fiber.
+  const void* sched_bottom = nullptr;
   std::size_t sched_size = 0;
 #endif
 #ifdef UPCWS_TSAN_FIBERS
@@ -255,40 +222,82 @@ struct Fiber::Impl {
   // phantom races / use-after-free. Switches synchronize (flag 0):
   // cooperative scheduling is a happens-before edge.
   void* tsan_self = nullptr;     // this fiber's TSan state
-  void* tsan_resumer = nullptr;  // the resumer's state, saved on entry
+  void* tsan_resumer = nullptr;  // the resumer's state, set by switch_in
 #endif
+
+  void prepare(Fiber* f) {
+    getcontext(&self);
+    self.uc_stack.ss_sp = stack.data();
+    self.uc_stack.ss_size = stack.size();
+    self.uc_link = nullptr;
+    const auto p = reinterpret_cast<std::uintptr_t>(f);
+    makecontext(&self, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
+                static_cast<unsigned>(p >> 32),
+                static_cast<unsigned>(p & 0xFFFFFFFFu));
+  }
+
+  /// First code on this fiber's stack after any switch into it.
+  void arrived() {
+#ifdef UPCWS_ASAN_FIBERS
+    const bool learn = sched_bottom == nullptr;
+    __sanitizer_finish_switch_fiber(fiber_fake, learn ? &sched_bottom : nullptr,
+                                    learn ? &sched_size : nullptr);
+#endif
+  }
+
+  void switch_in() {
+    ucontext_t here;
+    resumer = &here;
+#ifdef UPCWS_ASAN_FIBERS
+    sched_bottom = nullptr;
+    void* sched_fake = nullptr;
+    __sanitizer_start_switch_fiber(&sched_fake, stack.data(), stack.size());
+#endif
+#ifdef UPCWS_TSAN_FIBERS
+    tsan_resumer = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(tsan_self, 0);
+#endif
+    swapcontext(&here, &self);
+#ifdef UPCWS_ASAN_FIBERS
+    __sanitizer_finish_switch_fiber(sched_fake, nullptr, nullptr);
+#endif
+  }
+
+  void switch_out([[maybe_unused]] bool last) {
+#ifdef UPCWS_ASAN_FIBERS
+    // nullptr fake-stack save on the last switch: that stack is destroyed.
+    __sanitizer_start_switch_fiber(last ? nullptr : &fiber_fake, sched_bottom,
+                                   sched_size);
+#endif
+#ifdef UPCWS_TSAN_FIBERS
+    __tsan_switch_to_fiber(tsan_resumer, 0);
+#endif
+    swapcontext(&self, resumer);
+    arrived();
+  }
+
+  void switch_to(Impl& next) {
+    next.resumer = resumer;
+#ifdef UPCWS_ASAN_FIBERS
+    next.sched_bottom = sched_bottom;
+    next.sched_size = sched_size;
+    __sanitizer_start_switch_fiber(&fiber_fake, next.stack.data(),
+                                   next.stack.size());
+#endif
+#ifdef UPCWS_TSAN_FIBERS
+    next.tsan_resumer = tsan_resumer;
+    __tsan_switch_to_fiber(next.tsan_self, 0);
+#endif
+    swapcontext(&self, &next.self);
+    arrived();
+  }
 };
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   auto* f = reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
                                      static_cast<std::uintptr_t>(lo));
-#ifdef UPCWS_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(nullptr, &f->impl_->sched_bottom,
-                                  &f->impl_->sched_size);
-#endif
+  f->impl_->arrived();
   f->entry();
-}
-
-/// Shared finishing shape with the fast backend: run the task, mark
-/// finished, switch to the resumer. Do NOT fall off the end: the linked
-/// uc_link is unset, so returning would terminate the process.
-void Fiber::entry() {
-  try {
-    fn_();
-  } catch (const Cancelled&) {
-    // cancel() unwound the fiber stack; destructors have run.
-  }
-  finished_ = true;
-  g_current_fiber = nullptr;
-#ifdef UPCWS_ASAN_FIBERS
-  // nullptr fake-stack save: this fiber's fake stack is destroyed.
-  __sanitizer_start_switch_fiber(nullptr, impl_->sched_bottom,
-                                 impl_->sched_size);
-#endif
-#ifdef UPCWS_TSAN_FIBERS
-  __tsan_switch_to_fiber(impl_->tsan_resumer, 0);
-#endif
-  swapcontext(&impl_->self, &impl_->resumer);
 }
 
 Fiber::Fiber(Fn fn, std::size_t stack_bytes)
@@ -308,35 +317,54 @@ Fiber::~Fiber() {
   g_stack_pool.release(std::move(impl_->stack));
 }
 
+#endif  // UPCWS_FAST_FIBER
+
+/// Body of the first activation (both backends): run the task, mark
+/// finished, switch to the resumer. Do NOT fall off the end: neither
+/// backend has a frame to return to (the ucontext uc_link is unset).
+void Fiber::entry() {
+  try {
+    fn_();
+  } catch (const Cancelled&) {
+    // cancel() unwound the fiber stack; destructors have run.
+  }
+  finished_ = true;
+  g_current_fiber = nullptr;
+  impl_->switch_out(/*last=*/true);
+}
+
+void Fiber::enter(int uncaught) {
+  g_current_fiber = this;
+  eh_base_ = uncaught;
+  if (!started_) {
+    started_ = true;
+    impl_->prepare(this);
+  }
+}
+
+bool Fiber::may_suspend(int uncaught) {
+  if (unwinding_) return false;
+  unwind_depth_ = uncaught - eh_base_;
+  return true;
+}
+
+void Fiber::woke() {
+  g_current_fiber = this;
+  // Throwing here is only safe from a plain suspend: if the fiber
+  // suspended mid-unwind of another exception, or inside a shielded region
+  // (a lock release reached from a noexcept destructor), a second throw
+  // terminates the process. Leave the cancel pending; the next safe
+  // suspend delivers it.
+  if (!cancel_ || unwind_depth_ > 0 || shield_) return;
+  unwinding_ = true;
+  throw Cancelled{};
+}
+
 void Fiber::resume() {
   if (finished_) throw std::logic_error("Fiber::resume on finished fiber");
   Fiber* prev = g_current_fiber;
-  g_current_fiber = this;
-  eh_base_ = std::uncaught_exceptions();
-  if (!started_) {
-    started_ = true;
-    getcontext(&impl_->self);
-    impl_->self.uc_stack.ss_sp = impl_->stack.data();
-    impl_->self.uc_stack.ss_size = impl_->stack.size();
-    impl_->self.uc_link = nullptr;
-    const auto p = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&impl_->self, reinterpret_cast<void (*)()>(&Fiber::trampoline),
-                2, static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xFFFFFFFFu));
-  }
-#ifdef UPCWS_ASAN_FIBERS
-  void* sched_fake = nullptr;
-  __sanitizer_start_switch_fiber(&sched_fake, impl_->stack.data(),
-                                 impl_->stack.size());
-#endif
-#ifdef UPCWS_TSAN_FIBERS
-  impl_->tsan_resumer = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(impl_->tsan_self, 0);
-#endif
-  swapcontext(&impl_->resumer, &impl_->self);
-#ifdef UPCWS_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(sched_fake, nullptr, nullptr);
-#endif
+  enter(std::uncaught_exceptions());
+  impl_->switch_in();
   g_current_fiber = prev;
 }
 
@@ -344,33 +372,24 @@ void Fiber::yield_current() {
   Fiber* f = g_current_fiber;
   if (f == nullptr)
     throw std::logic_error("Fiber::yield_current outside fiber context");
-  if (f->unwinding_) return;  // mid-cancel: destructors must not suspend
-  f->unwind_depth_ = std::uncaught_exceptions() - f->eh_base_;
+  if (!f->may_suspend(std::uncaught_exceptions())) return;
   g_current_fiber = nullptr;
-#ifdef UPCWS_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&f->impl_->fiber_fake, f->impl_->sched_bottom,
-                                 f->impl_->sched_size);
-#endif
-#ifdef UPCWS_TSAN_FIBERS
-  __tsan_switch_to_fiber(f->impl_->tsan_resumer, 0);
-#endif
-  swapcontext(&f->impl_->self, &f->impl_->resumer);
-#ifdef UPCWS_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(f->impl_->fiber_fake, &f->impl_->sched_bottom,
-                                  &f->impl_->sched_size);
-#endif
-  g_current_fiber = f;
-  if (f->cancel_) {
-    // See the fast backend: a suspend mid-unwind or inside a shielded
-    // region must not grow a second in-flight exception. Defer to the
-    // next safe yield.
-    if (f->unwind_depth_ > 0 || f->shield_) return;
-    f->unwinding_ = true;
-    throw Cancelled{};
-  }
+  f->impl_->switch_out(/*last=*/false);
+  f->woke();
 }
 
-#endif  // UPCWS_FAST_FIBER
+void Fiber::switch_to(Fiber& next) {
+  Fiber* f = g_current_fiber;
+  if (f == nullptr || &next == f || next.finished_)
+    throw std::logic_error("Fiber::switch_to needs a fiber caller and an "
+                           "unfinished peer");
+  // One exception count serves both sides: it is taken at one instant.
+  const int uncaught = std::uncaught_exceptions();
+  if (!f->may_suspend(uncaught)) return;
+  next.enter(uncaught);
+  f->impl_->switch_to(*next.impl_);
+  f->woke();
+}
 
 void Fiber::shield_current(bool on) {
   if (g_current_fiber != nullptr) g_current_fiber->shield_ = on;

@@ -1,4 +1,5 @@
-// Cooperative fibers over POSIX ucontext.
+// Cooperative fibers: a small assembly stack switch on x86-64, POSIX
+// ucontext (with sanitizer annotations) under sanitizers and elsewhere.
 //
 // The discrete-event engine (src/sim/scheduler.hpp) runs every simulated UPC
 // thread as a fiber on one OS thread. Fibers make the simulator able to run
@@ -37,13 +38,21 @@ class Fiber {
   Fiber& operator=(const Fiber&) = delete;
 
   /// Switch from the caller (scheduler) into the fiber. Returns when the
-  /// fiber yields or its function returns. Must not be called on a finished
-  /// fiber, or from inside any fiber.
+  /// fiber, or a fiber it handed control to with switch_to, yields or
+  /// finishes. Must not be called on a finished fiber.
   void resume();
 
   /// Switch from inside the currently running fiber back to its resumer.
   /// Must be called from fiber context.
   static void yield_current();
+
+  /// Switch from inside the currently running fiber straight to `next`
+  /// (unstarted, or suspended in yield_current/switch_to), handing it the
+  /// caller's resumer: a later yield or finish in `next` returns to the
+  /// context that resumed the caller. Returns when the caller is resumed
+  /// or switched to again. Like yield_current, a no-op while a cancel
+  /// unwinds the caller.
+  static void switch_to(Fiber& next);
 
   /// Unwind a suspended fiber: resume it one last time with a cancellation
   /// pending, so its next (historical) yield point rethrows as stack
@@ -85,11 +94,21 @@ class Fiber {
   /// finished, switch back to the resumer for good.
   void entry();
 
+  /// Make this the running fiber; the first activation builds its frame.
+  /// `uncaught` is std::uncaught_exceptions() at the switch.
+  void enter(int uncaught);
+  /// Bookkeeping before the running fiber suspends; false while a cancel
+  /// unwinds it (destructors must not suspend).
+  bool may_suspend(int uncaught);
+  /// Back on this fiber's stack after a suspend: deliver a pending cancel
+  /// if throwing is safe here.
+  void woke();
+
   std::unique_ptr<Impl> impl_;
   Fn fn_;
   bool finished_ = false;
   bool started_ = false;
-  bool cancel_ = false;     // set by cancel(); checked on wake in yield
+  bool cancel_ = false;     // set by cancel(); checked in woke()
   bool unwinding_ = false;  // Cancelled is in flight on this fiber's stack
   bool shield_ = false;     // yields are cancellation-unsafe (see above)
   // Exception-unwind attribution: eh_base_ snapshots the thread's

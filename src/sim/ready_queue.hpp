@@ -1,14 +1,14 @@
-// Ready queue for the discrete-event scheduler: a pairing heap over
-// (virtual time, task id), replacing std::priority_queue<QEntry> on the
-// hot pop-min/re-push path.
+// Ready queue for the discrete-event scheduler: an implicit binary
+// min-heap over (virtual time, task id).
 //
-// Two structural facts make this faster than a binary heap here:
-//   * Each task has at most one queue entry at a time, so nodes live in a
-//     flat array indexed by task id — zero allocation, no pointer chasing
-//     through scattered heap nodes, and O(1) membership queries.
-//   * The common scheduler step is "pop the min, run it, push it back with
-//     a slightly larger key". Pairing-heap push and meld are O(1); only
-//     pop-min pays the (amortized log) pair-up cost.
+// The scheduler's step is "the running task yields with a larger key and
+// the minimum runs next", so besides push and pop the heap offers a fused
+// push_pop: when the pushed key is not the minimum it takes the root's
+// place and sifts down once — one pass instead of a pop's sift-down plus a
+// push's sift-up. Each task has at most one entry, so the array never
+// outgrows the task count. A binary heap rather than the pairing heap it
+// replaced: with unequal charges the pairing heap's pop + push cost 3-4x a
+// push_pop (docs/simulator.md, "Unit costs").
 //
 // Ordering is EXACTLY the scheduler's historical tie-break: smaller vt
 // first, ties broken by smaller task id. This total order is pinned by the
@@ -27,152 +27,77 @@ class ReadyQueue {
   struct Entry {
     std::uint64_t vt;
     int task;
+
+    friend bool operator<(const Entry& a, const Entry& b) {
+      return a.vt != b.vt ? a.vt < b.vt : a.task < b.task;
+    }
   };
 
-  /// Grow node storage so task ids [0, ntasks) are usable.
-  void ensure_tasks(int ntasks) {
-    if (static_cast<std::size_t>(ntasks) > nodes_.size())
-      nodes_.resize(static_cast<std::size_t>(ntasks));
-  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  bool empty() const { return root_ == kNull; }
-  std::size_t size() const { return size_; }
-
-  /// True if `task` currently has an entry in the queue.
-  bool contains(int task) const {
-    return static_cast<std::size_t>(task) < nodes_.size() &&
-           nodes_[static_cast<std::size_t>(task)].in_queue;
+  /// The minimum entry. Queue must be non-empty.
+  Entry top() const {
+    assert(!heap_.empty());
+    return heap_.front();
   }
 
   /// Insert an entry for `task` at time `vt`. The task must not already
   /// be queued (each task has at most one entry).
   void push(std::uint64_t vt, int task) {
-    ensure_tasks(task + 1);
-    Node& n = nodes_[static_cast<std::size_t>(task)];
-    assert(!n.in_queue);
-    n.vt = vt;
-    n.child = n.sibling = n.prev = kNull;
-    n.in_queue = true;
-    root_ = (root_ == kNull) ? task : meld(root_, task);
-    ++size_;
+    heap_.push_back({vt, task});
+    sift_up(heap_.size() - 1, heap_.back());
   }
 
-  /// The minimum entry. Queue must be non-empty.
-  Entry top() const {
-    assert(root_ != kNull);
-    return {nodes_[static_cast<std::size_t>(root_)].vt, root_};
-  }
-
-  /// Remove and return the minimum entry.
+  /// Remove and return the minimum entry. Queue must be non-empty.
   Entry pop() {
-    assert(root_ != kNull);
-    const int r = root_;
-    Node& n = nodes_[static_cast<std::size_t>(r)];
-    root_ = merge_pairs(n.child);
-    if (root_ != kNull) nodes_[static_cast<std::size_t>(root_)].prev = kNull;
-    n.in_queue = false;
-    n.child = n.sibling = n.prev = kNull;
-    --size_;
-    return {n.vt, r};
+    const Entry min = top();
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+    return min;
   }
 
-  /// Remove `task`'s entry wherever it sits in the heap.
-  /// Returns false if the task was not queued.
-  bool cancel(int task) {
-    if (!contains(task)) return false;
-    if (task == root_) {
-      pop();
-      return true;
-    }
-    Node& n = nodes_[static_cast<std::size_t>(task)];
-    // Detach from the sibling list: `prev` is either the parent (when we
-    // are its first child) or the left sibling.
-    Node& p = nodes_[static_cast<std::size_t>(n.prev)];
-    if (p.child == task)
-      p.child = n.sibling;
-    else
-      p.sibling = n.sibling;
-    if (n.sibling != kNull)
-      nodes_[static_cast<std::size_t>(n.sibling)].prev = n.prev;
-    // Fold the orphaned children back in.
-    const int sub = merge_pairs(n.child);
-    if (sub != kNull) {
-      nodes_[static_cast<std::size_t>(sub)].prev = kNull;
-      nodes_[static_cast<std::size_t>(sub)].sibling = kNull;
-      root_ = meld(root_, sub);
-    }
-    n.in_queue = false;
-    n.child = n.sibling = n.prev = kNull;
-    --size_;
-    return true;
+  /// push(vt, task) then pop(), fused: returns the new entry itself, with
+  /// the heap untouched, when it is the minimum; otherwise returns the
+  /// old minimum and sifts the new entry down from the root.
+  Entry push_pop(std::uint64_t vt, int task) {
+    const Entry e{vt, task};
+    if (heap_.empty() || e < heap_.front()) return e;
+    const Entry min = heap_.front();
+    sift_down(e);
+    return min;
   }
 
  private:
-  static constexpr int kNull = -1;
-
-  struct Node {
-    std::uint64_t vt = 0;
-    int child = kNull;
-    int sibling = kNull;
-    int prev = kNull;  // parent if first child, else left sibling
-    bool in_queue = false;
-  };
-
-  bool less(int a, int b) const {
-    const Node& na = nodes_[static_cast<std::size_t>(a)];
-    const Node& nb = nodes_[static_cast<std::size_t>(b)];
-    return na.vt != nb.vt ? na.vt < nb.vt : a < b;
-  }
-
-  /// Link two heap roots; returns the new root. Does not touch prev/sibling
-  /// of the winner (caller's responsibility when relevant).
-  int meld(int a, int b) {
-    if (a == kNull) return b;
-    if (b == kNull) return a;
-    if (less(b, a)) std::swap(a, b);
-    // b becomes a's first child.
-    Node& na = nodes_[static_cast<std::size_t>(a)];
-    Node& nb = nodes_[static_cast<std::size_t>(b)];
-    nb.sibling = na.child;
-    if (na.child != kNull)
-      nodes_[static_cast<std::size_t>(na.child)].prev = b;
-    nb.prev = a;
-    na.child = b;
-    return a;
-  }
-
-  /// Two-pass pairing over a sibling list; returns the merged root (kNull
-  /// for an empty list). Iterative, reusing a scratch vector.
-  int merge_pairs(int first) {
-    if (first == kNull) return kNull;
-    scratch_.clear();
-    // Pass 1: meld adjacent pairs left to right.
-    int cur = first;
-    while (cur != kNull) {
-      const int a = cur;
-      int b = nodes_[static_cast<std::size_t>(a)].sibling;
-      int next = kNull;
-      if (b != kNull) {
-        next = nodes_[static_cast<std::size_t>(b)].sibling;
-        nodes_[static_cast<std::size_t>(b)].sibling = kNull;
-      }
-      nodes_[static_cast<std::size_t>(a)].sibling = kNull;
-      scratch_.push_back(b == kNull ? a : meld(a, b));
-      cur = next;
+  /// Fill the root slot with `e` and restore the heap order below it.
+  /// Bottom-up: walk the hole to a leaf along the smaller children (one
+  /// compare per level), then let `e` climb back. The entries sifted here
+  /// (a yielder's new key, the last leaf) are usually among the largest,
+  /// so the climb is short.
+  void sift_down(Entry e) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && heap_[c + 1] < heap_[c]) ++c;
+      heap_[i] = heap_[c];
+      i = c;
     }
-    // Pass 2: meld right to left.
-    int root = scratch_.back();
-    for (std::size_t i = scratch_.size() - 1; i-- > 0;)
-      root = meld(scratch_[i], root);
-    scratch_.pop_back();  // keep clear() cheap; contents are dead either way
-    scratch_.clear();
-    return root;
+    sift_up(i, e);
   }
 
-  std::vector<Node> nodes_;
-  std::vector<int> scratch_;
-  int root_ = kNull;
-  std::size_t size_ = 0;
+  /// Place `e` at hole `i` or above it, moving larger parents down.
+  void sift_up(std::size_t i, Entry e) {
+    while (i > 0) {
+      const std::size_t p = (i - 1) / 2;
+      if (!(e < heap_[p])) break;
+      heap_[i] = heap_[p];
+      i = p;
+    }
+    heap_[i] = e;
+  }
+
+  std::vector<Entry> heap_;
 };
 
 }  // namespace upcws::sim

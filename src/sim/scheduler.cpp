@@ -57,40 +57,37 @@ Scheduler& Scheduler::current() {
   return *g_current_scheduler;
 }
 
-bool Scheduler::fast_yield_ok() const {
-  // Only the default min-vt loop may shortcut: a policy must see every
-  // interaction point as a scheduling decision, and outside run() (e.g.
-  // cancel-unwind teardown) Fiber::yield_current owns the semantics.
-  if (!running_ || cfg_.policy != nullptr || current_ < 0) return false;
-  const std::uint64_t vt = clocks_[current_];
-  // The run() loop is the only place allowed to throw TimeLimitExceeded /
-  // HangDetected (they must come from scheduler context, not from inside a
-  // fiber); take the physical switch whenever either guard could fire.
-  if (vt > cfg_.vt_limit_ns) return false;
-  if (cfg_.watchdog_ns > 0 && vt > progress_ns_ &&
-      vt - progress_ns_ > cfg_.watchdog_ns)
-    return false;
-  // Stepping mode: a fiber may never run inline past the step() bound — the
-  // conservative-window horizon or the next pending external event, whose
-  // application must interleave at its exact (vt, task) key. Inert under
-  // run(): the bound rests at (UINT64_MAX, 0).
-  if (vt > bound_vt_ || (vt == bound_vt_ && current_ >= bound_task_))
-    return false;
-  if (rq_.empty()) return true;  // sole runnable task
-  const ReadyQueue::Entry e = rq_.top();
-  return vt != e.vt ? vt < e.vt : current_ < e.task;
+void Scheduler::yield() {
+  // A policy must see every interaction point as a scheduling decision, so
+  // policy runs always switch back to their loop; outside run()/stepping
+  // (cancel-unwind teardown) Fiber::yield_current owns the semantics.
+  const int cur = current_;
+  if (!running_ || cfg_.policy != nullptr || cur < 0)
+    return Fiber::yield_current();
+  // The loop would re-queue the caller and resume the minimum: `next`.
+  const ReadyQueue::Entry self{clocks_[cur], cur};
+  const ReadyQueue::Entry next =
+      rq_.empty() || self < rq_.top() ? self : rq_.top();
+  // TimeLimitExceeded (caller) and HangDetected (next) must be thrown from
+  // scheduler context, and in stepping mode `next` may only run below the
+  // step() bound — the conservative-window horizon or the next pending
+  // external event, which must interleave at its exact (vt, task) key.
+  // Otherwise hand the step to `next` directly, counted exactly as the
+  // loop would count it: switch counts are deterministic engine output.
+  if (self.vt > cfg_.vt_limit_ns || hang_due(next.vt) || !(next < bound_))
+    return Fiber::yield_current();
+  ++switches_;
+  if (next.task == cur) return;  // still the minimum: continue inline
+  rq_.push_pop(self.vt, cur);
+  current_ = next.task;
+  Fiber::switch_to(*fibers_[next.task]);
 }
 
-void Scheduler::yield() {
-  // Fast path: the yielding task still holds the minimum (vt, id) key, so
-  // the run() loop would immediately resume it. Skip the two context
-  // switches but account the scheduling step exactly as the slow path
-  // would — switch counts are part of the engine's deterministic output.
-  if (fast_yield_ok()) {
-    ++switches_;
-    return;
-  }
-  Fiber::yield_current();
+void Scheduler::requeue_current() {
+  const int t = current_;
+  if (clocks_[t] > cfg_.vt_limit_ns)
+    throw TimeLimitExceeded(t, clocks_[t], cfg_.vt_limit_ns);
+  if (!fibers_[t]->finished() && !parked_[t]) rq_.push(clocks_[t], t);
 }
 
 void Scheduler::run() {
@@ -111,15 +108,11 @@ void Scheduler::run() {
       // the least-advanced task is past the progress window, every task has
       // spun without real work for watchdog_ns — a hang, not slowness.
       // Checked before resuming so the stuck state is intact for the report.
-      if (cfg_.watchdog_ns > 0 && e.vt > progress_ns_ &&
-          e.vt - progress_ns_ > cfg_.watchdog_ns)
-        throw_hang(e.vt);
+      if (hang_due(e.vt)) throw_hang(e.vt);
       current_ = e.task;
       ++switches_;
       fibers_[e.task]->resume();
-      if (clocks_[e.task] > cfg_.vt_limit_ns)
-        throw TimeLimitExceeded(e.task, clocks_[e.task], cfg_.vt_limit_ns);
-      if (!fibers_[e.task]->finished()) rq_.push(clocks_[e.task], e.task);
+      requeue_current();
     }
   } catch (...) {
     g_current_scheduler = prev;
@@ -146,9 +139,7 @@ void Scheduler::run_policy() {
     // Same watchdog semantics as the default loop: the minimum virtual time
     // is the least-advanced task, so if even it is past the progress window
     // the whole system has spun without real work.
-    if (cfg_.watchdog_ns > 0 && min_vt > progress_ns_ &&
-        min_vt - progress_ns_ > cfg_.watchdog_ns)
-      throw_hang(min_vt);
+    if (hang_due(min_vt)) throw_hang(min_vt);
     cand.clear();
     for (const ReadyQueue::Entry& e : runnable)
       if (cfg_.policy_window_ns == 0 || e.vt - min_vt <= cfg_.policy_window_ns)
@@ -195,25 +186,17 @@ void Scheduler::end_stepping() {
   g_current_scheduler = nullptr;
   current_ = -1;
   running_ = false;
-  bound_vt_ = UINT64_MAX;
-  bound_task_ = 0;
+  bound_ = {UINT64_MAX, 0};
 }
 
 bool Scheduler::step(std::uint64_t bound_vt, int bound_task) {
-  if (rq_.empty()) return false;
-  const ReadyQueue::Entry e = rq_.top();
-  if (e.vt > bound_vt || (e.vt == bound_vt && e.task >= bound_task))
-    return false;
-  rq_.pop();
-  bound_vt_ = bound_vt;
-  bound_task_ = bound_task;
+  bound_ = {bound_vt, bound_task};
+  if (rq_.empty() || !(rq_.top() < bound_)) return false;
+  const ReadyQueue::Entry e = rq_.pop();
   current_ = e.task;
   ++switches_;
   fibers_[e.task]->resume();
-  if (clocks_[e.task] > cfg_.vt_limit_ns)
-    throw TimeLimitExceeded(e.task, clocks_[e.task], cfg_.vt_limit_ns);
-  if (!fibers_[e.task]->finished() && !parked_[e.task])
-    rq_.push(clocks_[e.task], e.task);
+  requeue_current();
   return true;
 }
 

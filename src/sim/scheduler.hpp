@@ -8,7 +8,7 @@
 //
 // Tasks interact with the clock through:
 //   advance(ns)  — charge local time (no context switch; cheap)
-//   yield()      — interaction point: switch back so earlier tasks can run
+//   yield()      — interaction point: let tasks with earlier clocks run
 //
 // Algorithms model blocking as poll loops (advance + yield until a shared
 // flag changes) — which is exactly how the paper's UPC threads block, by
@@ -119,8 +119,11 @@ class Scheduler {
   /// visit) at the current task's clock; arms the progress watchdog.
   void note_progress() { progress_ns_ = clocks_[current_]; }
 
-  /// Interaction point: return control to the scheduler. The task resumes
-  /// when it once again holds the minimum virtual time.
+  /// Interaction point: end this scheduling step. The task resumes when it
+  /// once again holds the minimum virtual time. Under the default min-vt
+  /// order the step goes straight to its successor — inline when that is
+  /// the caller, else one fiber-to-fiber switch — unless a guard, the
+  /// stepping bound, a policy or teardown needs the scheduler loop.
   void yield();
 
   /// Largest virtual clock over all tasks after run() — the simulated
@@ -186,10 +189,17 @@ class Scheduler {
  private:
   [[noreturn]] void throw_hang(std::uint64_t stuck_at_ns) const;
 
-  /// True when the current task may continue past a yield without a
-  /// physical context switch: it still holds the scheduling minimum and
-  /// neither the vt limit nor the watchdog needs the run() loop to fire.
-  bool fast_yield_ok() const;
+  /// True when the least-advanced ready task, at `vt`, is past the
+  /// progress window: the watchdog must fire before it runs.
+  bool hang_due(std::uint64_t vt) const {
+    return cfg_.watchdog_ns > 0 && vt > progress_ns_ &&
+           vt - progress_ns_ > cfg_.watchdog_ns;
+  }
+
+  /// Back in scheduler context after resume(): current_ is the task that
+  /// gave control back (the last of any handoff chain). Enforce the vt
+  /// limit on it and re-queue it unless it finished or parked.
+  void requeue_current();
 
   /// Policy-driven variant of the run loop (Config::policy != nullptr).
   void run_policy();
@@ -208,9 +218,9 @@ class Scheduler {
   std::uint64_t progress_ns_ = 0;
   std::vector<Decision> decisions_;
   // Stepping-mode state (see begin_stepping); the bound also gates the
-  // fast-path yield so a fiber cannot overrun the window horizon.
-  std::uint64_t bound_vt_ = UINT64_MAX;
-  int bound_task_ = 0;
+  // handoff in yield() so a fiber cannot overrun the window horizon. Inert
+  // under run(): no key reaches (UINT64_MAX, 0).
+  ReadyQueue::Entry bound_{UINT64_MAX, 0};
   std::vector<bool> parked_;
   std::size_t parked_count_ = 0;
 };
