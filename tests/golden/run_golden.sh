@@ -41,6 +41,10 @@ tree_a="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A upc-distmem"
 tree_b="-t 0 -b 4 -g 8 -r 2 -n 8 -c 4 -A mpi-ws"
 tree_l="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A lifeline"
 tree_s="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A sampling"
+tree_shm="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A upc-sharedmem"
+tree_term="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A upc-term"
+tree_rapdif="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A upc-term-rapdif"
+tree_push="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A work-push"
 fault="--stall 2000:20000"
 crash_a="--crash 1@30000 --crash-detect 2000"
 crash_b="--crash 2@100000 --crash-detect 2000"
@@ -84,6 +88,23 @@ case "$name" in
   samp_threads_plain)  engine=threads; flags="$tree_s" ;;
   samp_threads_fault)  engine=threads; flags="$tree_s $fault" ;;
   samp_threads_crash)  engine=threads; flags="$tree_s $crash_a" ;;
+  life_psim_w4_plain)  engine=psim; workers=4; base=life_sim_plain; flags="$tree_l" ;;
+  life_psim_w4_fault)  engine=psim; workers=4; base=life_sim_fault; flags="$tree_l $fault" ;;
+  life_psim_w4_crash)  engine=psim; workers=4; base=life_sim_crash; flags="$tree_l $crash_a" ;;
+  samp_psim_w4_plain)  engine=psim; workers=4; base=samp_sim_plain; flags="$tree_s" ;;
+  samp_psim_w4_fault)  engine=psim; workers=4; base=samp_sim_fault; flags="$tree_s $fault" ;;
+  samp_psim_w4_crash)  engine=psim; workers=4; base=samp_sim_crash; flags="$tree_s $crash_a" ;;
+  shm_sim_plain)       engine=sim;     flags="$tree_shm" ;;
+  shm_sim_fault)       engine=sim;     flags="$tree_shm $fault" ;;
+  shm_sim_crash)       engine=sim;     flags="$tree_shm $crash_a" ;;
+  term_sim_plain)      engine=sim;     flags="$tree_term" ;;
+  term_sim_fault)      engine=sim;     flags="$tree_term $fault" ;;
+  term_sim_crash)      engine=sim;     flags="$tree_term $crash_a" ;;
+  rapdif_sim_plain)    engine=sim;     flags="$tree_rapdif" ;;
+  rapdif_sim_fault)    engine=sim;     flags="$tree_rapdif $fault" ;;
+  rapdif_sim_crash)    engine=sim;     flags="$tree_rapdif $crash_a" ;;
+  push_sim_plain)      engine=sim;     flags="$tree_push" ;;
+  push_sim_fault)      engine=sim;     flags="$tree_push $fault" ;;
   *) echo "run_golden.sh: unknown case '$name'" >&2; exit 2 ;;
 esac
 
