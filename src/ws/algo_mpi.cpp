@@ -241,7 +241,6 @@ class MpiWorker final : public NodeSink {
         ++outstanding_acks_;
         ++st_.c.requests_serviced;
         if (m_services_ != nullptr) ++*m_services_;
-        if (m_releases_ != nullptr) ++*m_releases_;
         if (cfg_.trace != nullptr)
           cfg_.trace->service(me_, ctx_.now_ns(), m.src,
                               static_cast<std::int64_t>(k_), true);
@@ -490,7 +489,6 @@ class MpiWorker final : public NodeSink {
       ++outstanding_acks_;
       ++st_.c.requests_serviced;
       if (m_services_ != nullptr) ++*m_services_;
-      if (m_releases_ != nullptr) ++*m_releases_;
       if (cfg_.trace != nullptr)
         cfg_.trace->service(me_, ctx_.now_ns(), src,
                             static_cast<std::int64_t>(k_), true);

@@ -258,6 +258,9 @@ class PushWorker final : public NodeSink {
       owed_.push_back(m.src);
       ++st_.c.releases;
       if (m_pushes_ != nullptr) ++*m_pushes_;
+      if (cfg_.trace != nullptr)
+        cfg_.trace->release(me_, ctx_.now_ns(),
+                            static_cast<std::int64_t>(m.payload.size() / nb_));
     }
     while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) {
       --outstanding_acks_;
@@ -313,6 +316,9 @@ class PushWorker final : public NodeSink {
       st_.steal_sizes.add(take);  // counted as received transfers
       st_.c.nodes_stolen += take;
       st_.c.chunks_stolen += take / k_;
+      if (cfg_.trace != nullptr)
+        cfg_.trace->steal(me_, ctx_.now_ns(), m.src,
+                          static_cast<std::int64_t>(take), true);
     }
     while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) --outstanding_acks_;
     if (comm_.try_recv(ctx_, mp::kAny, kTagToken, m)) {

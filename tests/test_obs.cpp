@@ -154,6 +154,67 @@ TEST(ObsInvariance, RunIsIdenticalWithAndWithoutObserver) {
 }
 
 // ---------------------------------------------------------------------------
+// Every sink records the same protocol events: the obs counters and the
+// trace rows must add up to the ThreadStats totals on every algorithm.
+
+TEST(ObsAgreement, CountersAndTraceRowsMatchThreadStats) {
+  const uts::Params p = uts::test_small(5);
+  const ws::UtsProblem prob(p);
+  for (ws::Algo a : ws::kAllAlgosExtended) {
+    SCOPED_TRACE(ws::algo_label(a));
+    pgas::SimEngine eng;
+    obs::Observer ob;
+    trace::Trace tr(8);
+    ws::WsConfig cfg = ws::WsConfig::for_algo(a, 5);
+    cfg.obs = &ob;
+    cfg.trace = &tr;
+    const auto res = ws::run_search(eng, dist_cfg(8, 21), prob, cfg);
+
+    stats::Counters sum;
+    for (const stats::ThreadStats& t : res.per_thread) {
+      sum.steals += t.c.steals;
+      sum.nodes_stolen += t.c.nodes_stolen;
+      sum.failed_steals += t.c.failed_steals;
+      sum.probes += t.c.probes;
+      sum.releases += t.c.releases;
+      sum.requests_serviced += t.c.requests_serviced;
+      sum.requests_denied += t.c.requests_denied;
+    }
+    const auto counters = ob.merged_counters();
+    const auto counter = [&](const char* name) -> std::uint64_t {
+      const auto it = counters.find(name);
+      return it == counters.end() ? 0 : it->second;  // unregistered reads 0
+    };
+    EXPECT_EQ(counter("steals"), sum.steals);
+    EXPECT_EQ(counter("probes"), sum.probes);
+    EXPECT_EQ(counter("releases"), sum.releases);
+    EXPECT_EQ(counter("requests_serviced"), sum.requests_serviced);
+
+    std::map<trace::Kind, std::uint64_t> rows;
+    std::uint64_t stolen_nodes = 0;
+    for (const trace::Event& e : tr.merged()) {
+      ++rows[e.kind];
+      if (e.kind == trace::Kind::kStealOk)
+        stolen_nodes += static_cast<std::uint64_t>(e.arg1);
+    }
+    EXPECT_GT(sum.steals, 0u);
+    EXPECT_EQ(rows[trace::Kind::kStealOk], sum.steals);
+    EXPECT_EQ(stolen_nodes, sum.nodes_stolen);
+    EXPECT_EQ(rows[trace::Kind::kRelease], sum.releases);
+    EXPECT_EQ(rows[trace::Kind::kServiceGrant], sum.requests_serviced);
+    if (a == ws::Algo::kMpiWs) {
+      // Known gaps, pinned by the geoB trace goldens: mpi-ws writes no
+      // steal_fail row, and no row for a denial answered while idle.
+      EXPECT_EQ(rows[trace::Kind::kStealFail], 0u);
+      EXPECT_LT(rows[trace::Kind::kServiceDeny], sum.requests_denied);
+    } else {
+      EXPECT_EQ(rows[trace::Kind::kStealFail], sum.failed_steals);
+      EXPECT_EQ(rows[trace::Kind::kServiceDeny], sum.requests_denied);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Span lifecycle on the happy paths of every stealing protocol.
 
 TEST(ObsSpans, LifecycleAcrossProtocols) {
