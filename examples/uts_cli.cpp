@@ -427,6 +427,8 @@ int main(int argc, char** argv) {
     fault_error("--drop-prob must be a probability in [0,1]");
   if (faults.dup_prob < 0.0 || faults.dup_prob > 1.0)
     fault_error("--dup-prob must be a probability in [0,1]");
+  if (faults.crashes_enabled() && algo == ws::Algo::kWorkPush)
+    fault_error("--crash needs crash recovery, which work-push lacks");
   for (const pgas::CrashSpec& c : faults.crashes)
     if (c.rank < 0 || c.rank >= nranks)
       fault_error("--crash rank " + std::to_string(c.rank) +
