@@ -62,7 +62,9 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> head{"policy"};
   for (int b = 0; b < buckets; ++b)
-    head.push_back("t" + std::to_string((b + 1) * 100 / buckets) + "%");
+    head.push_back(std::string("t")
+                       .append(std::to_string((b + 1) * 100 / buckets))
+                       .append("%"));
   stats::Table t(head);
   for (auto& r : rows) {
     const auto series =

@@ -7,8 +7,7 @@
 // Examples:
 //   ./schedule_check                                   # defaults, random walk
 //   ./schedule_check -A upc-sharedmem --strategy pct --budget 100
-//   ./schedule_check --crash 0@120000 --strategy random --budget 60 \
-//       --emit-replay bug.replay
+//   ./schedule_check --crash 0@120000 --budget 60 --emit-replay bug.replay
 //   ./schedule_check --replay bug.replay
 //   ./schedule_check --budget-smoke                    # CI self-test
 //

@@ -539,8 +539,9 @@ TEST(ServiceSoak, MiniMixedLoadAllTerminal) {
   EXPECT_GT(sum.completed, 0u);
   for (const auto& j : s.jobs()) {
     EXPECT_TRUE(svc::state_terminal(j.state)) << "job " << j.id;
-    if (j.state == svc::JobState::kCompleted)
+    if (j.state == svc::JobState::kCompleted) {
       EXPECT_TRUE(j.error.empty()) << "job " << j.id << ": " << j.error;
+    }
   }
   const auto rep = check::check_jobs(s.views(), s.pool_ranks());
   EXPECT_TRUE(rep.ok()) << rep.summary();

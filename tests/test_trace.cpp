@@ -58,7 +58,9 @@ TEST(TraceUnit, RingCapacityBoundsBuffersAndCountsDrops) {
   ASSERT_EQ(kept.size(), 4u);
   for (std::size_t i = 0; i < kept.size(); ++i) {
     EXPECT_EQ(kept[i].arg1, static_cast<std::int64_t>(6 + i));
-    if (i > 0) EXPECT_LT(kept[i - 1].t_ns, kept[i].t_ns);
+    if (i > 0) {
+      EXPECT_LT(kept[i - 1].t_ns, kept[i].t_ns);
+    }
   }
   // merged() sees the same retained set, still time-sorted.
   const auto all = t.merged();
