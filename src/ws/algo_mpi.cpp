@@ -1,11 +1,10 @@
 #include "ws/algo_mpi.hpp"
 
-#include "obs/observer.hpp"
-#include "trace/trace.hpp"
-
 #include <algorithm>
 #include <cstring>
 #include <vector>
+
+#include "ws/rank_worker.hpp"
 
 namespace upcws::ws {
 namespace {
@@ -38,49 +37,20 @@ void put_u32(std::uint8_t* dst, std::uint32_t v) {
   std::memcpy(dst, &v, sizeof v);
 }
 
-class MpiWorker final : public NodeSink {
+class MpiWorker final : public RankWorker {
  public:
+  /// Planned drains ride the crash-recovery machinery (lineage records,
+  /// token regeneration, leader takeover), so they are honoured only in
+  /// crash mode: an unhardened run ignores its drain plan rather than
+  /// losing work.
   MpiWorker(pgas::Ctx& ctx, mp::Comm& comm, StealStack& stack,
-            const Problem& prob, const WsConfig& cfg, RecoveryBoard* board)
-      : ctx_(ctx),
+            const Problem& prob, const WsConfig& cfg, RecoveryBoard* board,
+            bool crash_mode)
+      : RankWorker(ctx, stack, prob, cfg, board, crash_mode,
+                   /*drains=*/crash_mode),
         comm_(comm),
-        prob_(prob),
-        cfg_(cfg),
-        me_(ctx.rank()),
-        n_(ctx.nranks()),
-        k_(static_cast<std::size_t>(cfg.chunk_size)),
-        nb_(prob.node_bytes()),
-        my_(stack),
-        hardened_(cfg.hardened()),
-        board_(board),
-        crash_mode_(board != nullptr && ctx.liveness() != nullptr &&
-                    cfg.hardened()),
-        member_mode_(ctx.faults() != nullptr &&
-                     ctx.faults()->plan().membership_enabled()),
-        obs_(cfg.obs) {
-    nodebuf_.resize(nb_);
+        hardened_(cfg.hardened()) {
     if (hardened_) cache_.resize(n_);
-    if (obs_ != nullptr) {
-      obs::Registry& reg = obs_->registry(me_);
-      m_steals_ = &reg.counter("steals");
-      m_probes_ = &reg.counter("probes");
-      m_releases_ = &reg.counter("releases");
-      m_services_ = &reg.counter("requests_serviced");
-      reg.gauge("queue_depth",
-                [this] { return static_cast<std::int64_t>(my_.depth()); });
-      if (crash_mode_)
-        reg.gauge("recovery_backlog", [this] {
-          // Raw atomic scan — orphan_pending(ctx) would charge Ctx time.
-          std::int64_t pending = 0;
-          for (int w = 0; w < n_; ++w)
-            for (int p = 0; p < n_; ++p)
-              if (w != p && board_->rec(w, p).state.load(
-                                std::memory_order_relaxed) ==
-                                TransferRec::kPending)
-                ++pending;
-          return pending;
-        });
-    }
     // Rank 0 starts holding a token so it can initiate the first probe
     // round once it goes idle. Under crash injection leadership is dynamic
     // (lowest live rank); leading_ tracks whether we currently run the
@@ -92,132 +62,33 @@ class MpiWorker final : public NodeSink {
     }
   }
 
-  stats::ThreadStats run() {
-    join_park();
-    st_.timer.start(State::kWorking, ctx_.now_ns());
-    if (cfg_.trace != nullptr)
-      cfg_.trace->state(me_, ctx_.now_ns(), State::kWorking);
-    if (obs_ != nullptr) obs_->state(me_, ctx_.now_ns(), State::kWorking);
-    if (me_ == 0) {
-      prob_.root(nodebuf_.data());
-      my_.push(nodebuf_.data());
-    }
-    try {
-      for (;;) {
-        do_work();
-        if (drained_) break;
-        if (!find_work()) break;
-      }
-      // A graceful leave is a clean fail-stop at a safe point (no popped
-      // node in flight, no steal request outstanding): everything still on
-      // our stack — and any unacked grant — rides the crash-recovery
-      // machinery of the hardened protocol.
-      if (drained_) ctx_.leave();
-    } catch (const pgas::RankCrashed&) {
-      // Fail-stop: preserve the node popped-but-not-yet-expanded so a
-      // salvager finds the stack exactly as if the crash had landed just
-      // before the pop. Partial counters are returned as-is (visited-node
-      // counts are modeled as durable).
-      if (visiting_) my_.push(nodebuf_.data());
-    }
-    st_.timer.stop(ctx_.now_ns());
-    if (cfg_.trace != nullptr) cfg_.trace->finish(me_, ctx_.now_ns());
-    if (obs_ != nullptr) obs_->finish(me_, ctx_.now_ns());
-    return st_;
-  }
-
-  void push(const std::byte* node) override { my_.push(node); }
-  void push_n(const std::byte* nodes, std::size_t count,
-              std::size_t /*node_bytes*/) override {
-    my_.push_n(nodes, count);
-  }
-
  private:
-  void set_state(State s) {
-    const std::uint64_t t = ctx_.now_ns();
-    st_.timer.transition(s, t);
-    if (cfg_.trace != nullptr) cfg_.trace->state(me_, t, s);
-    if (obs_ != nullptr) obs_->state(me_, t, s);
+  /// The token ring deliberately does NOT skip unjoined ranks: a token
+  /// sent to a joiner still parked in run() buffers in its mailbox until
+  /// the join — delayed termination, never false termination under a
+  /// lagging membership view.
+  void search() override {
+    for (;;) {
+      do_work();
+      if (drained_) break;
+      if (!find_work()) break;
+    }
+    // A graceful leave is a clean fail-stop at a safe point (no popped
+    // node in flight, no steal request outstanding): everything still on
+    // our stack — and any unacked grant — rides the crash-recovery
+    // machinery of the hardened protocol.
+    if (drained_) ctx_.leave();
   }
 
   void do_work() {
     int since_poll = 0;
-    for (;;) {
-      if (drain_check()) return;
-      cancel_check();
-      if (!my_.pop(nodebuf_.data())) break;
-      if (cancelled_)
-        reclaim();
-      else
-        visit();
+    while (next_node()) {
+      visit();
       if (++since_poll >= cfg_.poll_interval) {
         since_poll = 0;
         poll_while_working();
       }
     }
-  }
-
-  /// Cooperative-deadline probe (cfg_.cancel_at_ns). Only ever raises the
-  /// flag; cancel-off runs are bit-for-bit untouched.
-  void cancel_check() {
-    if (cfg_.cancel_at_ns == 0 || cancelled_) return;
-    if (ctx_.now_ns() >= cfg_.cancel_at_ns) {
-      cancelled_ = true;
-      st_.c.cancels = 1;
-    }
-  }
-
-  /// Post-deadline replacement for visit(): discard and tally the popped
-  /// node. Counting strictly precedes the charge, so a crash mid-reclaim
-  /// never loses or double-counts the node.
-  void reclaim() {
-    ++st_.c.reclaimed;
-    ctx_.charge_poll();
-    ctx_.yield();
-  }
-
-  // ---- elastic membership (no-ops unless the plan drains/joins ranks) ----
-
-  /// A JoinSpec'd rank parks until its join instant, then raises its joined
-  /// flag (release) before touching the wire. The token ring deliberately
-  /// does NOT skip unjoined ranks: a token sent to a parked joiner buffers
-  /// in its mailbox until the join — delayed termination, never false
-  /// termination under a lagging membership view.
-  void join_park() {
-    pgas::FaultInjector* fi = ctx_.faults();
-    const std::uint64_t jt = fi != nullptr ? fi->join_at_ns() : 0;
-    if (jt == 0) return;
-    const std::uint64_t now = ctx_.now_ns();
-    if (now < jt) ctx_.charge(jt - now);
-    while (ctx_.now_ns() < jt) ctx_.yield();
-    ctx_.note_joined();
-  }
-
-  /// Safe-point probe for a planned drain. Gated on crash_mode_: mpi-ws
-  /// membership rides the hardened protocol's recovery machinery (lineage
-  /// records, token regeneration, leader takeover); an unhardened run
-  /// ignores its drain plan rather than losing work.
-  bool drain_check() {
-    if (!crash_mode_) return false;
-    pgas::FaultInjector* fi = ctx_.faults();
-    if (fi == nullptr || !fi->drain_due(ctx_.now_ns())) return false;
-    drained_ = true;
-    return true;
-  }
-
-  void visit() {
-    // visiting_ brackets the window where nodebuf_ holds a node that is on
-    // no stack and not yet counted (see the crash handler in run()).
-    visiting_ = true;
-    ctx_.charge_node_work();
-    ++st_.c.nodes;
-    st_.c.max_depth = std::max(st_.c.max_depth, prob_.depth(nodebuf_.data()));
-    const int nc = prob_.expand(nodebuf_.data(), *this);
-    st_.c.spawned += static_cast<std::uint64_t>(nc);
-    if (nc == 0) ++st_.c.leaves;
-    visiting_ = false;
-    st_.c.max_stack = std::max<std::uint64_t>(st_.c.max_stack, my_.depth());
-    ctx_.yield();
   }
 
   /// Working-state servicing: answer steal requests from the bottom of the
@@ -239,18 +110,10 @@ class MpiWorker final : public NodeSink {
         my_.maybe_compact();
         color_ = kBlack;  // we re-activated someone: current round invalid
         ++outstanding_acks_;
-        ++st_.c.requests_serviced;
-        if (m_services_ != nullptr) ++*m_services_;
-        if (cfg_.trace != nullptr)
-          cfg_.trace->service(me_, ctx_.now_ns(), m.src,
-                              static_cast<std::int64_t>(k_), true);
-        span_service(m.src, static_cast<std::int64_t>(k_), true);
+        granted(m.src, k_, thief_span(m.src));
       } else {
         comm_.send(ctx_, m.src, kTagNone);
-        ++st_.c.requests_denied;
-        if (cfg_.trace != nullptr)
-          cfg_.trace->service(me_, ctx_.now_ns(), m.src, 0, false);
-        span_service(m.src, 0, false);
+        denied(m.src, thief_span(m.src));
       }
     }
     if (hardened_) drain_stray_replies();
@@ -323,8 +186,7 @@ class MpiWorker final : public NodeSink {
         continue;
       }
       comm_.send(ctx_, m.src, kTagNone);
-      ++st_.c.requests_denied;
-      span_service(m.src, 0, false);
+      denied(m.src, thief_span(m.src), /*row=*/false);
     }
     if (hardened_ && wait_victim_ < 0) drain_stray_replies();
     drain_acks_and_token();
@@ -363,9 +225,7 @@ class MpiWorker final : public NodeSink {
       // the old round is filtered out by every receiver.
       color_ = kWhite;
       send_token(kWhite, ++round_);
-      ++st_.c.retransmits;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->retransmit(me_, ctx_.now_ns(), ring_next());
+      retransmitted(ring_next());
     }
     return false;
   }
@@ -487,45 +347,22 @@ class MpiWorker final : public NodeSink {
       my_.maybe_compact();
       color_ = kBlack;
       ++outstanding_acks_;
-      ++st_.c.requests_serviced;
-      if (m_services_ != nullptr) ++*m_services_;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->service(me_, ctx_.now_ns(), src,
-                            static_cast<std::int64_t>(k_), true);
-      span_service(src, static_cast<std::int64_t>(k_), true);
+      granted(src, k_, thief_span(src));
     } else {
       gc.is_work = false;
       gc.acked = true;
       gc.reply.resize(4);
       put_u32(gc.reply.data(), seq);
       comm_.send(ctx_, src, kTagNone, gc.reply.data(), gc.reply.size());
-      ++st_.c.requests_denied;
-      if (trace_denial && cfg_.trace != nullptr)
-        cfg_.trace->service(me_, ctx_.now_ns(), src, 0, false);
-      span_service(src, 0, false);
+      denied(src, thief_span(src), trace_denial);
     }
-  }
-
-  /// Victim-side span step for a request from `thief`: look up the span id
-  /// the thief published before sending and record the grant/deny on our
-  /// timeline (0 id = no observer span; record nothing).
-  void span_service(int thief, std::int64_t nodes, bool granted) {
-    if (obs_ == nullptr) return;
-    const std::uint64_t sid = obs_->spans().active(thief, me_);
-    if (sid == 0) return;
-    obs_->spans().event(me_, sid,
-                        granted ? obs::SpanPhase::kService
-                                : obs::SpanPhase::kDeny,
-                        ctx_.now_ns(), me_, thief, nodes);
   }
 
   void resend_cached(int src, GrantCache& gc) {
     gc.last_send_ns = ctx_.now_ns();
     comm_.send(ctx_, src, gc.is_work ? kTagWork : kTagNone, gc.reply.data(),
                gc.reply.size());
-    ++st_.c.retransmits;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->retransmit(me_, ctx_.now_ns(), src);
+    retransmitted(src);
   }
 
   /// Idle victim: re-push any unacknowledged grant whose ack is overdue
@@ -586,7 +423,7 @@ class MpiWorker final : public NodeSink {
       if (drain_check()) return false;
       cancel_check();
       if (idle_comm()) return false;
-      if (crash_mode_ && maybe_recover()) {
+      if (maybe_recover()) {
         // We re-activated ourselves with a dead rank's work: turn black so
         // any in-flight token round is invalidated.
         color_ = kBlack;
@@ -613,15 +450,14 @@ class MpiWorker final : public NodeSink {
         ctx_.yield();
         continue;
       }
-      ++st_.c.probes;
-      if (m_probes_ != nullptr) ++*m_probes_;
+      probed();
       ++st_.c.steal_attempts;
       bool got;
       if (hardened_) {
         set_state(State::kStealing);
         got = await_steal_hardened(v);
       } else {
-        begin_span(v);
+        begin_span(v, /*publish=*/true);
         comm_.send(ctx_, v, kTagRequest);
         set_state(State::kStealing);
         got = await_steal(v);
@@ -648,7 +484,7 @@ class MpiWorker final : public NodeSink {
       }
       if (comm_.try_recv(ctx_, v, kTagNone, m)) {
         drop_span(v);  // the victim recorded the terminal kDeny
-        ++st_.c.failed_steals;
+        steal_failed(v, /*row=*/false);
         return false;
       }
       if (idle_comm()) {
@@ -658,32 +494,6 @@ class MpiWorker final : public NodeSink {
       }
       ctx_.yield();
     }
-  }
-
-  // ---- thief-side span bookkeeping (no-ops without an observer) ----------
-
-  /// Open a steal span toward `v` and publish its id before the request is
-  /// sent, so the victim's service step lands under the same id.
-  void begin_span(int v) {
-    if (obs_ == nullptr) return;
-    span_ = obs_->spans().begin(me_, v);
-    obs_->spans().publish_active(me_, v, span_);
-    obs_->spans().event(me_, span_, obs::SpanPhase::kRequest, ctx_.now_ns(),
-                        me_, v);
-  }
-
-  void abandon_span(int v) {
-    if (span_ == 0) return;
-    obs_->spans().event(me_, span_, obs::SpanPhase::kAbandon, ctx_.now_ns(),
-                        me_, v);
-    obs_->spans().clear_active(me_, v);
-    span_ = 0;
-  }
-
-  void drop_span(int v) {
-    if (span_ == 0) return;
-    obs_->spans().clear_active(me_, v);
-    span_ = 0;
   }
 
   /// Hardened steal round-trip: the request carries a fresh sequence
@@ -696,7 +506,7 @@ class MpiWorker final : public NodeSink {
   bool await_steal_hardened(int v) {
     ++req_seq_;
     wait_victim_ = v;
-    begin_span(v);
+    begin_span(v, /*publish=*/true);
     std::uint8_t req[4];
     put_u32(req, req_seq_);
     comm_.send(ctx_, v, kTagRequest, req, sizeof req);
@@ -726,7 +536,7 @@ class MpiWorker final : public NodeSink {
       if (denied) {
         wait_victim_ = -1;
         drop_span(v);  // the victim recorded the terminal kDeny
-        ++st_.c.failed_steals;
+        steal_failed(v, /*row=*/false);
         return false;
       }
       if (crash_mode_ && ctx_.rank_dead(v)) {
@@ -739,28 +549,14 @@ class MpiWorker final : public NodeSink {
           const std::size_t take = rec.nnodes;
           my_.push_n(rec.payload.data(), take);
           ctx_.charge(ctx_.net().bulk_ns(me_, v, take * nb_));
-          ++st_.c.steals;
-          if (m_steals_ != nullptr) ++*m_steals_;
-          st_.steal_sizes.add(take);
-          st_.c.chunks_stolen += take / k_;
-          st_.c.nodes_stolen += take;
-          if (cfg_.trace != nullptr)
-            cfg_.trace->steal(me_, ctx_.now_ns(), v,
-                              static_cast<std::int64_t>(take), true);
-          if (span_ != 0) {
-            obs_->spans().event(me_, span_, obs::SpanPhase::kSalvage,
-                                ctx_.now_ns(), me_, v,
-                                static_cast<std::int64_t>(take));
-            obs_->spans().event(me_, span_, obs::SpanPhase::kAbsorb,
-                                ctx_.now_ns(), me_, v,
-                                static_cast<std::int64_t>(take));
-            obs_->spans().clear_active(me_, v);
-            span_ = 0;
-          }
+          stole(v, take);
+          span_event(obs::SpanPhase::kSalvage, me_, v, take);
+          span_event(obs::SpanPhase::kAbsorb, me_, v, take);
+          drop_span(v);
           return true;
         }
         abandon_span(v);
-        ++st_.c.failed_steals;
+        steal_failed(v, /*row=*/false);
         return false;
       }
       if (idle_comm()) {
@@ -771,12 +567,8 @@ class MpiWorker final : public NodeSink {
       }
       if (ctx_.now_ns() >= deadline) {
         comm_.send(ctx_, v, kTagRequest, req, sizeof req);
-        ++st_.c.retransmits;
-        if (cfg_.trace != nullptr)
-          cfg_.trace->retransmit(me_, ctx_.now_ns(), v);
-        if (span_ != 0)
-          obs_->spans().event(me_, span_, obs::SpanPhase::kTimeout,
-                              ctx_.now_ns(), me_, v);
+        retransmitted(v);
+        span_event(obs::SpanPhase::kTimeout, me_, v);
         rto = std::min(rto * 2, cfg_.steal_timeout_ns * 8);
         deadline = ctx_.now_ns() + rto;
       }
@@ -809,102 +601,13 @@ class MpiWorker final : public NodeSink {
       send_ack(m.src, get_u32(m.payload, 0));
     else
       comm_.send(ctx_, m.src, kTagAck);
-    ++st_.c.steals;
-    if (m_steals_ != nullptr) ++*m_steals_;
-    st_.steal_sizes.add(take);
-    if (cfg_.trace != nullptr)
-      cfg_.trace->steal(me_, ctx_.now_ns(), m.src,
-                        static_cast<std::int64_t>(take), true);
-    if (span_ != 0) {
-      obs_->spans().event(me_, span_, obs::SpanPhase::kTransfer, ctx_.now_ns(),
-                          me_, m.src, static_cast<std::int64_t>(take));
-      obs_->spans().event(me_, span_, obs::SpanPhase::kAbsorb, ctx_.now_ns(),
-                          me_, m.src, static_cast<std::int64_t>(take));
-      obs_->spans().clear_active(me_, m.src);
-      span_ = 0;
-    }
-    st_.c.chunks_stolen += take / k_;
-    st_.c.nodes_stolen += take;
+    stole(m.src, take);
+    span_event(obs::SpanPhase::kTransfer, me_, m.src, take);
+    span_event(obs::SpanPhase::kAbsorb, me_, m.src, take);
+    drop_span(m.src);
   }
 
   // ---- crash recovery (crash_mode_ only) --------------------------------
-
-  /// Survivor-side recovery sweep: salvage dead ranks' stacks (modeled as a
-  /// resilient store readable by survivors) and replay lineage records with
-  /// a dead endpoint — a dead thief can no longer absorb its chunk, and a
-  /// dead victim may have died before its grant reached a (live) thief
-  /// that has since moved on. The claim CAS arbitrates against a thief
-  /// that does still absorb, so the chunk lands exactly once either way.
-  bool maybe_recover() {
-    bool got = false;
-    for (int r = 0; r < n_; ++r) {
-      if (r == me_ || !ctx_.rank_dead(r) || board_->salvage_done(r)) continue;
-      const std::uint64_t rb = ctx_.now_ns();
-      if (salvage_stack(r)) got = true;
-      if (obs_ != nullptr) obs_->recovery_interval(me_, rb, ctx_.now_ns());
-    }
-    for (int w = 0; w < n_; ++w) {
-      for (int p = 0; p < n_; ++p) {
-        if (w == p) continue;
-        TransferRec& rec = board_->rec(w, p);
-        if (rec.state.load(std::memory_order_acquire) != TransferRec::kPending)
-          continue;
-        const bool victim_dead = rec.victim >= 0 && ctx_.rank_dead(rec.victim);
-        const bool thief_dead = rec.thief >= 0 && ctx_.rank_dead(rec.thief);
-        if (!victim_dead && !thief_dead) continue;
-        const std::uint64_t rb = ctx_.now_ns();
-        if (replay_record(rec)) got = true;
-        if (obs_ != nullptr) obs_->recovery_interval(me_, rb, ctx_.now_ns());
-      }
-    }
-    return got;
-  }
-
-  /// Take over a dead rank's whole stack. The mutation block has no
-  /// interaction point, so a salvage is all-or-nothing; the claim word
-  /// makes it exactly-once across salvagers.
-  bool salvage_stack(int r) {
-    StealStack& ds = (*board_->stacks)[r];
-    if (!board_->claim_salvage(r)) return false;
-    const std::size_t b = ds.salvage_begin();
-    const std::size_t e = ds.salvage_end();
-    const std::size_t taken = e > b ? e - b : 0;
-    if (taken > 0) my_.push_n(ds.slot(b), taken);
-    ds.clear_after_salvage();
-    board_->finish_salvage(r);
-    // Post-pay: the nodes are already safe on our stack, so a crash in
-    // this charge cannot lose them.
-    ctx_.charge(ctx_.net().bulk_ns(me_, r, taken * nb_));
-    ++st_.c.salvages;
-    st_.c.recovered_nodes += taken;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->recover(me_, ctx_.now_ns(), r,
-                          static_cast<std::int64_t>(taken));
-    return taken > 0;
-  }
-
-  /// Replay one orphaned transfer record. The claim CAS against the
-  /// (possibly live) thief's retire makes the replay exactly-once, and
-  /// every replayed node is kept: a node may legitimately pass through
-  /// recovery more than once in its lifetime (recovered, recirculated
-  /// unvisited, re-granted, orphaned again by a later death), so dropping
-  /// "already seen" descriptors would lose live subtrees.
-  bool replay_record(TransferRec& rec) {
-    if (!board_->claim_rec(ctx_, rec)) return false;
-    // Bump the recovery counter immediately after the claim: the leader's
-    // recovery_epoch must change before any window in which the board can
-    // read as clean, or it could certify a token round that never saw the
-    // replayed nodes.
-    board_->note_replay();
-    my_.push_n(rec.payload.data(), rec.nnodes);
-    ctx_.charge(ctx_.net().bulk_ns(me_, rec.victim, rec.nnodes * nb_));
-    ++st_.c.replays;
-    st_.c.recovered_nodes += rec.nnodes;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->recover(me_, ctx_.now_ns(), rec.victim,
-                          static_cast<std::int64_t>(rec.nnodes));
-    return rec.nnodes > 0;
-  }
 
   /// Snapshot of (deaths I have detected, recoveries completed). The
   /// leader records it when a round's token leaves and refuses to declare
@@ -917,37 +620,8 @@ class MpiWorker final : public NodeSink {
     return (dead << 32) | board_->recoveries();
   }
 
-  /// No recoverable work may remain before declaring termination.
-  bool recovery_clean() {
-    for (int r = 0; r < n_; ++r)
-      if (r != me_ && ctx_.rank_dead(r) && !board_->salvage_done(r))
-        return false;
-    return !board_->orphan_pending(ctx_);
-  }
-
-  pgas::Ctx& ctx_;
   mp::Comm& comm_;
-  const Problem& prob_;
-  const WsConfig& cfg_;
-  const int me_;
-  const int n_;
-  const std::size_t k_;
-  const std::size_t nb_;
-  StealStack& my_;
-  stats::ThreadStats st_;
-  std::vector<std::byte> nodebuf_;
   const bool hardened_;
-  /// Crash-fault tolerance (null/false unless the plan injects crashes AND
-  /// the protocol is hardened — lineage records ride on the seq/ack layer).
-  RecoveryBoard* board_;
-  const bool crash_mode_;
-  /// Elastic membership (false unless the plan drains or joins ranks).
-  const bool member_mode_;
-  /// This rank hit its planned drain point and is leaving gracefully.
-  bool drained_ = false;
-  /// This rank passed cfg_.cancel_at_ns: bleed instead of expand.
-  bool cancelled_ = false;
-  bool visiting_ = false;  ///< nodebuf_ holds a popped-but-uncounted node
   bool leading_ = false;   ///< currently running the EWD840 leader rules
   std::uint64_t round_epoch_ = 0;  ///< leader: recovery_epoch at round start
 
@@ -966,15 +640,6 @@ class MpiWorker final : public NodeSink {
   std::uint32_t max_round_seen_ = 0;  ///< others: newest round accepted
   std::uint32_t token_round_ = 0;     ///< round carried by the held token
   std::uint64_t token_sent_ns_ = 0;   ///< rank 0: when the round's token left
-
-  /// Telemetry (all null/0 when no observer is attached).
-  obs::Observer* obs_;
-  std::uint64_t* m_steals_ = nullptr;
-  std::uint64_t* m_probes_ = nullptr;
-  std::uint64_t* m_releases_ = nullptr;
-  std::uint64_t* m_services_ = nullptr;
-  /// Id of this thief's outstanding steal span (0 = none).
-  std::uint64_t span_ = 0;
 };
 
 }  // namespace
@@ -982,7 +647,11 @@ class MpiWorker final : public NodeSink {
 stats::ThreadStats run_mpi_rank(pgas::Ctx& ctx, mp::Comm& comm,
                                 StealStack& stack, const Problem& prob,
                                 const WsConfig& cfg, RecoveryBoard* board) {
-  MpiWorker w(ctx, comm, stack, prob, cfg, board);
+  // Crash-fault tolerance needs a board AND the hardened protocol: lineage
+  // records ride on its seq/ack layer.
+  const bool crash_mode =
+      board != nullptr && ctx.liveness() != nullptr && cfg.hardened();
+  MpiWorker w(ctx, comm, stack, prob, cfg, board, crash_mode);
   return w.run();
 }
 

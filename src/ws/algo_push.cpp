@@ -1,10 +1,8 @@
 #include "ws/algo_push.hpp"
 
-#include "obs/observer.hpp"
-#include "trace/trace.hpp"
-
-#include <algorithm>
 #include <vector>
+
+#include "ws/rank_worker.hpp"
 
 namespace upcws::ws {
 namespace {
@@ -20,83 +18,36 @@ enum Tag : int {
 
 enum Color : std::uint8_t { kWhite = 0, kBlack = 1 };
 
-class PushWorker final : public NodeSink {
+/// Received transfers count as steals (ThreadStats, obs and trace alike),
+/// pushes and drain relays as releases. Work-push has no crash recovery.
+class PushWorker final : public RankWorker {
  public:
   PushWorker(pgas::Ctx& ctx, mp::Comm& comm, StealStack& stack,
              const Problem& prob, const WsConfig& cfg)
-      : ctx_(ctx),
-        comm_(comm),
-        prob_(prob),
-        cfg_(cfg),
-        me_(ctx.rank()),
-        n_(ctx.nranks()),
-        k_(static_cast<std::size_t>(cfg.chunk_size)),
-        nb_(prob.node_bytes()),
-        my_(stack),
-        member_mode_(ctx.faults() != nullptr &&
-                     ctx.faults()->plan().membership_enabled()),
-        obs_(cfg.obs) {
-    nodebuf_.resize(nb_);
+      : RankWorker(ctx, stack, prob, cfg, /*board=*/nullptr,
+                   /*crash_mode=*/false, /*drains=*/true),
+        comm_(comm) {
     if (me_ == 0) {
       has_token_ = true;
       token_color_ = kWhite;
     }
-    if (obs_ != nullptr) {
-      obs::Registry& reg = obs_->registry(me_);
-      m_pushes_ = &reg.counter("releases");
-      m_received_ = &reg.counter("steals");  // transfers received
-      reg.gauge("queue_depth",
-                [this] { return static_cast<std::int64_t>(my_.depth()); });
-    }
   }
 
-  stats::ThreadStats run() {
-    join_park();
-    st_.timer.start(State::kWorking, ctx_.now_ns());
-    if (cfg_.trace != nullptr)
-      cfg_.trace->state(me_, ctx_.now_ns(), State::kWorking);
-    if (obs_ != nullptr) obs_->state(me_, ctx_.now_ns(), State::kWorking);
-    if (me_ == 0) {
-      prob_.root(nodebuf_.data());
-      my_.push(nodebuf_.data());
-    }
+ private:
+  void search() override {
     for (;;) {
       do_work();
       if (drained_) break;
       if (!wait_for_work()) break;
     }
     if (drained_) drain_leave();
-    st_.timer.stop(ctx_.now_ns());
-    if (cfg_.trace != nullptr) cfg_.trace->finish(me_, ctx_.now_ns());
-    if (obs_ != nullptr) obs_->finish(me_, ctx_.now_ns());
-    return st_;
-  }
-
-  void push(const std::byte* node) override { my_.push(node); }
-  void push_n(const std::byte* nodes, std::size_t count,
-              std::size_t /*node_bytes*/) override {
-    my_.push_n(nodes, count);
-  }
-
- private:
-  void set_state(State s) {
-    const std::uint64_t t = ctx_.now_ns();
-    st_.timer.transition(s, t);
-    if (cfg_.trace != nullptr) cfg_.trace->state(me_, t, s);
-    if (obs_ != nullptr) obs_->state(me_, t, s);
   }
 
   void do_work() {
     int since_poll = 0;
     int since_push = 0;
-    for (;;) {
-      if (drain_check()) return;
-      cancel_check();
-      if (!my_.pop(nodebuf_.data())) break;
-      if (cancelled_)
-        reclaim();
-      else
-        visit();
+    while (next_node()) {
+      visit();
       ++since_push;
       if (++since_poll >= cfg_.poll_interval) {
         since_poll = 0;
@@ -112,61 +63,12 @@ class PushWorker final : public NodeSink {
     }
   }
 
-  /// Cooperative-deadline probe (cfg_.cancel_at_ns). Only ever raises the
-  /// flag; cancel-off runs are bit-for-bit untouched.
-  void cancel_check() {
-    if (cfg_.cancel_at_ns == 0 || cancelled_) return;
-    if (ctx_.now_ns() >= cfg_.cancel_at_ns) {
-      cancelled_ = true;
-      st_.c.cancels = 1;
-    }
-  }
-
-  /// Post-deadline replacement for visit(): discard and tally the popped
-  /// node. Counting strictly precedes the charge, so the accounting
-  /// invariant `nodes + reclaimed == 1 + spawned` is never torn.
-  void reclaim() {
-    ++st_.c.reclaimed;
-    ctx_.charge_poll();
-    ctx_.yield();
-  }
-
-  void visit() {
-    ctx_.charge_node_work();
-    ++st_.c.nodes;
-    st_.c.max_depth = std::max(st_.c.max_depth, prob_.depth(nodebuf_.data()));
-    const int nc = prob_.expand(nodebuf_.data(), *this);
-    st_.c.spawned += static_cast<std::uint64_t>(nc);
-    if (nc == 0) ++st_.c.leaves;
-    st_.c.max_stack = std::max<std::uint64_t>(st_.c.max_stack, my_.depth());
-    ctx_.yield();
-  }
-
   // ---- elastic membership (no-ops unless the plan drains/joins ranks) ----
-
-  /// A JoinSpec'd rank parks until its join instant, then raises its joined
-  /// flag (release) before touching the wire. The static token ring keeps
-  /// the parked rank in rotation: a token sent to it buffers in its mailbox
-  /// until the join — delayed termination, never false termination. Rank 0
-  /// (ring leader, TERM broadcaster) never joins or drains.
-  void join_park() {
-    pgas::FaultInjector* fi = ctx_.faults();
-    const std::uint64_t jt = fi != nullptr ? fi->join_at_ns() : 0;
-    if (jt == 0) return;
-    const std::uint64_t now = ctx_.now_ns();
-    if (now < jt) ctx_.charge(jt - now);
-    while (ctx_.now_ns() < jt) ctx_.yield();
-    ctx_.note_joined();
-  }
-
-  /// Safe-point probe for a planned drain (pop-loop top and idle-loop top:
-  /// never with a popped node in flight).
-  bool drain_check() {
-    pgas::FaultInjector* fi = ctx_.faults();
-    if (fi == nullptr || !fi->drain_due(ctx_.now_ns())) return false;
-    drained_ = true;
-    return true;
-  }
+  //
+  // A joiner parks in run() until its join instant; the static token ring
+  // keeps it in rotation meanwhile, so a token sent to it buffers in its
+  // mailbox until the join — delayed termination, never false termination.
+  // Rank 0 (ring leader, TERM broadcaster) never joins or drains.
 
   /// A uniformly random push/relay target that is currently a member
   /// (joined and not drained), or -1 when no such rank exists. Without
@@ -230,11 +132,7 @@ class PushWorker final : public NodeSink {
     my_.maybe_compact();
     color_ = kBlack;
     ++outstanding_acks_;
-    ++st_.c.releases;
-    if (m_pushes_ != nullptr) ++*m_pushes_;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->release(me_, ctx_.now_ns(),
-                          static_cast<std::int64_t>(total));
+    released(total);
   }
 
   /// Drain-mode inbox: relay arriving work instead of absorbing it, settle
@@ -256,11 +154,7 @@ class PushWorker final : public NodeSink {
       color_ = kBlack;
       ++outstanding_acks_;
       owed_.push_back(m.src);
-      ++st_.c.releases;
-      if (m_pushes_ != nullptr) ++*m_pushes_;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->release(me_, ctx_.now_ns(),
-                            static_cast<std::int64_t>(m.payload.size() / nb_));
+      released(m.payload.size() / nb_);
     }
     while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) {
       --outstanding_acks_;
@@ -297,10 +191,7 @@ class PushWorker final : public NodeSink {
     my_.maybe_compact();
     color_ = kBlack;
     ++outstanding_acks_;
-    ++st_.c.releases;
-    if (m_pushes_ != nullptr) ++*m_pushes_;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->release(me_, ctx_.now_ns(), static_cast<std::int64_t>(k_));
+    released(k_);
   }
 
   /// Absorb any pushed work that has arrived; ack it. Also buffers the
@@ -311,14 +202,7 @@ class PushWorker final : public NodeSink {
       const std::size_t take = m.payload.size() / nb_;
       my_.push_n(reinterpret_cast<const std::byte*>(m.payload.data()), take);
       comm_.send(ctx_, m.src, kTagAck);
-      ++st_.c.steals;
-      if (m_received_ != nullptr) ++*m_received_;
-      st_.steal_sizes.add(take);  // counted as received transfers
-      st_.c.nodes_stolen += take;
-      st_.c.chunks_stolen += take / k_;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->steal(me_, ctx_.now_ns(), m.src,
-                          static_cast<std::int64_t>(take), true);
+      stole(m.src, take);
     }
     while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) --outstanding_acks_;
     if (comm_.try_recv(ctx_, mp::kAny, kTagToken, m)) {
@@ -369,17 +253,7 @@ class PushWorker final : public NodeSink {
     }
   }
 
-  pgas::Ctx& ctx_;
   mp::Comm& comm_;
-  const Problem& prob_;
-  const WsConfig& cfg_;
-  const int me_;
-  const int n_;
-  const std::size_t k_;
-  const std::size_t nb_;
-  StealStack& my_;
-  stats::ThreadStats st_;
-  std::vector<std::byte> nodebuf_;
 
   Color color_ = kWhite;
   Color token_color_ = kWhite;
@@ -387,21 +261,10 @@ class PushWorker final : public NodeSink {
   bool round_started_ = false;
   int outstanding_acks_ = 0;
 
-  /// Elastic membership (false unless the plan drains or joins ranks).
-  const bool member_mode_;
-  /// This rank hit its planned drain point and is leaving gracefully.
-  bool drained_ = false;
-  /// This rank passed cfg_.cancel_at_ns: bleed instead of expand.
-  bool cancelled_ = false;
   /// TERM arrived while in the drain loops.
   bool term_seen_ = false;
   /// Sources of relayed chunks we have not yet acked (chain of custody).
   std::vector<int> owed_;
-
-  /// Telemetry (null when no observer is attached).
-  obs::Observer* obs_;
-  std::uint64_t* m_pushes_ = nullptr;
-  std::uint64_t* m_received_ = nullptr;
 };
 
 }  // namespace

@@ -1,69 +1,38 @@
 #include "ws/algo_upc.hpp"
 
-#include "obs/observer.hpp"
-#include "trace/trace.hpp"
-#include "ws/recovery.hpp"
-
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
+
+#include "ws/rank_worker.hpp"
 
 namespace upcws::ws {
 namespace {
 
 using stats::State;
 
-class UpcWorker final : public NodeSink {
+class UpcWorker final : public RankWorker {
  public:
   UpcWorker(pgas::Ctx& ctx, SharedState& g, const Problem& prob,
             const WsConfig& cfg)
-      : ctx_(ctx),
+      : RankWorker(ctx, g.stacks[ctx.rank()], prob, cfg, g.recovery,
+                   ctx.liveness() != nullptr && g.recovery != nullptr,
+                   /*drains=*/true),
         g_(g),
-        prob_(prob),
-        cfg_(cfg),
-        me_(ctx.rank()),
-        n_(ctx.nranks()),
-        k_(static_cast<std::size_t>(cfg.chunk_size)),
-        nb_(prob.node_bytes()),
-        my_(g.stacks[me_]),
-        board_(g.recovery),
-        crash_mode_(ctx.liveness() != nullptr && g.recovery != nullptr),
-        member_mode_(ctx.faults() != nullptr &&
-                     ctx.faults()->plan().membership_enabled()),
-        obs_(cfg.obs) {
-    nodebuf_.resize(nb_);
+        // The victim policies ride the probe barrier (§3.3.1); under the
+        // cancelable barrier (§3.1) the sweep is the paper's random one.
+        sweep_(cfg.termination == Termination::kProbeBarrier
+                   ? cfg.victim_policy
+                   : VictimPolicy::kRandom) {
     backoff_ns_ = cfg.steal_backoff_ns;
-    if (obs_ != nullptr) {
-      obs::Registry& reg = obs_->registry(me_);
-      m_steals_ = &reg.counter("steals");
-      m_probes_ = &reg.counter("probes");
-      m_releases_ = &reg.counter("releases");
-      m_services_ = &reg.counter("requests_serviced");
-      // Gauges are polled from this rank's own fiber/thread at sample
-      // boundaries, so owner-only reads are safe; they must not charge.
-      reg.gauge("queue_depth",
-                [this] { return static_cast<std::int64_t>(my_.depth()); });
-      reg.gauge("release_region", [this] {
+    if (cfg.obs != nullptr)
+      cfg.obs->registry(me_).gauge("release_region", [this] {
         return static_cast<std::int64_t>(my_.shared_size());
       });
-      if (crash_mode_)
-        reg.gauge("recovery_backlog", [this] {
-          // Raw atomic scan — orphan_pending(ctx) would charge Ctx time.
-          std::int64_t pending = 0;
-          for (int w = 0; w < n_; ++w)
-            for (int p = 0; p < n_; ++p)
-              if (w != p && board_->rec(w, p).state.load(
-                                std::memory_order_relaxed) ==
-                                TransferRec::kPending)
-                ++pending;
-          return pending;
-        });
-    }
     perm_.resize(n_ > 1 ? n_ - 1 : 0);
     int v = 0;
     for (int i = 0; i < n_; ++i)
@@ -77,120 +46,34 @@ class UpcWorker final : public NodeSink {
       if (cfg.lifeline_dim > 0) dims = std::min(dims, cfg.lifeline_dim);
       for (int d = 0; d < dims; ++d)
         if ((me_ ^ (1 << d)) < n_) lifeline_dims_.push_back(d);
-      if (obs_ != nullptr) {
-        obs::Registry& reg = obs_->registry(me_);
-        m_parks_ = &reg.counter("lifeline_parks");
-        m_wakes_ = &reg.counter("lifeline_wakes");
-      }
     }
-  }
-
-  stats::ThreadStats run() {
-    join_park();
-    st_.timer.start(State::kWorking, ctx_.now_ns());
-    if (cfg_.trace != nullptr)
-      cfg_.trace->state(me_, ctx_.now_ns(), State::kWorking);
-    if (obs_ != nullptr) obs_->state(me_, ctx_.now_ns(), State::kWorking);
-    if (me_ == 0) {
-      prob_.root(nodebuf_.data());
-      my_.push(nodebuf_.data());
+    switch (sweep_) {
+      case VictimPolicy::kRandom: sweep_len_ = n_ - 1; break;
+      case VictimPolicy::kLifeline:
+        sweep_len_ = static_cast<int>(lifeline_dims_.size());
+        break;
+      case VictimPolicy::kSampling:
+        sweep_len_ = std::max(
+            1, static_cast<int>(std::lround(cfg.sample_frac * (n_ - 1))));
+        break;
     }
-    try {
-      for (;;) {
-        do_work();
-        if (drained_) break;
-        publish_idle();
-        if (!find_work()) break;
-      }
-      if (drained_) drain_out();
-    } catch (const pgas::RankCrashed&) {
-      // This rank fail-stopped. The Ctx is already in dead mode (its
-      // remote stores no longer land), so all we do is preserve the node
-      // popped-but-not-yet-expanded: re-pushing it locally makes the crash
-      // indistinguishable from one that landed just before the pop, and a
-      // salvager will pick it up with the rest of the stack. Partial
-      // counters are returned as-is — visited-node counts are modeled as
-      // durable (monotonic aggregation at a resilient store).
-      if (visiting_) my_.push(nodebuf_.data());
-    }
-    st_.timer.stop(ctx_.now_ns());
-    if (cfg_.trace != nullptr) cfg_.trace->finish(me_, ctx_.now_ns());
-    if (obs_ != nullptr) obs_->finish(me_, ctx_.now_ns());
-    return st_;
-  }
-
-  // NodeSink: children of the node being visited land on the local region.
-  void push(const std::byte* node) override { my_.push(node); }
-  void push_n(const std::byte* nodes, std::size_t count,
-              std::size_t /*node_bytes*/) override {
-    my_.push_n(nodes, count);
   }
 
  private:
-  void set_state(State s) {
-    const std::uint64_t t = ctx_.now_ns();
-    st_.timer.transition(s, t);
-    if (cfg_.trace != nullptr) cfg_.trace->state(me_, t, s);
-    if (obs_ != nullptr) obs_->state(me_, t, s);
-  }
-
-  // ---- elastic membership (no-ops unless the plan drains/joins ranks) ----
-
-  /// A JoinSpec'd rank parks (its clock advancing, its joined flag down so
-  /// barrier targets exclude it) until its join instant, then raises the
-  /// flag with a release store *before* touching any shared protocol state.
-  /// Rank 0 is never a joiner (it seeds the root).
-  void join_park() {
-    pgas::FaultInjector* fi = ctx_.faults();
-    const std::uint64_t jt = fi != nullptr ? fi->join_at_ns() : 0;
-    if (jt == 0) return;
-    const std::uint64_t now = ctx_.now_ns();
-    if (now < jt) ctx_.charge(jt - now);
-    while (ctx_.now_ns() < jt) ctx_.yield();
-    ctx_.note_joined();
-  }
-
-  /// Safe-point probe for a planned drain: only fires at the top of the
-  /// pop loop and the search-cycle tops, never while a lock is held, a
-  /// popped node is in flight, or our +1 stands in a barrier count.
-  bool drain_check() {
-    pgas::FaultInjector* fi = ctx_.faults();
-    if (fi == nullptr || !fi->drain_due(ctx_.now_ns())) return false;
-    drained_ = true;
-    return true;
-  }
-
-  /// A graceful leave is a clean fail-stop at a safe point: everything
-  /// still on our stack rides the crash-recovery machinery — survivors
-  /// detect the death, salvage the stack interval exactly once, replay any
-  /// orphaned lineage records, and the barrier target shrinks to the
-  /// remaining membership.
-  void drain_out() { ctx_.leave(); }
-
-  /// Cooperative-deadline probe (cfg_.cancel_at_ns). Only ever raises the
-  /// flag — each call site decides what a cancelled rank skips. One clock
-  /// read, no charge: cancel-off runs are bit-for-bit untouched.
-  void cancel_check() {
-    if (cfg_.cancel_at_ns == 0 || cancelled_) return;
-    if (ctx_.now_ns() >= cfg_.cancel_at_ns) {
-      cancelled_ = true;
-      st_.c.cancels = 1;
+  void search() override {
+    for (;;) {
+      do_work();
+      if (drained_) break;
+      publish_idle();
+      if (!find_work()) break;
     }
+    // A graceful leave is a clean fail-stop at a safe point: everything
+    // still on our stack rides the crash-recovery machinery — survivors
+    // detect the death, salvage the stack interval exactly once, replay
+    // any orphaned lineage records, and the barrier target shrinks to the
+    // remaining membership.
+    if (drained_) ctx_.leave();
   }
-
-  /// Post-deadline replacement for visit(): the popped node is discarded
-  /// and tallied instead of expanded. Counting strictly precedes the charge
-  /// (the only interaction point), so a crash mid-reclaim never loses or
-  /// double-counts the node — `nodes + reclaimed == 1 + spawned` holds.
-  void reclaim() {
-    ++st_.c.reclaimed;
-    ctx_.charge_poll();
-    ctx_.yield();
-  }
-
-  /// Victims worth probing: skip ranks that are not (yet) members. Gated on
-  /// membership so pure-crash schedules keep their exact probe sequence.
-  bool skip_victim(int v) { return member_mode_ && ctx_.rank_absent(v); }
 
   bool lockless() const {
     return cfg_.protocol == StackProtocol::kRequestResponse;
@@ -204,13 +87,6 @@ class UpcWorker final : public NodeSink {
   }
 
   // ---- work_avail publication (owner-local stores) ----
-
-  /// Record a work-source status flip of `stk` (paper §3.3.2 analysis).
-  void note_avail(StealStack& stk, std::int64_t avail) {
-    const bool src = avail >= static_cast<std::int64_t>(k_);
-    if (stk.set_source_flag(src))
-      st_.source_events.push_back({ctx_.now_ns(), src ? +1 : -1});
-  }
 
   void publish_avail() {
     ctx_.charge(ctx_.net().local_ref_ns);
@@ -228,8 +104,7 @@ class UpcWorker final : public NodeSink {
     std::optional<pgas::LockGuard> guard;
     if (!lockless()) guard.emplace(ctx_, my_.lock());
     ctx_.charge(ctx_.net().local_ref_ns);
-    my_.work_avail().store(probe_term() ? kNoWorkAtAll : 0,
-                           std::memory_order_release);
+    my_.work_avail().store(idle_avail_, std::memory_order_release);
     note_avail(my_, 0);
   }
 
@@ -238,16 +113,19 @@ class UpcWorker final : public NodeSink {
   void do_work() {
     int since_poll = 0;
     for (;;) {
-      if (drain_check()) return;
-      cancel_check();
-      if (!my_.pop(nodebuf_.data())) {
-        if (!reacquire_chunk()) break;  // stack completely empty
+      if (!next_node()) {
+        if (drained_ || !reacquire_chunk()) break;  // or stack fully empty
         continue;
       }
-      if (cancelled_)
+      if (cancelled_) {
         reclaim();
-      else
-        visit();
+      } else {
+        expand_node();
+        while (my_.local_size() >=
+               static_cast<std::size_t>(cfg_.release_threshold) * k_)
+          do_release();
+        ctx_.yield();
+      }
       if (lockless() && ++since_poll >= cfg_.poll_interval) {
         since_poll = 0;
         service_requests();
@@ -257,27 +135,6 @@ class UpcWorker final : public NodeSink {
         if (lifeline() && my_.shared_size() >= k_) maybe_wake_lifeline();
       }
     }
-  }
-
-  void visit() {
-    // `visiting_` brackets the window where nodebuf_ holds a node that is
-    // on no stack and not yet counted: a crash inside charge_node_work()
-    // re-pushes it (see run()). It is cleared the instant the node is
-    // counted and its children pushed — both without interaction points —
-    // so the re-push can never duplicate a visited node.
-    visiting_ = true;
-    ctx_.charge_node_work();
-    ++st_.c.nodes;
-    st_.c.max_depth = std::max(st_.c.max_depth, prob_.depth(nodebuf_.data()));
-    const int nc = prob_.expand(nodebuf_.data(), *this);
-    st_.c.spawned += static_cast<std::uint64_t>(nc);
-    if (nc == 0) ++st_.c.leaves;
-    visiting_ = false;
-    st_.c.max_stack = std::max<std::uint64_t>(st_.c.max_stack, my_.depth());
-    while (my_.local_size() >=
-           static_cast<std::size_t>(cfg_.release_threshold) * k_)
-      do_release();
-    ctx_.yield();
   }
 
   void do_release() {
@@ -290,11 +147,7 @@ class UpcWorker final : public NodeSink {
       publish_avail();
       my_.maybe_compact();
     }
-    ++st_.c.releases;
-    if (m_releases_ != nullptr) ++*m_releases_;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->release(me_, ctx_.now_ns(),
-                          static_cast<std::int64_t>(k_));
+    released(k_);
     if (cfg_.termination == Termination::kCancelableBarrier)
       cancel_barrier_reset();
     // Fresh stealable surplus: hand it to a distressed lifeline neighbor.
@@ -356,20 +209,14 @@ class UpcWorker final : public NodeSink {
     // The thief published its span id before the request CAS, so this read
     // is ordered by the protocol's own acquire of steal_request (0 when no
     // observer is attached or the thief predates this run's spans).
-    const std::uint64_t sid =
-        obs_ != nullptr ? obs_->spans().active(req, me_) : 0;
+    const std::uint64_t sid = thief_span(req);
     // A cancelled victim load-sheds: granting would only hand the thief
     // nodes it (or we) must bleed anyway, and could bounce work between
     // cancelled ranks indefinitely.
     const std::int64_t chunks =
         cancelled_ ? 0 : static_cast<std::int64_t>(my_.shared_size() / k_);
     if (chunks < 1) {
-      ++st_.c.requests_denied;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->service(me_, ctx_.now_ns(), req, 0, false);
-      if (sid != 0)
-        obs_->spans().event(me_, sid, obs::SpanPhase::kDeny, ctx_.now_ns(),
-                            me_, req);
+      denied(req, sid);
       // One remote write tells the thief it was denied.
       ctx_.put(g_.slots[req].resp_amount, req, std::int64_t{0});
     } else {
@@ -389,14 +236,7 @@ class UpcWorker final : public NodeSink {
       std::memcpy(box.data(), my_.slot(begin), take * nb_);
       ctx_.charge(ctx_.net().local_ref_ns);  // local staging copy
       my_.maybe_compact();
-      ++st_.c.requests_serviced;
-      if (m_services_ != nullptr) ++*m_services_;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->service(me_, ctx_.now_ns(), req,
-                            static_cast<std::int64_t>(take), true);
-      if (sid != 0)
-        obs_->spans().event(me_, sid, obs::SpanPhase::kService, ctx_.now_ns(),
-                            me_, req, static_cast<std::int64_t>(take));
+      granted(req, take, sid);
       // Two remote writes: the amount granted and the work's location.
       ctx_.put(g_.slots[req].resp_amount, req,
                static_cast<std::int64_t>(take));
@@ -409,8 +249,7 @@ class UpcWorker final : public NodeSink {
   // ---- searching / stealing ----
 
   std::int64_t probe(int v) {
-    ++st_.c.probes;
-    if (m_probes_ != nullptr) ++*m_probes_;
+    probed();
     return ctx_.get(g_.stacks[v].work_avail(), v);
   }
 
@@ -418,10 +257,10 @@ class UpcWorker final : public NodeSink {
     ++st_.c.steal_attempts;
     pgas::StealScope scope(ctx_);  // kMidSteal crash specs land in here
     const bool ok = lockless() ? steal_reqresp(v) : steal_locked(v);
-    if (!ok) ++st_.c.failed_steals;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->steal(me_, ctx_.now_ns(), v,
-                        ok ? static_cast<std::int64_t>(last_take_) : 0, ok);
+    if (ok)
+      steal_row(v, last_take_, true);  // after absorb()'s publish_avail()
+    else
+      steal_failed(v);
     return ok;
   }
 
@@ -432,11 +271,7 @@ class UpcWorker final : public NodeSink {
     // Under the locked protocol the victim never executes steal code, so
     // the thief records the whole span itself — the service step lands on
     // the victim's timeline via the event's track field.
-    if (obs_ != nullptr) {
-      span_ = obs_->spans().begin(me_, v);
-      obs_->spans().event(me_, span_, obs::SpanPhase::kRequest, ctx_.now_ns(),
-                          me_, v);
-    }
+    begin_span(v, /*publish=*/false);
     std::size_t take = 0, begin = 0;
     {
       pgas::LockGuard guard(ctx_, vs.lock());
@@ -458,28 +293,23 @@ class UpcWorker final : public NodeSink {
         ctx_.put(vs.work_avail(), v, left);
         note_avail(vs, left);
         vs.begin_transfer();
-        if (span_ != 0)
-          obs_->spans().event(me_, span_, obs::SpanPhase::kService,
-                              ctx_.now_ns(), v, me_,
-                              static_cast<std::int64_t>(take));
+        span_event(obs::SpanPhase::kService, v, me_, take);
       }
     }
     if (take == 0) {
-      if (span_ != 0) {
-        obs_->spans().event(me_, span_, obs::SpanPhase::kDeny, ctx_.now_ns(),
-                            v, me_);
-        span_ = 0;
-      }
+      span_event(obs::SpanPhase::kDeny, v, me_);
+      drop_span(v);
       return false;
     }
     xfer_.resize(take * nb_);
     ctx_.bulk_get(xfer_.data(), vs.slot(begin), take * nb_, v);
     vs.end_transfer();
     ctx_.charge_ref(v);  // remote completion notice for the in-flight count
-    if (span_ != 0)
-      obs_->spans().event(me_, span_, obs::SpanPhase::kTransfer, ctx_.now_ns(),
-                          me_, v, static_cast<std::int64_t>(take));
-    return absorb(take, crash_mode_ ? &board_->rec(me_, v) : nullptr);
+    span_event(obs::SpanPhase::kTransfer, me_, v, take);
+    const bool landed =
+        absorb(take, crash_mode_ ? &board_->rec(me_, v) : nullptr);
+    drop_span(v);
+    return landed;
   }
 
   /// §3.3.3 steal: CAS our id into the victim's request word, spin on our
@@ -498,12 +328,7 @@ class UpcWorker final : public NodeSink {
     mine.resp_amount.store(kRespPending, std::memory_order_release);
     // Publish the span id before the request CAS makes it visible: the
     // victim reads it when servicing and records its side under this id.
-    if (obs_ != nullptr) {
-      span_ = obs_->spans().begin(me_, v);
-      obs_->spans().publish_active(me_, v, span_);
-      obs_->spans().event(me_, span_, obs::SpanPhase::kRequest, ctx_.now_ns(),
-                          me_, v);
-    }
+    begin_span(v, /*publish=*/true);
     int expect = kNoRequest;
     if (!ctx_.cas(g_.slots[v].steal_request, v, expect, me_)) {
       abandon_span(v);
@@ -528,13 +353,10 @@ class UpcWorker final : public NodeSink {
         xfer_.resize(take * nb_);
         ctx_.bulk_get(xfer_.data(), g_.slots[v].outbox[me_].data(), take * nb_,
                       v);
-        if (span_ != 0)
-          obs_->spans().event(me_, span_, obs::SpanPhase::kTransfer,
-                              ctx_.now_ns(), me_, v,
-                              static_cast<std::int64_t>(take));
+        span_event(obs::SpanPhase::kTransfer, me_, v, take);
         const bool landed =
             absorb(take, crash_mode_ ? &board_->rec(v, me_) : nullptr);
-        if (obs_ != nullptr) obs_->spans().clear_active(me_, v);
+        drop_span(v);
         backoff_ns_ = cfg_.steal_backoff_ns;
         return landed;
       }
@@ -548,12 +370,9 @@ class UpcWorker final : public NodeSink {
         if (board_->retire(ctx_, rec)) {
           const std::size_t take = rec.nnodes;
           xfer_.assign(rec.payload.begin(), rec.payload.end());
-          if (span_ != 0)
-            obs_->spans().event(me_, span_, obs::SpanPhase::kSalvage,
-                                ctx_.now_ns(), me_, v,
-                                static_cast<std::int64_t>(take));
+          span_event(obs::SpanPhase::kSalvage, me_, v, take);
           absorb(take);
-          if (obs_ != nullptr) obs_->spans().clear_active(me_, v);
+          drop_span(v);
           backoff_ns_ = cfg_.steal_backoff_ns;
           return true;
         }
@@ -564,12 +383,8 @@ class UpcWorker final : public NodeSink {
         int still_me = me_;
         if (ctx_.cas(g_.slots[v].steal_request, v, still_me, kNoRequest)) {
           // Withdrawn before the victim claimed it; no response will come.
-          ++st_.c.steal_timeouts;
-          if (cfg_.trace != nullptr)
-            cfg_.trace->timeout(me_, ctx_.now_ns(), v);
-          if (span_ != 0)
-            obs_->spans().event(me_, span_, obs::SpanPhase::kTimeout,
-                                ctx_.now_ns(), me_, v);
+          timed_out(v);
+          span_event(obs::SpanPhase::kTimeout, me_, v);
           abandon_span(v);
           ctx_.charge(backoff_ns_);
           backoff_ns_ = std::min(backoff_ns_ * 2, cfg_.steal_backoff_max_ns);
@@ -577,15 +392,13 @@ class UpcWorker final : public NodeSink {
         }
         // The victim already claimed (kServicing) or answered: a response
         // is committed, so stop trying to cancel and wait it out.
-        if (span_ != 0)
-          obs_->spans().event(me_, span_, obs::SpanPhase::kTimeout,
-                              ctx_.now_ns(), me_, v);
+        span_event(obs::SpanPhase::kTimeout, me_, v);
         cancelable = false;
       }
       // Pending. Keep global liveness while we wait: deny steal requests
       // aimed at us, and abandon the wait if termination was announced
       // (the victim may have exited without seeing our request).
-      if (lockless()) service_requests();
+      service_requests();
       if (probe_term() &&
           g_.slots[me_].term_flag.load(std::memory_order_acquire)) {
         abandon_span(v);
@@ -593,23 +406,6 @@ class UpcWorker final : public NodeSink {
       }
       ctx_.yield();
     }
-  }
-
-  /// Close the outstanding steal span as abandoned (thief walked away).
-  void abandon_span(int v) {
-    if (span_ == 0) return;
-    obs_->spans().event(me_, span_, obs::SpanPhase::kAbandon, ctx_.now_ns(),
-                        me_, v);
-    obs_->spans().clear_active(me_, v);
-    span_ = 0;
-  }
-
-  /// Forget the outstanding span without a terminal event of our own (the
-  /// victim recorded the terminal kDeny).
-  void drop_span(int v) {
-    if (span_ == 0) return;
-    obs_->spans().clear_active(me_, v);
-    span_ = 0;
   }
 
   /// Returns false when the lineage record was already replayed by a
@@ -621,33 +417,21 @@ class UpcWorker final : public NodeSink {
     // "chunk in no stack". The claim CAS fails only if a survivor already
     // replayed this chunk after detecting our victim dead — then the chunk
     // is on the replayer's stack and we must not apply it a second time.
-    if (rec != nullptr) {
-      if (!board_->retire(ctx_, *rec)) {
-        if (span_ != 0) {
-          obs_->spans().event(me_, span_, obs::SpanPhase::kAbandon,
-                              ctx_.now_ns(), me_, -1);
-          span_ = 0;
-        }
-        // Nothing landed: we are still a searcher, and must advertise as
-        // one — leaving a stale "working, no surplus" here would keep every
-        // peer out of the termination barrier forever.
-        publish_idle();
-        return false;
-      }
+    if (rec != nullptr && !board_->retire(ctx_, *rec)) {
+      span_event(obs::SpanPhase::kAbandon, me_, -1);
+      // Nothing landed: we are still a searcher, and must advertise as
+      // one — leaving a stale "working, no surplus" here would keep every
+      // peer out of the termination barrier forever.
+      publish_idle();
+      return false;
     }
     last_take_ = take;
-    st_.steal_sizes.add(take);
     my_.push_n(xfer_.data(), take);
-    ++st_.c.steals;
-    if (m_steals_ != nullptr) ++*m_steals_;
-    st_.c.chunks_stolen += take / k_;
-    st_.c.nodes_stolen += take;
-    if (span_ != 0) {
-      obs_->spans().event(me_, span_, obs::SpanPhase::kAbsorb, ctx_.now_ns(),
-                          me_, -1, static_cast<std::int64_t>(take));
-      span_ = 0;
-    }
-    publish_avail();  // we are working again; shared region is empty
+    count_stolen(take);
+    span_event(obs::SpanPhase::kAbsorb, me_, -1, take);
+    // We are working again; shared region is empty. A crash in this charge
+    // returns the steal counted but without its trace row.
+    publish_avail();
     return true;
   }
 
@@ -685,7 +469,7 @@ class UpcWorker final : public NodeSink {
       if (skip_victim(v) || (crash_mode_ && ctx_.rank_dead(v))) continue;
       raise_distress(v, d);
     }
-    if (m_parks_ != nullptr) ++*m_parks_;
+    parked();
   }
 
   void unpark() {
@@ -716,114 +500,25 @@ class UpcWorker final : public NodeSink {
       const int bit = std::countr_zero(d);
       d &= d - 1;
       const int t = me_ ^ (1 << bit);
-      bool woke = false;
+      bool hit = false;
       if (t < n_ && !skip_victim(t) && !(crash_mode_ && ctx_.rank_dead(t))) {
         int expect = kParked;
-        woke = ctx_.cas(g_.slots[t].park, t, expect, me_);
+        hit = ctx_.cas(g_.slots[t].park, t, expect, me_);
       }
       // Clear the bit either way: on a wake the hand-off is complete, on a
       // failed CAS the thief is no longer parked (stale distress).
       ctx_.charge(ctx_.net().local_ref_ns);
       g_.slots[me_].distress.fetch_and(~(std::uint64_t{1} << bit),
                                        std::memory_order_acq_rel);
-      if (woke) {
-        if (m_wakes_ != nullptr) ++*m_wakes_;
+      if (hit) {
+        woke();
         return;  // one wake per surplus event; the thief pulls half and
                  // re-releases, propagating further wakes down the graph
       }
     }
   }
 
-  // ---- crash recovery (crash_mode_ only) ----
-
-  /// Survivor-side recovery sweep, called from the search loops: salvage
-  /// any dead rank's stack (exactly once, arbitrated by the board) and
-  /// replay any lineage record with a dead endpoint — a dead thief can no
-  /// longer absorb its chunk, and a dead victim may have died before
-  /// completing a grant its (live) thief has already given up on. The
-  /// pending->claimed/done CAS arbitrates against a live thief that does
-  /// still absorb, so the chunk lands exactly once either way. Returns
-  /// true when nodes landed on our stack — the caller then has work again.
-  bool maybe_recover() {
-    if (!crash_mode_) return false;
-    bool got = false;
-    for (int r = 0; r < n_; ++r) {
-      if (r == me_ || !ctx_.rank_dead(r) || board_->salvage_done(r)) continue;
-      const std::uint64_t rb = ctx_.now_ns();
-      if (salvage_stack(r)) got = true;
-      if (obs_ != nullptr) obs_->recovery_interval(me_, rb, ctx_.now_ns());
-    }
-    for (int w = 0; w < n_; ++w) {
-      for (int p = 0; p < n_; ++p) {
-        if (w == p) continue;
-        TransferRec& rec = board_->rec(w, p);
-        if (rec.state.load(std::memory_order_acquire) != TransferRec::kPending)
-          continue;
-        const bool victim_dead = rec.victim >= 0 && ctx_.rank_dead(rec.victim);
-        const bool thief_dead = rec.thief >= 0 && ctx_.rank_dead(rec.thief);
-        if (!victim_dead && !thief_dead) continue;
-        const std::uint64_t rb = ctx_.now_ns();
-        if (replay_record(rec)) got = true;
-        if (obs_ != nullptr) obs_->recovery_interval(me_, rb, ctx_.now_ns());
-      }
-    }
-    return got;
-  }
-
-  /// Take over a dead rank's entire stack interval [shared_base, top).
-  /// The mutation block runs with no interaction point, so a salvage is
-  /// all-or-nothing even though the salvager itself may crash; the claim
-  /// word makes it exactly-once across salvagers.
-  bool salvage_stack(int r) {
-    StealStack& ds = g_.stacks[r];
-    // Locked family: acquire the dead owner's stack lock — revoking its
-    // lease if it died inside the critical section — to exclude thieves
-    // that are still legitimately stealing from the stale stack.
-    std::optional<pgas::LockGuard> guard;
-    if (!lockless()) guard.emplace(ctx_, ds.lock());
-    if (!board_->claim_salvage(r)) return false;
-    const std::size_t b = ds.salvage_begin();
-    const std::size_t e = ds.salvage_end();
-    const std::size_t taken = e > b ? e - b : 0;
-    if (taken > 0) my_.push_n(ds.slot(b), taken);
-    ds.clear_after_salvage();
-    const std::int64_t idle = probe_term() ? kNoWorkAtAll : 0;
-    ds.work_avail().store(idle, std::memory_order_release);
-    note_avail(ds, 0);
-    board_->finish_salvage(r);
-    // Post-pay the transfer cost: the nodes are already safe on our stack,
-    // so a crash landing in this charge cannot lose them (our own death
-    // hands them to the next salvager).
-    ctx_.charge(ctx_.net().bulk_ns(me_, r, taken * nb_));
-    ++st_.c.salvages;
-    st_.c.recovered_nodes += taken;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->recover(me_, ctx_.now_ns(), r,
-                          static_cast<std::int64_t>(taken));
-    return taken > 0;
-  }
-
-  /// Replay one orphaned transfer: an endpoint died mid-protocol, so the
-  /// chunk may exist only in the record payload. The claim CAS against the
-  /// (possibly live) thief's retire makes the replay exactly-once, and
-  /// every replayed node is kept. Descriptor-level dedup would be wrong
-  /// here: a node can legitimately flow through recovery more than once in
-  /// its lifetime (recovered, released back into circulation unvisited,
-  /// re-stolen, then orphaned by a second death), so "seen in a recovery
-  /// before" does not mean "safe on some stack" — dropping it loses the
-  /// node's whole subtree.
-  bool replay_record(TransferRec& rec) {
-    if (!board_->claim_rec(ctx_, rec)) return false;  // raced; other won
-    board_->note_replay();
-    my_.push_n(rec.payload.data(), rec.nnodes);
-    ctx_.charge(ctx_.net().bulk_ns(me_, rec.victim, rec.nnodes * nb_));
-    ++st_.c.replays;
-    st_.c.recovered_nodes += rec.nnodes;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->recover(me_, ctx_.now_ns(), rec.victim,
-                          static_cast<std::int64_t>(rec.nnodes));
-    return rec.nnodes > 0;
-  }
+  // ---- termination barriers ----
 
   /// Crash-mode membership invariants for the termination barriers.
   ///
@@ -846,28 +541,6 @@ class UpcWorker final : public NodeSink {
         ++ghosts;
     }
     return n_ - absent + ghosts;
-  }
-
-  /// No recoverable work may remain: every detected-dead rank salvaged and
-  /// no orphaned lineage record pending.
-  bool recovery_clean() {
-    for (int r = 0; r < n_; ++r)
-      if (r != me_ && ctx_.rank_dead(r) && !board_->salvage_done(r))
-        return false;
-    return !board_->orphan_pending(ctx_);
-  }
-
-  /// Cheap pre-check (no charges, no claims): recoverable work may exist.
-  /// Barrier waiters use it to cancel out *before* touching that work — a
-  /// rank must never claim a chunk while its +1 still stands in a barrier
-  /// count, or a peer could see the board clean and the count full and
-  /// declare termination with the chunk unvisited.
-  bool recovery_possible() {
-    if (!crash_mode_) return false;
-    for (int r = 0; r < n_; ++r)
-      if (r != me_ && ctx_.rank_dead(r) && !board_->salvage_done(r))
-        return true;
-    return board_->orphan_pending(ctx_);
   }
 
   /// Enter/leave the probe-family barrier. In crash mode the in_barrier
@@ -896,44 +569,37 @@ class UpcWorker final : public NodeSink {
     return cnt >= barrier_target() && recovery_clean();
   }
 
-  // ---- termination policies ----
+  // ---- the search loop ----
 
+  /// Out of local work: find more, or detect termination. Each cycle takes
+  /// the drain/cancel/recover safe points, then sweeps victims in the order
+  /// sweep_ names:
+  ///
+  ///   kRandom    every other rank, in a fresh random permutation (§3.1);
+  ///   kLifeline  the hypercube lifeline neighbors only — no global random
+  ///              probing — then park on them (Algo::kLifeline);
+  ///   kSampling  a random sample of sample_frac of the other ranks, then a
+  ///              steal from the rank at the `quantile` point of the
+  ///              sampled loads, falling back down the sample on failed
+  ///              attempts (Algo::kSampling).
+  ///
+  /// A failed cycle enters the termination barrier: the cancelable barrier
+  /// after every cycle (§3.1, retrying when cancelled); the probe barrier
+  /// only when every probed rank reported "no work at all" rather than
+  /// "working, no surplus" (§3.3.1) — or always for lifeline, whose thieves
+  /// wait parked in it for a victim's wake. Parking early is safe: the
+  /// barrier count can only reach the membership target when every rank is
+  /// idle with an empty stack, so termination stays exact and a missed
+  /// wake costs latency, never correctness. Returns true with work on our
+  /// stack, false on termination or drain.
   bool find_work() {
     if (n_ == 1) {
       // Single rank: out of work means done; still run the barrier protocol
       // once so its counters behave uniformly.
-      return cfg_.termination == Termination::kCancelableBarrier
-                 ? !single_rank_done_cb()
-                 : !single_rank_done_probe();
+      return probe_term() ? barrier_probe() != 1 : !cancelable_barrier();
     }
-    if (cfg_.termination == Termination::kCancelableBarrier)
-      return find_work_cb();
-    switch (cfg_.victim_policy) {
-      case VictimPolicy::kLifeline: return find_work_lifeline();
-      case VictimPolicy::kSampling: return find_work_sample();
-      case VictimPolicy::kRandom: break;
-    }
-    return find_work_probe();
-  }
-
-  bool single_rank_done_cb() {
-    set_state(State::kTermination);
-    ++st_.c.barrier_entries;
-    return cancelable_barrier();  // count hits 1 == n -> done
-  }
-
-  bool single_rank_done_probe() {
-    set_state(State::kTermination);
-    ++st_.c.barrier_entries;
-    bar_enter();
-    announce_termination();
-    return true;
-  }
-
-  /// §3.1 search loop: cycle victims; if a whole cycle fails, wait in the
-  /// cancelable barrier and retry when cancelled.
-  bool find_work_cb() {
     set_state(State::kSearching);
+    const bool lifeline_sweep = sweep_ == VictimPolicy::kLifeline;
     for (;;) {
       if (drain_check()) return false;
       cancel_check();
@@ -944,27 +610,86 @@ class UpcWorker final : public NodeSink {
         set_state(State::kWorking);
         return true;
       }
+      bool any_working = false;
       if (!cancelled_) {
-        shuffle_perm();
-        for (int v : perm_) {
+        if (sweep_ == VictimPolicy::kRandom) shuffle_perm();
+        sampled_.clear();
+        for (int i = 0; i < sweep_len_; ++i) {
+          const int v = sweep_victim(i);
           if (skip_victim(v)) continue;
-          if (probe(v) >= static_cast<std::int64_t>(k_)) {
-            set_state(State::kStealing);
-            if (attempt_steal(v)) {
-              set_state(State::kWorking);
+          if (probe_term() && check_term_flag()) return false;
+          const std::int64_t a = probe(v);
+          if (a >= static_cast<std::int64_t>(k_)) {
+            if (sweep_ == VictimPolicy::kSampling)
+              sampled_.emplace_back(a, v);
+            else if (try_steal(v))
               return true;
-            }
-            set_state(State::kSearching);
+          } else if (a != kNoWorkAtAll) {
+            any_working = true;  // working, just no surplus published yet
           }
-          if (lockless()) service_requests();
-          ctx_.yield();
+          serve_and_yield();
         }
+        // Sampling: steal from the quantile of the sampled loads; on a
+        // failed attempt drop that victim and retry at the (re-evaluated)
+        // quantile.
+        while (!sampled_.empty()) {
+          std::sort(sampled_.begin(), sampled_.end());
+          const auto idx = std::min(
+              sampled_.size() - 1,
+              static_cast<std::size_t>(cfg_.quantile *
+                                       static_cast<double>(sampled_.size())));
+          if (try_steal(sampled_[idx].second)) return true;
+          sampled_.erase(sampled_.begin() +
+                         static_cast<std::ptrdiff_t>(idx));
+          serve_and_yield();
+        }
+        if (lifeline_sweep) park_lifelines();
       }
-      set_state(State::kTermination);
-      ++st_.c.barrier_entries;
-      if (cancelable_barrier()) return false;
-      set_state(State::kSearching);
+      if (!probe_term()) {
+        if (cancelable_barrier()) return false;
+        set_state(State::kSearching);
+      } else if (!any_working || lifeline_sweep) {
+        if (barrier_probe() == 1) return false;
+        // Covers the recovery-leave path; the wake path already unparked.
+        if (lifeline_sweep) unpark();
+        set_state(State::kWorking);
+        return true;
+      }
     }
+  }
+
+  /// The i-th victim of this cycle's sweep.
+  int sweep_victim(int i) {
+    switch (sweep_) {
+      case VictimPolicy::kLifeline: return me_ ^ (1 << lifeline_dims_[i]);
+      case VictimPolicy::kSampling: {
+        // Partial Fisher–Yates over perm_: draw the i-th of m distinct
+        // victims right before probing it.
+        std::uniform_int_distribution<int> pick(i, n_ - 2);
+        std::swap(perm_[i], perm_[pick(ctx_.rng())]);
+        break;
+      }
+      case VictimPolicy::kRandom: break;
+    }
+    return perm_[i];
+  }
+
+  /// Steal from `v`, which a probe showed holding a stealable chunk.
+  bool try_steal(int v) {
+    set_state(State::kStealing);
+    if (attempt_steal(v)) {
+      set_state(State::kWorking);
+      return true;
+    }
+    set_state(State::kSearching);
+    return false;
+  }
+
+  /// The end of every search step: stay responsive to thieves, then let
+  /// other ranks run.
+  void serve_and_yield() {
+    if (lockless()) service_requests();
+    ctx_.yield();
   }
 
   /// Crash-atomic count update for the cancelable barrier: the in_barrier
@@ -988,6 +713,8 @@ class UpcWorker final : public NodeSink {
   /// waiters run the recovery sweep so a crashed rank's work re-enters the
   /// search instead of deadlocking the barrier.
   bool cancelable_barrier() {
+    set_state(State::kTermination);
+    ++st_.c.barrier_entries;
     {
       pgas::LockGuard guard(ctx_, g_.cb_lock);
       const int cnt = ctx_.get(g_.cb_count, 0) + 1;
@@ -1022,8 +749,7 @@ class UpcWorker final : public NodeSink {
             ctx_.put(g_.cb_done, 0, 1);
         }
       }
-      if (lockless()) service_requests();
-      ctx_.yield();
+      serve_and_yield();
     }
 
     bool done = false;
@@ -1036,158 +762,6 @@ class UpcWorker final : public NodeSink {
       }
     }
     return done;
-  }
-
-  /// §3.3.1 search loop: a full probe cycle distinguishing "working, no
-  /// surplus" (0) from "no work at all" (-1); enter the barrier only when
-  /// every other rank reports the latter.
-  bool find_work_probe() {
-    set_state(State::kSearching);
-    for (;;) {
-      if (drain_check()) return false;
-      cancel_check();
-      if (maybe_recover()) {
-        publish_avail();
-        set_state(State::kWorking);
-        return true;
-      }
-      bool any_working = false;
-      if (!cancelled_) {
-        shuffle_perm();
-        for (int v : perm_) {
-          if (skip_victim(v)) continue;
-          if (check_term_flag()) return false;
-          const std::int64_t a = probe(v);
-          if (a >= static_cast<std::int64_t>(k_)) {
-            set_state(State::kStealing);
-            if (attempt_steal(v)) {
-              set_state(State::kWorking);
-              return true;
-            }
-            set_state(State::kSearching);
-          } else if (a != kNoWorkAtAll) {
-            any_working = true;  // working, just no surplus published yet
-          }
-          if (lockless()) service_requests();
-          ctx_.yield();
-        }
-      }
-      if (!any_working) {
-        const int r = barrier_probe();
-        if (r == 1) return false;
-        set_state(State::kWorking);
-        return true;
-      }
-    }
-  }
-
-  /// Lifeline search loop (Algo::kLifeline): one sweep of the hypercube
-  /// lifeline neighbors only — no global random probing — then park and
-  /// wait in the probe barrier for a victim's wake. Parking early is safe:
-  /// the barrier count can only reach the membership target when every
-  /// rank is idle with an empty stack, so termination stays exact; a
-  /// missed wake costs latency, never correctness.
-  bool find_work_lifeline() {
-    set_state(State::kSearching);
-    for (;;) {
-      if (drain_check()) return false;
-      cancel_check();
-      if (maybe_recover()) {
-        publish_avail();
-        set_state(State::kWorking);
-        return true;
-      }
-      if (!cancelled_) {
-        for (int d : lifeline_dims_) {
-          const int v = me_ ^ (1 << d);
-          if (skip_victim(v)) continue;
-          if (check_term_flag()) return false;
-          if (probe(v) >= static_cast<std::int64_t>(k_)) {
-            set_state(State::kStealing);
-            if (attempt_steal(v)) {
-              set_state(State::kWorking);
-              return true;
-            }
-            set_state(State::kSearching);
-          }
-          if (lockless()) service_requests();
-          ctx_.yield();
-        }
-        park_lifelines();
-      }
-      const int r = barrier_probe();
-      if (r == 1) return false;
-      unpark();  // covers the recovery-leave path; wake path already unparked
-      set_state(State::kWorking);
-      return true;
-    }
-  }
-
-  /// Sampling search loop (Algo::kSampling): per cycle, probe a random
-  /// sample of sample_frac of the other ranks, then steal from the rank at
-  /// the `quantile` point of the sampled load distribution (falling back
-  /// down the sample on failed attempts). Barrier entry and in-barrier
-  /// probing are the base §3.3.1 protocol.
-  bool find_work_sample() {
-    set_state(State::kSearching);
-    const int m = std::max(
-        1, static_cast<int>(std::lround(cfg_.sample_frac * (n_ - 1))));
-    for (;;) {
-      if (drain_check()) return false;
-      cancel_check();
-      if (maybe_recover()) {
-        publish_avail();
-        set_state(State::kWorking);
-        return true;
-      }
-      bool any_working = false;
-      if (!cancelled_) {
-        // Draw m distinct victims (partial Fisher–Yates over perm_), probe
-        // each, and collect those with stealable surplus.
-        sampled_.clear();
-        for (int i = 0; i < m; ++i) {
-          std::uniform_int_distribution<int> pick(i, n_ - 2);
-          std::swap(perm_[i], perm_[pick(ctx_.rng())]);
-          const int v = perm_[i];
-          if (skip_victim(v)) continue;
-          if (check_term_flag()) return false;
-          const std::int64_t a = probe(v);
-          if (a >= static_cast<std::int64_t>(k_)) {
-            sampled_.emplace_back(a, v);
-          } else if (a != kNoWorkAtAll) {
-            any_working = true;
-          }
-          if (lockless()) service_requests();
-          ctx_.yield();
-        }
-        // Steal from the quantile of the sampled loads; on a failed attempt
-        // drop that victim and retry at the (re-evaluated) quantile.
-        while (!sampled_.empty()) {
-          std::sort(sampled_.begin(), sampled_.end());
-          const auto idx = std::min(
-              sampled_.size() - 1,
-              static_cast<std::size_t>(cfg_.quantile *
-                                       static_cast<double>(sampled_.size())));
-          const int v = sampled_[idx].second;
-          set_state(State::kStealing);
-          if (attempt_steal(v)) {
-            set_state(State::kWorking);
-            return true;
-          }
-          set_state(State::kSearching);
-          sampled_.erase(sampled_.begin() +
-                         static_cast<std::ptrdiff_t>(idx));
-          if (lockless()) service_requests();
-          ctx_.yield();
-        }
-      }
-      if (!any_working) {
-        const int r = barrier_probe();
-        if (r == 1) return false;
-        set_state(State::kWorking);
-        return true;
-      }
-    }
   }
 
   /// §3.3.1 barrier with in-barrier probing of a single victim.
@@ -1210,8 +784,8 @@ class UpcWorker final : public NodeSink {
       if (check_term_flag()) return 1;
       if (crash_mode_) {
         if (recovery_possible()) {
-          // Leave the barrier first; find_work_probe's cycle top performs
-          // the actual salvage/replay once our +1 is withdrawn.
+          // Leave the barrier first; find_work()'s cycle top performs the
+          // actual salvage/replay once our +1 is withdrawn.
           bar_leave();
           return 0;
         }
@@ -1284,8 +858,7 @@ class UpcWorker final : public NodeSink {
           }
         }
       }
-      if (lockless()) service_requests();
-      ctx_.yield();
+      serve_and_yield();
     }
   }
 
@@ -1332,17 +905,10 @@ class UpcWorker final : public NodeSink {
     }
   }
 
-  pgas::Ctx& ctx_;
   SharedState& g_;
-  const Problem& prob_;
-  const WsConfig& cfg_;
-  const int me_;
-  const int n_;
-  const std::size_t k_;
-  const std::size_t nb_;
-  StealStack& my_;
-  stats::ThreadStats st_;
-  std::vector<std::byte> nodebuf_;
+  /// This cycle's victim order (see find_work()) and its length.
+  const VictimPolicy sweep_;
+  int sweep_len_ = 0;
   std::vector<std::byte> xfer_;
   std::vector<int> perm_;
   std::vector<int> fwd_;  // scratch for forward_announcement
@@ -1354,27 +920,6 @@ class UpcWorker final : public NodeSink {
   std::size_t last_take_ = 0;  // nodes moved by the most recent steal
   /// Hardened only: current exponential-backoff delay after a steal timeout.
   std::uint64_t backoff_ns_ = 0;
-  /// Crash-fault tolerance (null / false unless the plan injects crashes).
-  RecoveryBoard* board_;
-  const bool crash_mode_;
-  /// Elastic membership (false unless the plan drains or joins ranks).
-  const bool member_mode_;
-  /// This rank hit its planned drain point and is leaving gracefully.
-  bool drained_ = false;
-  /// This rank passed cfg_.cancel_at_ns: bleed instead of expand.
-  bool cancelled_ = false;
-  /// nodebuf_ holds a popped-but-uncounted node (see visit()).
-  bool visiting_ = false;
-  /// Telemetry (all null/0 when no observer is attached).
-  obs::Observer* obs_;
-  std::uint64_t* m_steals_ = nullptr;
-  std::uint64_t* m_probes_ = nullptr;
-  std::uint64_t* m_releases_ = nullptr;
-  std::uint64_t* m_services_ = nullptr;
-  std::uint64_t* m_parks_ = nullptr;
-  std::uint64_t* m_wakes_ = nullptr;
-  /// Id of this thief's outstanding steal span (0 = none).
-  std::uint64_t span_ = 0;
 };
 
 }  // namespace
