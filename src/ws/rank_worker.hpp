@@ -134,7 +134,6 @@ class RankWorker : public NodeSink {
         return pending;
       });
   }
-  ~RankWorker() override = default;
 
   /// The worker's own loop — work, find more, terminate — including its
   /// graceful leave after a drain. Runs between run()'s prologue and
@@ -306,9 +305,9 @@ class RankWorker : public NodeSink {
   /// pop loop and the search-cycle tops, never while a lock is held, a
   /// popped node is in flight, or our +1 stands in a barrier count.
   bool drain_check() {
-    if (!drains_) return false;
     pgas::FaultInjector* fi = ctx_.faults();
-    if (fi == nullptr || !fi->drain_due(ctx_.now_ns())) return false;
+    if (fi == nullptr || !drains_ || !fi->drain_due(ctx_.now_ns()))
+      return false;
     drained_ = true;
     return true;
   }
