@@ -405,8 +405,10 @@ class RankWorker : public NodeSink {
         TransferRec& rec = board_->rec(w, p);
         if (rec.state.load(std::memory_order_acquire) != TransferRec::kPending)
           continue;
-        const bool victim_dead = rec.victim >= 0 && ctx_.rank_dead(rec.victim);
-        const bool thief_dead = rec.thief >= 0 && ctx_.rank_dead(rec.thief);
+        const int victim = rec.victim.load(std::memory_order_relaxed);
+        const int thief = rec.thief.load(std::memory_order_relaxed);
+        const bool victim_dead = victim >= 0 && ctx_.rank_dead(victim);
+        const bool thief_dead = thief >= 0 && ctx_.rank_dead(thief);
         if (!victim_dead && !thief_dead) continue;
         const std::uint64_t rb = ctx_.now_ns();
         if (replay_record(rec)) got = true;
@@ -464,9 +466,10 @@ class RankWorker : public NodeSink {
     // never saw the replayed nodes.
     board_->note_replay();
     my_.push_n(rec.payload.data(), rec.nnodes);
-    ctx_.charge(ctx_.net().bulk_ns(me_, rec.victim, rec.nnodes * nb_));
+    const int victim = rec.victim.load(std::memory_order_relaxed);
+    ctx_.charge(ctx_.net().bulk_ns(me_, victim, rec.nnodes * nb_));
     ++st_.c.replays;
-    recovered(rec.victim, rec.nnodes);
+    recovered(victim, rec.nnodes);
     return rec.nnodes > 0;
   }
 

@@ -17,8 +17,8 @@ RecoveryBoard::RecoveryBoard(int nranks, std::size_t node_bytes)
 void RecoveryBoard::publish(int writer, int peer, int victim, int thief,
                             const std::byte* data, std::uint32_t count) {
   TransferRec& r = rec(writer, peer);
-  r.victim = victim;
-  r.thief = thief;
+  r.victim.store(victim, std::memory_order_relaxed);
+  r.thief.store(thief, std::memory_order_relaxed);
   r.nnodes = count;
   const std::size_t bytes = static_cast<std::size_t>(count) * nb_;
   r.payload.resize(bytes);
@@ -61,8 +61,10 @@ bool RecoveryBoard::orphan_pending(pgas::Ctx& viewer) const {
   for (const TransferRec& r : recs_) {
     if (r.state.load(std::memory_order_acquire) != TransferRec::kPending)
       continue;
-    if (r.thief >= 0 && viewer.rank_dead(r.thief)) return true;
-    if (r.victim >= 0 && viewer.rank_dead(r.victim)) return true;
+    const int thief = r.thief.load(std::memory_order_relaxed);
+    const int victim = r.victim.load(std::memory_order_relaxed);
+    if (thief >= 0 && viewer.rank_dead(thief)) return true;
+    if (victim >= 0 && viewer.rank_dead(victim)) return true;
   }
   return false;
 }

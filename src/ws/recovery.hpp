@@ -47,8 +47,13 @@ struct TransferRec {
   enum : int { kFree = 0, kPending = 1, kDone = 2, kClaimed = 3 };
 
   std::atomic<int> state{kFree};
-  int victim = -1;
-  int thief = -1;
+  /// Atomic because recovery sweeps read the endpoints after seeing
+  /// kPending without owning the record, while its writer may already be
+  /// retiring it and publishing the next transfer. A stale pair can only
+  /// misdirect a replay attempt, and the claim CAS still arbitrates that.
+  /// Ranks read the other fields only after a won retire or claim CAS.
+  std::atomic<int> victim{-1};
+  std::atomic<int> thief{-1};
   std::uint32_t nnodes = 0;
   std::vector<std::byte> payload;
 };
