@@ -188,9 +188,20 @@ int main(int argc, char** argv) {
         .note("nranks", benchutil::fmt(c.nranks, 0))
         .note("chunk", benchutil::fmt(c.chunk, 0));
     if (std::strcmp(c.engine, "psim") == 0) {
+      // The host-time ledger as shares of workers x wall (wall includes
+      // the search's set-up and verification, so they sum below 1).
+      const double lane_ns =
+          std::min(c.workers, c.nranks) * best.wall_s * 1e9;
+      const auto frac = [&](std::uint64_t ns) {
+        return static_cast<double>(ns) / lane_ns;
+      };
       res.metric("windows", static_cast<double>(best.psim.windows))
           .metric("events", static_cast<double>(best.psim.events))
           .metric("events_per_window", epw)
+          .metric("host_frac.busy", frac(best.psim.busy_ns))
+          .metric("host_frac.wake_wait", frac(best.psim.wake_wait_ns))
+          .metric("host_frac.barrier_wait", frac(best.psim.barrier_wait_ns))
+          .metric("host_frac.completion", frac(best.psim.completion_ns))
           .note("workers", benchutil::fmt(c.workers, 0));
     }
     if (std::strcmp(c.tree_name, "T3") == 0 &&

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <limits>
@@ -20,6 +21,14 @@
 
 namespace upcws::psim {
 namespace {
+
+/// Host clock for the Stats ledger, in ns.
+std::uint64_t host_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// A cross-shard PGAS operation in flight: the raw-memory half of a
 /// mediated access, keyed at the sender's post-charge slice instant. The
@@ -73,6 +82,12 @@ struct Shard {
   /// Cross-thread wake channel (behind a pointer: Shard must stay movable).
   std::unique_ptr<WakeChannel> wake;
   std::exception_ptr error;
+  /// Host-time ledger, written by this shard's worker only: time inside
+  /// windows, the part of it spent waiting for a wake, and time from
+  /// arriving at the barrier to leaving it.
+  std::uint64_t window_ns = 0;
+  std::uint64_t wake_wait_ns = 0;
+  std::uint64_t barrier_ns = 0;
 };
 
 struct Runtime {
@@ -102,6 +117,7 @@ struct Runtime {
   std::uint64_t win_begin = 0;   ///< virtual time the current window opened at
   std::uint64_t prev_events = 0; ///< rt.events at the previous barrier
   std::vector<std::uint64_t> prev_switches;  ///< per-shard switches, ditto
+  std::uint64_t completion_ns = 0;  ///< host time in the barrier completion
   /// Serializes whole-shard cancel-unwinds: with mediation disabled the
   /// unwinding destructors access remote state raw.
   std::mutex teardown_mu;
@@ -308,10 +324,15 @@ void run_window(Runtime& rt, Shard& s, std::uint64_t bound) {
     }
     if (pk) {
       std::unique_lock<std::mutex> lk(s.wake->mu);
-      s.wake->cv.wait(lk, [&] {
+      const auto woken = [&] {
         return !s.wake->inbox.empty() ||
                rt.abort_windows.load(std::memory_order_acquire);
-      });
+      };
+      if (!woken()) {
+        const std::uint64_t t0 = host_ns();
+        s.wake->cv.wait(lk, woken);
+        s.wake_wait_ns += host_ns() - t0;
+      }
       std::vector<Wake> in;
       in.swap(s.wake->inbox);
       lk.unlock();
@@ -324,6 +345,97 @@ void run_window(Runtime& rt, Shard& s, std::uint64_t bound) {
     }
     return;
   }
+}
+
+/// Barrier completion: runs single-threaded while every worker waits at the
+/// window barrier — the only place cross-shard state moves.
+void close_window(Runtime& rt) {
+  // 1. Drain wakes that landed after their shard had already finished its
+  // window (the sender's worker was past its drain point; every worker is
+  // now in arrive_and_wait, so touching peer shard state is safe).
+  for (Shard& s : rt.shards) {
+    std::lock_guard<std::mutex> g(s.wake->mu);
+    for (const Wake& w : s.wake->inbox) {
+      s.sched->wake(w.task, w.vt);
+      s.parked_keys.erase({w.vt, w.task});
+    }
+    s.wake->inbox.clear();
+  }
+  // 2. Deliver events shipped during the window.
+  ++rt.windows;
+  for (Shard& s : rt.shards)
+    for (std::size_t t = 0; t < s.out_events.size(); ++t) {
+      rt.events += s.out_events[t].size();
+      for (Event& e : s.out_events[t]) rt.shards[t].pending.push(e);
+      s.out_events[t].clear();
+    }
+  // Window telemetry: report the window that just closed (even when the
+  // run is about to stop below, so per-window sums match the run totals).
+  // Pure observation from single-threaded context; sinks must not throw.
+  if (rt.obs != nullptr) {
+    pgas::ObsSink::PsimWindow w;
+    w.index = rt.windows - 1;
+    w.begin_ns = rt.win_begin;
+    w.end_ns = rt.bound;
+    w.events = rt.events - rt.prev_events;
+    w.shards = static_cast<int>(rt.shards.size());
+    for (std::size_t i = 0; i < rt.shards.size(); ++i) {
+      const std::uint64_t sw =
+          rt.shards[i].sched->switches() - rt.prev_switches[i];
+      if (i == 0 || sw < w.min_shard_switches) w.min_shard_switches = sw;
+      if (i == 0 || sw > w.max_shard_switches) w.max_shard_switches = sw;
+      rt.prev_switches[i] += sw;
+    }
+    rt.obs->on_psim_window(w);
+  }
+  rt.prev_events = rt.events;
+  // 3. A shard error ends the run (deterministic: each shard's window
+  // content is a pure function of the bound and its delivered events).
+  for (const Shard& s : rt.shards)
+    if (s.error) {
+      rt.tearing_down.store(true, std::memory_order_release);
+      rt.stop.store(true, std::memory_order_release);
+      return;
+    }
+  // 4. Global minimum pending key over ready slices and queued events.
+  // Parked senders are always represented: their event sits in some
+  // shard's pending queue until applied, after which the immediate wake
+  // (or step 1 above) has already re-queued them at the same key.
+  bool any = false;
+  std::uint64_t mvt = 0;
+  for (const Shard& s : rt.shards) {
+    if (const auto e = s.sched->peek()) {
+      if (!any || e->vt < mvt) mvt = e->vt;
+      any = true;
+    }
+    if (!s.pending.empty()) {
+      if (!any || s.pending.top().vt < mvt) mvt = s.pending.top().vt;
+      any = true;
+    }
+  }
+  if (!any) {  // every fiber finished: normal completion
+    rt.tearing_down.store(true, std::memory_order_release);
+    rt.stop.store(true, std::memory_order_release);
+    return;
+  }
+  // 5. Global progress watchdog (same condition the sequential run loop
+  // checks before each pop, evaluated once per window).
+  if (rt.watchdog_ns > 0) {
+    std::uint64_t prog = 0;
+    for (const Shard& s : rt.shards)
+      prog = std::max(prog, s.sched->progress_ns());
+    if (mvt > prog && mvt - prog > rt.watchdog_ns) {
+      rt.hang = true;
+      rt.hang_at = mvt;
+      rt.hang_prog = prog;
+      rt.tearing_down.store(true, std::memory_order_release);
+      rt.stop.store(true, std::memory_order_release);
+      return;
+    }
+  }
+  // 6. Next window.
+  rt.win_begin = mvt;
+  rt.bound = mvt + rt.lookahead;
 }
 
 std::string hang_report(const Runtime& rt, const pgas::RunConfig& cfg) {
@@ -447,101 +559,17 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
     }
   }
 
-  // Barrier completion: runs single-threaded while every worker is blocked
-  // in arrive_and_wait — the only place cross-shard state moves.
   auto completion = [&rt]() noexcept {
-    // 1. Drain wakes that landed after their shard had already finished its
-    // window (the sender's worker was past its drain point; every worker is
-    // now in arrive_and_wait, so touching peer shard state is safe).
-    for (Shard& s : rt.shards) {
-      std::lock_guard<std::mutex> g(s.wake->mu);
-      for (const Wake& w : s.wake->inbox) {
-        s.sched->wake(w.task, w.vt);
-        s.parked_keys.erase({w.vt, w.task});
-      }
-      s.wake->inbox.clear();
-    }
-    // 2. Deliver events shipped during the window.
-    ++rt.windows;
-    for (Shard& s : rt.shards)
-      for (std::size_t t = 0; t < s.out_events.size(); ++t) {
-        rt.events += s.out_events[t].size();
-        for (Event& e : s.out_events[t]) rt.shards[t].pending.push(e);
-        s.out_events[t].clear();
-      }
-    // Window telemetry: report the window that just closed (even when the
-    // run is about to stop below, so per-window sums match the run totals).
-    // Pure observation from single-threaded context; sinks must not throw.
-    if (rt.obs != nullptr) {
-      pgas::ObsSink::PsimWindow w;
-      w.index = rt.windows - 1;
-      w.begin_ns = rt.win_begin;
-      w.end_ns = rt.bound;
-      w.events = rt.events - rt.prev_events;
-      w.shards = static_cast<int>(rt.shards.size());
-      for (std::size_t i = 0; i < rt.shards.size(); ++i) {
-        const std::uint64_t sw =
-            rt.shards[i].sched->switches() - rt.prev_switches[i];
-        if (i == 0 || sw < w.min_shard_switches) w.min_shard_switches = sw;
-        if (i == 0 || sw > w.max_shard_switches) w.max_shard_switches = sw;
-        rt.prev_switches[i] += sw;
-      }
-      rt.obs->on_psim_window(w);
-    }
-    rt.prev_events = rt.events;
-    // 3. A shard error ends the run (deterministic: each shard's window
-    // content is a pure function of the bound and its delivered events).
-    for (const Shard& s : rt.shards)
-      if (s.error) {
-        rt.tearing_down.store(true, std::memory_order_release);
-        rt.stop.store(true, std::memory_order_release);
-        return;
-      }
-    // 4. Global minimum pending key over ready slices and queued events.
-    // Parked senders are always represented: their event sits in some
-    // shard's pending queue until applied, after which the immediate wake
-    // (or step 1 above) has already re-queued them at the same key.
-    bool any = false;
-    std::uint64_t mvt = 0;
-    for (const Shard& s : rt.shards) {
-      if (const auto e = s.sched->peek()) {
-        if (!any || e->vt < mvt) mvt = e->vt;
-        any = true;
-      }
-      if (!s.pending.empty()) {
-        if (!any || s.pending.top().vt < mvt) mvt = s.pending.top().vt;
-        any = true;
-      }
-    }
-    if (!any) {  // every fiber finished: normal completion
-      rt.tearing_down.store(true, std::memory_order_release);
-      rt.stop.store(true, std::memory_order_release);
-      return;
-    }
-    // 5. Global progress watchdog (same condition the sequential run loop
-    // checks before each pop, evaluated once per window).
-    if (rt.watchdog_ns > 0) {
-      std::uint64_t prog = 0;
-      for (const Shard& s : rt.shards)
-        prog = std::max(prog, s.sched->progress_ns());
-      if (mvt > prog && mvt - prog > rt.watchdog_ns) {
-        rt.hang = true;
-        rt.hang_at = mvt;
-        rt.hang_prog = prog;
-        rt.tearing_down.store(true, std::memory_order_release);
-        rt.stop.store(true, std::memory_order_release);
-        return;
-      }
-    }
-    // 6. Next window.
-    rt.win_begin = mvt;
-    rt.bound = mvt + rt.lookahead;
+    const std::uint64_t t0 = host_ns();
+    close_window(rt);
+    rt.completion_ns += host_ns() - t0;
   };
   std::barrier bar(W, completion);
 
   auto worker = [&rt, &bar](int wi) {
     Shard& s = rt.shards[wi];
     s.sched->begin_stepping();
+    std::uint64_t t = host_ns();
     for (;;) {
       try {
         run_window(rt, s, rt.bound);
@@ -557,7 +585,11 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
           o.wake->cv.notify_all();
         }
       }
+      const std::uint64_t arrived = host_ns();
+      s.window_ns += arrived - t;
       bar.arrive_and_wait();
+      t = host_ns();
+      s.barrier_ns += t - arrived;
       if (rt.stop.load(std::memory_order_acquire)) break;
     }
     // Teardown on the thread that ran the fibers (fiber stacks and
@@ -575,6 +607,15 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
 
   stats_.windows = rt.windows;
   stats_.events = rt.events;
+  // The completing worker's barrier interval contains the completion,
+  // which the ledger counts once, on its own.
+  for (const Shard& s : rt.shards) {
+    stats_.busy_ns += s.window_ns - s.wake_wait_ns;
+    stats_.wake_wait_ns += s.wake_wait_ns;
+    stats_.barrier_wait_ns += s.barrier_ns;
+  }
+  stats_.barrier_wait_ns -= rt.completion_ns;
+  stats_.completion_ns = rt.completion_ns;
 
   if (cfg.decision_trail != nullptr) cfg.decision_trail->clear();
 

@@ -64,10 +64,19 @@ class PsimEngine final : public pgas::Engine {
 
   /// Diagnostics from the last run() on the parallel path (all zero after
   /// a sequential-lane run): conservative windows executed and cross-shard
-  /// events exchanged.
+  /// events exchanged, plus a host-time ledger summed over the shard
+  /// workers. Each worker's window splits into busy time (running slices
+  /// and applying events) and the time it waited for a wake; the rest of
+  /// its run is barrier wait, except the single-threaded barrier
+  /// completion, which is counted once. The four totals never exceed
+  /// workers x wall time of the run.
   struct Stats {
     std::uint64_t windows = 0;
     std::uint64_t events = 0;
+    std::uint64_t busy_ns = 0;
+    std::uint64_t wake_wait_ns = 0;
+    std::uint64_t barrier_wait_ns = 0;
+    std::uint64_t completion_ns = 0;
   };
   const Stats& last_stats() const { return stats_; }
 

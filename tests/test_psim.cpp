@@ -6,6 +6,7 @@
 // across a lookahead horizon.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -389,6 +390,45 @@ TEST(PsimTelemetry, WindowCountsMatchEngineInternals) {
     EXPECT_EQ(counters.at("psim_events"), st.events);
     EXPECT_EQ(counters.count("psim_fallbacks"), 0u);
   }
+}
+
+TEST(PsimTelemetry, HostTimeLedgerFitsWorkerWall) {
+  // The Stats host-time ledger: on the parallel lane every total is
+  // positive and together they fit in workers x wall; a serial-lane run
+  // on the same engine resets all four to 0.
+  const uts::Params tree = uts::test_small(3);
+  const pgas::NetModel net = pgas::NetModel::distributed();
+  const Shape sh{ws::Algo::kUpcDistMem, 16, 4, 11};
+  constexpr int kWorkers = 4;
+  psim::PsimEngine eng(kWorkers);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  run_on(eng, sh, net, tree);
+  const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  const psim::PsimEngine::Stats st = eng.last_stats();
+  ASSERT_GT(st.windows, 0u) << "expected the parallel path";
+  EXPECT_GT(st.busy_ns, 0u);
+  EXPECT_GT(st.wake_wait_ns, 0u);
+  EXPECT_GT(st.barrier_wait_ns, 0u);
+  EXPECT_GT(st.completion_ns, 0u);
+  EXPECT_LE(st.busy_ns + st.wake_wait_ns + st.barrier_wait_ns +
+                st.completion_ns,
+            static_cast<std::uint64_t>(kWorkers * wall_ns));
+
+  pgas::FaultPlan crash;  // forces the serial lane
+  pgas::CrashSpec c;
+  c.rank = 2;
+  c.at_ns = 15'000;
+  crash.crashes.push_back(c);
+  run_on(eng, sh, net, tree, &crash);
+  const psim::PsimEngine::Stats& serial = eng.last_stats();
+  EXPECT_EQ(serial.windows, 0u);
+  EXPECT_EQ(serial.busy_ns, 0u);
+  EXPECT_EQ(serial.wake_wait_ns, 0u);
+  EXPECT_EQ(serial.barrier_wait_ns, 0u);
+  EXPECT_EQ(serial.completion_ns, 0u);
 }
 
 TEST(PsimTelemetry, SerialLaneFallbackAttribution) {

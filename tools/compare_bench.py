@@ -40,8 +40,12 @@ SCHEMA = "upcws-bench-v1"
 INVARIANT = {"nodes", "switches", "virtual_elapsed_s"}
 
 # Metrics that legitimately vary with the host (psim shard layout follows the
-# worker count): printed for the record, never flagged as regression or drift.
-NEUTRAL = {"windows", "events", "events_per_window"}
+# worker count, and the psim host-time ledger splits wall time by what the
+# host's cores were doing): printed for the record, never flagged as
+# regression or drift.
+NEUTRAL = {"windows", "events", "events_per_window", "host_frac.busy",
+           "host_frac.wake_wait", "host_frac.barrier_wait",
+           "host_frac.completion"}
 
 # Host context BenchReporter writes at the top of every file.
 CONTEXT = ("nproc", "sha1_kernel")
@@ -273,6 +277,12 @@ def self_test():
     neut_cur["results"][0]["metrics"]["windows"] = 500
     cases.append(("neutral metric change never flagged, even over fail-over",
                   run_compare(neut_cur, neut_base, fail_over=0.30) == 0))
+    neut_base["results"][0]["metrics"]["host_frac.wake_wait"] = 0.26
+    neut_cur["results"][0]["metrics"]["host_frac.wake_wait"] = 0.52
+    rc, out = run_compare_out(neut_cur, neut_base, fail_on_regression=True)
+    cases.append(("psim ledger share is host-dependent, never flagged",
+                  rc == 0 and "host-dependent" in out and
+                  "REGRESSION" not in out and "improved" not in out))
 
     ctx_base = dict(_canned(100.0), nproc=4, sha1_kernel="portable")
     ctx_kernel = dict(ctx_base, sha1_kernel="sha-ni")
