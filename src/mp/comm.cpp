@@ -1,5 +1,6 @@
 #include "mp/comm.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -36,20 +37,25 @@ void Comm::send(pgas::Ctx& c, int dst, int tag, const void* data,
       fi != nullptr ? fi->duplicate_delay(wire, c.now_ns()) : 0;
   Box& box = *boxes_[dst];
   std::lock_guard<std::mutex> g(box.mu);
+  std::uint64_t earliest = box.earliest.load(std::memory_order_relaxed);
   if (dup_delay > 0) {
     Message d = m;
     d.seq = c.next_msg_seq();  // the duplicate enqueues (and orders) first
     d.arrival_ns += dup_delay;
+    earliest = std::min(earliest, d.arrival_ns);
     box.q.push_back(std::move(d));
   }
   m.seq = c.next_msg_seq();
+  earliest = std::min(earliest, m.arrival_ns);
   box.q.push_back(std::move(m));
+  box.earliest.store(earliest, std::memory_order_relaxed);
 }
 
 bool Comm::iprobe(pgas::Ctx& c, int src, int tag, int* src_out, int* tag_out) {
   c.charge_poll();
   const std::uint64_t now = c.now_ns();
   Box& box = *boxes_[c.rank()];
+  if (nothing_arrived(box, now)) return false;
   std::lock_guard<std::mutex> g(box.mu);
   // Select the delivered match that is first in deterministic delivery
   // order (send_vt, src, seq) — not first in physical append order. Under
@@ -72,6 +78,7 @@ bool Comm::try_recv(pgas::Ctx& c, int src, int tag, Message& out) {
   c.charge_poll();
   const std::uint64_t now = c.now_ns();
   Box& box = *boxes_[c.rank()];
+  if (nothing_arrived(box, now)) return false;
   std::lock_guard<std::mutex> g(box.mu);
   auto best = box.q.end();
   for (auto it = box.q.begin(); it != box.q.end(); ++it) {
@@ -82,6 +89,9 @@ bool Comm::try_recv(pgas::Ctx& c, int src, int tag, Message& out) {
   if (best == box.q.end()) return false;
   out = std::move(*best);
   box.q.erase(best);
+  std::uint64_t earliest = kNever;
+  for (const Message& m : box.q) earliest = std::min(earliest, m.arrival_ns);
+  box.earliest.store(earliest, std::memory_order_relaxed);
   return true;
 }
 

@@ -12,8 +12,10 @@
 // expressed in Ctx::now_ns() time (virtual in sim, wall in threads).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,10 +98,24 @@ class Comm {
   std::string debug_report() const;
 
  private:
+  static constexpr std::uint64_t kNever =
+      std::numeric_limits<std::uint64_t>::max();
+
   struct Box {
     std::mutex mu;
     std::deque<Message> q;
+    /// Earliest arrival_ns in `q` (kNever when empty). Written under `mu`;
+    /// the receiver reads it without the lock to skip a poll that cannot
+    /// match: a message another thread is sending concurrently always
+    /// arrives after the receiver's current instant on sim and psim, and
+    /// on the thread engine a stale read equals polling a moment earlier.
+    std::atomic<std::uint64_t> earliest{kNever};
   };
+
+  /// Nothing queued for the caller has arrived by its current instant.
+  static bool nothing_arrived(const Box& box, std::uint64_t now) {
+    return box.earliest.load(std::memory_order_relaxed) > now;
+  }
 
   static bool matches(const Message& m, int src, int tag) {
     return (src == kAny || m.src == src) && (tag == kAny || m.tag == tag);
