@@ -70,6 +70,7 @@
 //                 on RANK only (default: all ranks)
 //   --drop-prob P   drop each mpi-ws message with probability P
 //   --dup-prob P    duplicate each mpi-ws message with probability P
+//                 (work-push rejects both: it has no seq/ack layer)
 //   --steal-timeout NS  harden the steal protocols: thief timeout/retry
 //                 (default when any fault is active: 10x remote latency)
 //   --watchdog-ms M   abort with a structured hang report if no rank
@@ -429,6 +430,12 @@ int main(int argc, char** argv) {
     fault_error("--dup-prob must be a probability in [0,1]");
   if (faults.crashes_enabled() && algo == ws::Algo::kWorkPush)
     fault_error("--crash needs crash recovery, which work-push lacks");
+  if (faults.drop_prob > 0.0 && algo == ws::Algo::kWorkPush)
+    fault_error("--drop-prob needs the seq/ack message layer, which "
+                "work-push lacks");
+  if (faults.dup_prob > 0.0 && algo == ws::Algo::kWorkPush)
+    fault_error("--dup-prob needs the seq/ack message layer, which "
+                "work-push lacks");
   for (const pgas::CrashSpec& c : faults.crashes)
     if (c.rank < 0 || c.rank >= nranks)
       fault_error("--crash rank " + std::to_string(c.rank) +

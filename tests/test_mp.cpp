@@ -2,10 +2,14 @@
 // multi-rank traffic under both engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "mp/comm.hpp"
+#include "pgas/faults.hpp"
 #include "pgas/sim_engine.hpp"
 #include "pgas/thread_engine.hpp"
 
@@ -146,6 +150,117 @@ TEST(Comm, SelfSendWorks) {
   EXPECT_EQ(comm.total_sends(), 1u);
 }
 
+/// Minimal concrete Ctx with a hand-set clock, so a test can poll a mailbox
+/// at exact instants: charges are free and the clock moves only when the
+/// test sets it.
+class ClockCtx : public pgas::Ctx {
+ public:
+  explicit ClockCtx(int rank, pgas::FaultInjector* fi = nullptr)
+      : rank_(rank) {
+    faults_ = fi;
+  }
+
+  std::uint64_t now = 0;
+
+  int rank() const override { return rank_; }
+  int nranks() const override { return 2; }
+  const pgas::NetModel& net() const override { return net_; }
+  std::uint64_t now_ns() override { return now; }
+  void charge(std::uint64_t) override {}
+  void yield() override {}
+  void lock(pgas::Lock&) override {}
+  bool try_lock(pgas::Lock&) override { return true; }
+  void unlock(pgas::Lock&) override {}
+  std::mt19937_64& rng() override { return rng_; }
+
+ private:
+  int rank_;
+  pgas::NetModel net_ = pgas::NetModel::distributed();
+  std::mt19937_64 rng_{1};
+};
+
+// iprobe/try_recv return without taking the mailbox lock while nothing
+// queued has arrived. These pin that the shortcut never moves the instant
+// a message becomes visible.
+
+TEST(Comm, MessageBecomesVisibleExactlyAtArrival) {
+  mp::Comm comm(2);
+  ClockCtx tx(0), rx(1);
+  tx.now = 1000;
+  comm.send(tx, 1, 7);
+  const std::uint64_t arrival = 1000 + tx.net().bulk_ns(0, 1, 0);
+  mp::Message m;
+  rx.now = arrival - 1;
+  EXPECT_FALSE(comm.iprobe(rx, mp::kAny, mp::kAny));
+  EXPECT_FALSE(comm.try_recv(rx, mp::kAny, mp::kAny, m));
+  rx.now = arrival;
+  EXPECT_TRUE(comm.iprobe(rx, 0, 7));
+  ASSERT_TRUE(comm.try_recv(rx, 0, 7, m));
+  EXPECT_EQ(m.arrival_ns, arrival);
+  EXPECT_FALSE(comm.iprobe(rx, mp::kAny, mp::kAny));
+}
+
+TEST(Comm, LaterArrivalStaysGatedAfterEarliestIsReceived) {
+  mp::Comm comm(2);
+  ClockCtx tx(0), rx(1);
+  const std::uint64_t wire = tx.net().bulk_ns(0, 1, 0);
+  for (const std::uint64_t t : {3000u, 1000u, 2000u}) {
+    tx.now = t;
+    comm.send(tx, 1, 5);
+  }
+  mp::Message m;
+  for (const std::uint64_t t : {1000u, 2000u, 3000u}) {
+    rx.now = t + wire - 1;
+    EXPECT_FALSE(comm.iprobe(rx, 0, 5)) << t;
+    EXPECT_FALSE(comm.try_recv(rx, 0, 5, m)) << t;
+    rx.now = t + wire;
+    EXPECT_TRUE(comm.iprobe(rx, 0, 5)) << t;
+    ASSERT_TRUE(comm.try_recv(rx, 0, 5, m)) << t;
+    EXPECT_EQ(m.arrival_ns, t + wire);
+  }
+  rx.now = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_FALSE(comm.iprobe(rx, mp::kAny, mp::kAny));
+}
+
+TEST(Comm, DuplicateIsGatedByItsOwnArrival) {
+  pgas::FaultPlan plan;
+  plan.dup_prob = 1.0;
+  // The injector is deterministic per (plan, seed, rank), so every call
+  // sends the same original and the same trailing duplicate.
+  const auto send_twice = [&plan](mp::Comm& comm) {
+    pgas::FaultInjector fi(plan, 1, 0);
+    ClockCtx tx(0, &fi);
+    tx.now = 1000;
+    comm.send(tx, 1, 3);
+  };
+  ClockCtx rx(1);
+  mp::Message m;
+  std::uint64_t orig = 0, dup = 0;
+  {
+    mp::Comm comm(2);
+    send_twice(comm);
+    rx.now = std::numeric_limits<std::uint64_t>::max();
+    ASSERT_TRUE(comm.try_recv(rx, 0, 3, m));
+    const std::uint64_t a = m.arrival_ns;
+    ASSERT_TRUE(comm.try_recv(rx, 0, 3, m));
+    orig = std::min(a, m.arrival_ns);
+    dup = std::max(a, m.arrival_ns);
+  }
+  ASSERT_GT(dup, orig);
+  mp::Comm comm(2);
+  send_twice(comm);
+  rx.now = orig;
+  ASSERT_TRUE(comm.try_recv(rx, 0, 3, m));
+  EXPECT_EQ(m.arrival_ns, orig);
+  rx.now = dup - 1;
+  EXPECT_FALSE(comm.iprobe(rx, 0, 3));
+  EXPECT_FALSE(comm.try_recv(rx, 0, 3, m));
+  rx.now = dup;
+  EXPECT_TRUE(comm.iprobe(rx, 0, 3));
+  ASSERT_TRUE(comm.try_recv(rx, 0, 3, m));
+  EXPECT_EQ(m.arrival_ns, dup);
+}
+
 TEST(Comm, ThreadEngineDelivery) {
   pgas::ThreadEngine eng;
   pgas::RunConfig cfg;
@@ -162,6 +277,44 @@ TEST(Comm, ThreadEngineDelivery) {
     sum.fetch_add(v);
   });
   EXPECT_EQ(sum.load(), 0 + 1 + 2 + 3);
+}
+
+TEST(Comm, ThreadEngineConcurrentSendersLoseNothing) {
+  // Every other rank floods rank 0 at once, so sends race the receiver's
+  // lock-free empty-mailbox check on real threads: each message must
+  // arrive exactly once, and in send order per sender.
+  constexpr int kRanks = 6;
+  constexpr int kPerSender = 400;
+  pgas::ThreadEngine eng;
+  pgas::RunConfig cfg;
+  cfg.nranks = kRanks;
+  cfg.net = pgas::NetModel::distributed();
+  mp::Comm comm(kRanks);
+  std::vector<int> next(kRanks, 0);  // rank 0 only
+  int bad = 0;
+  eng.run(cfg, [&](pgas::Ctx& c) {
+    if (c.rank() != 0) {
+      for (int i = 0; i < kPerSender; ++i) {
+        comm.send(c, 0, 2, &i, sizeof i);
+        if (i % 16 == 0) c.yield();
+      }
+      return;
+    }
+    mp::Message m;
+    for (int got = 0; got < (kRanks - 1) * kPerSender;) {
+      if (!comm.iprobe(c, mp::kAny, 2) || !comm.try_recv(c, mp::kAny, 2, m)) {
+        c.yield();
+        continue;
+      }
+      int v;
+      std::memcpy(&v, m.payload.data(), sizeof v);
+      if (v != next[m.src]++) ++bad;
+      ++got;
+    }
+  });
+  EXPECT_EQ(bad, 0);
+  for (int r = 1; r < kRanks; ++r) EXPECT_EQ(next[r], kPerSender) << r;
+  EXPECT_EQ(comm.total_sends(), std::uint64_t{(kRanks - 1) * kPerSender});
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 // across a lookahead horizon.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "obs/observer.hpp"
 #include "pgas/sim_engine.hpp"
@@ -116,6 +118,26 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{ws::Algo::kUpcDistMem, 8, 4, 11},
         Shape{ws::Algo::kUpcDistMem, 9, 3, 2}),
     shape_name);
+
+TEST(Psim, OversubscribedWorkersMatchSimEngine) {
+  // More shard workers than cores: waiters yield their core before they
+  // block, and the run must still be the sequential engine's, bit for bit.
+  const int hc = static_cast<int>(std::thread::hardware_concurrency());
+  const int w = std::max(8, 2 * hc);
+  const uts::Params tree = uts::test_small(3);
+  const pgas::NetModel net = pgas::NetModel::distributed();
+  for (const ws::Algo algo : {ws::Algo::kUpcDistMem, ws::Algo::kMpiWs}) {
+    const Shape sh{algo, w, 4, 11};
+    pgas::SimEngine seq;
+    psim::PsimEngine par(w);
+    const ws::SearchResult ref = run_on(seq, sh, net, tree);
+    const ws::SearchResult got = run_on(par, sh, net, tree);
+    ASSERT_GT(par.last_stats().windows, 0u) << "expected the parallel path";
+    expect_same_run(ref, got,
+                    std::string(ws::algo_label(algo)) + " workers=" +
+                        std::to_string(w));
+  }
+}
 
 TEST(Psim, FaultPlanIdentity) {
   // Transient faults (stalls, latency spikes, drops/dups on the two-sided
