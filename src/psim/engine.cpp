@@ -30,10 +30,10 @@ std::uint64_t host_ns() {
 }
 
 /// Rounds a waiter re-checks its condition, with a yield between checks,
-/// before it blocks: about 80 us on a 4-vCPU host, longer than most waits
-/// for a wake or for the last shard to reach the barrier. Yielding, not a
-/// pause spin: when psim threads outnumber cores, a spinning waiter burns
-/// the time slice the thread it waits for needs.
+/// before it blocks (65-80 us on a 4-vCPU host): a wait that ends within
+/// them skips a futex sleep and wake-up. Yielding, not a pause spin: when
+/// psim threads outnumber cores, a spinning waiter burns the time slice
+/// the thread it waits for needs.
 constexpr int kYieldRounds = 256;
 
 /// The one wait psim's workers make: re-check `done` for kYieldRounds
