@@ -1,16 +1,22 @@
 // Execution-engine abstraction: the UPC-thread programming surface.
 //
 // Every load-balancing algorithm in src/ws is written once against Ctx and
-// runs unchanged on two engines:
+// runs unchanged on three engines:
 //
-//   * SimEngine    — cooperative fibers with a virtual clock (src/sim).
-//                    Remote references, locks, and polling advance virtual
-//                    time per the NetModel; the run's "elapsed time" is the
-//                    simulated makespan. This is how the paper's scaling
-//                    studies are reproduced on one physical core.
-//   * ThreadEngine — real std::thread execution with real synchronization.
-//                    Used by tests to validate the protocols under genuine
-//                    preemption and memory-ordering pressure.
+//   * SimEngine    — cooperative fibers with a virtual clock (src/sim), one
+//                    SimCtx per rank. Remote references, locks, and polling
+//                    advance virtual time per the NetModel; the run's
+//                    "elapsed time" is the simulated makespan. This is how
+//                    the paper's scaling studies are reproduced on one
+//                    physical core.
+//   * PsimEngine   — the same simulation sharded over OS worker threads
+//                    (src/psim). Its PsimCtx is a SimCtx that ships
+//                    cross-shard mediated ops to the owner's worker; runs
+//                    are byte-identical to SimEngine.
+//   * ThreadEngine — real std::thread execution with real synchronization,
+//                    one ThreadCtx per rank. Used by tests to validate the
+//                    protocols under genuine preemption and memory-ordering
+//                    pressure.
 //
 // Ctx mirrors the UPC features the paper leans on:
 //   shared-variable references with affinity-dependent cost   -> charge_ref
@@ -23,6 +29,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <random>
 #include <string>
 #include <type_traits>
@@ -46,11 +53,11 @@ inline constexpr std::uint64_t kChargeQuantumNs = 1000;
 
 /// Non-owning reference to a small callable: the raw-memory half of a
 /// mediated PGAS operation (one atomic access or one bulk memcpy). Passing
-/// it through the virtual Ctx::mediated() hook lets an engine decide *where*
-/// the access executes — inline for the sequential engines, or shipped to
-/// the owning rank's worker thread by the parallel engine. No allocation;
-/// the referenced callable must outlive the mediated() call (it always
-/// does: the op is a lambda in the caller's frame).
+/// it through the virtual Ctx::mediated_op() hook lets an engine decide
+/// *where* the access executes — inline for the sequential engines, or
+/// shipped to the owning rank's worker thread by the parallel engine. No
+/// allocation; the referenced callable must outlive the mediated_op() call
+/// (it always does: the op is a lambda in the caller's frame).
 class OpRef {
  public:
   template <typename F>
@@ -65,7 +72,7 @@ class OpRef {
 };
 
 /// A UPC-style lock with affinity. The lock word is always manipulated via
-/// Ctx so both engines and the cost model see every operation.
+/// Ctx so every engine and the cost model see every operation.
 ///
 /// The lock word packs a 32-bit *epoch* above the holder id. Under crash
 /// injection (RunConfig::faults.crashes) every hold also publishes a lease
@@ -193,14 +200,19 @@ class ObsSink {
   virtual void on_psim_fallback(const char* reason) { (void)reason; }
 };
 
-/// Per-rank execution context handed to the algorithm body.
+struct RunConfig;
+class RunFaults;
+
+/// Per-rank execution context handed to the algorithm body. The base owns
+/// the rank's identity, its RNG, the lock-word protocol and the run's fault
+/// state; an engine supplies the clock, charging, yielding and lock().
 class Ctx {
  public:
   virtual ~Ctx() = default;
 
-  virtual int rank() const = 0;
-  virtual int nranks() const = 0;
-  virtual const NetModel& net() const = 0;
+  int rank() const { return rank_; }
+  int nranks() const { return nranks_; }
+  const NetModel& net() const { return net_; }
 
   /// Elapsed time for this rank: virtual ns (sim) or wall ns (threads).
   virtual std::uint64_t now_ns() = 0;
@@ -218,23 +230,17 @@ class Ctx {
   virtual void lock(Lock& l) = 0;
 
   /// Single acquisition attempt; charges one reference cost.
-  virtual bool try_lock(Lock& l) = 0;
+  bool try_lock(Lock& l) {
+    charge_ref(l.owner);
+    return lock_word_acquire(l);
+  }
 
   /// Release `l`; must hold it. Charges one reference cost.
-  virtual void unlock(Lock& l) = 0;
+  void unlock(Lock& l);
 
   /// Deterministic per-rank random stream (probe order etc.); seeded from
   /// (RunConfig::seed, rank) so simulation runs are exactly reproducible.
-  virtual std::mt19937_64& rng() = 0;
-
-  /// Execute the raw-memory half of a mediated PGAS operation against data
-  /// owned by `owner`. The cost has already been charged (charge_ref /
-  /// bulk charge) by the caller. Default: run it inline — exactly the
-  /// pre-mediation behavior, so the sequential engines are byte-identical.
-  virtual void mediated(int owner, OpRef op) {
-    (void)owner;
-    op();
-  }
+  std::mt19937_64& rng() { return rng_; }
 
   /// One whole mediated access: charge `cost_ns` (already jitter- and
   /// partition-adjusted) and run `op` against `owner`'s memory. Default:
@@ -246,8 +252,9 @@ class Ctx {
   /// so shipping from the pre-charge slice is what makes barrier-deferred
   /// delivery sound) and to park the caller across the charge.
   virtual void mediated_op(int owner, std::uint64_t cost_ns, OpRef op) {
+    (void)owner;
     charge(cost_ns);
-    mediated(owner, op);
+    op();
   }
 
   /// Virtual time at which the currently executing scheduling slice began
@@ -423,6 +430,17 @@ class Ctx {
   }
 
  protected:
+  /// The rank's identity; the RNG is seeded here, once, from (seed, rank).
+  Ctx(int rank, int nranks, const NetModel& net, std::uint64_t seed)
+      : rank_(rank),
+        nranks_(nranks),
+        net_(net),
+        rng_(seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(rank)) {}
+
+  /// Identity from `cfg`, plus this rank's share of the run's fault set-up
+  /// and the telemetry sink.
+  Ctx(int rank, const RunConfig& cfg, const RunFaults& faults);
+
   /// Hook for the progress watchdog (node-count progress); engines that
   /// support the watchdog override this. Must be free of cost accounting.
   virtual void note_progress() {}
@@ -449,8 +467,8 @@ class Ctx {
     throw RankCrashed{rank(), t};
   }
 
-  /// One acquisition attempt on the packed lock word; shared by both
-  /// engines. In crash mode a held lock whose holder is detected dead and
+  /// One acquisition attempt on the packed lock word; shared by every
+  /// engine. In crash mode a held lock whose holder is detected dead and
   /// whose lease has expired is revoked — acquired under a bumped epoch in
   /// a single CAS, so exactly one contender wins the revocation.
   bool lock_word_acquire(Lock& l) {
@@ -514,6 +532,10 @@ class Ctx {
   std::vector<RevokeEvent> revoke_log_;
 
  private:
+  const int rank_;
+  const int nranks_;
+  const NetModel& net_;
+  std::mt19937_64 rng_;
   std::uint64_t msg_seq_ = 0;
 };
 
@@ -546,7 +568,7 @@ class StealScope {
   Ctx& c_;
 };
 
-/// Per-run configuration shared by both engines.
+/// Per-run configuration shared by every engine.
 struct RunConfig {
   int nranks = 4;
   NetModel net{};
@@ -603,6 +625,29 @@ struct RunConfig {
   /// falls back to the sequential engine when false. Ignored by SimEngine
   /// and ThreadEngine.
   bool remote_ops_mediated = false;
+};
+
+/// The fault set-up of one run, built once per run by every engine: a
+/// FaultInjector per rank when the plan enables any fault, the liveness
+/// board that crash and membership plans need, and the lock lease. Must
+/// outlive every Ctx of the run.
+class RunFaults {
+ public:
+  explicit RunFaults(const RunConfig& cfg);
+
+  /// `rank`'s injector, or nullptr when the plan is all-zero.
+  FaultInjector* injector(int rank) const { return injectors_[rank].get(); }
+  /// The run's liveness board, or nullptr unless the plan injects crashes
+  /// or membership changes.
+  Liveness* liveness() const { return live_; }
+  /// RunConfig::lock_lease_ns, or its 1 ms default.
+  std::uint64_t lease_ns() const { return lease_ns_; }
+
+ private:
+  std::vector<std::unique_ptr<FaultInjector>> injectors_;
+  std::unique_ptr<Liveness> own_live_;
+  Liveness* live_ = nullptr;
+  std::uint64_t lease_ns_;
 };
 
 struct RunResult {

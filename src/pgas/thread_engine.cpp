@@ -1,7 +1,6 @@
 #include "pgas/thread_engine.hpp"
 
 #include <chrono>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -10,25 +9,9 @@ namespace {
 
 class ThreadCtx final : public Ctx {
  public:
-  ThreadCtx(int rank, int nranks, const NetModel& net, std::uint64_t seed,
-            double inject_scale, std::chrono::steady_clock::time_point epoch,
-            FaultInjector* faults, Liveness* live, std::uint64_t lease_ns,
-            ObsSink* obs)
-      : rank_(rank),
-        nranks_(nranks),
-        net_(net),
-        inject_scale_(inject_scale),
-        rng_(seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(rank)),
-        start_(epoch) {
-    faults_ = faults;
-    live_ = live;
-    lease_ns_ = lease_ns;
-    obs_ = obs;
-  }
-
-  int rank() const override { return rank_; }
-  int nranks() const override { return nranks_; }
-  const NetModel& net() const override { return net_; }
+  ThreadCtx(int rank, const RunConfig& cfg, const RunFaults& faults,
+            double inject_scale, std::chrono::steady_clock::time_point epoch)
+      : Ctx(rank, cfg, faults), inject_scale_(inject_scale), start_(epoch) {}
 
   std::uint64_t now_ns() override {
     return static_cast<std::uint64_t>(
@@ -57,10 +40,10 @@ class ThreadCtx final : public Ctx {
       const std::uint64_t s = faults_->stall_due(t);
       if (s > 0) {
         busy_wait(s);
-        if (obs_ != nullptr) obs_->on_stall(rank_, t, s);
+        if (obs_ != nullptr) obs_->on_stall(rank(), t, s);
       }
     }
-    if (obs_ != nullptr) obs_->on_tick(rank_, now_ns());
+    if (obs_ != nullptr) obs_->on_tick(rank(), now_ns());
     std::this_thread::yield();
   }
 
@@ -73,24 +56,9 @@ class ThreadCtx final : public Ctx {
     } while (!lock_word_acquire(l));
     if (obs_ != nullptr) {
       const std::uint64_t now = now_ns();
-      obs_->on_lock_wait(rank_, now, now - wait_from);
+      obs_->on_lock_wait(rank(), now, now - wait_from);
     }
   }
-
-  bool try_lock(Lock& l) override {
-    charge_ref(l.owner);
-    return lock_word_acquire(l);
-  }
-
-  void unlock(Lock& l) override {
-    if (dead_) return;  // a crashed holder never releases; see revocation
-    in_unlock_ = true;
-    charge_ref(l.owner);
-    in_unlock_ = false;
-    lock_word_release(l);
-  }
-
-  std::mt19937_64& rng() override { return rng_; }
 
  private:
   static void busy_wait(std::uint64_t ns) {
@@ -100,11 +68,7 @@ class ThreadCtx final : public Ctx {
       std::this_thread::yield();
   }
 
-  int rank_;
-  int nranks_;
-  const NetModel& net_;
   double inject_scale_;
-  std::mt19937_64 rng_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -115,33 +79,12 @@ RunResult ThreadEngine::run(const RunConfig& cfg,
   std::vector<std::thread> threads;
   threads.reserve(cfg.nranks);
   std::atomic<int> ready{0};
-
-  const bool inject = cfg.faults.any();
-  std::vector<std::unique_ptr<FaultInjector>> injectors(cfg.nranks);
-  if (inject)
-    for (int r = 0; r < cfg.nranks; ++r)
-      injectors[r] = std::make_unique<FaultInjector>(cfg.faults, cfg.seed, r);
-
-  const bool need_live =
-      cfg.faults.crashes_enabled() || cfg.faults.membership_enabled();
-  std::unique_ptr<Liveness> own_live;
-  Liveness* live = cfg.liveness;
-  if (need_live && live == nullptr) {
-    own_live = std::make_unique<Liveness>(cfg.nranks,
-                                          cfg.faults.crash_detect_ns);
-    live = own_live.get();
-  }
-  if (need_live && cfg.faults.joins_enabled())
-    live->apply_join_plan(cfg.faults);
-  const std::uint64_t lease_ns =
-      cfg.lock_lease_ns != 0 ? cfg.lock_lease_ns : 1'000'000ull;
+  const RunFaults faults(cfg);
 
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < cfg.nranks; ++r) {
     threads.emplace_back([&, r] {
-      ThreadCtx ctx(r, cfg.nranks, cfg.net, cfg.seed, opt_.inject_scale, t0,
-                    injectors[r].get(), need_live ? live : nullptr, lease_ns,
-                    cfg.obs);
+      ThreadCtx ctx(r, cfg, faults, opt_.inject_scale, t0);
       // Crude start-line barrier so ranks begin together.
       ready.fetch_add(1, std::memory_order_acq_rel);
       while (ready.load(std::memory_order_acquire) < cfg.nranks)

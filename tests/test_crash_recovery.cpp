@@ -226,7 +226,7 @@ TEST(CrashRecovery, CrashFreePlanStaysByteIdentical) {
 class LeaseTestCtx : public pgas::Ctx {
  public:
   LeaseTestCtx(int rank, pgas::Liveness* lv, std::uint64_t lease_ns)
-      : rank_(rank) {
+      : Ctx(rank, 2, kNet, 1) {
     live_ = lv;
     lease_ns_ = lease_ns;
   }
@@ -236,9 +236,6 @@ class LeaseTestCtx : public pgas::Ctx {
   bool acquire(pgas::Lock& l) { return lock_word_acquire(l); }
   void release(pgas::Lock& l) { lock_word_release(l); }
 
-  int rank() const override { return rank_; }
-  int nranks() const override { return 2; }
-  const pgas::NetModel& net() const override { return net_; }
   std::uint64_t now_ns() override { return now; }
   void charge(std::uint64_t) override {}
   void yield() override {}
@@ -246,14 +243,9 @@ class LeaseTestCtx : public pgas::Ctx {
     while (!lock_word_acquire(l)) {
     }
   }
-  bool try_lock(pgas::Lock& l) override { return lock_word_acquire(l); }
-  void unlock(pgas::Lock& l) override { lock_word_release(l); }
-  std::mt19937_64& rng() override { return rng_; }
 
  private:
-  int rank_;
-  pgas::NetModel net_ = pgas::NetModel::free();
-  std::mt19937_64 rng_{1};
+  static inline const pgas::NetModel kNet = pgas::NetModel::free();
 };
 
 TEST(LockLease, WordPacksEpochAndHolder) {

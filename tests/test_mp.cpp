@@ -156,27 +156,19 @@ TEST(Comm, SelfSendWorks) {
 class ClockCtx : public pgas::Ctx {
  public:
   explicit ClockCtx(int rank, pgas::FaultInjector* fi = nullptr)
-      : rank_(rank) {
+      : Ctx(rank, 2, kNet, 1) {
     faults_ = fi;
   }
 
   std::uint64_t now = 0;
 
-  int rank() const override { return rank_; }
-  int nranks() const override { return 2; }
-  const pgas::NetModel& net() const override { return net_; }
   std::uint64_t now_ns() override { return now; }
   void charge(std::uint64_t) override {}
   void yield() override {}
   void lock(pgas::Lock&) override {}
-  bool try_lock(pgas::Lock&) override { return true; }
-  void unlock(pgas::Lock&) override {}
-  std::mt19937_64& rng() override { return rng_; }
 
  private:
-  int rank_;
-  pgas::NetModel net_ = pgas::NetModel::distributed();
-  std::mt19937_64 rng_{1};
+  static inline const pgas::NetModel kNet = pgas::NetModel::distributed();
 };
 
 // iprobe/try_recv return without taking the mailbox lock while nothing
