@@ -43,10 +43,6 @@ class PsimEngine final : public pgas::Engine {
 
   int workers() const { return workers_; }
 
-  /// Would this config run on the parallel path (true) or fall back to the
-  /// sequential engine (false)? Exposed for tests and diagnostics.
-  static bool parallel_eligible(const pgas::RunConfig& cfg, int workers);
-
   /// Why this config would take the sequential lane, as a static string
   /// ("too-few-lanes", "unmediated", "schedule-policy", "crash-plan",
   /// "membership-plan", "zero-lookahead"), or nullptr when the parallel
