@@ -4,10 +4,13 @@
 // well-formed).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "pgas/sim_engine.hpp"
 #include "trace/trace.hpp"
@@ -107,6 +110,91 @@ TEST(TraceUnit, ChromeJsonWellFormedBrackets) {
   // Balanced braces (crude JSON sanity).
   EXPECT_EQ(std::count(s.begin(), s.end(), '{'),
             std::count(s.begin(), s.end(), '}'));
+}
+
+TEST(TraceUnit, ChromeJsonExactBytes) {
+  // Every row shape of the export, pinned byte for byte: state slices
+  // (a zero-length one skipped, the last one closed by finish), instant
+  // rows with peer and nodes, and s/t/f flow steps with bp:"e" on the
+  // finish. Timestamps are microseconds printed as %.6f.
+  trace::Trace t(2);
+  t.state(0, 0, stats::State::kWorking);
+  t.state(0, 1500, stats::State::kSearching);
+  t.state(0, 1500, stats::State::kStealing);
+  t.steal(0, 1700, 1, 4, true);
+  t.state(0, 2001, stats::State::kWorking);
+  t.finish(0, 3250);
+  t.state(1, 7, stats::State::kSearching);
+  t.service(1, 1690, 0, 4, true);
+  t.fault(1, 2500, trace::Kind::kStall, 12345);
+  t.finish(1, 1234567891);
+  const std::vector<trace::FlowEvent> flows = {
+      {5, 1500, 0, 's'}, {5, 1690, 1, 't'}, {5, 1700, 0, 'f'}};
+  std::ostringstream os;
+  t.write_chrome_json(os, flows);
+  EXPECT_EQ(
+      os.str(),
+      "[\n"
+      R"({"name":"working","ph":"X","ts":0.000000,"dur":1.500000,"pid":0,"tid":0},)"
+      "\n"
+      R"({"name":"stealing","ph":"X","ts":1.500000,"dur":0.501000,"pid":0,"tid":0},)"
+      "\n"
+      R"({"name":"working","ph":"X","ts":2.001000,"dur":1.249000,"pid":0,"tid":0},)"
+      "\n"
+      R"({"name":"steal_ok","ph":"i","s":"t","ts":1.700000,"pid":0,"tid":0,"args":{"peer":1,"nodes":4}},)"
+      "\n"
+      R"({"name":"searching","ph":"X","ts":0.007000,"dur":1234567.884000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"service_grant","ph":"i","s":"t","ts":1.690000,"pid":0,"tid":1,"args":{"peer":0,"nodes":4}},)"
+      "\n"
+      R"({"name":"stall","ph":"i","s":"t","ts":2.500000,"pid":0,"tid":1,"args":{"peer":0,"nodes":12345}},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"s","id":5,"ts":1.500000,"pid":0,"tid":0},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"t","id":5,"ts":1.690000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"f","id":5,"ts":1.700000,"pid":0,"tid":0,"bp":"e"})"
+      "\n]\n");
+}
+
+TEST(TraceUnit, ChromeJsonLargeExportMatchesPrintf) {
+  // An export far past one output buffer: every state slice must equal
+  // the row printf("%.6f") timestamps give, in order, with nothing lost
+  // or repeated across buffer flushes.
+  constexpr int kRanks = 3;
+  constexpr std::uint64_t kStates = 4'000;
+  trace::Trace t(kRanks);
+  std::uint64_t seed = 12345;
+  std::vector<std::uint64_t> times;
+  for (std::uint64_t i = 0; i <= kStates; ++i) {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    times.push_back(i * 1'000'000'007ULL + (seed >> 40));
+  }
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::uint64_t i = 0; i < kStates; ++i)
+      t.state(r, times[i], static_cast<stats::State>(i % 4));
+    t.finish(r, times[kStates]);
+  }
+  std::ostringstream os;
+  t.write_chrome_json(os);
+  std::string want = "[\n";
+  char row[160];
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::uint64_t i = 0; i < kStates; ++i) {
+      std::snprintf(
+          row, sizeof row,
+          "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%f,\"dur\":%f,\"pid\":0,"
+          "\"tid\":%d}",
+          stats::state_name(static_cast<stats::State>(i % 4)),
+          static_cast<double>(times[i]) / 1000.0,
+          static_cast<double>(times[i + 1] - times[i]) / 1000.0, r);
+      if (r > 0 || i > 0) want += ",\n";
+      want += row;
+    }
+  }
+  want += "\n]\n";
+  EXPECT_EQ(os.str().size(), want.size());
+  EXPECT_TRUE(os.str() == want);
 }
 
 TEST(TraceUnit, KindNames) {
