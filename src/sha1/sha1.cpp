@@ -106,29 +106,69 @@ UPCWS_SHANI_TARGET inline void shani_rounds(
   (shani_group<G>(abcd, e, m), ...);
 }
 
-/// The SHA-1 compression on the x86 SHA extensions. Same contract as
-/// compress_portable; the lanes hold A..D and E most-significant first,
-/// and the message words are byte-swapped into the same order.
+/// Byte-reverses a register: with it, a load of message bytes puts each
+/// big-endian word in a lane, the first word most significant, and a store
+/// of H0..H3 in that order writes their big-endian bytes.
+UPCWS_SHANI_TARGET inline __m128i bswap128(__m128i x) {
+  return _mm_shuffle_epi8(
+      x, _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL));
+}
+
+/// One SHA-1 compression on the x86 SHA extensions: the lanes of `abcd`
+/// hold A..D most-significant first, the top lane of `e` holds E, and `m`
+/// holds W[0..15] in the order bswap128 gives. On return `abcd` and `e`
+/// hold the new chaining value in the same lanes.
+UPCWS_SHANI_TARGET inline void shani_compress(__m128i& abcd, __m128i& e,
+                                              __m128i (&m)[4]) {
+  const __m128i abcd_in = abcd;
+  const __m128i e_in = e;
+  __m128i es[2] = {e_in, _mm_setzero_si128()};
+  shani_rounds(abcd, es, m, std::make_integer_sequence<int, 20>{});
+  // es[0] holds A from before the last four rounds: rotated, it is E.
+  e = _mm_sha1nexte_epu32(es[0], e_in);
+  abcd = _mm_add_epi32(abcd, abcd_in);
+}
+
+/// compress_portable's contract on the SHA extensions.
 UPCWS_SHANI_TARGET void compress_shani(State& state,
                                        const std::uint8_t* block) {
-  const __m128i bswap =
-      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
-  const __m128i abcd_in = _mm_shuffle_epi32(
+  __m128i abcd = _mm_shuffle_epi32(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0x1B);
-  const __m128i e_in = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  __m128i e = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
   __m128i m[4];
   for (int i = 0; i < 4; ++i)
-    m[i] = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
-        bswap);
-  __m128i abcd = abcd_in;
-  __m128i e[2] = {e_in, _mm_setzero_si128()};
-  shani_rounds(abcd, e, m, std::make_integer_sequence<int, 20>{});
-  // e[0] holds A from before the last four rounds: rotated, it is E.
-  const __m128i e_out = _mm_sha1nexte_epu32(e[0], e_in);
+    m[i] = bswap128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)));
+  shani_compress(abcd, e, m);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
-                   _mm_shuffle_epi32(_mm_add_epi32(abcd, abcd_in), 0x1B));
-  state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e_out, 3));
+                   _mm_shuffle_epi32(abcd, 0x1B));
+  state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e, 3));
+}
+
+/// spawn on the SHA extensions. The padded message is W0..W4 = the parent
+/// state, W5 = the index, W6 = the 0x80 pad, W7..W14 = 0 and W15 = 192,
+/// the bit length; it is built in the message registers, never in memory.
+UPCWS_SHANI_TARGET void spawn_shani(const Digest& parent, std::uint32_t index,
+                                    Digest& child) {
+  std::uint32_t tail;  // parent bytes 16..19: W4, once byte-swapped
+  std::memcpy(&tail, parent.data() + 16, sizeof tail);
+  __m128i m[4] = {
+      bswap128(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(parent.data()))),
+      _mm_set_epi32(static_cast<int>(__builtin_bswap32(tail)),
+                    static_cast<int>(index), static_cast<int>(0x80000000u), 0),
+      _mm_setzero_si128(),
+      _mm_set_epi32(0, 0, 0, 24 * 8),
+  };
+  __m128i abcd =
+      _mm_set_epi32(static_cast<int>(kIv[0]), static_cast<int>(kIv[1]),
+                    static_cast<int>(kIv[2]), static_cast<int>(kIv[3]));
+  __m128i e = _mm_set_epi32(static_cast<int>(kIv[4]), 0, 0, 0);
+  shani_compress(abcd, e, m);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(child.data()), bswap128(abcd));
+  const std::uint32_t h4 =
+      __builtin_bswap32(static_cast<std::uint32_t>(_mm_extract_epi32(e, 3)));
+  std::memcpy(child.data() + 16, &h4, sizeof h4);
 }
 
 bool cpu_has_sha_ni() {
@@ -236,6 +276,23 @@ Digest compress_block_portable(const std::uint8_t* block64) {
   State state = kIv;
   compress_portable(state, block64);
   return to_digest(state);
+}
+
+void spawn(const Digest& parent, std::uint32_t index, Digest& child) {
+#if UPCWS_SHA1_SHANI
+  if (use_sha_ni()) return spawn_shani(parent, index, child);
+#endif
+  spawn_portable(parent, index, child);
+}
+
+void spawn_portable(const Digest& parent, std::uint32_t index,
+                    Digest& child) {
+  std::uint8_t block[64] = {};
+  std::memcpy(block, parent.data(), kDigestBytes);
+  store_be32(block + kDigestBytes, index);
+  block[24] = 0x80;
+  block[63] = 24 * 8;  // the message's bit length
+  child = compress_block_portable(block);
 }
 
 const char* kernel_name() {

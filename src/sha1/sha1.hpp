@@ -10,11 +10,11 @@
 // hashing, and is verified against the RFC 3174 / FIPS 180-1 test vectors in
 // tests/test_sha1.cpp.
 //
-// Two compression kernels sit behind Hasher and compress_block: the x86 SHA
-// extensions (SHA-NI) where the CPU reports them, and the portable scalar
-// code everywhere else. The choice is made once per process from CPUID;
-// both produce bit-identical digests, so every tree, golden and virtual
-// metric is the same on either.
+// Two compression kernels sit behind Hasher, compress_block and spawn: the
+// x86 SHA extensions (SHA-NI) where the CPU reports them, and the portable
+// scalar code everywhere else. The choice is made once per process from
+// CPUID; both produce bit-identical digests, so every tree, golden and
+// virtual metric is the same on either.
 #pragma once
 
 #include <array>
@@ -78,24 +78,33 @@ Digest hash(const void* data, std::size_t len);
 /// Digest of a single pre-padded 64-byte block, compressed straight from
 /// the SHA-1 IV. The caller owns the padding (0x80, zeros, 64-bit
 /// big-endian bit length) — equivalent to hash() of the unpadded message
-/// whenever that message fits one block (<= 55 bytes). For fixed-shape
-/// short messages (UTS spawn: 24 bytes) a caller can keep a padded block
-/// template and patch only the bytes that change between calls, skipping
-/// all incremental-hasher bookkeeping.
+/// whenever that message fits one block (<= 55 bytes).
 Digest compress_block(const std::uint8_t* block64);
+
+/// The UTS spawn hash: write SHA-1(parent || big-endian index) to `child`.
+/// The 24-byte message pads to one block, compressed from the IV. With
+/// SHA-NI the block is built in the message registers and never stored,
+/// and the digest leaves in one byte-swapping 16-byte store and one 4-byte
+/// store; reads and writes stay inside the two 20-byte states. `child` may
+/// be `parent`.
+void spawn(const Digest& parent, std::uint32_t index, Digest& child);
 
 /// The portable SHA-1 compression: fold one 64-byte block into `state`
 /// with the scalar RFC 3174 rounds. It is the only kernel on CPUs without
 /// the SHA extensions and on non-x86 builds, and the reference the
-/// dispatched kernel is tested against. Hot paths use Hasher and
-/// compress_block, which pick the fastest kernel themselves.
+/// dispatched kernel is tested against. Hot paths use Hasher, compress_block
+/// and spawn, which pick the fastest kernel themselves.
 void compress_portable(State& state, const std::uint8_t* block64);
 
 /// compress_block through the portable kernel, whatever the CPU.
 Digest compress_block_portable(const std::uint8_t* block64);
 
-/// The kernel Hasher and compress_block use in this process: "sha-ni" or
-/// "portable".
+/// spawn through the portable kernel (compress_portable on the padded
+/// block), whatever the CPU.
+void spawn_portable(const Digest& parent, std::uint32_t index, Digest& child);
+
+/// The kernel Hasher, compress_block and spawn use in this process:
+/// "sha-ni" or "portable".
 const char* kernel_name();
 
 /// One-shot convenience for string-like input.

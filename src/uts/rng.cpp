@@ -1,7 +1,5 @@
 #include "uts/rng.hpp"
 
-#include <algorithm>
-
 namespace upcws::uts::rng {
 namespace {
 
@@ -17,28 +15,10 @@ State init(std::uint32_t seed) {
   return sha1::hash(word.data(), word.size());
 }
 
-Spawner::Spawner(const State& parent) {
-  // Lay out the fully padded single block for SHA-1(parent || index):
-  // 20 state bytes, 4 index bytes (patched per child), 0x80, zeros, and
-  // the 64-bit big-endian bit length (24 bytes = 192 bits).
-  block_.fill(0);
-  std::copy(parent.begin(), parent.end(), block_.begin());
-  block_[24] = 0x80;
-  block_[63] = 192;
-}
-
-State Spawner::child(std::uint32_t index) {
-  const auto idx = be32(index);
-  block_[20] = idx[0];
-  block_[21] = idx[1];
-  block_[22] = idx[2];
-  block_[23] = idx[3];
-  return sha1::compress_block(block_.data());
-}
-
 State spawn(const State& parent, std::uint32_t index) {
-  Spawner s(parent);
-  return s.child(index);
+  State child;
+  sha1::spawn(parent, index, child);
+  return child;
 }
 
 std::uint32_t to_rand(const State& s) {

@@ -23,26 +23,8 @@ using State = std::array<std::uint8_t, sha1::kDigestBytes>;
 State init(std::uint32_t seed);
 
 /// Derive the state of child `index` from `parent`:
-/// SHA-1(parent_state || big-endian index).
+/// SHA-1(parent_state || big-endian index), by sha1::spawn.
 State spawn(const State& parent, std::uint32_t index);
-
-/// Batched child derivation from one parent.
-///
-/// The spawn message (20-byte parent state + 4-byte index) pads to exactly
-/// one SHA-1 block, so the padded block is precomputed once per parent and
-/// only the 4 index bytes are patched per child — one compression from the
-/// IV per child, no per-child hasher re-init. Produces bit-identical
-/// digests to spawn().
-class Spawner {
- public:
-  explicit Spawner(const State& parent);
-
-  /// State of child `index`; equivalent to spawn(parent, index).
-  State child(std::uint32_t index);
-
- private:
-  std::array<std::uint8_t, 64> block_;
-};
 
 /// Interpret a state as a non-negative 31-bit integer (first word, high bit
 /// masked), exactly in the spirit of the UTS rng_rand().

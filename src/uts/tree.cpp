@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sha1/sha1.hpp"
 #include "uts/rng.hpp"
 
 namespace upcws::uts {
@@ -73,24 +74,27 @@ int num_children(const Node& n, const Params& p) {
   return 0;
 }
 
+void make_children(const Node& parent, int first, int count, Node* out) {
+  const std::int32_t height = parent.height + 1;
+  for (int i = 0; i < count; ++i) {
+    sha1::spawn(parent.state, static_cast<std::uint32_t>(first + i),
+                out[i].state);
+    out[i].height = height;
+  }
+}
+
 Node make_child(const Node& parent, int index) {
   Node c;
-  c.state = rng::spawn(parent.state, static_cast<std::uint32_t>(index));
-  c.height = parent.height + 1;
+  make_children(parent, index, 1, &c);
   return c;
 }
 
 int expand(const Node& n, const Params& p, std::vector<Node>& out) {
   const int nc = num_children(n, p);
   if (nc <= 0) return nc;
-  rng::Spawner spawner(n.state);
-  out.reserve(out.size() + static_cast<std::size_t>(nc));
-  Node c;
-  c.height = n.height + 1;
-  for (int i = 0; i < nc; ++i) {
-    c.state = spawner.child(static_cast<std::uint32_t>(i));
-    out.push_back(c);
-  }
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(nc));
+  make_children(n, 0, nc, out.data() + at);
   return nc;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "uts/rng.hpp"
 #include "uts/tree.hpp"
 
 namespace upcws::ws {
@@ -19,19 +18,13 @@ int UtsProblem::expand(const std::byte* node, NodeSink& sink) const {
   const int nc = uts::num_children(n, params_);
   if (nc <= 0) return nc;
 
-  // One padded SHA-1 block template per parent, children delivered to the
-  // sink in small packed batches: the common leaf-ish cases (m = 2 or a
-  // geometric handful) take a single push_n.
-  uts::rng::Spawner spawner(n.state);
+  // Children reach the sink in small packed batches: the common leaf-ish
+  // cases (m = 2 or a geometric handful) take a single push_n.
   constexpr int kBatch = 16;
   uts::Node batch[kBatch];
-  const int h = n.height + 1;
   for (int done = 0; done < nc; done += kBatch) {
     const int take = std::min(nc - done, kBatch);
-    for (int i = 0; i < take; ++i) {
-      batch[i].state = spawner.child(static_cast<std::uint32_t>(done + i));
-      batch[i].height = h;
-    }
+    uts::make_children(n, done, take, batch);
     sink.push_n(reinterpret_cast<const std::byte*>(batch),
                 static_cast<std::size_t>(take), sizeof(uts::Node));
   }

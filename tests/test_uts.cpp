@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "uts/rng.hpp"
 #include "uts/sequential.hpp"
 #include "uts/tree.hpp"
+#include "ws/uts_problem.hpp"
 
 namespace {
 
@@ -30,14 +32,19 @@ TEST(UtsRng, SpawnDependsOnParentAndIndex) {
   EXPECT_NE(rng::spawn(root, 0), rng::spawn(other, 0));
 }
 
-TEST(UtsRng, SpawnerMatchesSpawnAndReference) {
-  // The batched Spawner (one padded block reused across children) must
-  // produce exactly what spawn() does, which in turn must equal a from-
-  // scratch incremental SHA-1 over parent-state || be32(index).
+TEST(UtsRng, MakeChildrenMatchesSpawnAndReference) {
+  // The batched child routine (make_children, behind both expansion loops)
+  // must produce exactly what spawn() does, which in turn must equal a
+  // from-scratch incremental SHA-1 over parent-state || be32(index).
   const auto parent = rng::init(99);
-  rng::Spawner spawner(parent);
+  Node p;
+  p.state = parent;
+  p.height = 5;
+  Node kids[64];
+  make_children(p, 0, 64, kids);
   for (std::uint32_t i = 0; i < 64; ++i) {
-    const auto fast = spawner.child(i);
+    const auto fast = kids[i].state;
+    EXPECT_EQ(kids[i].height, 6) << "index " << i;
     EXPECT_EQ(fast, rng::spawn(parent, i)) << "index " << i;
     upcws::sha1::Hasher h;
     h.update(parent.data(), parent.size());
@@ -48,10 +55,13 @@ TEST(UtsRng, SpawnerMatchesSpawnAndReference) {
     h.update(be, sizeof be);
     EXPECT_EQ(fast, h.finish()) << "index " << i;
   }
-  // Out-of-order and repeated use of one Spawner must not corrupt state.
-  EXPECT_EQ(spawner.child(3), rng::spawn(parent, 3));
-  EXPECT_EQ(spawner.child(0), rng::spawn(parent, 0));
-  EXPECT_EQ(spawner.child(3), rng::spawn(parent, 3));
+  // Out-of-order, offset and repeated children of one parent must agree.
+  for (const int i : {3, 0, 3}) {
+    Node c;
+    make_children(p, i, 1, &c);
+    EXPECT_EQ(c.state, rng::spawn(parent, static_cast<std::uint32_t>(i)));
+    EXPECT_EQ(c, make_child(p, i));
+  }
 }
 
 TEST(UtsRng, ToProbInUnitInterval) {
@@ -124,6 +134,50 @@ TEST(UtsTree, ExpandAppendsChildren) {
     unique.insert(n.state);
   }
   EXPECT_EQ(unique.size(), 64u) << "children must be distinct";
+}
+
+TEST(UtsTree, ExpandersMatchSpawnForEveryChildCount) {
+  // uts::expand (the sequential search) and ws::UtsProblem::expand (the
+  // parallel engines, batching 16 children per push_n) must yield exactly
+  // the nodes rng::spawn gives, for parents of 1 to 33 children: geometric
+  // draws, so every batch boundary and tail length is crossed.
+  Params p = test_small();
+  p.type = TreeType::kGeometric;
+  p.shape = GeomShape::kFixed;
+  p.b0 = 8;
+  p.gen_mx = 100;
+  const upcws::ws::UtsProblem problem(p);
+  struct Collect final : upcws::ws::NodeSink {
+    std::vector<Node> nodes;
+    void push(const std::byte* node) override {
+      Node n;
+      std::memcpy(&n, node, sizeof n);
+      nodes.push_back(n);
+    }
+  };
+  const Node root = make_root(p);
+  std::set<int> seen;
+  for (std::uint32_t j = 0; seen.size() < 33 && j < 100'000; ++j) {
+    Node parent;
+    parent.state = rng::spawn(root.state, j);
+    parent.height = 1 + static_cast<int>(j % 7);
+    const int nc = num_children(parent, p);
+    if (nc < 1 || nc > 33 || !seen.insert(nc).second) continue;
+    std::vector<Node> want;
+    for (int i = 0; i < nc; ++i)
+      want.push_back({rng::spawn(parent.state, static_cast<std::uint32_t>(i)),
+                      parent.height + 1});
+    std::vector<Node> seq = {root};  // expand appends after what is there
+    EXPECT_EQ(expand(parent, p, seq), nc);
+    seq.erase(seq.begin());
+    EXPECT_EQ(seq, want) << nc << " children";
+    Collect sink;
+    EXPECT_EQ(problem.expand(reinterpret_cast<const std::byte*>(&parent),
+                             sink),
+              nc);
+    EXPECT_EQ(sink.nodes, want) << nc << " children";
+  }
+  EXPECT_EQ(seen.size(), 33u);
 }
 
 TEST(UtsSeq, DeterministicSize) {
