@@ -57,8 +57,12 @@ void Observer::on_remote_op(int rank, int owner, OpKind kind,
   (void)owner;
   (void)now_ns;
   PerRank& pr = ranks_[rank];
-  ++pr.reg.counter("remote_ops");
-  ++pr.reg.counter(std::string("remote_") + op_kind_name(kind));
+  if (pr.remote_ops == nullptr) pr.remote_ops = &pr.reg.counter("remote_ops");
+  ++*pr.remote_ops;
+  std::uint64_t*& by_kind = pr.remote_by_kind[static_cast<std::size_t>(kind)];
+  if (by_kind == nullptr)
+    by_kind = &pr.reg.counter(std::string("remote_") + op_kind_name(kind));
+  ++*by_kind;
 }
 
 void Observer::on_psim_window(const PsimWindow& w) {

@@ -15,6 +15,7 @@
 // attached is byte-identical to the same run without one.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -135,8 +136,14 @@ class Observer final : public pgas::ObsSink {
   std::string sparklines(int width = 60) const;
 
  private:
+  static constexpr std::size_t kOpKinds =
+      static_cast<std::size_t>(OpKind::kBulkPut) + 1;
   struct PerRank {
     alignas(64) Registry reg;
+    // on_remote_op's counters in `reg`, looked up on their first op (a
+    // counter exists only once its kind has happened).
+    std::uint64_t* remote_ops = nullptr;
+    std::array<std::uint64_t*, kOpKinds> remote_by_kind{};
     std::uint64_t next_sample_ns = 0;
     std::uint64_t end_ns = 0;
     std::vector<StateEvent> states;

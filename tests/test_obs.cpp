@@ -63,6 +63,37 @@ TEST(ObsRegistry, CounterRefsAreStableAndMergeAcrossRanks) {
   EXPECT_EQ(hists.at("lock_wait_ns").max(), 900u);
 }
 
+TEST(ObsRegistry, RemoteOpCountersPerKindResetWithRun) {
+  // on_remote_op keeps per-rank counters: remote_ops and remote_<kind>,
+  // each created by its kind's first op, and all of them fresh after
+  // start_run.
+  using Op = pgas::ObsSink::OpKind;
+  obs::Observer ob;
+  ob.start_run(2, 0);
+  ob.on_remote_op(0, 1, Op::kGet, 10);
+  ob.on_remote_op(0, 1, Op::kGet, 20);
+  ob.on_remote_op(0, 1, Op::kCas, 30);
+  ob.on_remote_op(1, 0, Op::kBulkPut, 40);
+  EXPECT_EQ(ob.registry(0).counters(),
+            (std::map<std::string, std::uint64_t>{
+                {"remote_cas", 1}, {"remote_get", 2}, {"remote_ops", 3}}));
+  EXPECT_EQ(ob.merged_counters(),
+            (std::map<std::string, std::uint64_t>{{"remote_bulk_put", 1},
+                                                  {"remote_cas", 1},
+                                                  {"remote_get", 2},
+                                                  {"remote_ops", 4}}));
+  ob.start_run(1, 0);
+  EXPECT_TRUE(ob.merged_counters().empty());
+  ob.on_remote_op(0, 0, Op::kAdd, 5);
+  ob.on_remote_op(0, 0, Op::kPut, 6);
+  ob.on_remote_op(0, 0, Op::kBulkGet, 7);
+  EXPECT_EQ(ob.merged_counters(),
+            (std::map<std::string, std::uint64_t>{{"remote_add", 1},
+                                                  {"remote_bulk_get", 1},
+                                                  {"remote_ops", 3},
+                                                  {"remote_put", 1}}));
+}
+
 TEST(ObsSamples, JsonlRoundTrip) {
   obs::SampleStore s;
   s.reset(2);
