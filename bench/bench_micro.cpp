@@ -21,11 +21,11 @@
 
 using namespace upcws;
 
-// One SHA-1 compression of a padded 64-byte block from the IV: the unit
-// cost behind every UTS child (uts::rng::Spawner). kernel:0 is the portable
-// reference, kernel:1 the dispatched kernel the searches use (its name is
-// the label). Each digest seeds the next block, as a parent's seeds its
-// children's.
+// One SHA-1 compression of a padded 64-byte block from the IV, the block
+// and digest in memory. kernel:0 is the portable reference, kernel:1 the
+// dispatched kernel (its name is the label). Each digest seeds the next
+// block, as a parent's seeds its children's. UTS children take
+// sha1::spawn instead; BM_UtsSpawn prices that.
 static void BM_Sha1(benchmark::State& state) {
   const bool dispatched = state.range(0) != 0;
   std::uint8_t block[64] = {};
@@ -42,6 +42,26 @@ static void BM_Sha1(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof block));
 }
 BENCHMARK(BM_Sha1)->ArgName("kernel")->Arg(0)->Arg(1);
+
+// One binomial parent's two children through uts::make_children, the
+// routine both expansion loops use: the unit cost of expansion per
+// non-leaf node. The next parent is one of the two children, so the
+// iterations chain as a tree walk does. Time per iteration is ns per
+// parent; the label is the SHA-1 kernel in use.
+static void BM_UtsSpawn(benchmark::State& state) {
+  const uts::Params p = uts::test_small();
+  uts::Node parent = uts::make_root(p);
+  uts::Node kids[2];
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    uts::make_children(parent, 0, 2, kids);
+    benchmark::DoNotOptimize(kids);
+    parent = kids[i++ & 1];
+    if (parent.height > 1000) parent.height = 0;
+  }
+  state.SetLabel(sha1::kernel_name());
+}
+BENCHMARK(BM_UtsSpawn);
 
 static void BM_UtsChildGen(benchmark::State& state) {
   const uts::Params p = uts::test_small();
