@@ -252,4 +252,29 @@ std::uint64_t Scheduler::makespan_ns() const {
   return m;
 }
 
+std::uint64_t Scheduler::skip_inline_yields(std::uint64_t step_ns,
+                                            std::uint64_t max) {
+  const int cur = current_;
+  if (!running_ || cfg_.policy != nullptr || cur < 0 || step_ns == 0)
+    return 0;
+  // yield()'s inline guards, solved for the last clock `last` at which a
+  // yield still continues inline: within the vt limit and the progress
+  // window, and (last, cur) below the ready head and the stepping bound.
+  std::uint64_t last = cfg_.vt_limit_ns;
+  if (cfg_.watchdog_ns > 0)
+    last = std::min(last, progress_ns_ + std::min(cfg_.watchdog_ns,
+                                                  UINT64_MAX - progress_ns_));
+  const ReadyQueue::Entry head = rq_.empty() ? bound_ : rq_.top();
+  for (const ReadyQueue::Entry& e : {head, bound_}) {
+    if (e.vt == 0) return 0;
+    last = std::min(last, cur < e.task ? e.vt : e.vt - 1);
+  }
+  const std::uint64_t t = clocks_[cur];
+  if (last <= t) return 0;
+  const std::uint64_t n = std::min(max, (last - t) / step_ns);
+  clocks_[cur] = t + n * step_ns;
+  switches_ += n;
+  return n;
+}
+
 }  // namespace upcws::sim

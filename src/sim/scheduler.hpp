@@ -126,6 +126,17 @@ class Scheduler {
   /// stepping bound, a policy or teardown needs the scheduler loop.
   void yield();
 
+  /// Account in one step for up to `max` consecutive interaction points of
+  /// the current task that would each continue inline: its clock advances
+  /// by `step_ns`, then it yields and is still the minimum. Adds exactly
+  /// their clock and switches, under exactly the guards yield() applies —
+  /// a running scheduler with no policy, the task's (vt, id) key staying
+  /// below both the ready-queue head and the stepping bound, and neither
+  /// the vt limit nor the watchdog firing — and returns how many it
+  /// accounted. The caller guarantees that nothing else those steps would
+  /// do can differ (SimCtx::lock's constant-cost spins, docs/simulator.md).
+  std::uint64_t skip_inline_yields(std::uint64_t step_ns, std::uint64_t max);
+
   /// Largest virtual clock over all tasks after run() — the simulated
   /// makespan of the parallel execution.
   std::uint64_t makespan_ns() const;
