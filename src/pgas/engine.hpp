@@ -25,6 +25,7 @@
 //   spinning on shared state (barriers, flags)                -> poll loops
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -482,8 +483,7 @@ class Ctx {
       if (live_ == nullptr) return false;
       const int h = Lock::holder_of(w);
       const std::uint64_t now = now_ns();
-      if (!live_->dead(h, now) ||
-          now < l.lease_expiry_ns.load(std::memory_order_acquire))
+      if (now < revocable_ns(l, h))
         return false;  // live holder, or dead one still within its lease
       if (!l.word.compare_exchange_strong(
               w, Lock::pack(Lock::epoch_of(w) + 1, rank()),
@@ -496,6 +496,17 @@ class Ctx {
       l.lease_expiry_ns.store(now_ns() + lease_ns_, std::memory_order_release);
     ++lock_depth_;
     return true;
+  }
+
+  /// The lease rule of lock_word_acquire (crash mode only): the instant
+  /// from which a hold of `l` by `holder` may be revoked — once the holder
+  /// is seen dead (its death plus the detection latency) and its lease has
+  /// expired — or UINT64_MAX while the holder lives.
+  std::uint64_t revocable_ns(const Lock& l, int holder) const {
+    const std::uint64_t d = live_->death_ns(holder);
+    if (d == Liveness::kAlive) return UINT64_MAX;
+    return std::max(d + live_->detect_ns(),
+                    l.lease_expiry_ns.load(std::memory_order_acquire));
   }
 
   /// Release the packed lock word. A release whose epoch was revoked out

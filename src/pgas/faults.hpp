@@ -313,6 +313,17 @@ class FaultInjector {
   /// most once; the caller throws RankCrashed and kills the Ctx.
   bool crash_due(std::uint64_t now_ns, bool in_lock, bool in_steal);
 
+  /// The instant from which crash_due() fires for a rank whose scope stays
+  /// (`in_lock`, `in_steal`), or UINT64_MAX when it cannot fire: no crash
+  /// is armed here, or the crash's scope excludes the rank's.
+  std::uint64_t crash_armed_ns(bool in_lock, bool in_steal) const {
+    if (!crash_here_ ||
+        (crash_spec_.where == CrashSpec::Where::kInLock && !in_lock) ||
+        (crash_spec_.where == CrashSpec::Where::kMidSteal && !in_steal))
+      return UINT64_MAX;
+    return crash_spec_.at_ns;
+  }
+
   /// Safe-point hook: should this rank gracefully drain right now? Workers
   /// poll it only where no lock is held, no barrier is entered, and no
   /// steal is in flight. Fires at most once; the caller calls Ctx::leave()

@@ -58,6 +58,7 @@ void SimCtx::lock(Lock& l) {
   const std::uint64_t wait_from = sched_.now(task_);
   do {
     sched_.yield();
+    skip_spins(l);
     charge_ref(l.owner);
   } while (!lock_word_acquire(l));
   if (obs_ != nullptr) {
@@ -120,6 +121,42 @@ RunResult SimEngine::run(const RunConfig& cfg,
   res.elapsed_s = static_cast<double>(sched.makespan_ns()) * 1e-9;
   res.switches = sched.switches();
   return res;
+}
+
+void SimCtx::skip_spins(const Lock& l) {
+  // One fiber runs at a time, so while this rank's yields continue inline
+  // the lock word, the liveness board and the lease stay as they are and
+  // only its clock moves: each spin is a fixed charge, a failed attempt
+  // and an inline yield. The scheduler accounts as many as its own guards
+  // allow, capped here so every spin that would do more runs below: a
+  // charge that draws randomness or records an event (jitter, spikes, a
+  // partition to another rank), the charge that ends a quantum, one that
+  // reaches the armed crash, and the attempt that may revoke a dead
+  // holder's lock.
+  if (dead_ || net().jitter_frac > 0.0) return;
+  if (faults_ != nullptr &&
+      (faults_->plan().spikes_enabled() ||
+       (faults_->plan().partitions_enabled() && l.owner != rank())))
+    return;
+  const std::uint64_t c = net().ref_ns(rank(), l.owner);
+  if (c == 0 || acc_ + c >= kChargeQuantumNs) return;
+  const int holder = l.holder();
+  if (holder == Lock::kFree) return;  // released while others ran
+  // Spin i (from 1) charges at t + (i-1)c and attempts at t + ic.
+  const std::uint64_t t = sched_.now(task_);
+  std::uint64_t n = (kChargeQuantumNs - 1 - acc_) / c;
+  if (faults_ != nullptr) {
+    const std::uint64_t crash = faults_->crash_armed_ns(lock_depth_ > 0,
+                                                        in_steal_);
+    if (crash <= t) return;
+    n = std::min(n, (crash - t - 1) / c + 1);
+  }
+  if (live_ != nullptr) {
+    const std::uint64_t revoke = revocable_ns(l, holder);
+    if (revoke <= t) return;
+    n = std::min(n, (revoke - t - 1) / c);
+  }
+  acc_ += c * sched_.skip_inline_yields(c, n);
 }
 
 }  // namespace upcws::pgas

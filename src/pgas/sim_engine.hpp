@@ -49,6 +49,9 @@ class SimCtx : public Ctx {
 
  private:
   void maybe_stall();
+  /// Account, in closed form, the coming spins of lock() on `l` that no
+  /// other rank can interrupt (see the definition).
+  void skip_spins(const Lock& l);
 
   std::uint64_t acc_ = 0;
 };
