@@ -27,7 +27,9 @@ Regression direction is inferred from the metric name: *_per_sec and plain
 counters are better-higher; ns_per_* and *_s (durations) are better-lower.
 Metrics that are neither (e.g. `nodes`, `switches`) are checked for drift in
 either direction -- a change there means the workload itself changed, which
-invalidates the comparison.
+invalidates the comparison. `virtual_elapsed_s` is such a metric on sim/* and
+psim/* rows only: on threads/* rows it is wall time, printed but never
+flagged.
 """
 
 import argparse
@@ -46,6 +48,11 @@ INVARIANT = {"nodes", "switches", "virtual_elapsed_s"}
 NEUTRAL = {"windows", "events", "events_per_window", "host_frac.busy",
            "host_frac.wake_wait", "host_frac.barrier_wait",
            "host_frac.completion"}
+
+# Metrics that are workload invariants on the simulated engines (sim/*,
+# psim/* rows) but wall time on threads/* rows, where ThreadEngine's only
+# clock is the host's: neutral there.
+WALL_ON_THREADS = {"virtual_elapsed_s"}
 
 # Host context BenchReporter writes at the top of every file.
 CONTEXT = ("nproc", "sha1_kernel")
@@ -95,9 +102,11 @@ def validate(doc, path):
     return not errors
 
 
-def direction(metric):
-    """+1 higher-is-better, -1 lower-is-better, 0 invariant, None neutral."""
-    if metric in NEUTRAL:
+def direction(metric, result=""):
+    """+1 higher-is-better, -1 lower-is-better, 0 invariant, None neutral,
+    for `metric` on the result named `result`."""
+    if metric in NEUTRAL or (result.startswith("threads/") and
+                             metric in WALL_ON_THREADS):
         return None
     if metric in INVARIANT:
         return 0
@@ -146,7 +155,7 @@ def compare(cur, base, threshold, fail_on_regression, fail_over=None):
                 continue
             ratio = cv / bv
             delta = ratio - 1.0
-            d = direction(metric)
+            d = direction(metric, name)
             flag = ""
             if d is None:
                 print(f"{name:<28} {metric:<20} {bv:>12.4g} {cv:>12.4g} "
@@ -283,6 +292,21 @@ def self_test():
     cases.append(("psim ledger share is host-dependent, never flagged",
                   rc == 0 and "host-dependent" in out and
                   "REGRESSION" not in out and "improved" not in out))
+
+    def engine_rows(elapsed):
+        return {"schema": SCHEMA, "bench": "selftest", "mode": "quick",
+                "results": [{"name": f"{e}/upc-distmem/T3",
+                             "metrics": {"virtual_elapsed_s": elapsed}}
+                            for e in ("sim", "psim", "threads")]}
+    rc, out = run_compare_out(engine_rows(0.1212), engine_rows(0.1427))
+    rows = {ln.split()[0]: ln for ln in out.splitlines()
+            if "/upc-distmem/T3" in ln}
+    cases.append(("virtual_elapsed_s: wall time on threads/*, invariant on "
+                  "sim/* and psim/*",
+                  rc == 0 and "host-dependent" in rows["threads/upc-distmem/T3"]
+                  and "WORKLOAD CHANGED" not in rows["threads/upc-distmem/T3"]
+                  and all("WORKLOAD CHANGED" in rows[f"{e}/upc-distmem/T3"]
+                          for e in ("sim", "psim"))))
 
     ctx_base = dict(_canned(100.0), nproc=4, sha1_kernel="portable")
     ctx_kernel = dict(ctx_base, sha1_kernel="sha-ni")
