@@ -48,9 +48,7 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t run_seed,
 
 bool FaultInjector::crash_due(std::uint64_t now_ns, bool in_lock,
                               bool in_steal) {
-  if (!crash_here_ || now_ns < crash_spec_.at_ns) return false;
-  if (crash_spec_.where == CrashSpec::Where::kInLock && !in_lock) return false;
-  if (crash_spec_.where == CrashSpec::Where::kMidSteal && !in_steal)
+  if (!crash_here_ || now_ns < crash_armed_ns(in_lock, in_steal))
     return false;
   crash_here_ = false;  // fail-stop fires exactly once
   ++c_.crashes;
