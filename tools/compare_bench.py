@@ -15,6 +15,12 @@ Usage:
       (exit 1) regardless of --fail-on-regression. Lets CI keep the
       warn-at-15% policy while still catching catastrophic slowdowns.
 
+  compare_bench.py CURRENT.json BASELINE.json --exact
+      Every metric that is not host time must equal the baseline's, and the
+      two files must hold the same rows and metric names; any difference is
+      a FAIL (exit 1). This is the gate on bench_paper's quick-mode virtual
+      figures and claims, which are pure functions of the inputs.
+
   compare_bench.py --self-test
       Run the built-in unit checks on canned JSON and exit.
 
@@ -53,6 +59,16 @@ NEUTRAL = {"windows", "events", "events_per_window", "host_frac.busy",
 # psim/* rows) but wall time on threads/* rows, where ThreadEngine's only
 # clock is the host's: neutral there.
 WALL_ON_THREADS = {"virtual_elapsed_s"}
+
+# Metrics read off the host's clock rather than the simulator's: they vary
+# run to run and host to host, so --exact skips them. They are the neutral
+# metrics above, wall time (`wall_s`, and virtual_elapsed_s on threads/*
+# rows) and anything named `host_*` (bench_paper's real-machine rates).
+def host_time(metric, result=""):
+    return (metric in NEUTRAL or metric == "wall_s" or
+            metric.startswith("host_") or
+            (result.startswith("threads/") and metric in WALL_ON_THREADS))
+
 
 # Host context BenchReporter writes at the top of every file.
 CONTEXT = ("nproc", "sha1_kernel")
@@ -209,6 +225,44 @@ def compare(cur, base, threshold, fail_on_regression, fail_over=None):
     return 0
 
 
+def compare_exact(cur, base):
+    """Exit status 1 unless every row, metric name and non-host-time value
+    of `cur` equals `base`'s."""
+    problems = []
+    if cur.get("mode") != base.get("mode"):
+        problems.append(f"mode: baseline {base.get('mode')}, "
+                        f"current {cur.get('mode')}")
+    cur_by = {r["name"]: r for r in cur["results"]}
+    base_by = {r["name"]: r for r in base["results"]}
+    problems += [f"{n}: missing from current run" for n in base_by
+                 if n not in cur_by]
+    problems += [f"{n}: extra row, not in baseline" for n in cur_by
+                 if n not in base_by]
+    skipped = 0
+    for name, br in base_by.items():
+        cr = cur_by.get(name)
+        if cr is None:
+            continue
+        bm, cm = br["metrics"], cr["metrics"]
+        for metric in list(bm) + [m for m in cm if m not in bm]:
+            if host_time(metric, name):
+                skipped += 1
+                continue
+            bv, cv = bm.get(metric), cm.get(metric)
+            if bv != cv:
+                problems.append(f"{name} {metric}: baseline {bv!r}, "
+                                f"current {cv!r}")
+    for p in problems:
+        print(f"  {p}")
+    if problems:
+        print(f"compare_bench: FAIL: {len(problems)} difference(s) from the "
+              "baseline's virtual figures", file=sys.stderr)
+        return 1
+    print(f"compare_bench: exact match on {len(base_by)} rows "
+          f"({skipped} host-time values skipped)")
+    return 0
+
+
 def _canned(rate, nodes=1000):
     """One-result doc with a controllable throughput metric."""
     return {
@@ -321,6 +375,46 @@ def self_test():
     cases.append(("context missing from the baseline is noted as unrecorded",
                   rc == 0 and "nproc: baseline unrecorded, current 4" in out))
 
+    def run_exact(cur, base):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+             contextlib.redirect_stderr(io.StringIO()):
+            rc = compare_exact(cur, base)
+        return rc, out.getvalue()
+
+    def paper(edits=None):
+        doc = {"schema": SCHEMA, "bench": "paper", "mode": "quick",
+               "results": [
+                   {"name": "fig5/upc-distmem/r16", "metrics":
+                    {"speedup": 12.1133427, "wall_s": 0.13, "windows": 9439}},
+                   {"name": "fig5/claims", "metrics":
+                    {"distmem_ge_mpi_ws_every_rank_count": 1}},
+                   {"name": "seq/uts", "metrics":
+                    {"nodes": 518689, "host_nodes_per_sec": 13230579}}]}
+        for (row, metric), v in (edits or {}).items():
+            doc["results"][row]["metrics"][metric] = v
+        return doc
+
+    cases.append(("exact: an identical file passes",
+                  run_exact(paper(), paper())[0] == 0))
+    rc, out = run_exact(paper({(0, "speedup"): 12.1133428}), paper())
+    cases.append(("exact: a virtual metric off in its last digit fails",
+                  rc == 1 and "fig5/upc-distmem/r16 speedup" in out))
+    rc, out = run_exact(paper({(1, "distmem_ge_mpi_ws_every_rank_count"):
+                                0}), paper())
+    cases.append(("exact: a flipped claim fails",
+                  rc == 1 and "fig5/claims" in out))
+    missing = paper()
+    del missing["results"][1]
+    rc, out = run_exact(missing, paper())
+    cases.append(("exact: a missing row fails",
+                  rc == 1 and "fig5/claims: missing" in out))
+    rc, out = run_exact(paper(), missing)
+    cases.append(("exact: an extra row fails",
+                  rc == 1 and "fig5/claims: extra row" in out))
+    rc, _ = run_exact(paper({(0, "wall_s"): 0.4, (0, "windows"): 3,
+                              (2, "host_nodes_per_sec"): 9e6}), paper())
+    cases.append(("exact: differing host-time metrics pass", rc == 0))
+
     failed = 0
     for name, ok in cases:
         print(f"  {'PASS' if ok else 'FAIL'}  {name}")
@@ -345,6 +439,8 @@ def main():
     ap.add_argument("--fail-over", type=float, metavar="PCT",
                     help="hard-fail (exit 1) on any regression beyond PCT "
                          "percent, independent of --fail-on-regression")
+    ap.add_argument("--exact", action="store_true",
+                    help="fail on any difference outside host-time metrics")
     ap.add_argument("--self-test", action="store_true",
                     help="run built-in checks on canned JSON and exit")
     args = ap.parse_args()
@@ -369,6 +465,8 @@ def main():
     base = load(args.baseline)
     if not validate(base, args.baseline):
         return 1
+    if args.exact:
+        return compare_exact(cur, base)
     fail_over = None if args.fail_over is None else args.fail_over / 100.0
     return compare(cur, base, args.threshold, args.fail_on_regression,
                    fail_over)
