@@ -1,7 +1,6 @@
 #include "common.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -16,10 +15,6 @@ Mode mode_from_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) return Mode::kQuick;
     if (std::strcmp(argv[i], "--full") == 0) return Mode::kFull;
-  }
-  if (const char* env = std::getenv("UPCWS_BENCH_MODE")) {
-    if (std::strcmp(env, "quick") == 0) return Mode::kQuick;
-    if (std::strcmp(env, "full") == 0) return Mode::kFull;
   }
   return Mode::kDefault;
 }
@@ -101,6 +96,12 @@ BenchReporter::Result& BenchReporter::Result::note(const std::string& key,
                                                    const std::string& value) {
   notes.emplace_back(key, value);
   return *this;
+}
+
+double BenchReporter::Result::value(const std::string& key) const {
+  for (const auto& [k, v] : metrics)
+    if (k == key) return v;
+  return 0.0;
 }
 
 BenchReporter::BenchReporter(std::string bench, Mode mode)

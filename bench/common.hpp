@@ -1,9 +1,8 @@
-// Shared plumbing for the figure/table reproduction benches.
+// Shared plumbing for the bench binaries.
 //
-// Every bench binary runs standalone with defaults sized for a single-core
-// machine (whole suite in minutes). `--quick` shrinks workloads further;
-// `--full` runs paper-shaped configurations (bigger trees, more ranks).
-// The mode can also be set with UPCWS_BENCH_MODE=quick|default|full.
+// Every bench runs standalone with defaults sized for a small machine.
+// `--quick` shrinks workloads further; `--full` runs paper-shaped
+// configurations (bigger trees, more ranks).
 #pragma once
 
 #include <chrono>
@@ -65,12 +64,15 @@ class BenchReporter {
 
     Result& metric(const std::string& key, double value);
     Result& note(const std::string& key, const std::string& value);
+    /// The value of metric `key`, or 0 when the row has none.
+    double value(const std::string& key) const;
   };
 
   BenchReporter(std::string bench, Mode mode);
 
   /// Get-or-create the result row for `name` (insertion order preserved).
   Result& result(const std::string& name);
+  const std::vector<Result>& results() const { return results_; }
 
   void write_json(std::ostream& os) const;
   /// Write to `path`; returns false (with a message on stderr) on failure.
