@@ -2,114 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 namespace upcws::stats {
-
-namespace {
-constexpr char kMarkers[] = {'*', 'o', '+', 'x', '#', '@', '%', '&'};
-
-std::string fmt_num(double v) {
-  char buf[32];
-  if (std::abs(v) >= 100 || v == std::floor(v))
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  else
-    std::snprintf(buf, sizeof buf, "%.1f", v);
-  return buf;
-}
-}  // namespace
-
-std::string ascii_chart(const std::vector<double>& xs,
-                        const std::vector<Series>& series, int width,
-                        int height, bool log_x, const std::string& x_label,
-                        const std::string& y_label) {
-  if (xs.empty() || series.empty() || width < 16 || height < 4)
-    return "(empty chart)\n";
-
-  auto xt = [&](double x) { return log_x ? std::log2(std::max(x, 1e-12)) : x; };
-
-  double xmin = xt(xs.front()), xmax = xt(xs.front());
-  for (double x : xs) {
-    xmin = std::min(xmin, xt(x));
-    xmax = std::max(xmax, xt(x));
-  }
-  double ymin = 0.0, ymax = 0.0;
-  bool any = false;
-  for (const Series& s : series)
-    for (double y : s.second) {
-      if (!any) {
-        ymax = y;
-        any = true;
-      }
-      ymax = std::max(ymax, y);
-    }
-  if (!any) return "(empty chart)\n";
-  if (xmax <= xmin) xmax = xmin + 1;
-  if (ymax <= ymin) ymax = ymin + 1;
-
-  std::vector<std::string> grid(static_cast<std::size_t>(height),
-                                std::string(static_cast<std::size_t>(width),
-                                            ' '));
-  auto plot = [&](double x, double y, char m) {
-    const int col = static_cast<int>(
-        std::lround((xt(x) - xmin) / (xmax - xmin) * (width - 1)));
-    const int row = static_cast<int>(
-        std::lround((y - ymin) / (ymax - ymin) * (height - 1)));
-    const int r = height - 1 - row;
-    if (r >= 0 && r < height && col >= 0 && col < width) {
-      char& cell = grid[static_cast<std::size_t>(r)]
-                       [static_cast<std::size_t>(col)];
-      cell = cell == ' ' ? m : '"';  // '"' marks overlapping series
-    }
-  };
-  for (std::size_t si = 0; si < series.size(); ++si) {
-    const char m = kMarkers[si % sizeof kMarkers];
-    const auto& ys = series[si].second;
-    for (std::size_t i = 0; i < ys.size() && i < xs.size(); ++i)
-      plot(xs[i], ys[i], m);
-  }
-
-  std::ostringstream os;
-  os << y_label << '\n';
-  const std::string top = fmt_num(ymax), bot = fmt_num(ymin);
-  const std::size_t lw = std::max(top.size(), bot.size());
-  for (int r = 0; r < height; ++r) {
-    std::string label(lw, ' ');
-    if (r == 0) label = std::string(lw - top.size(), ' ') + top;
-    if (r == height - 1) label = std::string(lw - bot.size(), ' ') + bot;
-    os << label << " |" << grid[static_cast<std::size_t>(r)] << '\n';
-  }
-  os << std::string(lw + 1, ' ') << '+' << std::string(width, '-') << '\n';
-  os << std::string(lw + 2, ' ') << fmt_num(xs.front())
-     << std::string(std::max(1, width - 12), ' ') << fmt_num(xs.back())
-     << "  (" << x_label << (log_x ? ", log scale" : "") << ")\n";
-  for (std::size_t si = 0; si < series.size(); ++si)
-    os << "  " << kMarkers[si % sizeof kMarkers] << " = " << series[si].first
-       << '\n';
-  return os.str();
-}
-
-std::string ascii_bars(const std::vector<std::pair<std::string, double>>& rows,
-                       int width) {
-  if (rows.empty()) return "(no bars)\n";
-  double mx = 0;
-  std::size_t lw = 0;
-  for (const auto& [name, v] : rows) {
-    mx = std::max(mx, v);
-    lw = std::max(lw, name.size());
-  }
-  if (mx <= 0) mx = 1;
-  std::ostringstream os;
-  for (const auto& [name, v] : rows) {
-    const int n =
-        static_cast<int>(std::lround(v / mx * static_cast<double>(width)));
-    os << std::string(lw - name.size(), ' ') << name << " |"
-       << std::string(static_cast<std::size_t>(std::max(0, n)), '#') << ' '
-       << fmt_num(v) << '\n';
-  }
-  return os.str();
-}
 
 std::string sparkline(const std::vector<double>& ys, int width) {
   static constexpr char kRamp[] = " .:-=+*#%@";

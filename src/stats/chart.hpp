@@ -1,28 +1,11 @@
-// ASCII chart rendering, so the figure benches can draw the paper's plots
-// (speedup curves, performance-vs-chunk curves) directly in the terminal.
+// ASCII sparklines: one-line renderings of metric time-series for the
+// terminal.
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace upcws::stats {
-
-/// One named series of y-values (shares `xs` with the other series).
-using Series = std::pair<std::string, std::vector<double>>;
-
-/// Render an XY chart. Each series gets a distinct marker; a legend and
-/// axis labels are included. `log_x` spaces points by log2(x) (natural for
-/// processor-count sweeps). Series may be shorter than xs.
-std::string ascii_chart(const std::vector<double>& xs,
-                        const std::vector<Series>& series, int width = 68,
-                        int height = 16, bool log_x = false,
-                        const std::string& x_label = "x",
-                        const std::string& y_label = "y");
-
-/// Render labelled horizontal bars scaled to the maximum value.
-std::string ascii_bars(const std::vector<std::pair<std::string, double>>& rows,
-                       int width = 48);
 
 /// Render one series as a single-line density sparkline (" .:-=+*#%@"
 /// ramp, min..max normalized). Series longer than `width` are resampled by

@@ -1,69 +1,11 @@
-// ASCII chart renderer tests.
+// Sparkline renderer tests.
 #include <gtest/gtest.h>
 
 #include "stats/chart.hpp"
 
 namespace {
 
-using upcws::stats::ascii_bars;
-using upcws::stats::ascii_chart;
-using upcws::stats::Series;
 using upcws::stats::sparkline;
-
-TEST(Chart, ContainsMarkersAndLegend) {
-  const std::vector<double> xs{1, 2, 4, 8};
-  const std::vector<Series> series{{"alpha", {1, 2, 4, 8}},
-                                   {"beta", {1, 1.5, 2, 2.5}}};
-  const std::string s = ascii_chart(xs, series, 40, 10, true, "procs",
-                                    "speedup");
-  EXPECT_NE(s.find('*'), std::string::npos);
-  EXPECT_NE(s.find('o'), std::string::npos);
-  EXPECT_NE(s.find("* = alpha"), std::string::npos);
-  EXPECT_NE(s.find("o = beta"), std::string::npos);
-  EXPECT_NE(s.find("speedup"), std::string::npos);
-  EXPECT_NE(s.find("log scale"), std::string::npos);
-}
-
-TEST(Chart, RowCountMatchesHeight) {
-  const std::vector<double> xs{1, 2, 3};
-  const std::vector<Series> series{{"s", {1, 2, 3}}};
-  const std::string s = ascii_chart(xs, series, 30, 8);
-  int rows = 0;
-  for (char c : s)
-    if (c == '\n') ++rows;
-  // y-label + 8 grid rows + axis + x labels + 1 legend line
-  EXPECT_EQ(rows, 1 + 8 + 1 + 1 + 1);
-}
-
-TEST(Chart, EmptyInputsSafe) {
-  EXPECT_EQ(ascii_chart({}, {}), "(empty chart)\n");
-  EXPECT_EQ(ascii_chart({1.0}, {}), "(empty chart)\n");
-  EXPECT_EQ(ascii_bars({}), "(no bars)\n");
-}
-
-TEST(Chart, MaxValueLandsOnTopRow) {
-  const std::vector<double> xs{0, 1};
-  const std::vector<Series> series{{"s", {0, 10}}};
-  const std::string s = ascii_chart(xs, series, 20, 5);
-  // First grid line (after the y-label line) must contain the marker.
-  const auto first_nl = s.find('\n');
-  const auto second_nl = s.find('\n', first_nl + 1);
-  const std::string top_row = s.substr(first_nl + 1, second_nl - first_nl);
-  EXPECT_NE(top_row.find('*'), std::string::npos);
-}
-
-TEST(Bars, ScaledToMax) {
-  const std::string s =
-      ascii_bars({{"small", 1.0}, {"big", 10.0}}, 10);
-  // The big bar has 10 hashes, the small one 1.
-  EXPECT_NE(s.find("big |##########"), std::string::npos);
-  EXPECT_NE(s.find("small |#"), std::string::npos);
-}
-
-TEST(Bars, HandlesZeroValues) {
-  const std::string s = ascii_bars({{"z", 0.0}}, 10);
-  EXPECT_NE(s.find("z |"), std::string::npos);
-}
 
 TEST(Sparkline, MapsMinToBlankAndMaxToDensest) {
   const std::string s = sparkline({0, 5, 10}, 3);
