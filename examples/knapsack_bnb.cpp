@@ -4,7 +4,7 @@
 //
 // This example builds the B&B by hand through the generic ws::make_problem
 // facade, to show there is no magic; src/bnb/ packages the same pattern as
-// a reusable library (see tests/test_bnb.cpp and bench/bench_bnb.cpp).
+// a reusable library (see tests/test_bnb.cpp and bench_paper --only bnb).
 //
 // Each task is a partial decision prefix (items 0..idx-1 decided) with its
 // accumulated profit/weight. A shared incumbent (best complete solution so

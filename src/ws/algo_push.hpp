@@ -9,7 +9,8 @@
 // On UTS-style workloads this policy wastes transfers (pushes often land on
 // busy threads) and leaves idle threads waiting at the mercy of the push
 // schedule — which is exactly why the paper's line of work bets on
-// steal-based ("work-first") balancing. bench_pushing quantifies the gap.
+// steal-based ("work-first") balancing. bench_paper --only pushing
+// quantifies the gap.
 #pragma once
 
 #include "mp/comm.hpp"

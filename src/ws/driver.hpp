@@ -40,8 +40,8 @@ SearchResult run_algo(pgas::Engine& engine, const pgas::RunConfig& rcfg,
 /// round-robin to the ranks, each rank searches its share to completion,
 /// and the run ends when the slowest rank finishes. This is the static
 /// partitioning the paper's introduction rules out ("the state space ...
-/// can not be statically partitioned across processors"); bench_motivation
-/// quantifies exactly how badly it loses as imbalance grows.
+/// can not be statically partitioned across processors"); bench_paper's
+/// motivation experiment quantifies how badly it loses as imbalance grows.
 SearchResult run_static_partition(pgas::Engine& engine,
                                   const pgas::RunConfig& rcfg,
                                   const Problem& prob,

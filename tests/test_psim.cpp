@@ -276,9 +276,9 @@ TEST(Psim, ParallelEligibility) {
 }
 
 TEST(Psim, BenchScaleRowsReportTheLaneTaken) {
-  // bench_scale labels each row's lane from last_stats().windows after the
-  // run: eligibility checked on the caller's RunConfig beforehand reads
-  // "serial" for every row, because run_search is what marks the body's
+  // bench_paper labels each fig5/fig6 row's lane from last_stats().windows
+  // after the run: eligibility checked on the caller's RunConfig beforehand
+  // reads "serial" for every row, because run_search is what marks the body's
   // remote ops mediated. Pin the three row shapes: the Fig-5 rows run the
   // parallel lane, the Fig-6 row (locked family on the shared-memory model)
   // the serial one.

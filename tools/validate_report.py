@@ -25,7 +25,7 @@ upcws-service-report-v1 (service_soak --json):
   * the job-state oracle found no violation and no completed job
     disagreed with its sequential reference.
 
-upcws-service-timeline-v1 (service_soak --report, bench_service --report):
+upcws-service-timeline-v1 (service_soak --report):
   * outcome counts sum to jobs and per_job has exactly one entry per job,
   * per job AND in aggregate, the five causes + residual exactly account
     for the arrival-to-terminal time,
