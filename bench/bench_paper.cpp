@@ -351,7 +351,7 @@ void ladder(Paper& p) {
   const uts::Params tree = p.pick(uts::scaled_bench(5), uts::scaled_bench(4),
                                   uts::scaled_bench(0));
   p.note("tree", tree.describe());
-  p.note("chunks", "5,10,20");
+  p.note("chunk", "5,10,20");
   const ws::UtsProblem prob(tree);
   const pgas::RunConfig rcfg =
       p.machine(p.pick(16, 32, 32), "distributed", 3);
@@ -378,7 +378,7 @@ void ladder(Paper& p) {
 
   // The three mechanisms ablated independently at chunk 5, including the
   // off-diagonal combinations the paper never built.
-  p.setup.back() = {"chunk", "5"};
+  p.note("chunk", "5");
   std::map<std::string, double> rate;
   for (const char* name :
        {"cb-one-locked", "cb-half-locked", "cb-half-lockless",
