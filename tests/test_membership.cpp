@@ -11,6 +11,7 @@
 #include "check/replay.hpp"
 #include "pgas/faults.hpp"
 #include "pgas/sim_engine.hpp"
+#include "trace/trace.hpp"
 #include "uts/sequential.hpp"
 #include "ws/driver.hpp"
 #include "ws/uts_problem.hpp"
@@ -170,6 +171,52 @@ TEST(Membership, ExactCountsUnderDrainJoinPartition) {
   // A 40 us bipartition mid-search must have delayed *something* across
   // these 18 runs, or the injection hook is dead.
   EXPECT_GT(delays, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Trace rows of the membership faults, which no golden covers: the plan of
+// `uts_cli <tree_a> --drain 3@40000 --join 5@20000 --partition
+// 15:30000:60000` writes one drain, join and partition_delay row per
+// tallied event, and the partition rows carry the tallied delay.
+
+TEST(Membership, TraceRowsMatchTallies) {
+  uts::Params p;  // the golden suite's tree_a: -t 1 -b 64 -q 0.45 -m 2 -r 1
+  p.type = uts::TreeType::kBinomial;
+  p.b0 = 64;
+  p.q = 0.45;
+  p.m = 2;
+  p.root_seed = 1;
+  const ws::UtsProblem prob(p);
+  pgas::RunConfig rcfg = dist_cfg(8, 1);
+  rcfg.faults.drains.push_back({3, 40'000});
+  rcfg.faults.joins.push_back({5, 20'000});
+  rcfg.faults.partitions.push_back({15, 30'000, 60'000});
+  ws::WsConfig cfg = ws::WsConfig::for_algo(ws::Algo::kUpcDistMem, 4);
+  cfg.steal_timeout_ns = 30'000;  // uts_cli's default under a fault plan
+  trace::Trace tr(8);
+  cfg.trace = &tr;
+  pgas::SimEngine eng;
+  const auto r = ws::run_search(eng, rcfg, prob, cfg);
+  EXPECT_EQ(r.total_nodes(), uts::search_sequential(p)->nodes);
+
+  std::uint64_t drains = 0, joins = 0, delays = 0, delay_ns = 0;
+  for (const trace::Event& e : tr.merged()) {
+    if (e.kind == trace::Kind::kDrain) ++drains;
+    if (e.kind == trace::Kind::kJoin) ++joins;
+    if (e.kind != trace::Kind::kPartitionDelay) continue;
+    ++delays;
+    delay_ns += static_cast<std::uint64_t>(e.arg1);
+  }
+  EXPECT_EQ(drains, r.agg.total_faults_drains);
+  EXPECT_EQ(joins, r.agg.total_faults_joins);
+  EXPECT_EQ(delays, r.agg.total_partition_delays);
+  EXPECT_EQ(delay_ns, r.agg.total_partition_delay_ns);
+  // uts_cli prints the same run as membership[drains=1 joins=1
+  // partition_delays=5 partition_delay_ns=143329].
+  EXPECT_EQ(drains, 1u);
+  EXPECT_EQ(joins, 1u);
+  EXPECT_EQ(delays, 5u);
+  EXPECT_EQ(delay_ns, 143'329u);
 }
 
 }  // namespace

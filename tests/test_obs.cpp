@@ -450,6 +450,61 @@ TEST(ObsSpans, FlowEventsParseAndPair) {
   }
 }
 
+TEST(ObsSpans, ChromeJsonExactBytes) {
+  // Every row shape of the standalone span export, pinned byte for byte:
+  // one duration slice per span on its thief's row (salvaged and not,
+  // every outcome that has a length), then the completed spans' flows,
+  // with a "t" step only where the victim recorded its service and
+  // bp:"e" on the finish. A zero-length span and a span without a thief
+  // write nothing. Ids are spelled out (thief + 1 in bits 24..39) so the
+  // bytes do not depend on the process-wide run epoch.
+  obs::SpanLog log;
+  log.start_run(3);
+  using P = obs::SpanPhase;
+  const std::uint64_t a = (1ull << 24) | 1, b = (2ull << 24) | 1,
+                      c = (3ull << 24) | 1, d = (1ull << 24) | 2,
+                      e = 5, f = (2ull << 24) | 2;
+  log.event(0, a, P::kRequest, 1000, 0, 1);  // completed, with service
+  log.event(1, a, P::kService, 1500, 1, 0, 4);
+  log.event(0, a, P::kTransfer, 1800, 0, 1, 4);
+  log.event(0, a, P::kAbsorb, 2001, 0, 1, 4);
+  log.event(1, b, P::kRequest, 3000, 1, 2);  // salvaged after a timeout
+  log.event(1, b, P::kTimeout, 3500, 1, 2);
+  log.event(1, b, P::kSalvage, 4000, 1, 2, 3);
+  log.event(1, b, P::kAbsorb, 4250, 1, 2, 3);
+  log.event(2, c, P::kRequest, 5000, 2, 0);  // denied
+  log.event(0, c, P::kDeny, 5600, 0, 2);
+  log.event(0, d, P::kRequest, 7000, 0, 2);  // zero length: skipped
+  log.event(0, d, P::kAbandon, 7000, 0, 2);
+  log.event(0, e, P::kRequest, 8000, 0, 1);  // no thief: skipped
+  log.event(0, e, P::kAbsorb, 9000, 0, 1, 2);
+  log.event(1, f, P::kRequest, 10000, 1, 0);  // incomplete
+  log.event(0, f, P::kService, 1234567891, 0, 1, 2);
+  std::ostringstream os;
+  log.write_chrome_json(os);
+  EXPECT_EQ(
+      os.str(),
+      "[\n"
+      R"({"name":"steal completed","cat":"steal","ph":"X","ts":1.000000,"dur":1.001000,"pid":0,"tid":0,"args":{"victim":1,"nodes":4,"timeouts":0,"salvaged":false}},)"
+      "\n"
+      R"({"name":"steal completed","cat":"steal","ph":"X","ts":3.000000,"dur":1.250000,"pid":0,"tid":1,"args":{"victim":2,"nodes":3,"timeouts":1,"salvaged":true}},)"
+      "\n"
+      R"({"name":"steal denied","cat":"steal","ph":"X","ts":5.000000,"dur":0.600000,"pid":0,"tid":2,"args":{"victim":0,"nodes":0,"timeouts":0,"salvaged":false}},)"
+      "\n"
+      R"({"name":"steal incomplete","cat":"steal","ph":"X","ts":10.000000,"dur":1234557.891000,"pid":0,"tid":1,"args":{"victim":0,"nodes":2,"timeouts":0,"salvaged":false}},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"s","id":16777217,"ts":1.000000,"pid":0,"tid":0},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"t","id":16777217,"ts":1.500000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"f","id":16777217,"ts":2.001000,"pid":0,"tid":0,"bp":"e"},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"s","id":33554433,"ts":3.000000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"f","id":33554433,"ts":4.250000,"pid":0,"tid":1,"bp":"e"})"
+      "\n]\n");
+}
+
 // ---------------------------------------------------------------------------
 // Idle-time attribution coverage: >= 99% of non-Working time gets a cause
 // on every Figure-3 label, on both engines.

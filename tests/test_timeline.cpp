@@ -137,6 +137,99 @@ TEST(JobLog, RebasesAttemptSpansPreservingAbsentSteps) {
   EXPECT_EQ(j->outcome, obs::JobOutcome::kCompleted);
 }
 
+TEST(JobLog, ChromeJsonExactBytes) {
+  // Every row shape of the job-lane export, pinned byte for byte: the
+  // outer "job <outcome>" slice (with and without a reject reason), the
+  // queued / attempt N / backoff slices that partition it, the attempts'
+  // steal slices with the completed ones' s/f flows, and the terminal
+  // instant. Zero-length slices write nothing, and a job still in flight
+  // has no terminal rows.
+  obs::JobLog log;
+  // Job 1: a failed attempt and its backoff, an immediate second attempt
+  // (zero-length queued slice) carrying steal spans, then a queued tail.
+  log.admit(1, 1000, 0);
+  log.attempt_begin(1, 1, 1500);
+  log.attempt_end(1, 4000, /*failed=*/true, /*cancelled=*/false);
+  log.backoff(1, 6000);
+  log.attempt_begin(1, 2, 6000);
+  log.attempt_end(1, 9000, false, false);
+  std::vector<obs::Span> steals(3);
+  steals[0].id = (1ull << 24) | 1;  // completed: slice and flow
+  steals[0].thief = 0;
+  steals[0].victim = 1;
+  steals[0].t_request = 100;
+  steals[0].t_service = 150;
+  steals[0].t_absorb = 300;
+  steals[0].t_end = 300;
+  steals[0].nodes = 4;
+  steals[0].outcome = obs::Span::Outcome::kCompleted;
+  steals[1].id = (2ull << 24) | 1;  // denied: slice only
+  steals[1].thief = 1;
+  steals[1].victim = 0;
+  steals[1].t_request = 400;
+  steals[1].t_end = 650;
+  steals[1].outcome = obs::Span::Outcome::kDenied;
+  steals[2].id = (2ull << 24) | 2;  // zero length: skipped
+  steals[2].thief = 1;
+  steals[2].victim = 2;
+  steals[2].t_request = 700;
+  steals[2].t_end = 700;
+  log.attempt_spans(1, steals, 6000);
+  log.terminal(1, 9500, obs::JobOutcome::kCompleted);
+  // Job 2: load-shed after a wait.
+  log.admit(2, 2000, 0);
+  log.rejected(2, 2500, "queue_full");
+  // Job 3: dispatched on arrival, cancelled at its deadline.
+  log.admit(3, 3000, 4000);
+  log.attempt_begin(3, 1, 3000);
+  log.attempt_end(3, 4000, false, /*cancelled=*/true);
+  log.terminal(3, 4000, obs::JobOutcome::kCancelled);
+  // Job 4: still running.
+  log.admit(4, 100, 0);
+  log.attempt_begin(4, 1, 1234567891);
+  std::ostringstream os;
+  log.write_chrome_json(os);
+  EXPECT_EQ(
+      os.str(),
+      "[\n"
+      R"({"name":"job completed","ph":"X","ts":1.000000,"dur":8.500000,"pid":0,"tid":1,"args":{"job":1,"attempts":2}},)"
+      "\n"
+      R"({"name":"queued","ph":"X","ts":1.000000,"dur":0.500000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"attempt 1","ph":"X","ts":1.500000,"dur":2.500000,"pid":0,"tid":1,"args":{"failed":true,"cancelled":false}},)"
+      "\n"
+      R"({"name":"backoff","ph":"X","ts":4.000000,"dur":2.000000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"attempt 2","ph":"X","ts":6.000000,"dur":3.000000,"pid":0,"tid":1,"args":{"failed":false,"cancelled":false}},)"
+      "\n"
+      R"({"name":"steal completed","ph":"X","ts":6.100000,"dur":0.200000,"pid":0,"tid":1,"args":{"victim":1,"nodes":4}},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"s","id":16777217,"ts":6.100000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"steal","cat":"steal","ph":"f","id":16777217,"ts":6.300000,"pid":0,"tid":1,"bp":"e"},)"
+      "\n"
+      R"({"name":"steal denied","ph":"X","ts":6.400000,"dur":0.250000,"pid":0,"tid":1,"args":{"victim":0,"nodes":0}},)"
+      "\n"
+      R"({"name":"queued","ph":"X","ts":9.000000,"dur":0.500000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"completed","ph":"i","s":"t","ts":9.500000,"pid":0,"tid":1},)"
+      "\n"
+      R"({"name":"job rejected","ph":"X","ts":2.000000,"dur":0.500000,"pid":0,"tid":2,"args":{"job":2,"attempts":0,"reject":"queue_full"}},)"
+      "\n"
+      R"({"name":"queued","ph":"X","ts":2.000000,"dur":0.500000,"pid":0,"tid":2},)"
+      "\n"
+      R"({"name":"rejected","ph":"i","s":"t","ts":2.500000,"pid":0,"tid":2},)"
+      "\n"
+      R"({"name":"job cancelled","ph":"X","ts":3.000000,"dur":1.000000,"pid":0,"tid":3,"args":{"job":3,"attempts":1}},)"
+      "\n"
+      R"({"name":"attempt 1","ph":"X","ts":3.000000,"dur":1.000000,"pid":0,"tid":3,"args":{"failed":false,"cancelled":true}},)"
+      "\n"
+      R"({"name":"cancelled","ph":"i","s":"t","ts":4.000000,"pid":0,"tid":3},)"
+      "\n"
+      R"({"name":"queued","ph":"X","ts":0.100000,"dur":1234567.791000,"pid":0,"tid":4})"
+      "\n]\n");
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: a service run covering every outcome class feeds the log, the
 // autopsy attributes >= 99% of every job's latency, and the JSON/Perfetto
