@@ -1,8 +1,5 @@
 #include "obs/job_log.hpp"
 
-#include <algorithm>
-#include <ostream>
-
 namespace upcws::obs {
 
 const char* job_outcome_name(JobOutcome o) {
@@ -101,71 +98,47 @@ void JobLog::terminal(std::uint64_t id, std::uint64_t t_ns, JobOutcome o) {
   t->outcome = o;
 }
 
-void JobLog::write_chrome_json(std::ostream& os, int tid_base) const {
-  os << "[\n";
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    if (!first) os << ",\n";
-    first = false;
-    os << line;
-  };
-  auto us = [](std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; };
-  auto slice = [&](const std::string& name, std::uint64_t b, std::uint64_t e,
-                   int tid, const std::string& args) {
-    if (e <= b) return;
-    emit("{\"name\":\"" + name + "\",\"ph\":\"X\",\"ts\":" +
-         std::to_string(us(b)) + ",\"dur\":" + std::to_string(us(e - b)) +
-         ",\"pid\":0,\"tid\":" + std::to_string(tid) +
-         (args.empty() ? "" : ",\"args\":{" + args + "}") + "}");
-  };
-
+void JobLog::write_chrome_json(std::ostream& os) const {
+  trace::ChromeWriter out(os);
   for (const JobTimeline& j : jobs_) {
-    const int tid = tid_base + static_cast<int>(j.id);
-    const std::uint64_t end = std::max(j.terminal_ns, j.arrival_ns);
-    slice(std::string("job ") + job_outcome_name(j.outcome), j.arrival_ns,
-          end, tid,
-          "\"job\":" + std::to_string(j.id) +
-              ",\"attempts\":" + std::to_string(j.attempts.size()) +
-              (j.reject.empty() ? "" : ",\"reject\":\"" + j.reject + "\""));
+    const int tid = static_cast<int>(j.id);
+    out.slice({"job ", job_outcome_name(j.outcome)}, j.arrival_ns,
+              j.terminal_ns, tid)
+        .arg("job", j.id)
+        .arg("attempts", j.attempts.size());
+    if (!j.reject.empty()) out.arg("reject", j.reject);
     // Queue-wait, attempt and backoff slices partition [arrival, terminal).
     std::uint64_t cursor = j.arrival_ns;
     for (const JobAttempt& a : j.attempts) {
-      slice("queued", cursor, a.begin_ns, tid, "");
-      slice("attempt " + std::to_string(a.number), a.begin_ns, a.end_ns, tid,
-            std::string("\"failed\":") + (a.failed ? "true" : "false") +
-                ",\"cancelled\":" + (a.cancelled ? "true" : "false"));
+      out.slice("queued", cursor, a.begin_ns, tid);
+      out.slice({"attempt ", a.number}, a.begin_ns, a.end_ns, tid)
+          .arg("failed", a.failed)
+          .arg("cancelled", a.cancelled);
       cursor = a.end_ns;
       if (a.backoff_until_ns > a.end_ns) {
-        slice("backoff", a.end_ns, a.backoff_until_ns, tid, "");
+        out.slice("backoff", a.end_ns, a.backoff_until_ns, tid);
         cursor = a.backoff_until_ns;
       }
       for (const Span& s : a.steals) {
         if (s.t_end <= s.t_request) continue;
-        slice(std::string("steal ") + span_outcome_name(s.outcome),
-              s.t_request, s.t_end, tid,
-              "\"victim\":" + std::to_string(s.victim) +
-                  ",\"nodes\":" + std::to_string(s.nodes));
+        out.slice({"steal ", span_outcome_name(s.outcome)}, s.t_request,
+                  s.t_end, tid)
+            .arg("victim", s.victim)
+            .arg("nodes", s.nodes);
         // Flow steps share the span's process-unique id, so a merged trace
         // that also carries the engine-side export of this attempt draws
         // the arrow between the job lane and the rank timelines.
         if (!s.completed()) continue;
-        emit("{\"name\":\"steal\",\"cat\":\"steal\",\"ph\":\"s\",\"id\":" +
-             std::to_string(s.id) + ",\"ts\":" + std::to_string(us(s.t_request)) +
-             ",\"pid\":0,\"tid\":" + std::to_string(tid) + "}");
-        emit("{\"name\":\"steal\",\"cat\":\"steal\",\"ph\":\"f\",\"id\":" +
-             std::to_string(s.id) + ",\"ts\":" + std::to_string(us(s.t_absorb)) +
-             ",\"pid\":0,\"tid\":" + std::to_string(tid) + ",\"bp\":\"e\"}");
+        out.flow({s.id, s.t_request, tid, 's'});
+        out.flow({s.id, s.t_absorb, tid, 'f'});
       }
     }
     if (j.outcome != JobOutcome::kNone) {
-      slice("queued", cursor, j.terminal_ns, tid, "");
-      emit("{\"name\":\"" + std::string(job_outcome_name(j.outcome)) +
-           "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
-           std::to_string(us(j.terminal_ns)) +
-           ",\"pid\":0,\"tid\":" + std::to_string(tid) + "}");
+      out.slice("queued", cursor, j.terminal_ns, tid);
+      out.instant(job_outcome_name(j.outcome), j.terminal_ns, tid);
     }
   }
-  os << "\n]\n";
+  out.finish();
 }
 
 }  // namespace upcws::obs

@@ -94,11 +94,11 @@ class JobLog {
   const std::vector<JobTimeline>& jobs() const { return jobs_; }
   const JobTimeline* find(std::uint64_t id) const;
 
-  /// Perfetto Chrome-JSON export: one lane (tid = `tid_base` + job id) per
-  /// job carrying queued / attempt / backoff slices, the attempts' steal
-  /// spans nested inside, and the steal flow arrows (ids shared with any
-  /// engine-side export of the same runs). Open at https://ui.perfetto.dev.
-  void write_chrome_json(std::ostream& os, int tid_base = 0) const;
+  /// Perfetto Chrome-JSON export: one lane (tid = job id) per job carrying
+  /// queued / attempt / backoff slices, the attempts' steal spans nested
+  /// inside, and the steal flow arrows (ids shared with any engine-side
+  /// export of the same runs). Open at https://ui.perfetto.dev.
+  void write_chrome_json(std::ostream& os) const;
 
  private:
   JobTimeline* get(std::uint64_t id);

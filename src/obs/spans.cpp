@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <ostream>
-#include <string>
 
 namespace upcws::obs {
 
@@ -130,38 +128,18 @@ std::vector<trace::FlowEvent> SpanLog::flow_events() const {
 }
 
 void SpanLog::write_chrome_json(std::ostream& os) const {
-  os << "[\n";
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    if (!first) os << ",\n";
-    first = false;
-    os << line;
-  };
-  auto us = [](std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; };
-
+  trace::ChromeWriter out(os);
   for (const Span& s : assemble()) {
-    if (s.thief < 0 || s.t_end <= s.t_request) continue;
-    emit("{\"name\":\"steal " + std::string(span_outcome_name(s.outcome)) +
-         "\",\"cat\":\"steal\",\"ph\":\"X\",\"ts\":" +
-         std::to_string(us(s.t_request)) +
-         ",\"dur\":" + std::to_string(us(s.t_end - s.t_request)) +
-         ",\"pid\":0,\"tid\":" + std::to_string(s.thief) +
-         ",\"args\":{\"victim\":" + std::to_string(s.victim) +
-         ",\"nodes\":" + std::to_string(s.nodes) +
-         ",\"timeouts\":" + std::to_string(s.timeouts) +
-         ",\"salvaged\":" + (s.salvaged ? "true" : "false") + "}}");
+    if (s.thief < 0) continue;
+    out.slice({"steal ", span_outcome_name(s.outcome)}, s.t_request, s.t_end,
+              s.thief, "steal")
+        .arg("victim", s.victim)
+        .arg("nodes", s.nodes)
+        .arg("timeouts", s.timeouts)
+        .arg("salvaged", s.salvaged);
   }
-  for (const trace::FlowEvent& f : flow_events()) {
-    std::string line = "{\"name\":\"steal\",\"cat\":\"steal\",\"ph\":\"";
-    line += f.ph;
-    line += "\",\"id\":" + std::to_string(f.id) +
-            ",\"ts\":" + std::to_string(us(f.t_ns)) +
-            ",\"pid\":0,\"tid\":" + std::to_string(f.tid);
-    if (f.ph == 'f') line += ",\"bp\":\"e\"";
-    line += "}";
-    emit(line);
-  }
-  os << "\n]\n";
+  for (const trace::FlowEvent& f : flow_events()) out.flow(f);
+  out.finish();
 }
 
 }  // namespace upcws::obs

@@ -1,10 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <ostream>
-#include <string>
-#include <string_view>
 
 namespace upcws::trace {
 
@@ -76,83 +73,20 @@ void Trace::write_csv(std::ostream& os) const {
        << ',' << e.arg1 << '\n';
 }
 
-void Trace::write_chrome_json(std::ostream& os) const {
-  write_chrome_json(os, {});
+ChromeWriter& ChromeWriter::flush(std::string_view tail) {
+  os_.write(buf_.get(), p_ - buf_.get());
+  os_.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+  p_ = buf_.get();
+  return *this;
 }
-
-namespace {
-
-/// The rows of a Chrome export, gathered in one buffer that goes to the
-/// stream every 64 KiB: numbers are formatted in place by std::to_chars,
-/// and the export never holds more than one buffer of text.
-class ChromeRows {
- public:
-  explicit ChromeRows(std::ostream& os) : os_(os) {
-    buf_.reserve(kFlushBytes + 512);
-    buf_ = "[\n";
-  }
-
-  /// Start a row: the separator after the previous one, and a flush once
-  /// the buffer is full.
-  ChromeRows& row() {
-    if (buf_.size() >= kFlushBytes) flush();
-    if (rows_++ > 0) buf_ += ",\n";
-    return *this;
-  }
-  ChromeRows& text(std::string_view s) {
-    buf_ += s;
-    return *this;
-  }
-  template <typename Int>
-  ChromeRows& num(Int v) {
-    char t[24];
-    buf_.append(t, std::to_chars(t, t + sizeof t, v).ptr);
-    return *this;
-  }
-  /// Nanoseconds as microseconds, "%.6f" as std::to_string(double) prints
-  /// them (the standard defines this to_chars form to match printf).
-  ChromeRows& us(std::uint64_t ns) {
-    char t[40];  // 2^64 ns is 17 digits of microseconds, plus ".dddddd"
-    buf_.append(t, std::to_chars(t, t + sizeof t,
-                                 static_cast<double>(ns) / 1000.0,
-                                 std::chars_format::fixed, 6)
-                       .ptr);
-    return *this;
-  }
-  /// Close the array and write what is left.
-  void finish() {
-    buf_ += "\n]\n";
-    flush();
-  }
-
- private:
-  static constexpr std::size_t kFlushBytes = 64 * 1024;
-  void flush() {
-    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
-  }
-  std::ostream& os_;
-  std::string buf_;
-  std::size_t rows_ = 0;
-};
-
-}  // namespace
 
 void Trace::write_chrome_json(std::ostream& os,
                               const std::vector<FlowEvent>& flows) const {
-  ChromeRows out(os);
+  ChromeWriter out(os);
   // A Figure-1 state slice of rank `r` from `from` to `end_ns`.
   auto slice = [&](int r, const Event& from, std::uint64_t end_ns) {
-    out.row()
-        .text("{\"name\":\"")
-        .text(stats::state_name(static_cast<stats::State>(from.arg0)))
-        .text("\",\"ph\":\"X\",\"ts\":")
-        .us(from.t_ns)
-        .text(",\"dur\":")
-        .us(end_ns - from.t_ns)
-        .text(",\"pid\":0,\"tid\":")
-        .num(r)
-        .text("}");
+    out.slice(stats::state_name(static_cast<stats::State>(from.arg0)),
+              from.t_ns, end_ns, r);
   };
   for (int r = 0; r < nranks(); ++r) {
     const std::vector<Event> v = ordered(r);
@@ -160,43 +94,22 @@ void Trace::write_chrome_json(std::ostream& os,
     const Event* prev = nullptr;
     for (const Event& e : v) {
       if (e.kind != Kind::kState) continue;
-      if (prev != nullptr && e.t_ns > prev->t_ns) slice(r, *prev, e.t_ns);
+      if (prev != nullptr) slice(r, *prev, e.t_ns);
       prev = &e;
     }
-    if (prev != nullptr && ends_[r] > prev->t_ns) slice(r, *prev, ends_[r]);
+    if (prev != nullptr) slice(r, *prev, ends_[r]);
     // Instant events for the load-balancing operations.
     for (const Event& e : v) {
       if (e.kind == Kind::kState) continue;
-      out.row()
-          .text("{\"name\":\"")
-          .text(kind_name(e.kind))
-          .text("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":")
-          .us(e.t_ns)
-          .text(",\"pid\":0,\"tid\":")
-          .num(r)
-          .text(",\"args\":{\"peer\":")
-          .num(e.arg0)
-          .text(",\"nodes\":")
-          .num(e.arg1)
-          .text("}}");
+      out.instant(kind_name(e.kind), e.t_ns, r)
+          .arg("peer", e.arg0)
+          .arg("nodes", e.arg1);
     }
   }
   // Flow steps ("s"/"t"/"f" sharing an id) bind to the enclosing duration
   // slice on their (pid, tid, ts); Perfetto then draws the steal arrows
-  // across the rank timelines. bp:"e" on the finish binds to the enclosing
-  // slice rather than the next one.
-  for (const FlowEvent& f : flows) {
-    out.row()
-        .text("{\"name\":\"steal\",\"cat\":\"steal\",\"ph\":\"")
-        .text(std::string_view(&f.ph, 1))
-        .text("\",\"id\":")
-        .num(f.id)
-        .text(",\"ts\":")
-        .us(f.t_ns)
-        .text(",\"pid\":0,\"tid\":")
-        .num(f.tid)
-        .text(f.ph == 'f' ? ",\"bp\":\"e\"}" : "}");
-  }
+  // across the rank timelines.
+  for (const FlowEvent& f : flows) out.flow(f);
   out.finish();
 }
 

@@ -9,8 +9,14 @@
 // machine of every rank renders as a timeline.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
+#include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "stats/stats.hpp"
@@ -63,6 +69,151 @@ struct FlowEvent {
   std::uint64_t t_ns = 0;  ///< Ctx time of this step
   std::int32_t tid = 0;    ///< timeline row (rank) the step attaches to
   char ph = 's';           ///< 's' | 't' | 'f'
+};
+
+/// The one Chrome/Perfetto trace-event writer: Trace, obs::SpanLog and
+/// obs::JobLog write their exports only through it. One method per row
+/// shape ([..] is optional):
+///
+///   slice    {"name":N[,"cat":C],"ph":"X","ts":T,"dur":D,"pid":0,"tid":R[,"args":{..}]}
+///   instant  {"name":N,"ph":"i","s":"t","ts":T,"pid":0,"tid":R[,"args":{..}]}
+///   flow     {"name":"steal","cat":"steal","ph":P,"id":I,"ts":T,"pid":0,"tid":R[,"bp":"e"]}
+///
+/// Times go in as ns and come out as microseconds printed like "%.6f". A
+/// slice or instant stays open until the next row, so arg() calls fill its
+/// "args" object; a slice of zero length is not written, and neither are
+/// the args that follow it. Rows gather in one 64 KiB buffer that goes to
+/// the stream when full, with numbers formatted in place by std::to_chars.
+class ChromeWriter {
+ public:
+  /// A row name: `head`, then `tail` or a decimal number when given
+  /// ("job " "completed", "attempt " 2).
+  struct Name {
+    Name(const char* head) : head(head) {}
+    Name(std::string_view head, std::string_view tail)
+        : head(head), tail(tail) {}
+    Name(std::string_view head, std::int64_t number)
+        : head(head), number(number) {}
+    std::string_view head, tail;
+    std::optional<std::int64_t> number;
+  };
+
+  explicit ChromeWriter(std::ostream& os) : os_(os) { text("[\n"); }
+
+  /// A duration slice from `begin_ns` to `end_ns` on timeline row `tid`
+  /// (none when `end_ns` <= `begin_ns`); `cat` is left out when empty.
+  ChromeWriter& slice(const Name& name, std::uint64_t begin_ns,
+                      std::uint64_t end_ns, int tid,
+                      std::string_view cat = {}) {
+    if (end_ns <= begin_ns) return close_row();
+    begin_row(name);
+    if (!cat.empty()) text("\",\"cat\":\"").text(cat);
+    text("\",\"ph\":\"X\",\"ts\":").us(begin_ns);
+    text(",\"dur\":").us(end_ns - begin_ns);
+    text(",\"pid\":0,\"tid\":").num(tid);
+    open_ = true;
+    return *this;
+  }
+
+  /// A thread-scoped instant at `ts_ns` on row `tid`.
+  ChromeWriter& instant(const Name& name, std::uint64_t ts_ns, int tid) {
+    begin_row(name);
+    text("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":").us(ts_ns);
+    text(",\"pid\":0,\"tid\":").num(tid);
+    open_ = true;
+    return *this;
+  }
+
+  /// One step of a steal flow arrow; bp:"e" binds a finish to the slice
+  /// that encloses it rather than the next one.
+  void flow(const FlowEvent& f) {
+    begin_row("steal");
+    text("\",\"cat\":\"steal\",\"ph\":\"").text(std::string_view(&f.ph, 1));
+    text("\",\"id\":").num(f.id).text(",\"ts\":").us(f.t_ns);
+    text(",\"pid\":0,\"tid\":").num(f.tid);
+    text(f.ph == 'f' ? std::string_view(",\"bp\":\"e\"}") : "}");
+  }
+
+  /// Add `key` to the open row's args: a number, a bool, or a string
+  /// (written between quotes as it is).
+  template <std::integral Int>
+  ChromeWriter& arg(std::string_view key, Int v) {
+    if (open_arg(key)) num(v);
+    return *this;
+  }
+  ChromeWriter& arg(std::string_view key, bool v) {
+    if (open_arg(key)) text(v ? "true" : "false");
+    return *this;
+  }
+  ChromeWriter& arg(std::string_view key, std::string_view v) {
+    if (open_arg(key)) text("\"").text(v).text("\"");
+    return *this;
+  }
+
+  /// Close the last row and the array, and write what is left.
+  void finish() {
+    close_row();
+    text("\n]\n");
+    flush();
+  }
+
+ private:
+  static constexpr std::size_t kBufBytes = 64 * 1024;
+
+  ChromeWriter& close_row() {
+    if (open_) text(args_ ? std::string_view("}}") : "}");
+    open_ = args_ = false;
+    return *this;
+  }
+  /// Close the open row, then start a new one with its name; the name's
+  /// closing quote opens the row's next field.
+  void begin_row(const Name& name) {
+    close_row();
+    text(rows_++ > 0 ? std::string_view(",\n{\"name\":\"") : "{\"name\":\"");
+    text(name.head);
+    if (!name.tail.empty()) text(name.tail);
+    if (name.number) num(*name.number);
+  }
+  /// Start `key` in the open row's args; false when no row takes args.
+  bool open_arg(std::string_view key) {
+    if (!open_) return false;
+    text(args_ ? std::string_view(",\"") : ",\"args\":{\"").text(key);
+    text("\":");
+    args_ = true;
+    return true;
+  }
+  ChromeWriter& text(std::string_view s) {
+    if (s.size() > room()) return flush(s);
+    std::memcpy(p_, s.data(), s.size());
+    p_ += s.size();
+    return *this;
+  }
+  template <typename Int>
+  ChromeWriter& num(Int v) {
+    if (room() < 24) flush();
+    p_ = std::to_chars(p_, p_ + 24, v).ptr;
+    return *this;
+  }
+  /// Nanoseconds as microseconds, "%.6f" as std::to_string(double) prints
+  /// them (the standard defines this to_chars form to match printf).
+  ChromeWriter& us(std::uint64_t ns) {
+    if (room() < 40) flush();  // 2^64 ns is 17 digits of µs, plus ".dddddd"
+    p_ = std::to_chars(p_, p_ + 40, static_cast<double>(ns) / 1000.0,
+                       std::chars_format::fixed, 6)
+             .ptr;
+    return *this;
+  }
+  std::size_t room() const { return static_cast<std::size_t>(end_ - p_); }
+  /// Write the buffer, then `tail`, to the stream.
+  ChromeWriter& flush(std::string_view tail = {});
+
+  std::ostream& os_;
+  std::unique_ptr<char[]> buf_{new char[kBufBytes]};
+  char* p_ = buf_.get();                 ///< end of the unwritten text
+  char* const end_ = p_ + kBufBytes;
+  std::size_t rows_ = 0;
+  bool open_ = false;  ///< the last row is a slice or instant (takes args)
+  bool args_ = false;  ///< ... and its "args" object is open
 };
 
 /// Per-rank event buffers; each rank appends only to its own buffer, so no
@@ -120,8 +271,8 @@ class Trace {
   void retransmit(int rank, std::uint64_t t, int peer) {
     record(rank, {t, rank, Kind::kRetransmit, peer, 0});
   }
-  /// Injected fault (see pgas/faults.hpp); `ns` is the stall/spike/dup-delay
-  /// magnitude, 0 for drops.
+  /// Injected fault (a pgas::FaultEvent); `ns` is the stall, spike, dup or
+  /// partition delay, 0 for the other kinds.
   void fault(int rank, std::uint64_t t, Kind kind, std::int64_t ns) {
     record(rank, {t, rank, kind, 0, ns});
   }
@@ -150,14 +301,12 @@ class Trace {
   void write_csv(std::ostream& os) const;
 
   /// Chrome trace-event JSON: one "thread" per rank; Figure-1 states as
-  /// duration events, steals/services as instant events.
-  void write_chrome_json(std::ostream& os) const;
-
-  /// Same, with flow events (steal-span arrows) stitched into the
-  /// timelines. Open at https://ui.perfetto.dev; enable "Flow events" to
-  /// see each steal's request->service->absorb arrow.
+  /// duration events, steals/services as instant events, and `flows`
+  /// (steal-span arrows) stitched into the timelines. Open at
+  /// https://ui.perfetto.dev; enable "Flow events" to see each steal's
+  /// request->service->absorb arrow.
   void write_chrome_json(std::ostream& os,
-                         const std::vector<FlowEvent>& flows) const;
+                         const std::vector<FlowEvent>& flows = {}) const;
 
  private:
   struct Buf {
