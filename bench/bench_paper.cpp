@@ -766,8 +766,8 @@ void faults(Paper& p) {
         .metric("rel_to_fault_free", rates.back() / rates.front())
         .metric("retransmits", r.agg.total_retransmits)
         .metric("dups_suppressed", r.agg.total_dups_suppressed)
-        .metric("dropped", r.agg.total_faults_dropped)
-        .metric("duplicated", r.agg.total_faults_duplicated)
+        .metric("dropped", r.agg.faults.dropped)
+        .metric("duplicated", r.agg.faults.duplicated)
         .note("steal_timeout_ns", "30000");
   }
   p.claim("dropdup_rate_falls_with_probability", falling(rates));

@@ -263,8 +263,8 @@ check::RunOutcome run_real(pgas::Engine& eng, const check::CheckSpec& s,
     os << eng.name() << " engine visited " << res.agg.total_nodes
        << " nodes, sequential reference is " << want;
     out.message = os.str();
-  } else if (res.agg.total_faults_drains > s.drains.size() ||
-             res.agg.total_faults_joins > s.joins.size()) {
+  } else if (res.agg.faults.drains > s.drains.size() ||
+             res.agg.faults.joins > s.joins.size()) {
     out.violated = true;
     out.oracle = "membership-safety";
     out.message = "membership counters exceed the plan";

@@ -200,22 +200,21 @@ void MembershipSafetyOracle::on_step(const StepProbe& p) {
 
 void MembershipSafetyOracle::on_end(const EndProbe& p) {
   const auto& agg = p.result->agg;
-  if (agg.total_faults_drains >
-      static_cast<std::uint64_t>(p.planned_drains)) {
+  if (agg.faults.drains > static_cast<std::uint64_t>(p.planned_drains)) {
     std::ostringstream os;
-    os << agg.total_faults_drains << " drains fired but only "
+    os << agg.faults.drains << " drains fired but only "
        << p.planned_drains << " were planned (a DrainSpec fired twice)";
     fail(os.str());
   }
-  if (agg.total_faults_joins > static_cast<std::uint64_t>(p.planned_joins)) {
+  if (agg.faults.joins > static_cast<std::uint64_t>(p.planned_joins)) {
     std::ostringstream os;
-    os << agg.total_faults_joins << " joins fired but only "
+    os << agg.faults.joins << " joins fired but only "
        << p.planned_joins << " were planned (a JoinSpec fired twice)";
     fail(os.str());
   }
-  if (p.planned_partitions == 0 && agg.total_partition_delays > 0) {
+  if (p.planned_partitions == 0 && agg.faults.partition_delays > 0) {
     std::ostringstream os;
-    os << agg.total_partition_delays
+    os << agg.faults.partition_delays
        << " cross-cut ops were partition-delayed with no partition planned";
     fail(os.str());
   }

@@ -52,7 +52,7 @@ bool FaultInjector::crash_due(std::uint64_t now_ns, bool in_lock,
     return false;
   crash_here_ = false;  // fail-stop fires exactly once
   ++c_.crashes;
-  record(FaultEvent::Kind::kCrash, now_ns, 0);
+  record(trace::Kind::kRankCrashed, now_ns, 0);
   return true;
 }
 
@@ -60,7 +60,7 @@ bool FaultInjector::drain_due(std::uint64_t now_ns) {
   if (!drain_here_ || now_ns < drain_at_ns_) return false;
   drain_here_ = false;  // a rank drains exactly once
   ++c_.drains;
-  record(FaultEvent::Kind::kDrain, now_ns, 0);
+  record(trace::Kind::kDrain, now_ns, 0);
   return true;
 }
 
@@ -68,7 +68,7 @@ void FaultInjector::note_joined(std::uint64_t now_ns) {
   if (!join_here_) return;
   join_here_ = false;  // a rank joins exactly once
   ++c_.joins;
-  record(FaultEvent::Kind::kJoin, now_ns, 0);
+  record(trace::Kind::kJoin, now_ns, 0);
 }
 
 std::uint64_t FaultInjector::partition_extra_ns(int peer,
@@ -81,8 +81,8 @@ std::uint64_t FaultInjector::partition_extra_ns(int peer,
   }
   if (extra > 0) {
     ++c_.partition_delays;
-    c_.partition_delay_ns_total += extra;
-    record(FaultEvent::Kind::kPartitionDelay, now_ns, extra);
+    c_.partition_delay_ns += extra;
+    record(trace::Kind::kPartitionDelay, now_ns, extra);
   }
   return extra;
 }
@@ -92,7 +92,7 @@ double FaultInjector::scale() {
   return u(rng_);
 }
 
-void FaultInjector::record(FaultEvent::Kind kind, std::uint64_t t_ns,
+void FaultInjector::record(trace::Kind kind, std::uint64_t t_ns,
                            std::uint64_t ns) {
   if (events_.size() < kMaxEvents) events_.push_back({t_ns, kind, ns});
 }
@@ -106,8 +106,8 @@ std::uint64_t FaultInjector::stall_due(std::uint64_t now_ns) {
       static_cast<std::uint64_t>(static_cast<double>(plan_.stall_period_ns) *
                                  scale());
   ++c_.stalls;
-  c_.stall_ns_total += dur;
-  record(FaultEvent::Kind::kStall, now_ns, dur);
+  c_.stall_ns += dur;
+  record(trace::Kind::kStall, now_ns, dur);
   return dur;
 }
 
@@ -120,8 +120,8 @@ std::uint64_t FaultInjector::spiked(std::uint64_t base_ns,
   const auto extra = static_cast<std::uint64_t>(
       static_cast<double>(base_ns) * plan_.spike_mult * tail(rng_));
   ++c_.spikes;
-  c_.spike_ns_total += extra;
-  record(FaultEvent::Kind::kSpike, now_ns, extra);
+  c_.spike_ns += extra;
+  record(trace::Kind::kSpike, now_ns, extra);
   return base_ns + extra;
 }
 
@@ -129,8 +129,8 @@ bool FaultInjector::drop_message(std::uint64_t now_ns) {
   if (plan_.drop_prob <= 0.0) return false;
   std::uniform_real_distribution<double> u(0.0, 1.0);
   if (u(rng_) >= plan_.drop_prob) return false;
-  ++c_.msgs_dropped;
-  record(FaultEvent::Kind::kMsgDrop, now_ns, 0);
+  ++c_.dropped;
+  record(trace::Kind::kMsgDrop, now_ns, 0);
   return true;
 }
 
@@ -145,8 +145,8 @@ std::uint64_t FaultInjector::duplicate_delay(std::uint64_t wire_ns,
   const auto delay =
       1 + static_cast<std::uint64_t>(2.0 * static_cast<double>(wire_ns) *
                                      d(rng_));
-  ++c_.msgs_duplicated;
-  record(FaultEvent::Kind::kMsgDup, now_ns, delay);
+  ++c_.duplicated;
+  record(trace::Kind::kMsgDup, now_ns, delay);
   return delay;
 }
 

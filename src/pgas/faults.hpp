@@ -25,6 +25,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "stats/stats.hpp"
+#include "trace/trace.hpp"
+
 namespace upcws::pgas {
 
 /// A permanent rank failure: at (or after) `at_ns` of the rank's own Ctx
@@ -246,38 +249,15 @@ class Liveness {
   std::vector<std::atomic<std::uint8_t>> joined_;
 };
 
-/// What one rank's injector actually did during a run.
-struct FaultCounters {
-  std::uint64_t stalls = 0;            ///< rank freezes injected
-  std::uint64_t stall_ns_total = 0;    ///< total frozen time (ns)
-  std::uint64_t spikes = 0;            ///< latency spikes injected
-  std::uint64_t spike_ns_total = 0;    ///< total extra latency (ns)
-  std::uint64_t msgs_dropped = 0;      ///< messages lost at this sender
-  std::uint64_t msgs_duplicated = 0;   ///< messages duplicated at this sender
-  std::uint64_t crashes = 0;           ///< 0 or 1: this rank fail-stopped
-  std::uint64_t drains = 0;            ///< 0 or 1: this rank drained out
-  std::uint64_t joins = 0;             ///< 0 or 1: this rank joined mid-run
-  std::uint64_t partition_delays = 0;  ///< cross-cut ops delayed to heal time
-  std::uint64_t partition_delay_ns_total = 0;  ///< total added delay (ns)
-};
-
 /// One injected fault, timestamped in Ctx time (virtual ns under the
-/// simulator). Collected per rank; the ws driver merges them into an
-/// attached trace::Trace.
+/// simulator) and kinded as the trace row it becomes: kStall, kSpike,
+/// kMsgDrop, kMsgDup, kRankCrashed, kDrain, kJoin or kPartitionDelay.
+/// Collected per rank; the ws driver merges them into an attached
+/// trace::Trace.
 struct FaultEvent {
-  enum class Kind : std::uint8_t {
-    kStall,
-    kSpike,
-    kMsgDrop,
-    kMsgDup,
-    kCrash,
-    kDrain,           ///< this rank drained out of the membership
-    kJoin,            ///< this rank joined the membership
-    kPartitionDelay,  ///< a cross-cut op was delayed until heal (ns = delay)
-  };
   std::uint64_t t_ns = 0;
-  Kind kind = Kind::kStall;
-  std::uint64_t ns = 0;  ///< stall duration / extra latency (0 for messages)
+  trace::Kind kind = trace::Kind::kStall;
+  std::uint64_t ns = 0;  ///< stall, spike, dup or partition delay (else 0)
 };
 
 /// Per-rank fault source. Engines construct one per rank when the plan has
@@ -287,7 +267,7 @@ class FaultInjector {
   FaultInjector(const FaultPlan& plan, std::uint64_t run_seed, int rank);
 
   const FaultPlan& plan() const { return plan_; }
-  const FaultCounters& counters() const { return c_; }
+  const stats::FaultTally& counters() const { return c_; }
   const std::vector<FaultEvent>& events() const { return events_; }
 
   /// Interaction-point hook: returns the duration (ns of Ctx time) this
@@ -343,7 +323,7 @@ class FaultInjector {
   std::uint64_t partition_extra_ns(int peer, std::uint64_t now_ns);
 
  private:
-  void record(FaultEvent::Kind kind, std::uint64_t t_ns, std::uint64_t ns);
+  void record(trace::Kind kind, std::uint64_t t_ns, std::uint64_t ns);
   /// U[0.5,1.5) scale factor for stall scheduling.
   double scale();
 
@@ -358,7 +338,7 @@ class FaultInjector {
   std::uint64_t join_at_ns_ = 0;
   std::mt19937_64 rng_;
   std::uint64_t next_stall_ns_ = 0;
-  FaultCounters c_;
+  stats::FaultTally c_;
   std::vector<FaultEvent> events_;
 };
 

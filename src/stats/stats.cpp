@@ -17,6 +17,21 @@ const char* state_name(State s) {
   return "?";
 }
 
+FaultTally& FaultTally::operator+=(const FaultTally& o) {
+  stalls += o.stalls;
+  stall_ns += o.stall_ns;
+  spikes += o.spikes;
+  spike_ns += o.spike_ns;
+  dropped += o.dropped;
+  duplicated += o.duplicated;
+  crashes += o.crashes;
+  drains += o.drains;
+  joins += o.joins;
+  partition_delays += o.partition_delays;
+  partition_delay_ns += o.partition_delay_ns;
+  return *this;
+}
+
 RunStats aggregate(const std::vector<ThreadStats>& per_thread,
                    double elapsed_s, double seq_nodes_per_sec) {
   RunStats r;
@@ -38,16 +53,7 @@ RunStats aggregate(const std::vector<ThreadStats>& per_thread,
     r.total_steal_timeouts += t.c.steal_timeouts;
     r.total_retransmits += t.c.retransmits;
     r.total_dups_suppressed += t.c.dups_suppressed;
-    r.total_faults_stalls += t.c.faults_stalls;
-    r.total_faults_stall_ns += t.c.faults_stall_ns;
-    r.total_faults_spikes += t.c.faults_spikes;
-    r.total_faults_dropped += t.c.faults_dropped;
-    r.total_faults_duplicated += t.c.faults_duplicated;
-    r.total_faults_drains += t.c.faults_drains;
-    r.total_faults_joins += t.c.faults_joins;
-    r.total_partition_delays += t.c.faults_partition_delays;
-    r.total_partition_delay_ns += t.c.faults_partition_delay_ns;
-    r.total_crashes += t.c.faults_crashes;
+    r.faults += t.c.faults;
     r.total_locks_revoked += t.c.locks_revoked;
     r.total_stale_unlocks += t.c.stale_unlocks;
     r.total_salvages += t.c.salvages;
@@ -131,24 +137,21 @@ std::string RunStats::summary() const {
      << " rate=" << nodes_per_sec / 1e6 << "M/s"
      << " speedup=" << speedup << " eff=" << efficiency
      << " steals=" << total_steals << " (" << steals_per_sec << "/s)";
-  if (total_faults_stalls + total_faults_spikes + total_faults_dropped +
-          total_faults_duplicated >
-      0)
-    os << " faults[stalls=" << total_faults_stalls
-       << " spikes=" << total_faults_spikes
-       << " dropped=" << total_faults_dropped
-       << " duplicated=" << total_faults_duplicated << "]";
+  if (faults.stalls + faults.spikes + faults.dropped + faults.duplicated > 0)
+    os << " faults[stalls=" << faults.stalls << " spikes=" << faults.spikes
+       << " dropped=" << faults.dropped
+       << " duplicated=" << faults.duplicated << "]";
   if (total_steal_timeouts + total_retransmits + total_dups_suppressed > 0)
     os << " recovery[timeouts=" << total_steal_timeouts
        << " retransmits=" << total_retransmits
        << " dups_suppressed=" << total_dups_suppressed << "]";
-  if (total_faults_drains + total_faults_joins + total_partition_delays > 0)
-    os << " membership[drains=" << total_faults_drains
-       << " joins=" << total_faults_joins
-       << " partition_delays=" << total_partition_delays
-       << " partition_delay_ns=" << total_partition_delay_ns << "]";
-  if (total_crashes > 0)
-    os << " crash[crashes=" << total_crashes
+  if (faults.drains + faults.joins + faults.partition_delays > 0)
+    os << " membership[drains=" << faults.drains
+       << " joins=" << faults.joins
+       << " partition_delays=" << faults.partition_delays
+       << " partition_delay_ns=" << faults.partition_delay_ns << "]";
+  if (faults.crashes > 0)
+    os << " crash[crashes=" << faults.crashes
        << " revoked=" << total_locks_revoked
        << " stale_unlocks=" << total_stale_unlocks
        << " salvages=" << total_salvages << " replays=" << total_replays

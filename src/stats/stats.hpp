@@ -26,6 +26,25 @@ enum class State : int {
 
 const char* state_name(State s);
 
+/// What fault injection did: one rank's pgas::FaultInjector counts it, the
+/// rank's Counters receive it at the end of the run, and RunStats sums it
+/// over the ranks.
+struct FaultTally {
+  std::uint64_t stalls = 0;              ///< rank freezes injected
+  std::uint64_t stall_ns = 0;            ///< total frozen time (ns)
+  std::uint64_t spikes = 0;              ///< latency spikes injected
+  std::uint64_t spike_ns = 0;            ///< total extra latency (ns)
+  std::uint64_t dropped = 0;             ///< messages lost at the sender
+  std::uint64_t duplicated = 0;          ///< messages duplicated at the sender
+  std::uint64_t crashes = 0;             ///< fail-stops (0 or 1 per rank)
+  std::uint64_t drains = 0;              ///< graceful leaves (0 or 1 per rank)
+  std::uint64_t joins = 0;               ///< mid-run joins (0 or 1 per rank)
+  std::uint64_t partition_delays = 0;    ///< cross-cut ops delayed to heal
+  std::uint64_t partition_delay_ns = 0;  ///< total partition delay (ns)
+
+  FaultTally& operator+=(const FaultTally& o);
+};
+
 /// Counters one thread accumulates during a search.
 struct Counters {
   std::uint64_t nodes = 0;            ///< tree nodes visited
@@ -54,21 +73,10 @@ struct Counters {
   std::uint64_t retransmits = 0;      ///< mpi-ws: requests/replies/tokens resent
   std::uint64_t dups_suppressed = 0;  ///< mpi-ws: duplicate messages discarded
 
-  // --- injected-fault tallies (copied from this rank's FaultInjector) -----
-  std::uint64_t faults_stalls = 0;      ///< rank stalls injected
-  std::uint64_t faults_stall_ns = 0;    ///< total injected stall time
-  std::uint64_t faults_spikes = 0;      ///< latency spikes injected
-  std::uint64_t faults_dropped = 0;     ///< messages silently dropped
-  std::uint64_t faults_duplicated = 0;  ///< messages duplicated
-
-  // --- elastic membership + partitions (0 unless the plan uses them) ------
-  std::uint64_t faults_drains = 0;          ///< this rank drained out (0 or 1)
-  std::uint64_t faults_joins = 0;           ///< this rank joined mid-run (0/1)
-  std::uint64_t faults_partition_delays = 0;///< ops delayed by a partition
-  std::uint64_t faults_partition_delay_ns = 0; ///< total partition delay
+  // --- injected faults (this rank's FaultInjector tally; 0 without one) --
+  FaultTally faults;
 
   // --- crash-fault tolerance (0 unless the plan injects crashes) ----------
-  std::uint64_t faults_crashes = 0;   ///< this rank fail-stopped (0 or 1)
   std::uint64_t locks_revoked = 0;    ///< dead holders' leases this rank broke
   std::uint64_t stale_unlocks = 0;    ///< unlocks rejected from revoked epochs
   std::uint64_t salvages = 0;         ///< dead-rank stacks this rank salvaged
@@ -156,23 +164,14 @@ struct RunStats {
   std::uint64_t total_spawned = 0;
   std::uint64_t total_reclaimed = 0;
   std::uint64_t total_cancels = 0;
-  /// Hardened-protocol recovery + injected-fault totals (all 0 for a clean
-  /// unhardened run; see Counters).
+  /// Hardened-protocol recovery totals (all 0 for a clean unhardened run;
+  /// see Counters).
   std::uint64_t total_steal_timeouts = 0;
   std::uint64_t total_retransmits = 0;
   std::uint64_t total_dups_suppressed = 0;
-  std::uint64_t total_faults_stalls = 0;
-  std::uint64_t total_faults_stall_ns = 0;
-  std::uint64_t total_faults_spikes = 0;
-  std::uint64_t total_faults_dropped = 0;
-  std::uint64_t total_faults_duplicated = 0;
-  /// Elastic-membership + partition totals (all 0 when the plan has none).
-  std::uint64_t total_faults_drains = 0;
-  std::uint64_t total_faults_joins = 0;
-  std::uint64_t total_partition_delays = 0;
-  std::uint64_t total_partition_delay_ns = 0;
+  /// Injected-fault totals (all 0 when the plan injects nothing).
+  FaultTally faults;
   /// Crash-fault tolerance totals (all 0 for a crash-free run).
-  std::uint64_t total_crashes = 0;
   std::uint64_t total_locks_revoked = 0;
   std::uint64_t total_stale_unlocks = 0;
   std::uint64_t total_salvages = 0;

@@ -25,40 +25,12 @@ void harvest_faults(pgas::Ctx& ctx, stats::ThreadStats& st,
                     trace::Trace* tr) {
   pgas::FaultInjector* fi = ctx.faults();
   if (fi == nullptr) return;
-  const pgas::FaultCounters& fc = fi->counters();
-  st.c.faults_stalls = fc.stalls;
-  st.c.faults_stall_ns = fc.stall_ns_total;
-  st.c.faults_spikes = fc.spikes;
-  st.c.faults_dropped = fc.msgs_dropped;
-  st.c.faults_duplicated = fc.msgs_duplicated;
-  st.c.faults_drains = fc.drains;
-  st.c.faults_joins = fc.joins;
-  st.c.faults_partition_delays = fc.partition_delays;
-  st.c.faults_partition_delay_ns = fc.partition_delay_ns_total;
-  st.c.faults_crashes = fc.crashes;
+  st.c.faults = fi->counters();
   st.c.locks_revoked = ctx.locks_revoked();
   st.c.stale_unlocks = ctx.stale_unlocks();
   if (tr == nullptr) return;
-  for (const pgas::FaultEvent& e : fi->events()) {
-    if (e.kind == pgas::FaultEvent::Kind::kCrash) {
-      tr->crash(ctx.rank(), e.t_ns);
-      continue;
-    }
-    trace::Kind k = trace::Kind::kStall;
-    switch (e.kind) {
-      case pgas::FaultEvent::Kind::kStall: k = trace::Kind::kStall; break;
-      case pgas::FaultEvent::Kind::kSpike: k = trace::Kind::kSpike; break;
-      case pgas::FaultEvent::Kind::kMsgDrop: k = trace::Kind::kMsgDrop; break;
-      case pgas::FaultEvent::Kind::kMsgDup: k = trace::Kind::kMsgDup; break;
-      case pgas::FaultEvent::Kind::kDrain: k = trace::Kind::kDrain; break;
-      case pgas::FaultEvent::Kind::kJoin: k = trace::Kind::kJoin; break;
-      case pgas::FaultEvent::Kind::kPartitionDelay:
-        k = trace::Kind::kPartitionDelay;
-        break;
-      case pgas::FaultEvent::Kind::kCrash: break;  // handled above
-    }
-    tr->fault(ctx.rank(), e.t_ns, k, static_cast<std::int64_t>(e.ns));
-  }
+  for (const pgas::FaultEvent& e : fi->events())
+    tr->fault(ctx.rank(), e.t_ns, e.kind, static_cast<std::int64_t>(e.ns));
   for (const pgas::Ctx::RevokeEvent& rv : ctx.revocations())
     tr->revoke(ctx.rank(), rv.t_ns, rv.dead_holder);
 }

@@ -162,7 +162,7 @@ TEST(Cancel, MidRecoveryNoOrphanedLineage) {
       };
       const auto r = ws::run_search(eng, rcfg, prob, cfg);
       check_invariant(r, ws::algo_label(a));
-      EXPECT_EQ(r.agg.total_crashes, 1u) << ws::algo_label(a);
+      EXPECT_EQ(r.agg.faults.crashes, 1u) << ws::algo_label(a);
       EXPECT_GT(r.agg.total_cancels, 0u)
           << ws::algo_label(a) << " cancel_at=" << cancel_at;
       // check_detach ran and found no stranded transfer record.

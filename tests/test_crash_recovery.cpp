@@ -95,7 +95,7 @@ TEST(CrashRecovery, ExactCountsUnderKCrashes) {
             ws::run_search(eng, rcfg, prob, hardened_cfg(a, 2));
         EXPECT_EQ(r.total_nodes(), want)
             << ws::algo_label(a) << " k=" << specs.size() << " seed " << seed;
-        EXPECT_GT(r.agg.total_crashes, 0u) << ws::algo_label(a);
+        EXPECT_GT(r.agg.faults.crashes, 0u) << ws::algo_label(a);
         // Recovery must have fired (a rank that crashes *after* the
         // termination decision is legitimately never salvaged, so the
         // salvage count may trail the crash count — but never be zero
@@ -124,7 +124,7 @@ TEST(CrashRecovery, RankZeroCrashLeaderTakeover) {
       const auto r = ws::run_search(eng, rcfg, prob, hardened_cfg(a, 2));
       EXPECT_EQ(r.total_nodes(), want) << ws::algo_label(a) << " seed "
                                        << seed;
-      EXPECT_EQ(r.per_thread[0].c.faults_crashes, 1u) << ws::algo_label(a);
+      EXPECT_EQ(r.per_thread[0].c.faults.crashes, 1u) << ws::algo_label(a);
     }
   }
 }
@@ -211,7 +211,7 @@ TEST(CrashRecovery, CrashFreePlanStaysByteIdentical) {
     EXPECT_EQ(r0.run.elapsed_s, r1.run.elapsed_s) << ws::algo_label(a);
     EXPECT_EQ(r0.run.switches, r1.run.switches) << ws::algo_label(a);
     EXPECT_EQ(r0.agg.total_steals, r1.agg.total_steals) << ws::algo_label(a);
-    EXPECT_EQ(r1.agg.total_crashes, 0u);
+    EXPECT_EQ(r1.agg.faults.crashes, 0u);
     EXPECT_EQ(r1.agg.total_salvages, 0u);
     EXPECT_EQ(r1.agg.total_locks_revoked, 0u);
   }
@@ -345,7 +345,7 @@ TEST(ThreadEngineCrash, ExactCountsUnderCrashes) {
     rcfg.lock_lease_ns = 200'000;
     const auto r = ws::run_search(eng, rcfg, prob, hardened_cfg(a, 2));
     EXPECT_EQ(r.total_nodes(), want) << ws::algo_label(a);
-    EXPECT_EQ(r.per_thread[2].c.faults_crashes, 1u) << ws::algo_label(a);
+    EXPECT_EQ(r.per_thread[2].c.faults.crashes, 1u) << ws::algo_label(a);
   }
 }
 

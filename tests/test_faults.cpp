@@ -69,11 +69,11 @@ TEST(FaultInjector, DeterministicPerSeedAndRank) {
   }
   EXPECT_GT(a.counters().stalls, 0u);
   EXPECT_GT(a.counters().spikes, 0u);
-  EXPECT_GT(a.counters().msgs_dropped, 0u);
+  EXPECT_GT(a.counters().dropped, 0u);
   EXPECT_EQ(a.counters().stalls, b.counters().stalls);
   // Different rank, same seed: decorrelated stream.
   differs = a.counters().spikes != c.counters().spikes ||
-            a.counters().stall_ns_total != c.counters().stall_ns_total;
+            a.counters().stall_ns != c.counters().stall_ns;
   EXPECT_TRUE(differs);
 }
 
@@ -109,7 +109,7 @@ TEST(ZeroFaultOverhead, ByteIdenticalRunsForAllAlgos) {
     EXPECT_EQ(r0.run.switches, r1.run.switches) << ws::algo_label(a);
     EXPECT_EQ(r0.agg.total_steals, r1.agg.total_steals) << ws::algo_label(a);
     EXPECT_EQ(r0.agg.total_probes, r1.agg.total_probes) << ws::algo_label(a);
-    EXPECT_EQ(r1.agg.total_faults_stalls, 0u);
+    EXPECT_EQ(r1.agg.faults.stalls, 0u);
     EXPECT_EQ(r1.agg.total_steal_timeouts, 0u);
   }
 }
@@ -134,7 +134,7 @@ TEST(FaultPlans, ExactCountsUnderTransientStalls) {
       const auto r = ws::run_algo(eng, rcfg, a, prob, 2);
       EXPECT_EQ(r.total_nodes(), want) << ws::algo_label(a) << " seed "
                                        << seed;
-      EXPECT_GT(r.agg.total_faults_stalls, 0u) << ws::algo_label(a);
+      EXPECT_GT(r.agg.faults.stalls, 0u) << ws::algo_label(a);
     }
   }
 }
@@ -161,7 +161,7 @@ TEST(FaultPlans, ExactCountsWhenLockHolderStalls) {
       const auto r = ws::run_algo(eng, rcfg, a, prob, 2);
       EXPECT_EQ(r.total_nodes(), want) << ws::algo_label(a) << " seed "
                                        << seed;
-      EXPECT_GT(r.per_thread[1].c.faults_stalls, 0u) << ws::algo_label(a);
+      EXPECT_GT(r.per_thread[1].c.faults.stalls, 0u) << ws::algo_label(a);
     }
   }
 }
@@ -181,7 +181,7 @@ TEST(FaultPlans, ExactCountsUnderLatencySpikes) {
       const auto r = ws::run_algo(eng, rcfg, a, prob, 2);
       EXPECT_EQ(r.total_nodes(), want) << ws::algo_label(a) << " seed "
                                        << seed;
-      EXPECT_GT(r.agg.total_faults_spikes, 0u) << ws::algo_label(a);
+      EXPECT_GT(r.agg.faults.spikes, 0u) << ws::algo_label(a);
     }
   }
 }
@@ -205,7 +205,7 @@ TEST(FaultPlans, MpiWsExactCountsUnderDropAndDup) {
     const auto r = ws::run_search(eng, rcfg, prob,
                                   hardened_cfg(ws::Algo::kMpiWs, 2));
     EXPECT_EQ(r.total_nodes(), want) << "seed " << seed;
-    EXPECT_GT(r.agg.total_faults_dropped + r.agg.total_faults_duplicated, 0u);
+    EXPECT_GT(r.agg.faults.dropped + r.agg.faults.duplicated, 0u);
     recoveries += r.agg.total_retransmits + r.agg.total_dups_suppressed;
   }
   // Drops force retransmissions and dups force suppression somewhere
@@ -265,7 +265,7 @@ TEST(FaultPlans, RunsAreDeterministicUnderFaults) {
   EXPECT_EQ(a.run.elapsed_s, b.run.elapsed_s);
   EXPECT_EQ(a.run.switches, b.run.switches);
   EXPECT_EQ(a.agg.total_steals, b.agg.total_steals);
-  EXPECT_EQ(a.agg.total_faults_stalls, b.agg.total_faults_stalls);
+  EXPECT_EQ(a.agg.faults.stalls, b.agg.faults.stalls);
 
   pgas::FaultPlan mplan;
   mplan.drop_prob = 0.1;
@@ -278,7 +278,7 @@ TEST(FaultPlans, RunsAreDeterministicUnderFaults) {
                                  hardened_cfg(ws::Algo::kMpiWs, 2));
   EXPECT_EQ(m1.run.elapsed_s, m2.run.elapsed_s);
   EXPECT_EQ(m1.agg.total_retransmits, m2.agg.total_retransmits);
-  EXPECT_EQ(m1.agg.total_faults_dropped, m2.agg.total_faults_dropped);
+  EXPECT_EQ(m1.agg.faults.dropped, m2.agg.faults.dropped);
 }
 
 TEST(FaultPlans, TraceRecordsFaultAndRecoveryEvents) {

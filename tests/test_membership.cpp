@@ -87,7 +87,7 @@ TEST(MembershipInjector, DrainFiresExactlyOnceOnTargetRank) {
   EXPECT_FALSE(hit.drain_due(6'000));  // armed once, fires once
   EXPECT_EQ(hit.counters().drains, 1u);
   ASSERT_EQ(hit.events().size(), 1u);
-  EXPECT_EQ(hit.events()[0].kind, pgas::FaultEvent::Kind::kDrain);
+  EXPECT_EQ(hit.events()[0].kind, trace::Kind::kDrain);
   EXPECT_EQ(hit.events()[0].t_ns, 5'000u);
   EXPECT_FALSE(miss.drain_due(1'000'000));
   EXPECT_EQ(miss.counters().drains, 0u);
@@ -102,7 +102,7 @@ TEST(MembershipInjector, JoinTargetsAndCountsOnce) {
   joiner.note_joined(40'200);
   EXPECT_EQ(joiner.counters().joins, 1u);
   ASSERT_EQ(joiner.events().size(), 1u);
-  EXPECT_EQ(joiner.events()[0].kind, pgas::FaultEvent::Kind::kJoin);
+  EXPECT_EQ(joiner.events()[0].kind, trace::Kind::kJoin);
   EXPECT_EQ(founder.counters().joins, 0u);
 }
 
@@ -115,7 +115,7 @@ TEST(MembershipInjector, PartitionDelaysCrossCutOpsUntilHeal) {
   EXPECT_EQ(fi.partition_extra_ns(0, 50'000), 0u);  // already healed
   EXPECT_EQ(fi.partition_extra_ns(0, 20'000), 30'000u);  // delayed to heal
   EXPECT_EQ(fi.counters().partition_delays, 1u);  // one event per delayed op
-  EXPECT_EQ(fi.counters().partition_delay_ns_total, 30'000u);
+  EXPECT_EQ(fi.counters().partition_delay_ns, 30'000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,23 +146,23 @@ TEST(Membership, ExactCountsUnderDrainJoinPartition) {
       EXPECT_EQ(r.total_nodes(), want)
           << ws::algo_label(a) << " seed " << seed;
       // The drain and the join each fire exactly once, on their own rank.
-      EXPECT_EQ(r.agg.total_faults_drains, 1u) << ws::algo_label(a);
-      EXPECT_EQ(r.per_thread[3].c.faults_drains, 1u) << ws::algo_label(a);
-      EXPECT_EQ(r.agg.total_faults_joins, 1u) << ws::algo_label(a);
-      EXPECT_EQ(r.per_thread[7].c.faults_joins, 1u) << ws::algo_label(a);
+      EXPECT_EQ(r.agg.faults.drains, 1u) << ws::algo_label(a);
+      EXPECT_EQ(r.per_thread[3].c.faults.drains, 1u) << ws::algo_label(a);
+      EXPECT_EQ(r.agg.faults.joins, 1u) << ws::algo_label(a);
+      EXPECT_EQ(r.per_thread[7].c.faults.joins, 1u) << ws::algo_label(a);
       // Aggregates are exactly the per-rank sums (no event lost or
       // double-merged on the way into RunStats).
       std::uint64_t drains = 0, joins = 0, pd = 0, pd_ns = 0;
       for (const auto& t : r.per_thread) {
-        drains += t.c.faults_drains;
-        joins += t.c.faults_joins;
-        pd += t.c.faults_partition_delays;
-        pd_ns += t.c.faults_partition_delay_ns;
+        drains += t.c.faults.drains;
+        joins += t.c.faults.joins;
+        pd += t.c.faults.partition_delays;
+        pd_ns += t.c.faults.partition_delay_ns;
       }
-      EXPECT_EQ(drains, r.agg.total_faults_drains);
-      EXPECT_EQ(joins, r.agg.total_faults_joins);
-      EXPECT_EQ(pd, r.agg.total_partition_delays);
-      EXPECT_EQ(pd_ns, r.agg.total_partition_delay_ns);
+      EXPECT_EQ(drains, r.agg.faults.drains);
+      EXPECT_EQ(joins, r.agg.faults.joins);
+      EXPECT_EQ(pd, r.agg.faults.partition_delays);
+      EXPECT_EQ(pd_ns, r.agg.faults.partition_delay_ns);
       // Every delayed op added positive delay, and vice versa.
       EXPECT_EQ(pd > 0, pd_ns > 0) << ws::algo_label(a);
       delays += pd;
@@ -207,10 +207,10 @@ TEST(Membership, TraceRowsMatchTallies) {
     ++delays;
     delay_ns += static_cast<std::uint64_t>(e.arg1);
   }
-  EXPECT_EQ(drains, r.agg.total_faults_drains);
-  EXPECT_EQ(joins, r.agg.total_faults_joins);
-  EXPECT_EQ(delays, r.agg.total_partition_delays);
-  EXPECT_EQ(delay_ns, r.agg.total_partition_delay_ns);
+  EXPECT_EQ(drains, r.agg.faults.drains);
+  EXPECT_EQ(joins, r.agg.faults.joins);
+  EXPECT_EQ(delays, r.agg.faults.partition_delays);
+  EXPECT_EQ(delay_ns, r.agg.faults.partition_delay_ns);
   // uts_cli prints the same run as membership[drains=1 joins=1
   // partition_delays=5 partition_delay_ns=143329].
   EXPECT_EQ(drains, 1u);

@@ -39,10 +39,10 @@ void expect_same_run(const ws::SearchResult& sim, const ws::SearchResult& par,
   EXPECT_EQ(sim.agg.total_probes, par.agg.total_probes) << what;
   EXPECT_EQ(sim.agg.total_releases, par.agg.total_releases) << what;
   EXPECT_EQ(sim.agg.total_failed_steals, par.agg.total_failed_steals) << what;
-  EXPECT_EQ(sim.agg.total_faults_stalls, par.agg.total_faults_stalls) << what;
-  EXPECT_EQ(sim.agg.total_faults_dropped, par.agg.total_faults_dropped)
+  EXPECT_EQ(sim.agg.faults.stalls, par.agg.faults.stalls) << what;
+  EXPECT_EQ(sim.agg.faults.dropped, par.agg.faults.dropped)
       << what;
-  EXPECT_EQ(sim.agg.total_faults_duplicated, par.agg.total_faults_duplicated)
+  EXPECT_EQ(sim.agg.faults.duplicated, par.agg.faults.duplicated)
       << what;
   EXPECT_EQ(sim.run.elapsed_s, par.run.elapsed_s) << what;
   EXPECT_EQ(sim.run.switches, par.run.switches) << what;
@@ -163,7 +163,7 @@ TEST(Psim, FaultPlanIdentity) {
   const ws::SearchResult ref = run_on(seq, sh, net, tree, &fp);
   const ws::SearchResult got = run_on(par, sh, net, tree, &fp);
   expect_same_run(ref, got, "faulted mpi-ws");
-  EXPECT_GT(ref.agg.total_faults_stalls, 0u);
+  EXPECT_GT(ref.agg.faults.stalls, 0u);
 }
 
 TEST(Psim, PartitionPlanIdentity) {

@@ -92,7 +92,7 @@ TEST(Reentrancy, ByteIdenticalAfterCrashRun) {
   cfg.steal_timeout_ns = 30'000;
   const auto before = ws::run_search(eng, clean, prob, cfg);
   const auto crashed = ws::run_search(eng, crashy, prob, cfg);
-  EXPECT_EQ(crashed.agg.total_crashes, 1u);
+  EXPECT_EQ(crashed.agg.faults.crashes, 1u);
   const auto after = ws::run_search(eng, clean, prob, cfg);
   expect_byte_identical(before, after, "clean-crashy-clean");
 }

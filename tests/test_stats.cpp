@@ -110,7 +110,7 @@ TEST(TableTest, NumericFormatting) {
 
 TEST(Aggregate, CrashCountersRollUp) {
   std::vector<ThreadStats> per(3);
-  per[0].c.faults_crashes = 1;
+  per[0].c.faults.crashes = 1;
   per[1].c.locks_revoked = 2;
   per[1].c.stale_unlocks = 3;
   per[1].c.salvages = 4;
@@ -118,7 +118,7 @@ TEST(Aggregate, CrashCountersRollUp) {
   per[2].c.recovered_nodes = 60;
   per[2].c.dedup_drops = 7;
   const RunStats r = aggregate(per, 1e-6, 0.0);
-  EXPECT_EQ(r.total_crashes, 1u);
+  EXPECT_EQ(r.faults.crashes, 1u);
   EXPECT_EQ(r.total_locks_revoked, 2u);
   EXPECT_EQ(r.total_stale_unlocks, 3u);
   EXPECT_EQ(r.total_salvages, 4u);
@@ -134,7 +134,7 @@ TEST(RunStatsTest, SummaryIncludesCrashBlockOnlyWhenCrashed) {
   const RunStats clean = aggregate(per, 1e-6, 0.0);
   EXPECT_EQ(clean.summary().find("crash["), std::string::npos);
 
-  per[1].c.faults_crashes = 1;
+  per[1].c.faults.crashes = 1;
   per[0].c.salvages = 2;
   per[0].c.recovered_nodes = 9;
   const RunStats crashed = aggregate(per, 1e-6, 0.0);

@@ -331,7 +331,7 @@ TEST(TracedCrashRun, CrashAndRecoveryEventsMatchStats) {
     if (e.kind == trace::Kind::kWorkRecovered)
       recovered += static_cast<std::uint64_t>(e.arg1);
   }
-  EXPECT_EQ(crashes, r.agg.total_crashes);
+  EXPECT_EQ(crashes, r.agg.faults.crashes);
   EXPECT_EQ(crashes, 1u);
   EXPECT_EQ(recovered, r.agg.total_recovered_nodes);
 }

@@ -253,8 +253,8 @@ TEST(LockSpinSkip, LockedSearchesMatchPassThrough) {
         csv[k] = os.str();
       }
       expect_identical(res[0], res[1], what);
-      EXPECT_EQ(res[0].agg.total_crashes, plan > 0 ? 1u : 0u) << what;
-      EXPECT_EQ(res[0].agg.total_crashes, res[1].agg.total_crashes) << what;
+      EXPECT_EQ(res[0].agg.faults.crashes, plan > 0 ? 1u : 0u) << what;
+      EXPECT_EQ(res[0].agg.faults.crashes, res[1].agg.faults.crashes) << what;
       EXPECT_EQ(res[0].agg.total_locks_revoked, res[1].agg.total_locks_revoked)
           << what;
       EXPECT_EQ(csv[0], csv[1]) << what;
