@@ -99,7 +99,7 @@ class MpiWorker final : public RankWorker {
       if (hardened_) {
         // A cancelled victim load-sheds: the chunk would only be bled by
         // the thief anyway.
-        handle_request(m, /*can_grant=*/!cancelled_, /*trace_denial=*/true);
+        handle_request(m, /*can_grant=*/!cancelled_);
         continue;
       }
       if (!cancelled_ && my_.local_size() >= 2 * k_) {
@@ -182,11 +182,11 @@ class MpiWorker final : public RankWorker {
     mp::Message m;
     while (comm_.try_recv(ctx_, mp::kAny, kTagRequest, m)) {
       if (hardened_) {
-        handle_request(m, /*can_grant=*/false, /*trace_denial=*/false);
+        handle_request(m, /*can_grant=*/false);
         continue;
       }
       comm_.send(ctx_, m.src, kTagNone);
-      denied(m.src, thief_span(m.src), /*row=*/false);
+      denied(m.src, thief_span(m.src));
     }
     if (hardened_ && wait_victim_ < 0) drain_stray_replies();
     drain_acks_and_token();
@@ -300,8 +300,7 @@ class MpiWorker final : public RankWorker {
     std::uint64_t last_send_ns = 0;
   };
 
-  void handle_request(const mp::Message& m, bool can_grant,
-                      bool trace_denial) {
+  void handle_request(const mp::Message& m, bool can_grant) {
     if (crash_mode_ && ctx_.rank_dead(m.src)) return;  // requester died
     const std::uint32_t seq = get_u32(m.payload, 0);
     GrantCache& gc = cache_[m.src];
@@ -317,11 +316,10 @@ class MpiWorker final : public RankWorker {
         --outstanding_acks_;
       }
     }
-    answer_request(m.src, seq, can_grant, trace_denial);
+    answer_request(m.src, seq, can_grant);
   }
 
-  void answer_request(int src, std::uint32_t seq, bool can_grant,
-                      bool trace_denial) {
+  void answer_request(int src, std::uint32_t seq, bool can_grant) {
     GrantCache& gc = cache_[src];
     gc.seq = seq;
     gc.last_send_ns = ctx_.now_ns();
@@ -354,7 +352,7 @@ class MpiWorker final : public RankWorker {
       gc.reply.resize(4);
       put_u32(gc.reply.data(), seq);
       comm_.send(ctx_, src, kTagNone, gc.reply.data(), gc.reply.size());
-      denied(src, thief_span(src), trace_denial);
+      denied(src, thief_span(src));
     }
   }
 
@@ -484,7 +482,7 @@ class MpiWorker final : public RankWorker {
       }
       if (comm_.try_recv(ctx_, v, kTagNone, m)) {
         drop_span(v);  // the victim recorded the terminal kDeny
-        steal_failed(v, /*row=*/false);
+        steal_failed(v);
         return false;
       }
       if (idle_comm()) {
@@ -536,7 +534,7 @@ class MpiWorker final : public RankWorker {
       if (denied) {
         wait_victim_ = -1;
         drop_span(v);  // the victim recorded the terminal kDeny
-        steal_failed(v, /*row=*/false);
+        steal_failed(v);
         return false;
       }
       if (crash_mode_ && ctx_.rank_dead(v)) {
@@ -556,7 +554,7 @@ class MpiWorker final : public RankWorker {
           return true;
         }
         abandon_span(v);
-        steal_failed(v, /*row=*/false);
+        steal_failed(v);
         return false;
       }
       if (idle_comm()) {

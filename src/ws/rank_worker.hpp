@@ -186,11 +186,10 @@ class RankWorker : public NodeSink {
                     static_cast<std::int64_t>(nodes), ok);
   }
 
-  /// A steal attempt on `victim` got nothing. `row` false skips the
-  /// steal_fail row (mpi-ws writes none; the geoB goldens pin that gap).
-  void steal_failed(int victim, bool row = true) {
+  /// A steal attempt on `victim` got nothing.
+  void steal_failed(int victim) {
     ++st_.c.failed_steals;
-    if (row) steal_row(victim, 0, false);
+    steal_row(victim, 0, false);
   }
 
   /// We answered `thief`'s steal request with `nodes`; `sid` is the span
@@ -205,12 +204,11 @@ class RankWorker : public NodeSink {
                           me_, thief, n);
   }
 
-  /// We refused `thief`'s steal request. `row` false skips the
-  /// service_deny row (mpi-ws writes none for denials answered while idle;
-  /// the geoB goldens pin that gap).
-  void denied(int thief, std::uint64_t sid, bool row = true) {
+  /// We refused `thief`'s steal request; `sid` is the span the thief
+  /// published (0 = none).
+  void denied(int thief, std::uint64_t sid) {
     ++st_.c.requests_denied;
-    if (row && trace_ != nullptr)
+    if (trace_ != nullptr)
       trace_->service(me_, ctx_.now_ns(), thief, 0, false);
     if (sid != 0)
       obs_->spans().event(me_, sid, obs::SpanPhase::kDeny, ctx_.now_ns(), me_,

@@ -233,15 +233,8 @@ TEST(ObsAgreement, CountersAndTraceRowsMatchThreadStats) {
     EXPECT_EQ(stolen_nodes, sum.nodes_stolen);
     EXPECT_EQ(rows[trace::Kind::kRelease], sum.releases);
     EXPECT_EQ(rows[trace::Kind::kServiceGrant], sum.requests_serviced);
-    if (a == ws::Algo::kMpiWs) {
-      // Known gaps, pinned by the geoB trace goldens: mpi-ws writes no
-      // steal_fail row, and no row for a denial answered while idle.
-      EXPECT_EQ(rows[trace::Kind::kStealFail], 0u);
-      EXPECT_LT(rows[trace::Kind::kServiceDeny], sum.requests_denied);
-    } else {
-      EXPECT_EQ(rows[trace::Kind::kStealFail], sum.failed_steals);
-      EXPECT_EQ(rows[trace::Kind::kServiceDeny], sum.requests_denied);
-    }
+    EXPECT_EQ(rows[trace::Kind::kStealFail], sum.failed_steals);
+    EXPECT_EQ(rows[trace::Kind::kServiceDeny], sum.requests_denied);
   }
 }
 
