@@ -27,6 +27,9 @@ class BnbAdapter final : public ws::Problem {
 
   int depth(const std::byte* node) const override { return p_.depth(node); }
 
+  /// Every rank's expand reads and improves the one incumbent directly.
+  bool shares_state() const override { return true; }
+
  private:
   struct CountingSink final : ws::NodeSink {
     explicit CountingSink(ws::NodeSink& inner) : inner(inner) {}

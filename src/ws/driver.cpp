@@ -110,11 +110,13 @@ SearchResult run_search(pgas::Engine& engine, const pgas::RunConfig& rcfg,
   // (mpi-ws, work-push) and the lock-less request/response family with
   // probe-barrier termination. The locked family reads victim stacks raw
   // under the stack lock, and cancelable-barrier termination predates the
-  // audit; both stay on the sequential lane.
+  // audit; both stay on the sequential lane, as does a problem whose
+  // expansion shares state across ranks outside Ctx.
   rc.remote_ops_mediated =
-      cfg.termination == Termination::kToken ||
-      (cfg.protocol == StackProtocol::kRequestResponse &&
-       cfg.termination == Termination::kProbeBarrier);
+      !prob.shares_state() &&
+      (cfg.termination == Termination::kToken ||
+       (cfg.protocol == StackProtocol::kRequestResponse &&
+        cfg.termination == Termination::kProbeBarrier));
 
   if (cfg.termination == Termination::kToken) {
     mp::Comm comm(rcfg.nranks);

@@ -36,7 +36,7 @@ class NodeSink {
 
 /// A depth-first enumeration problem over trivially copyable nodes.
 /// Implementations must be safe to call concurrently from multiple ranks
-/// (const methods, no mutable shared state).
+/// (const methods, no mutable shared state unless shares_state() says so).
 class Problem {
  public:
   virtual ~Problem() = default;
@@ -56,6 +56,13 @@ class Problem {
   /// Depth of a node, if the problem tracks one (used only for statistics;
   /// return 0 if not meaningful).
   virtual int depth(const std::byte* node) const { (void)node; return 0; }
+
+  /// True when expand() reads or writes state that all ranks share (a
+  /// branch-and-bound incumbent). Such accesses bypass pgas::Ctx, so the
+  /// parallel PDES engine cannot order them and runs the search on its
+  /// serial lane (fallback reason "unmediated"). A fact about the problem
+  /// type, not a setting.
+  virtual bool shares_state() const { return false; }
 };
 
 }  // namespace upcws::ws

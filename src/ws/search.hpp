@@ -67,7 +67,12 @@ class TypedProblem final : public Problem {
   Depth depth_;
 };
 
-/// Deduction helper: make_problem(root, expander [, depth_fn]).
+/// Deduction helper: make_problem(root, expander [, depth_fn]). The
+/// problem it builds states no shared state (Problem::shares_state() is
+/// false). Captured state that only collects results (a solution counter)
+/// keeps that true; an expander whose captured state steers what it
+/// expands (a pruning incumbent) belongs in a Problem subclass that
+/// states it, or psim's parallel lane will not reproduce SimEngine.
 template <typename T, typename Expand>
 TypedProblem<T, Expand> make_problem(T root, Expand expand) {
   return TypedProblem<T, Expand>(root, std::move(expand));

@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "bnb/knapsack.hpp"
+#include "bnb/maxclique.hpp"
 #include "check/strategies.hpp"
 #include "obs/observer.hpp"
 #include "pgas/sim_engine.hpp"
@@ -140,6 +142,46 @@ TEST(Psim, OversubscribedWorkersMatchSimEngine) {
     expect_same_run(ref, got,
                     std::string(ws::algo_label(algo)) + " workers=" +
                         std::to_string(w));
+  }
+}
+
+TEST(Psim, BranchAndBoundMatchesSimEngine) {
+  // Every rank's B&B expansion reads and improves the shared incumbent
+  // outside Ctx, so psim cannot order those accesses across shards: the
+  // problem says so (Problem::shares_state) and psim runs the serial lane.
+  // Sharded, the incumbent raced and nodes, switches and makespan drifted
+  // from SimEngine's run to run; the optimum never did.
+  const bnb::MaxClique clique(bnb::make_random_graph(40, 0.85, 42));
+  const bnb::Knapsack knapsack(bnb::make_knapsack_instance_strong(40, 77));
+  pgas::RunConfig rcfg;
+  rcfg.nranks = 16;
+  rcfg.net = pgas::NetModel::distributed();
+  rcfg.net.work_ns_per_node = 200;
+  rcfg.seed = 5;
+  const std::pair<const char*, const bnb::BnbProblem*> problems[] = {
+      {"max-clique", &clique}, {"knapsack", &knapsack}};
+  for (const auto& [name, prob] : problems) {
+    for (const ws::Algo algo : {ws::Algo::kUpcDistMem, ws::Algo::kMpiWs}) {
+      const ws::WsConfig cfg = ws::WsConfig::for_algo(algo, 4);
+      pgas::SimEngine seq;
+      const bnb::BnbResult ref = bnb::solve(seq, rcfg, *prob, cfg);
+      for (const int workers : {2, 4}) {
+        const std::string what = std::string(name) + " " +
+                                 ws::algo_label(algo) +
+                                 " workers=" + std::to_string(workers);
+        obs::Observer ob;
+        ws::WsConfig observed = cfg;
+        observed.obs = &ob;
+        psim::PsimEngine par(workers);
+        const bnb::BnbResult got = bnb::solve(par, rcfg, *prob, observed);
+        EXPECT_EQ(ref.optimum, got.optimum) << what;
+        EXPECT_EQ(ref.search.agg.total_nodes, got.search.agg.total_nodes)
+            << what;
+        EXPECT_EQ(ref.search.run.elapsed_s, got.search.run.elapsed_s) << what;
+        EXPECT_EQ(ref.search.run.switches, got.search.run.switches) << what;
+        EXPECT_EQ(ob.psim_fallbacks().count("unmediated"), 1u) << what;
+      }
+    }
   }
 }
 
