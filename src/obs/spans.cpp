@@ -113,9 +113,10 @@ std::vector<Span> SpanLog::assemble() const {
   return out;
 }
 
-std::vector<trace::FlowEvent> SpanLog::flow_events() const {
+std::vector<trace::FlowEvent> SpanLog::flow_events(
+    const std::vector<Span>& spans) {
   std::vector<trace::FlowEvent> out;
-  for (const Span& s : assemble()) {
+  for (const Span& s : spans) {
     if (!s.completed() || s.thief < 0) continue;
     out.push_back({s.id, s.t_request, s.thief, 's'});
     // The victim's service step is absent on salvage paths (the victim is
@@ -129,7 +130,8 @@ std::vector<trace::FlowEvent> SpanLog::flow_events() const {
 
 void SpanLog::write_chrome_json(std::ostream& os) const {
   trace::ChromeWriter out(os);
-  for (const Span& s : assemble()) {
+  const std::vector<Span> spans = assemble();
+  for (const Span& s : spans) {
     if (s.thief < 0) continue;
     out.slice({"steal ", span_outcome_name(s.outcome)}, s.t_request, s.t_end,
               s.thief, "steal")
@@ -138,7 +140,7 @@ void SpanLog::write_chrome_json(std::ostream& os) const {
         .arg("timeouts", s.timeouts)
         .arg("salvaged", s.salvaged);
   }
-  for (const trace::FlowEvent& f : flow_events()) out.flow(f);
+  for (const trace::FlowEvent& f : flow_events(spans)) out.flow(f);
   out.finish();
 }
 

@@ -145,7 +145,12 @@ class SpanLog {
   /// One Perfetto flow per completed span: 's' at the thief's request,
   /// 't' at the victim's service (when recorded), 'f' at the thief's
   /// absorb. Feed to trace::Trace::write_chrome_json.
-  std::vector<trace::FlowEvent> flow_events() const;
+  std::vector<trace::FlowEvent> flow_events() const {
+    return flow_events(assemble());
+  }
+  /// The same flows, from spans already assembled.
+  static std::vector<trace::FlowEvent> flow_events(
+      const std::vector<Span>& spans);
 
   /// Standalone Perfetto export (no trace::Trace required): every
   /// assembled span as a duration slice on its thief's track, named by
