@@ -15,6 +15,14 @@ namespace {
 
 using stats::State;
 
+/// Release a chunk to the shared region once the local region holds at
+/// least this many chunks (paper: 2k, "a comfortable stack depth").
+constexpr std::size_t kReleaseChunks = 2;
+/// Hardened only: backoff after an abandoned steal attempt, doubling per
+/// consecutive timeout up to the cap.
+constexpr std::uint64_t kStealBackoffNs = 20'000;
+constexpr std::uint64_t kStealBackoffMaxNs = 1'000'000;
+
 class UpcWorker final : public RankWorker {
  public:
   UpcWorker(pgas::Ctx& ctx, SharedState& g, const Problem& prob,
@@ -28,7 +36,7 @@ class UpcWorker final : public RankWorker {
         sweep_(cfg.termination == Termination::kProbeBarrier
                    ? cfg.victim_policy
                    : VictimPolicy::kRandom) {
-    backoff_ns_ = cfg.steal_backoff_ns;
+    backoff_ns_ = kStealBackoffNs;
     if (cfg.obs != nullptr)
       cfg.obs->registry(me_).gauge("release_region", [this] {
         return static_cast<std::int64_t>(my_.shared_size());
@@ -121,9 +129,7 @@ class UpcWorker final : public RankWorker {
         reclaim();
       } else {
         expand_node();
-        while (my_.local_size() >=
-               static_cast<std::size_t>(cfg_.release_threshold) * k_)
-          do_release();
+        while (my_.local_size() >= kReleaseChunks * k_) do_release();
         ctx_.yield();
       }
       if (lockless() && ++since_poll >= cfg_.poll_interval) {
@@ -345,7 +351,7 @@ class UpcWorker final : public RankWorker {
       if (a == 0) {
         // Denied; the victim recorded the span's kDeny when it answered.
         drop_span(v);
-        backoff_ns_ = cfg_.steal_backoff_ns;  // the victim answered in time
+        backoff_ns_ = kStealBackoffNs;  // the victim answered in time
         return false;                         // denied
       }
       if (a > 0) {
@@ -357,7 +363,7 @@ class UpcWorker final : public RankWorker {
         const bool landed =
             absorb(take, crash_mode_ ? &board_->rec(v, me_) : nullptr);
         drop_span(v);
-        backoff_ns_ = cfg_.steal_backoff_ns;
+        backoff_ns_ = kStealBackoffNs;
         return landed;
       }
       if (crash_mode_ && ctx_.rank_dead(v)) {
@@ -373,7 +379,7 @@ class UpcWorker final : public RankWorker {
           span_event(obs::SpanPhase::kSalvage, me_, v, take);
           absorb(take);
           drop_span(v);
-          backoff_ns_ = cfg_.steal_backoff_ns;
+          backoff_ns_ = kStealBackoffNs;
           return true;
         }
         abandon_span(v);
@@ -387,7 +393,7 @@ class UpcWorker final : public RankWorker {
           span_event(obs::SpanPhase::kTimeout, me_, v);
           abandon_span(v);
           ctx_.charge(backoff_ns_);
-          backoff_ns_ = std::min(backoff_ns_ * 2, cfg_.steal_backoff_max_ns);
+          backoff_ns_ = std::min(backoff_ns_ * 2, kStealBackoffMaxNs);
           return false;
         }
         // The victim already claimed (kServicing) or answered: a response

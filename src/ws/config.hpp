@@ -113,11 +113,6 @@ struct WsConfig {
   /// Chunk size k: nodes moved per release/reacquire/steal granule.
   int chunk_size = 20;
 
-  /// Release a chunk to the shared region when the local region holds at
-  /// least `release_threshold * chunk_size` nodes (paper: 2k, "a
-  /// comfortable stack depth").
-  int release_threshold = 2;
-
   /// Nodes visited between polls of the steal-request word (lock-less
   /// protocol) or the message queue (mpi-ws).
   int poll_interval = 1;
@@ -164,11 +159,6 @@ struct WsConfig {
   /// and an mpi-ws thief retransmits sequence-numbered requests on this
   /// period. 0 keeps the paper's original protocols bit-for-bit.
   std::uint64_t steal_timeout_ns = 0;
-
-  /// Hardened only: initial backoff after an abandoned steal attempt;
-  /// doubles per consecutive timeout up to steal_backoff_max_ns.
-  std::uint64_t steal_backoff_ns = 20'000;
-  std::uint64_t steal_backoff_max_ns = 1'000'000;
 
   /// True when the timeout/retry hardening is active.
   bool hardened() const { return steal_timeout_ns > 0; }
@@ -242,14 +232,7 @@ struct WsConfig {
   /// Throws std::invalid_argument on nonsensical settings.
   void validate() const {
     if (chunk_size < 1) throw std::invalid_argument("chunk_size < 1");
-    if (release_threshold < 2)
-      throw std::invalid_argument(
-          "release_threshold < 2 (release must leave >= k local nodes)");
     if (poll_interval < 1) throw std::invalid_argument("poll_interval < 1");
-    if (steal_timeout_ns > 0 && steal_backoff_ns == 0)
-      throw std::invalid_argument("steal_backoff_ns == 0 with timeout set");
-    if (steal_backoff_max_ns < steal_backoff_ns)
-      throw std::invalid_argument("steal_backoff_max_ns < steal_backoff_ns");
     if (!(sample_frac > 0.0) || sample_frac > 1.0)
       throw std::invalid_argument("sample_frac outside (0, 1]");
     if (quantile < 0.0 || quantile > 1.0)

@@ -78,9 +78,6 @@ TEST(Validate, RejectsBadValues) {
   c.chunk_size = 0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
   c = WsConfig{};
-  c.release_threshold = 1;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c = WsConfig{};
   c.poll_interval = 0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
   c = WsConfig{};
