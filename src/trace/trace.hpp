@@ -276,9 +276,6 @@ class Trace {
   void fault(int rank, std::uint64_t t, Kind kind, std::int64_t ns) {
     record(rank, {t, rank, kind, 0, ns});
   }
-  void crash(int rank, std::uint64_t t) {
-    record(rank, {t, rank, Kind::kRankCrashed, 0, 0});
-  }
   void revoke(int rank, std::uint64_t t, int dead_holder) {
     record(rank, {t, rank, Kind::kLockRevoked, dead_holder, 0});
   }
