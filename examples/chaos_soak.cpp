@@ -58,22 +58,23 @@
 //   -v              per-campaign progress lines
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "check/checker.hpp"
+#include "check/cli.hpp"
 #include "check/replay.hpp"
 #include "check/strategies.hpp"
 #include "obs/observer.hpp"
 #include "pgas/thread_engine.hpp"
 #include "psim/engine.hpp"
+#include "sim/scheduler.hpp"
 #include "uts/sequential.hpp"
 #include "ws/driver.hpp"
 #include "ws/uts_problem.hpp"
@@ -81,38 +82,6 @@
 using namespace upcws;
 
 namespace {
-
-[[noreturn]] void usage(const std::string& msg) {
-  std::fprintf(stderr, "chaos_soak: %s (see header comment for flags)\n",
-               msg.c_str());
-  std::exit(2);
-}
-
-/// Strict nonnegative integer: rejects "-5" (which atoll/atoi would wrap
-/// or accept silently) and trailing junk.
-std::uint64_t parse_u64(const char* s, const char* flag) {
-  if (s == nullptr || *s == '\0' || *s == '-')
-    usage(std::string(flag) + " wants a nonnegative integer");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0')
-    usage(std::string(flag) + " wants a nonnegative integer");
-  return static_cast<std::uint64_t>(v);
-}
-
-/// "RANK@NS" for the forced-fault flags, rejecting negatives outright.
-std::pair<int, std::uint64_t> parse_rank_at(const std::string& spec,
-                                            const char* flag) {
-  const std::string want = std::string("bad ") + flag + " spec (want RANK@NS)";
-  if (spec.find('-') != std::string::npos) usage(want);
-  int rank = -1;
-  unsigned long long at = 0;
-  int consumed = 0;
-  if (std::sscanf(spec.c_str(), "%d@%llu%n", &rank, &at, &consumed) < 2 ||
-      spec[static_cast<std::size_t>(consumed)] != '\0')
-    usage(want);
-  return {rank, static_cast<std::uint64_t>(at)};
-}
 
 /// One campaign's random draw: a CheckSpec plus which fault classes it
 /// includes and which engine runs it.
@@ -167,6 +136,7 @@ Campaign draw_campaign(std::uint64_t seed, int index, int threads_every,
 
   const bool push = s.algo == ws::Algo::kWorkPush;
   const bool mpi = s.algo == ws::Algo::kMpiWs;
+  pgas::FaultPlan& f = s.faults;
 
   // Membership roles: partition the eligible ranks {1..n-1} among crashers,
   // drainers, and joiners, capping leavers at nranks-2.
@@ -184,30 +154,30 @@ Campaign draw_campaign(std::uint64_t seed, int index, int threads_every,
     cs.where = chance(70)   ? pgas::CrashSpec::Where::kAnywhere
                : chance(50) ? pgas::CrashSpec::Where::kInLock
                             : pgas::CrashSpec::Where::kMidSteal;
-    s.crashes.push_back(cs);
+    f.crashes.push_back(cs);
     --leavers_left;
   }
   const int ndrain = pick(0, 2);
   for (int i = 0; i < ndrain && leavers_left > 0 && e < eligible.size(); ++i) {
-    s.drains.push_back(
+    f.drains.push_back(
         {eligible[e++], static_cast<std::uint64_t>(pick(10, 150)) * 1000});
     --leavers_left;
   }
   const int njoin = pick(0, 2);
   for (int i = 0; i < njoin && e < eligible.size(); ++i) {
-    s.joins.push_back(
+    f.joins.push_back(
         {eligible[e++], static_cast<std::uint64_t>(pick(5, 80)) * 1000});
   }
 
   // Transient faults. Stall windows sized to virtual-time runs (~100us-10ms).
   if (chance(35)) {
-    s.stall_ns = static_cast<std::uint64_t>(pick(2, 20)) * 1000;
-    s.stall_period_ns = s.stall_ns * static_cast<std::uint64_t>(pick(3, 10));
-    s.stall_rank = chance(50) ? -1 : pick(0, s.nranks - 1);
+    f.stall_ns = static_cast<std::uint64_t>(pick(2, 20)) * 1000;
+    f.stall_period_ns = f.stall_ns * static_cast<std::uint64_t>(pick(3, 10));
+    f.stall_rank = chance(50) ? -1 : pick(0, s.nranks - 1);
   }
   if (mpi && chance(40)) {
-    s.drop_prob = pick(1, 10) / 100.0;
-    s.dup_prob = pick(1, 10) / 100.0;
+    f.drop_prob = pick(1, 10) / 100.0;
+    f.dup_prob = pick(1, 10) / 100.0;
   }
 
   // Correlated partition: random bipartition with both sides nonempty,
@@ -220,54 +190,38 @@ Campaign draw_campaign(std::uint64_t seed, int index, int threads_every,
              ps.group_mask == (1ull << s.nranks) - 1);
     ps.start_ns = static_cast<std::uint64_t>(pick(10, 60)) * 1000;
     ps.heal_ns = ps.start_ns + static_cast<std::uint64_t>(pick(10, 120)) * 1000;
-    s.partitions.push_back(ps);
+    f.partitions.push_back(ps);
   }
   return c;
 }
 
 /// Real-engine campaign (threads or psim): no schedule policy or step
-/// oracles, but the exactly-once count and membership counters must hold.
+/// oracles, but the exactly-once count and membership counters must hold,
+/// and the watchdog (psim) turns a hang into a failed campaign.
 check::RunOutcome run_real(pgas::Engine& eng, const check::CheckSpec& s,
                            obs::Observer* obs = nullptr) {
   check::RunOutcome out;
-  pgas::RunConfig rc;
-  rc.nranks = s.nranks;
-  rc.net = check::net_by_name(s.net);
-  rc.seed = s.run_seed;
-  rc.faults.stall_ns = s.stall_ns;
-  rc.faults.stall_period_ns = s.stall_period_ns;
-  rc.faults.stall_rank = s.stall_rank;
-  rc.faults.drop_prob = s.drop_prob;
-  rc.faults.dup_prob = s.dup_prob;
-  rc.faults.crashes = s.crashes;
-  rc.faults.crash_detect_ns = s.crash_detect_ns;
-  rc.faults.drains = s.drains;
-  rc.faults.joins = s.joins;
-  rc.faults.partitions = s.partitions;
-
+  check::SpecConfigs c = check::configs_for(s);
+  c.ws.obs = obs;  // pure observation: attaching it cannot change the outcome
   const ws::UtsProblem prob(s.tree);
-  ws::WsConfig cfg = ws::WsConfig::for_algo(s.algo, s.chunk);
-  cfg.steal_timeout_ns = s.steal_timeout_ns;
-  cfg.sample_frac = s.sample_frac;
-  cfg.quantile = s.quantile;
-  cfg.lifeline_dim = s.lifeline_dim;
-  cfg.obs = obs;  // pure observation: attaching it cannot change the outcome
-  const ws::SearchResult res = ws::run_search(eng, rc, prob, cfg);
-  out.completed = true;
-  out.nodes = res.agg.total_nodes;
-  const std::uint64_t want = check::expected_nodes(s);
-  if (res.agg.total_nodes != want) {
-    out.violated = true;
-    out.oracle = "node-conservation";
-    std::ostringstream os;
-    os << eng.name() << " engine visited " << res.agg.total_nodes
-       << " nodes, sequential reference is " << want;
-    out.message = os.str();
-  } else if (res.agg.faults.drains > s.drains.size() ||
-             res.agg.faults.joins > s.joins.size()) {
-    out.violated = true;
-    out.oracle = "membership-safety";
-    out.message = "membership counters exceed the plan";
+  try {
+    const ws::SearchResult res = ws::run_search(eng, c.run, prob, c.ws);
+    out.completed = true;
+    out.nodes = res.agg.total_nodes;
+    const std::uint64_t want = check::expected_nodes(s);
+    if (res.agg.total_nodes != want) {
+      std::ostringstream os;
+      os << eng.name() << " engine visited " << res.agg.total_nodes
+         << " nodes, sequential reference is " << want;
+      out.violate("node-conservation", os.str());
+    } else if (res.agg.faults.drains > s.faults.drains.size() ||
+               res.agg.faults.joins > s.faults.joins.size()) {
+      out.violate("membership-safety", "membership counters exceed the plan");
+    }
+  } catch (const sim::HangDetected& h) {
+    out.violate("hang", h.what());
+  } catch (const sim::TimeLimitExceeded& t) {
+    out.violate("vt-limit", t.what());
   }
   return out;
 }
@@ -327,119 +281,93 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   int threads_every = 8;
   int workers = 0;  // psim differential threads; 0 = hardware concurrency
-  bool workers_set = false;
   int pin_nranks = 0;  // 0 = random per campaign
-  bool nranks_set = false;
   ws::Algo pin_algo{};  // valid only when algo_set
   bool algo_set = false;
   double sample_frac = -1.0;  // < 0 = keep the config default
   double quantile = -1.0;
   int lifeline_dim = -1;
-  std::vector<pgas::CrashSpec> forced_crashes;
-  std::vector<pgas::DrainSpec> forced_drains;
-  std::vector<pgas::JoinSpec> forced_joins;
+  pgas::FaultPlan forced;  // --crash/--drain/--join, added to every campaign
   std::string json_path, replay_dir = ".";
   bool psim_obs = false;
   bool psim_window_metrics = false;
   bool verbose = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage("missing value for " + a);
-      return argv[++i];
-    };
+  // Every value goes through the shared strict parsers (src/check/cli.hpp).
+  check::Args args("chaos_soak", argc, argv);
+  args.parse([&](const std::string& a) {
     if (a == "--campaigns")
-      campaigns = static_cast<int>(parse_u64(next(), "--campaigns"));
+      args.read(campaigns, 1);
     else if (a == "--seed")
-      seed = parse_u64(next(), "--seed");
+      args.read(seed);
     else if (a == "--threads-every")
-      threads_every = static_cast<int>(parse_u64(next(), "--threads-every"));
-    else if (a == "--workers") {
-      workers = static_cast<int>(parse_u64(next(), "--workers"));
-      workers_set = true;
-    }
-    else if (a == "--nranks") {
-      pin_nranks = static_cast<int>(parse_u64(next(), "--nranks"));
-      nranks_set = true;
-    }
+      args.read(threads_every);
+    else if (a == "--workers")
+      workers = check::parse_workers(args.value(), a);
+    else if (a == "--nranks")
+      args.read(pin_nranks, 2);
     else if (a == "--algo") {
-      try {
-        pin_algo = check::algo_from_label(next());
-      } catch (const std::exception& e) {
-        usage(e.what());
-      }
+      pin_algo = check::algo_from_label(args.value());
       algo_set = true;
-    }
-    else if (a == "--sample-frac")
-      sample_frac = std::atof(next());
+    } else if (a == "--sample-frac")
+      args.read(sample_frac);
     else if (a == "--quantile")
-      quantile = std::atof(next());
+      args.read(quantile);
     else if (a == "--lifeline-dim")
-      lifeline_dim = static_cast<int>(parse_u64(next(), "--lifeline-dim"));
+      args.read(lifeline_dim);
     else if (a == "--crash") {
-      const auto [r, at] = parse_rank_at(next(), "--crash");
-      pgas::CrashSpec cs;
-      cs.rank = r;
-      cs.at_ns = at;
-      forced_crashes.push_back(cs);
+      const auto [rank, at] = check::parse_rank_at(args.value(), a);
+      forced.crashes.push_back({rank, at});
     } else if (a == "--drain") {
-      const auto [r, at] = parse_rank_at(next(), "--drain");
-      forced_drains.push_back(pgas::DrainSpec{r, at});
+      const auto [rank, at] = check::parse_rank_at(args.value(), a);
+      forced.drains.push_back({rank, at});
     } else if (a == "--join") {
-      const auto [r, at] = parse_rank_at(next(), "--join");
-      forced_joins.push_back(pgas::JoinSpec{r, at});
+      const auto [rank, at] = check::parse_rank_at(args.value(), a);
+      forced.joins.push_back({rank, at});
     } else if (a == "--json")
-      json_path = next();
+      json_path = args.value();
     else if (a == "--psim")
       psim_obs = true;
     else if (a == "--psim-window-metrics")
       psim_window_metrics = true;
     else if (a == "--replay-dir")
-      replay_dir = next();
+      replay_dir = args.value();
     else if (a == "--budget-smoke")
       campaigns = 60;
     else if (a == "-v")
       verbose = true;
     else
-      usage("unknown flag " + a);
-  }
-  if (campaigns < 1) usage("--campaigns wants at least 1");
+      return false;
+    return true;
+  });
   if (psim_window_metrics && !psim_obs)
-    usage("--psim-window-metrics requires --psim (nothing is collected "
-          "without the observed psim differential)");
-  if (nranks_set && (pin_nranks < 2 || pin_nranks > 16))
-    usage("--nranks wants 2..16 ranks");
+    args.fail("--psim-window-metrics requires --psim (nothing is collected "
+              "without the observed psim differential)");
+  if (pin_nranks > 16) args.fail("--nranks wants 2..16 ranks");
   if (sample_frac != -1.0 && (!(sample_frac > 0.0) || sample_frac > 1.0))
-    usage("--sample-frac wants a value in (0,1]");
-  if (quantile != -1.0 && (quantile < 0.0 || quantile > 1.0))
-    usage("--quantile wants a value in [0,1]");
-  if (workers_set) {
-    const unsigned hc = std::thread::hardware_concurrency();
-    const int max_workers = hc > 0 ? static_cast<int>(hc) : 1;
-    if (workers < 1 || workers > max_workers)
-      usage("--workers wants a thread count in [1," +
-            std::to_string(max_workers) + "] (hardware concurrency)");
-  }
+    args.fail("--sample-frac wants a value in (0,1]");
+  if (quantile > 1.0) args.fail("--quantile wants a value in [0,1]");
   // Forced fault flags are validated against the run shape before any
   // campaign runs: a bad rank dies here with one line, not 60 campaigns in.
-  const bool any_forced = !forced_crashes.empty() || !forced_drains.empty() ||
-                          !forced_joins.empty();
-  if (any_forced && pin_nranks == 0)
-    usage("--crash/--drain/--join need --nranks to validate ranks against");
-  auto check_rank = [&](const char* flag, int r) {
-    if (r < 1 || r >= pin_nranks)
-      usage(std::string(flag) + " rank " + std::to_string(r) +
-            " out of range [1," + std::to_string(pin_nranks) +
-            ") (rank 0 seeds the root)");
-  };
-  for (const auto& c : forced_crashes) check_rank("--crash", c.rank);
-  for (const auto& d : forced_drains) check_rank("--drain", d.rank);
-  for (const auto& j : forced_joins) check_rank("--join", j.rank);
+  // Beyond the plan's own rules, a soak keeps rank 0 (it seeds the root)
+  // and at least two ranks alive.
+  std::set<int> forced_ranks;
+  for (const auto& c : forced.crashes) forced_ranks.insert(c.rank);
+  for (const auto& d : forced.drains) forced_ranks.insert(d.rank);
+  for (const auto& j : forced.joins) forced_ranks.insert(j.rank);
+  if (!forced_ranks.empty() && pin_nranks == 0)
+    args.fail("--crash/--drain/--join need --nranks to validate ranks against");
+  try {
+    forced.validate(pin_nranks);
+  } catch (const std::invalid_argument& e) {
+    args.fail(std::string("--") + e.what());
+  }
+  if (forced_ranks.count(0))  // validate() already refused a join of rank 0
+    args.fail("--crash/--drain of rank 0 (it seeds the root)");
   if (pin_nranks != 0 &&
-      forced_crashes.size() + forced_drains.size() >
+      forced.crashes.size() + forced.drains.size() >
           static_cast<std::size_t>(pin_nranks - 2))
-    usage("forced crashes+drains exceed nranks-2 (work must survive)");
+    args.fail("forced crashes+drains exceed nranks-2 (work must survive)");
 
   const auto oracles = check::default_oracles();
   std::map<std::string, int> algo_runs, fault_runs;
@@ -460,38 +388,26 @@ int main(int argc, char** argv) {
     if (sample_frac >= 0.0) s.sample_frac = sample_frac;
     if (quantile >= 0.0) s.quantile = quantile;
     if (lifeline_dim >= 0) s.lifeline_dim = lifeline_dim;
-    if (any_forced) {
-      // Forced membership faults replace any drawn role on the same rank
-      // (one role per rank), and keep the valid-by-construction rules:
-      // work-push excludes crashes by design.
-      auto claimed = [&](int r) {
-        for (const auto& fc : forced_crashes)
-          if (fc.rank == r) return true;
-        for (const auto& fd : forced_drains)
-          if (fd.rank == r) return true;
-        for (const auto& fj : forced_joins)
-          if (fj.rank == r) return true;
-        return false;
-      };
-      std::erase_if(s.crashes,
-                    [&](const pgas::CrashSpec& cs) { return claimed(cs.rank); });
-      std::erase_if(s.drains,
-                    [&](const pgas::DrainSpec& d) { return claimed(d.rank); });
-      std::erase_if(s.joins,
-                    [&](const pgas::JoinSpec& j) { return claimed(j.rank); });
-      if (s.algo != ws::Algo::kWorkPush)
-        for (const auto& fc : forced_crashes) s.crashes.push_back(fc);
-      for (const auto& fd : forced_drains) s.drains.push_back(fd);
-      for (const auto& fj : forced_joins) s.joins.push_back(fj);
-    }
+    // Forced membership faults replace any drawn role on the same rank (one
+    // role per rank), and keep the valid-by-construction rules: work-push
+    // excludes crashes by design.
+    auto force = [&](auto& drawn, const auto& add, bool keep) {
+      std::erase_if(drawn,
+                    [&](const auto& d) { return forced_ranks.count(d.rank); });
+      if (keep) drawn.insert(drawn.end(), add.begin(), add.end());
+    };
+    force(s.faults.crashes, forced.crashes, s.algo != ws::Algo::kWorkPush);
+    force(s.faults.drains, forced.drains, true);
+    force(s.faults.joins, forced.joins, true);
     ++algo_runs[ws::algo_label(s.algo)];
-    if (s.stall_ns > 0) ++fault_runs["stalls"];
-    if (s.drop_prob > 0) ++fault_runs["drops"];
-    if (s.dup_prob > 0) ++fault_runs["dups"];
-    if (!s.crashes.empty()) ++fault_runs["crashes"];
-    if (!s.drains.empty()) ++fault_runs["drains"];
-    if (!s.joins.empty()) ++fault_runs["joins"];
-    if (!s.partitions.empty()) ++fault_runs["partitions"];
+    const pgas::FaultPlan& plan = s.faults;
+    if (plan.stall_ns > 0) ++fault_runs["stalls"];
+    if (plan.drop_prob > 0) ++fault_runs["drops"];
+    if (plan.dup_prob > 0) ++fault_runs["dups"];
+    if (!plan.crashes.empty()) ++fault_runs["crashes"];
+    if (!plan.drains.empty()) ++fault_runs["drains"];
+    if (!plan.joins.empty()) ++fault_runs["joins"];
+    if (!plan.partitions.empty()) ++fault_runs["partitions"];
 
     check::RunOutcome o;
     const char* engine = c.threads ? "threads" : "sim";
@@ -525,8 +441,8 @@ int main(int argc, char** argv) {
       std::printf("campaign %3d: %-15s %s n=%d c=%d %s  crashes=%zu "
                   "drains=%zu joins=%zu partitions=%zu  -> %s\n",
                   i, ws::algo_label(s.algo), engine, s.nranks, s.chunk,
-                  s.net.c_str(), s.crashes.size(), s.drains.size(),
-                  s.joins.size(), s.partitions.size(),
+                  s.net.c_str(), plan.crashes.size(), plan.drains.size(),
+                  plan.joins.size(), plan.partitions.size(),
                   o.violated ? o.oracle.c_str() : "ok");
     if (!o.violated) continue;
 
@@ -578,7 +494,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream f(json_path);
-    if (!f) usage("cannot write --json " + json_path);
+    if (!f) args.fail("cannot write --json " + json_path);
     write_summary(f, campaigns, threads_runs, algo_runs, fault_runs,
                   failures, elapsed_s);
     std::printf("wrote summary to %s\n", json_path.c_str());

@@ -47,13 +47,12 @@
 //                   must be found, shrunk, and reproduced from their emitted
 //                   replays. Exit 0 iff all hold.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "check/checker.hpp"
+#include "check/cli.hpp"
 #include "check/replay.hpp"
 #include "trace/trace.hpp"
 
@@ -61,17 +60,11 @@ using namespace upcws;
 
 namespace {
 
-[[noreturn]] void usage(const std::string& msg) {
-  std::fprintf(stderr, "schedule_check: %s (see header comment for flags)\n",
-               msg.c_str());
-  std::exit(2);
-}
-
 check::Strategy strategy_from(const std::string& s) {
   if (s == "random") return check::Strategy::kRandom;
   if (s == "pct") return check::Strategy::kPct;
   if (s == "dfs") return check::Strategy::kDfs;
-  usage("unknown --strategy " + s);
+  throw std::invalid_argument("unknown --strategy " + s);
 }
 
 const char* strategy_name(check::Strategy s) {
@@ -81,26 +74,6 @@ const char* strategy_name(check::Strategy s) {
     case check::Strategy::kDfs: return "dfs";
   }
   return "?";
-}
-
-void parse_crashes(const std::string& spec, std::vector<pgas::CrashSpec>& out) {
-  const char* p = spec.c_str();
-  while (*p != '\0') {
-    int rank = -1;
-    unsigned long long at = 0;
-    int consumed = 0;
-    if (std::sscanf(p, "%d@%llu%n", &rank, &at, &consumed) < 2 || rank < 0)
-      usage("bad --crash spec (want RANK@NS[,RANK@NS...])");
-    pgas::CrashSpec c;
-    c.rank = rank;
-    c.at_ns = at;
-    out.push_back(c);
-    p += consumed;
-    if (*p == ',')
-      ++p;
-    else if (*p != '\0')
-      usage("bad --crash spec");
-  }
 }
 
 std::string trail_str(const std::vector<std::uint16_t>& t) {
@@ -161,39 +134,34 @@ int budget_smoke() {
   // Crash timing tuned so the seeded claim-CAS bug below is schedule-
   // reachable: rank 0 must die inside a grant-service window, leaving a
   // pending lineage record that a live thief and a recoverer then race for.
-  clean.crashes.push_back({0, 10'000, pgas::CrashSpec::Where::kAnywhere});
-  for (const check::Strategy s :
-       {check::Strategy::kRandom, check::Strategy::kPct,
-        check::Strategy::kDfs}) {
+  clean.faults.crashes.push_back(
+      {0, 10'000, pgas::CrashSpec::Where::kAnywhere});
+  auto expect_clean = [&](const char* label, const check::CheckSpec& spec,
+                          check::Strategy strategy, int budget) {
     check::CheckConfig cc;
-    cc.strategy = s;
-    cc.budget = s == check::Strategy::kPct ? 6 : 10;
-    const check::CheckResult r = check::check(clean, cc);
-    std::printf("smoke[clean/%s]: %d schedules, %s\n", strategy_name(s),
+    cc.strategy = strategy;
+    cc.budget = budget;
+    const check::CheckResult r = check::check(spec, cc);
+    std::printf("smoke[clean/%s]: %d schedules, %s\n", label,
                 r.schedules_run, r.found ? "VIOLATION (unexpected!)" : "ok");
     if (r.found) {
       std::printf("  %s: %s\n", r.violation.oracle.c_str(),
                   r.violation.message.c_str());
       ++failures;
     }
-  }
+  };
+  for (const check::Strategy s :
+       {check::Strategy::kRandom, check::Strategy::kPct,
+        check::Strategy::kDfs})
+    expect_clean(strategy_name(s), clean, s,
+                 s == check::Strategy::kPct ? 6 : 10);
 
   // 2. The extension variants (lifeline parking, sampling selection) must
   //    also check clean — same crash plan, random walk.
   for (const ws::Algo a : {ws::Algo::kLifeline, ws::Algo::kSampling}) {
     check::CheckSpec v = clean;
     v.algo = a;
-    check::CheckConfig vc;
-    vc.strategy = check::Strategy::kRandom;
-    vc.budget = 10;
-    const check::CheckResult r = check::check(v, vc);
-    std::printf("smoke[clean/%s]: %d schedules, %s\n", ws::algo_label(a),
-                r.schedules_run, r.found ? "VIOLATION (unexpected!)" : "ok");
-    if (r.found) {
-      std::printf("  %s: %s\n", r.violation.oracle.c_str(),
-                  r.violation.message.c_str());
-      ++failures;
-    }
+    expect_clean(ws::algo_label(a), v, check::Strategy::kRandom, 10);
   }
 
   // 3. Each seeded bug must be found within the smoke budget, shrink, and
@@ -265,79 +233,79 @@ int main(int argc, char** argv) {
   auto crash_where = pgas::CrashSpec::Where::kAnywhere;
   bool smoke = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage("missing value for " + a);
-      return argv[++i];
-    };
+  // Every value goes through the shared strict parsers (src/check/cli.hpp).
+  check::Args args("schedule_check", argc, argv);
+  args.parse([&](const std::string& a) {
     if (a == "-A")
-      spec.algo = check::algo_from_label(next());
+      spec.algo = check::algo_from_label(args.value());
     else if (a == "-n")
-      spec.nranks = std::atoi(next());
+      args.read(spec.nranks);
     else if (a == "-c")
-      spec.chunk = std::atoi(next());
+      args.read(spec.chunk);
     else if (a == "--net")
-      spec.net = next();
+      spec.net = args.value();
     else if (a == "--preset")
-      preset = next();
+      preset = args.value();
     else if (a == "-r")
-      root_seed = static_cast<std::uint32_t>(std::atoi(next()));
+      args.read(root_seed);
     else if (a == "-S")
-      spec.run_seed = static_cast<std::uint64_t>(std::atoll(next()));
+      args.read(spec.run_seed);
     else if (a == "--strategy")
-      cc.strategy = strategy_from(next());
+      cc.strategy = strategy_from(args.value());
     else if (a == "--budget")
-      cc.budget = std::atoi(next());
+      args.read(cc.budget);
     else if (a == "--seed")
-      cc.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      args.read(cc.seed);
     else if (a == "--pct-depth")
-      cc.pct_depth = std::atoi(next());
+      args.read(cc.pct_depth);
     else if (a == "--dfs-depth")
-      cc.dfs_depth = static_cast<std::size_t>(std::atoll(next()));
+      args.read(cc.dfs_depth);
     else if (a == "--window")
-      cc.window_ns = static_cast<std::uint64_t>(std::atoll(next()));
+      args.read(cc.window_ns);
     else if (a == "--steal-timeout")
-      spec.steal_timeout_ns = static_cast<std::uint64_t>(std::atoll(next()));
+      args.read(spec.steal_timeout_ns);
     else if (a == "--watchdog-ms")
-      spec.watchdog_ns = static_cast<std::uint64_t>(std::atof(next()) * 1e6);
+      spec.watchdog_ns =
+          static_cast<std::uint64_t>(check::parse_real(args.value(), a) * 1e6);
     else if (a == "--crash")
-      parse_crashes(next(), spec.crashes);
+      for (const auto& [rank, at] : check::parse_rank_at_list(args.value(), a))
+        spec.faults.crashes.push_back({rank, at});
     else if (a == "--crash-in-lock")
       crash_where = pgas::CrashSpec::Where::kInLock;
     else if (a == "--crash-mid-steal")
       crash_where = pgas::CrashSpec::Where::kMidSteal;
     else if (a == "--crash-detect")
-      spec.crash_detect_ns = static_cast<std::uint64_t>(std::atoll(next()));
+      args.read(spec.faults.crash_detect_ns);
     else if (a == "--seed-bug") {
-      const std::string b = next();
+      const std::string b = args.value();
       if (b == "claim-cas")
         spec.bug_weak_claim = true;
       else if (b == "drop-distress")
         spec.bug_drop_distress = true;
       else
-        usage("unknown --seed-bug " + b);
+        args.fail("unknown --seed-bug " + b);
     } else if (a == "--sample-frac")
-      spec.sample_frac = std::atof(next());
+      args.read(spec.sample_frac);
     else if (a == "--quantile")
-      spec.quantile = std::atof(next());
+      args.read(spec.quantile);
     else if (a == "--lifeline-dim")
-      spec.lifeline_dim = std::atoi(next());
+      args.read(spec.lifeline_dim);
     else if (a == "--no-shrink")
       cc.shrink = false;
     else if (a == "--emit-replay")
-      emit_replay = next();
+      emit_replay = args.value();
     else if (a == "--trace")
-      trace_path = next();
+      trace_path = args.value();
     else if (a == "--replay")
-      replay_path = next();
+      replay_path = args.value();
     else if (a == "--budget-smoke")
       smoke = true;
     else
-      usage("unknown flag " + a);
-  }
-
-  for (pgas::CrashSpec& c : spec.crashes) c.where = crash_where;
+      return false;
+    return true;
+  });
+  for (pgas::CrashSpec& c : spec.faults.crashes) c.where = crash_where;
+  args.validate(spec.faults, spec.nranks, spec.algo);
 
   if (smoke) return budget_smoke();
 
@@ -357,16 +325,7 @@ int main(int argc, char** argv) {
         std::printf("trace of the replayed schedule: %s\n",
                     trace_path.c_str());
       }
-      if (o.violated)
-        std::printf("outcome: VIOLATION %s\n  %s\n", o.oracle.c_str(),
-                    o.message.c_str());
-      else
-        std::printf("outcome: clean run, %llu nodes\n",
-                    static_cast<unsigned long long>(o.nodes));
-      const bool match = check::replay_matches(rf, o);
-      std::printf("replay %s the recorded expectation\n",
-                  match ? "MATCHES" : "DOES NOT MATCH");
-      return match ? 0 : 1;
+      return check::report_replay(rf, o);
     }
 
     spec.tree = preset == "test-small" ? uts::test_small(root_seed)
@@ -383,7 +342,7 @@ int main(int argc, char** argv) {
                 strategy_name(cc.strategy), cc.budget,
                 static_cast<unsigned long long>(cc.seed),
                 static_cast<unsigned long long>(cc.window_ns),
-                spec.crashes.size(),
+                spec.faults.crashes.size(),
                 spec.bug_weak_claim      ? " seed-bug=claim-cas"
                 : spec.bug_drop_distress ? " seed-bug=drop-distress"
                                          : "");

@@ -51,15 +51,13 @@
 #include <iterator>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "check/checker.hpp"
+#include "check/cli.hpp"
 #include "check/job_oracle.hpp"
 #include "obs/autopsy.hpp"
 #include "pgas/sim_engine.hpp"
@@ -70,22 +68,6 @@
 using namespace upcws;
 
 namespace {
-
-[[noreturn]] void usage(const std::string& msg) {
-  std::fprintf(stderr, "service_soak: %s (see header comment for flags)\n",
-               msg.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* s, const char* flag) {
-  if (s == nullptr || *s == '\0' || *s == '-')
-    usage(std::string(flag) + " wants a nonnegative integer");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0')
-    usage(std::string(flag) + " wants a nonnegative integer");
-  return static_cast<std::uint64_t>(v);
-}
 
 /// Exact nearest-rank percentile of a sorted vector.
 std::uint64_t pctl(const std::vector<std::uint64_t>& sorted, int p) {
@@ -198,41 +180,31 @@ int main(int argc, char** argv) {
   std::string json_path, report_path, timeline_path;
   bool verbose = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage("missing value for " + a);
-      return argv[++i];
-    };
-    if (a == "--jobs")
-      total_jobs = static_cast<int>(parse_u64(next(), "--jobs"));
+  check::Args args("service_soak", argc, argv);
+  args.parse([&](const std::string& a) {
+    if (a == "--jobs")  // every algorithm on both engines
+      args.read(total_jobs, 16);
     else if (a == "--algo") {
-      try {
-        pin_algo = check::algo_from_label(next());
-      } catch (const std::exception& e) {
-        usage(e.what());
-      }
+      pin_algo = check::algo_from_label(args.value());
       algo_set = true;
-    }
-    else if (a == "--seed")
-      seed = parse_u64(next(), "--seed");
+    } else if (a == "--seed")
+      args.read(seed);
     else if (a == "--json")
-      json_path = next();
+      json_path = args.value();
     else if (a == "--report")
-      report_path = next();
+      report_path = args.value();
     else if (a == "--timeline")
-      timeline_path = next();
+      timeline_path = args.value();
     else if (a == "--budget-smoke")
       total_jobs = 72;
     else if (a == "-v")
       verbose = true;
     else
-      usage("unknown flag " + a);
-  }
-  if (total_jobs < 16)
-    usage("--jobs wants at least 16 (all eight algorithms on both engines)");
+      return false;
+    return true;
+  });
   if (!timeline_path.empty() && report_path.empty())
-    usage("--timeline requires --report (it is what turns job logging on)");
+    args.fail("--timeline requires --report (it is what turns job logging on)");
 
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -399,7 +371,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream f(json_path);
-    if (!f) usage("cannot write --json " + json_path);
+    if (!f) args.fail("cannot write --json " + json_path);
     f << "{\n  \"schema\": \"upcws-service-report-v1\",\n";
     f << "  \"jobs\": " << total_jobs << ",\n";
     f << "  \"terminal\": {\"completed\": " << completed
@@ -452,12 +424,12 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(tl.jobs),
           static_cast<unsigned long long>(tl.unfinished));
     std::ofstream f(report_path);
-    if (!f) usage("cannot write --report " + report_path);
+    if (!f) args.fail("cannot write --report " + report_path);
     tl.write_json(f);
     std::printf("wrote service timeline to %s\n", report_path.c_str());
     if (!timeline_path.empty()) {
       std::ofstream tf(timeline_path);
-      if (!tf) usage("cannot write --timeline " + timeline_path);
+      if (!tf) args.fail("cannot write --timeline " + timeline_path);
       sim_log.write_chrome_json(tf);
       std::printf("wrote Perfetto job lanes to %s\n", timeline_path.c_str());
     }

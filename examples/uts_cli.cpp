@@ -103,15 +103,13 @@
 //                 until the heal, never lost
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include <fstream>
 #include <memory>
 
+#include "check/cli.hpp"
 #include "check/replay.hpp"
 #include "obs/autopsy.hpp"
 #include "obs/observer.hpp"
@@ -128,106 +126,18 @@
 
 using namespace upcws;
 
-namespace {
-
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "uts_cli: %s (see header comment for flags)\n", msg);
-  std::exit(2);
-}
-
-ws::Algo parse_algo(const std::string& s) {
-  for (ws::Algo a : ws::kAllAlgosExtended)
-    if (s == ws::algo_label(a)) return a;
-  usage("unknown algorithm label");
-}
-
-/// Strict nonnegative integer: rejects "-5" (which atoll would silently
-/// wrap to a huge unsigned) and trailing junk.
-std::uint64_t parse_u64(const char* s, const char* flag) {
-  if (s == nullptr || *s == '\0' || *s == '-')
-    usage((std::string(flag) + " wants a nonnegative integer").c_str());
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0')
-    usage((std::string(flag) + " wants a nonnegative integer").c_str());
-  return static_cast<std::uint64_t>(v);
-}
-
-/// "RANK@NS[,RANK@NS...]" -> (rank, at_ns) pairs handed to `add`.
-template <typename F>
-void parse_rank_at_list(const std::string& spec, const char* flag, F add) {
-  const std::string want =
-      std::string("bad ") + flag + " spec (want RANK@NS[,RANK@NS...])";
-  // Negative ranks/times would wrap through the unsigned scan: refuse.
-  if (spec.find('-') != std::string::npos) usage(want.c_str());
-  const char* p = spec.c_str();
-  while (*p != '\0') {
-    int rank = -1;
-    unsigned long long at = 0;
-    int consumed = 0;
-    if (std::sscanf(p, "%d@%llu%n", &rank, &at, &consumed) < 2)
-      usage(want.c_str());
-    add(rank, static_cast<std::uint64_t>(at));
-    p += consumed;
-    if (*p == ',')
-      ++p;
-    else if (*p != '\0')
-      usage(want.c_str());
-  }
-}
-
-/// "RANK@NS[,RANK@NS...]" -> fail-stop specs appended to the plan.
-void parse_crashes(const std::string& spec, pgas::FaultPlan& plan) {
-  parse_rank_at_list(spec, "--crash", [&](int rank, std::uint64_t at) {
-    pgas::CrashSpec c;
-    c.rank = rank;
-    c.at_ns = at;
-    plan.crashes.push_back(c);
-  });
-}
-
-/// "MASK:START:HEAL[,...]" -> partition specs appended to the plan.
-void parse_partitions(const std::string& spec, pgas::FaultPlan& plan) {
-  if (spec.find('-') != std::string::npos)
-    usage("bad --partition spec (want MASK:START:HEAL[,...])");
-  const char* p = spec.c_str();
-  while (*p != '\0') {
-    unsigned long long mask = 0, start = 0, heal = 0;
-    int consumed = 0;
-    if (std::sscanf(p, "%llu:%llu:%llu%n", &mask, &start, &heal, &consumed) <
-        3)
-      usage("bad --partition spec (want MASK:START:HEAL[,...])");
-    pgas::PartitionSpec ps;
-    ps.group_mask = mask;
-    ps.start_ns = start;
-    ps.heal_ns = heal;
-    plan.partitions.push_back(ps);
-    p += consumed;
-    if (*p == ',')
-      ++p;
-    else if (*p != '\0')
-      usage("bad --partition spec (want MASK:START:HEAL[,...])");
-  }
-}
-
-/// "DUR[:PERIOD[:RANK]]" (ns, ns, rank id) -> stall fields of the plan.
-void parse_stall(const std::string& spec, pgas::FaultPlan& plan) {
-  if (spec.find('-') != std::string::npos)
-    usage("bad --stall spec (negative values; want DUR[:PERIOD[:RANK]])");
-  unsigned long long dur = 0, period = 0;
-  int rank = -1;
-  const int got = std::sscanf(spec.c_str(), "%llu:%llu:%d", &dur, &period,
-                              &rank);
-  if (got < 1 || dur == 0) usage("bad --stall spec (want DUR[:PERIOD[:RANK]])");
-  plan.stall_ns = dur;
-  plan.stall_period_ns = got >= 2 ? period : dur * 10;
-  plan.stall_rank = got >= 3 ? rank : -1;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  uts::Params tree;
+  // The run, described as the schedule checker describes one, with
+  // uts_cli's own defaults: no watchdog, no crash-detection latency, and no
+  // steal timeout unless one is given or a fault plan needs it.
+  check::CheckSpec spec;
+  spec.nranks = 16;
+  spec.chunk = 10;
+  spec.steal_timeout_ns = 0;
+  spec.watchdog_ns = 0;
+  spec.faults.crash_detect_ns = 0;
+  uts::Params& tree = spec.tree;
+  tree = uts::Params{};
   tree.type = uts::TreeType::kBinomial;
   tree.b0 = 2000;
   tree.q = 0.4995;
@@ -235,135 +145,122 @@ int main(int argc, char** argv) {
   tree.gen_mx = 8;
   tree.root_seed = 5;
 
-  ws::Algo algo = ws::Algo::kUpcDistMem;
-  int nranks = 16;
-  int chunk = 10;
   int poll = 1;
-  double sample_frac = 0.5;
-  double quantile = 0.8;
-  int lifeline_dim = 0;
   bool verbose = false;
   bool csv = false;
   std::string engine_name = "sim";
-  std::string net_name = "dist";
   int workers = 0;  // psim worker threads; 0 = hardware concurrency
-  bool workers_set = false;
   std::string trace_json, trace_csv, replay_path;
   std::string metrics_path, report_path, timeline_path;
   bool spans = false;
   bool psim_window_metrics = false;
   std::uint64_t obs_sample_ns = 100'000;
   std::size_t trace_cap = 0;
-  std::uint64_t run_seed = 1;
-  pgas::FaultPlan faults;
+  pgas::FaultPlan& faults = spec.faults;
   pgas::CrashSpec::Where crash_where = pgas::CrashSpec::Where::kAnywhere;
-  std::uint64_t steal_timeout_ns = 0;
   bool steal_timeout_set = false;
-  double watchdog_ms = 0.0;
   std::uint64_t deadline_ns = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(("missing value for " + a).c_str());
-      return argv[++i];
+  // Every value goes through the shared strict parsers (src/check/cli.hpp).
+  check::Args args("uts_cli", argc, argv);
+  args.parse([&](const std::string& a) {
+    auto rank_at = [&](auto& specs) {
+      for (const auto& [rank, at] : check::parse_rank_at_list(args.value(), a))
+        specs.push_back({rank, at});
     };
     if (a == "-t")
-      tree.type = std::atoi(next()) == 0 ? uts::TreeType::kGeometric
-                                         : uts::TreeType::kBinomial;
+      tree.type = check::parse_uint<unsigned>(args.value(), a) == 0
+                      ? uts::TreeType::kGeometric
+                      : uts::TreeType::kBinomial;
     else if (a == "-b")
-      tree.b0 = std::atof(next());
+      args.read(tree.b0);
     else if (a == "-q")
-      tree.q = std::atof(next());
+      args.read(tree.q);
     else if (a == "-m")
-      tree.m = std::atoi(next());
+      args.read(tree.m);
     else if (a == "-g")
-      tree.gen_mx = std::atoi(next());
+      args.read(tree.gen_mx);
     else if (a == "-r")
-      tree.root_seed = static_cast<std::uint32_t>(std::atoi(next()));
+      args.read(tree.root_seed);
     else if (a == "-A")
-      algo = parse_algo(next());
+      spec.algo = check::algo_from_label(args.value());
     else if (a == "-n")
-      nranks = std::atoi(next());
+      args.read(spec.nranks, 1);
     else if (a == "-c")
-      chunk = std::atoi(next());
+      args.read(spec.chunk, 1);
     else if (a == "-i")
-      poll = std::atoi(next());
+      args.read(poll, 1);
     else if (a == "--sample-frac")
-      sample_frac = std::atof(next());
+      args.read(spec.sample_frac);
     else if (a == "--quantile")
-      quantile = std::atof(next());
+      args.read(spec.quantile);
     else if (a == "--lifeline-dim")
-      lifeline_dim = std::atoi(next());
+      args.read(spec.lifeline_dim);
     else if (a == "-e")
-      engine_name = next();
-    else if (a == "--workers") {
-      workers = std::atoi(next());
-      workers_set = true;
-    }
-    else if (a == "--net")
-      net_name = next();
-    else if (a == "-S")
-      run_seed = parse_u64(next(), "-S");
+      engine_name = args.value();
+    else if (a == "--workers")
+      workers = check::parse_workers(args.value(), a);
+    else if (a == "--net") {
+      spec.net = args.value();
+      check::net_by_name(spec.net);  // reject an unknown name here
+    } else if (a == "-S")
+      args.read(spec.run_seed);
     else if (a == "-v")
       verbose = true;
     else if (a == "--trace")
-      trace_json = next();
+      trace_json = args.value();
     else if (a == "--trace-csv")
-      trace_csv = next();
+      trace_csv = args.value();
     else if (a == "--trace-cap")
-      trace_cap = static_cast<std::size_t>(parse_u64(next(), "--trace-cap"));
+      args.read(trace_cap);
     else if (a == "--metrics")
-      metrics_path = next();
+      metrics_path = args.value();
     else if (a == "--report")
-      report_path = next();
+      report_path = args.value();
     else if (a == "--spans")
       spans = true;
     else if (a == "--timeline")
-      timeline_path = next();
+      timeline_path = args.value();
     else if (a == "--psim-window-metrics")
       psim_window_metrics = true;
     else if (a == "--obs-sample")
-      obs_sample_ns = parse_u64(next(), "--obs-sample");
+      args.read(obs_sample_ns);
     else if (a == "--csv")
       csv = true;
     else if (a == "--replay")
-      replay_path = next();
+      replay_path = args.value();
     else if (a == "--stall")
-      parse_stall(next(), faults);
+      check::parse_stall(args.value(), a, faults);
     else if (a == "--drop-prob")
-      faults.drop_prob = std::atof(next());
+      args.read(faults.drop_prob);
     else if (a == "--dup-prob")
-      faults.dup_prob = std::atof(next());
+      args.read(faults.dup_prob);
     else if (a == "--steal-timeout") {
-      steal_timeout_ns = parse_u64(next(), "--steal-timeout");
+      args.read(spec.steal_timeout_ns);
       steal_timeout_set = true;
-    }
-    else if (a == "--watchdog-ms")
-      watchdog_ms = std::atof(next());
+    } else if (a == "--watchdog-ms")
+      spec.watchdog_ns =
+          static_cast<std::uint64_t>(check::parse_real(args.value(), a) * 1e6);
     else if (a == "--deadline-ns" || a == "--deadline")
-      deadline_ns = parse_u64(next(), "--deadline-ns");
+      args.read(deadline_ns);
     else if (a == "--crash")
-      parse_crashes(next(), faults);
+      rank_at(faults.crashes);
     else if (a == "--crash-in-lock")
       crash_where = pgas::CrashSpec::Where::kInLock;
     else if (a == "--crash-mid-steal")
       crash_where = pgas::CrashSpec::Where::kMidSteal;
     else if (a == "--crash-detect")
-      faults.crash_detect_ns = parse_u64(next(), "--crash-detect");
+      args.read(faults.crash_detect_ns);
     else if (a == "--drain")
-      parse_rank_at_list(next(), "--drain", [&](int rank, std::uint64_t at) {
-        faults.drains.push_back(pgas::DrainSpec{rank, at});
-      });
+      rank_at(faults.drains);
     else if (a == "--join")
-      parse_rank_at_list(next(), "--join", [&](int rank, std::uint64_t at) {
-        faults.joins.push_back(pgas::JoinSpec{rank, at});
-      });
+      rank_at(faults.joins);
     else if (a == "--partition")
-      parse_partitions(next(), faults);
+      check::parse_partitions(args.value(), a, faults);
     else
-      usage(("unknown flag " + a).c_str());
-  }
+      return false;
+    return true;
+  });
 
   if (!replay_path.empty()) {
     try {
@@ -374,17 +271,7 @@ int main(int argc, char** argv) {
                   rf.spec.nranks, rf.spec.chunk,
                   static_cast<unsigned long long>(rf.spec.run_seed),
                   rf.trail.size(), rf.oracle.c_str());
-      const check::RunOutcome o = check::run_replay(rf);
-      if (o.violated)
-        std::printf("outcome: VIOLATION %s\n  %s\n", o.oracle.c_str(),
-                    o.message.c_str());
-      else
-        std::printf("outcome: clean run, %llu nodes\n",
-                    static_cast<unsigned long long>(o.nodes));
-      const bool match = check::replay_matches(rf, o);
-      std::printf("replay %s the recorded expectation\n",
-                  match ? "MATCHES" : "DOES NOT MATCH");
-      return match ? 0 : 1;
+      return check::report_replay(rf, check::run_replay(rf));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "uts_cli: %s\n", e.what());
       return 2;
@@ -394,100 +281,23 @@ int main(int argc, char** argv) {
   // Validate the fault plan against the run shape before any work happens:
   // a nonsensical plan dies with one clear line instead of hanging, crashing
   // deep in the runtime, or silently injecting nothing.
-  auto fault_error = [](const std::string& msg) {
-    std::fprintf(stderr, "uts_cli: %s\n", msg.c_str());
-    std::exit(2);
-  };
-  if (nranks < 1) fault_error("-n wants at least 1 rank");
-  if (chunk < 1) fault_error("-c wants a chunk size of at least 1");
-  if (workers_set) {
-    const unsigned hc = std::thread::hardware_concurrency();
-    const int max_workers = hc > 0 ? static_cast<int>(hc) : 1;
-    if (workers < 1 || workers > max_workers)
-      fault_error("--workers wants a thread count in [1," +
-                  std::to_string(max_workers) + "] (hardware concurrency)");
-  }
-  if (poll < 1) fault_error("-i wants a poll interval of at least 1");
-  if (!(sample_frac > 0.0) || sample_frac > 1.0)
-    fault_error("--sample-frac wants a value in (0,1]");
-  if (quantile < 0.0 || quantile > 1.0)
-    fault_error("--quantile wants a value in [0,1]");
-  if (lifeline_dim < 0) fault_error("--lifeline-dim must be >= 0");
+  if (!(spec.sample_frac > 0.0) || spec.sample_frac > 1.0)
+    args.fail("--sample-frac wants a value in (0,1]");
+  if (spec.quantile > 1.0) args.fail("--quantile wants a value in [0,1]");
   if (!timeline_path.empty() && report_path.empty())
-    fault_error("--timeline requires --report (the span log it exports is "
-                "only assembled for reported runs)");
+    args.fail("--timeline requires --report (the span log it exports is "
+              "only assembled for reported runs)");
   if (psim_window_metrics && engine_name != "psim")
-    fault_error("--psim-window-metrics requires -e psim (window telemetry "
-                "only exists under the conservative-PDES engine)");
-  if (watchdog_ms < 0.0) fault_error("--watchdog-ms must be >= 0");
-  if (faults.stalls_enabled() && faults.stall_rank >= nranks)
-    fault_error("--stall rank " + std::to_string(faults.stall_rank) +
-                " out of range [0," + std::to_string(nranks) +
-                ") (or -1 for all ranks)");
-  if (faults.drop_prob < 0.0 || faults.drop_prob > 1.0)
-    fault_error("--drop-prob must be a probability in [0,1]");
-  if (faults.dup_prob < 0.0 || faults.dup_prob > 1.0)
-    fault_error("--dup-prob must be a probability in [0,1]");
-  if (faults.crashes_enabled() && algo == ws::Algo::kWorkPush)
-    fault_error("--crash needs crash recovery, which work-push lacks");
-  if (faults.drop_prob > 0.0 && algo == ws::Algo::kWorkPush)
-    fault_error("--drop-prob needs the seq/ack message layer, which "
-                "work-push lacks");
-  if (faults.dup_prob > 0.0 && algo == ws::Algo::kWorkPush)
-    fault_error("--dup-prob needs the seq/ack message layer, which "
-                "work-push lacks");
-  for (const pgas::CrashSpec& c : faults.crashes)
-    if (c.rank < 0 || c.rank >= nranks)
-      fault_error("--crash rank " + std::to_string(c.rank) +
-                  " out of range [0," + std::to_string(nranks) + ")");
-  for (const pgas::DrainSpec& d : faults.drains)
-    if (d.rank < 0 || d.rank >= nranks)
-      fault_error("--drain rank " + std::to_string(d.rank) +
-                  " out of range [0," + std::to_string(nranks) + ")");
-  for (const pgas::JoinSpec& j : faults.joins) {
-    if (j.rank < 0 || j.rank >= nranks)
-      fault_error("--join rank " + std::to_string(j.rank) +
-                  " out of range [0," + std::to_string(nranks) + ")");
-    if (j.rank == 0)
-      fault_error("--join rank 0 is invalid (rank 0 seeds the root)");
-  }
-  for (const pgas::PartitionSpec& ps : faults.partitions) {
-    if (ps.heal_ns <= ps.start_ns)
-      fault_error("--partition heal time must be after its start time");
-    const std::uint64_t all =
-        nranks >= 64 ? ~0ull : ((1ull << nranks) - 1);
-    if ((ps.group_mask & ~all) != 0)
-      fault_error("--partition mask names ranks >= " +
-                  std::to_string(nranks));
-    if (ps.group_mask == 0 || ps.group_mask == all)
-      fault_error("--partition mask must leave both sides nonempty");
-  }
-
-  pgas::RunConfig rcfg;
-  rcfg.nranks = nranks;
-  rcfg.seed = run_seed;
-  if (net_name == "dist")
-    rcfg.net = pgas::NetModel::distributed();
-  else if (net_name == "shmem")
-    rcfg.net = pgas::NetModel::shared_memory();
-  else if (net_name == "free")
-    rcfg.net = pgas::NetModel::free();
-  else if (net_name.rfind("hier:", 0) == 0)
-    rcfg.net = pgas::NetModel::hierarchical(std::atoi(net_name.c_str() + 5));
-  else
-    usage("unknown --net");
-
+    args.fail("--psim-window-metrics requires -e psim (window telemetry "
+              "only exists under the conservative-PDES engine)");
+  args.validate(faults, spec.nranks, spec.algo);
   for (pgas::CrashSpec& c : faults.crashes) c.where = crash_where;
-  rcfg.faults = faults;
-  rcfg.watchdog_ns = static_cast<std::uint64_t>(watchdog_ms * 1e6);
 
+  check::SpecConfigs configs = check::configs_for(spec);
+  const pgas::RunConfig& rcfg = configs.run;
+  ws::WsConfig& cfg = configs.ws;
   const ws::UtsProblem prob(tree);
-  ws::WsConfig cfg = ws::WsConfig::for_algo(algo, chunk);
   cfg.poll_interval = poll;
-  cfg.sample_frac = sample_frac;
-  cfg.quantile = quantile;
-  cfg.lifeline_dim = lifeline_dim;
-  cfg.steal_timeout_ns = steal_timeout_ns;
   cfg.cancel_at_ns = deadline_ns;
   if (faults.any() && !steal_timeout_set) {
     // Faults without hardening can stall steals indefinitely (and drops
@@ -500,7 +310,7 @@ int main(int argc, char** argv) {
   }
   std::unique_ptr<trace::Trace> tr;
   if (!trace_json.empty() || !trace_csv.empty()) {
-    tr = std::make_unique<trace::Trace>(nranks);
+    tr = std::make_unique<trace::Trace>(spec.nranks);
     cfg.trace = tr.get();
     cfg.trace_cap = trace_cap;
   }
@@ -514,13 +324,14 @@ int main(int argc, char** argv) {
 
   if (!csv)
     std::printf("uts_cli: %s  algo=%s ranks=%d chunk=%d engine=%s net=%s\n",
-                tree.describe().c_str(), ws::algo_label(algo), nranks, chunk,
-                engine_name.c_str(), net_name.c_str());
+                tree.describe().c_str(), ws::algo_label(spec.algo),
+                spec.nranks, spec.chunk, engine_name.c_str(),
+                spec.net.c_str());
   // Always state the effective seeds (stderr, so --csv stays parseable): a
   // reported run is reproducible only with tree seed + run seed in hand.
   std::fprintf(stderr, "seeds: tree=%u run=%llu (repeat with -r %u -S %llu)\n",
-               tree.root_seed, static_cast<unsigned long long>(run_seed),
-               tree.root_seed, static_cast<unsigned long long>(run_seed));
+               tree.root_seed, static_cast<unsigned long long>(spec.run_seed),
+               tree.root_seed, static_cast<unsigned long long>(spec.run_seed));
 
   ws::SearchResult res;
   try {
@@ -534,7 +345,7 @@ int main(int argc, char** argv) {
       pgas::ThreadEngine eng;
       res = ws::run_search(eng, rcfg, prob, cfg);
     } else {
-      usage("unknown -e engine");
+      args.fail("unknown -e engine");
     }
   } catch (const sim::HangDetected& e) {
     std::fprintf(stderr, "uts_cli: HANG DETECTED\n%s\n", e.what());
@@ -633,7 +444,8 @@ int main(int argc, char** argv) {
         "algo,ranks,chunk,net,tree,nodes,elapsed_s,mnodes_per_s,speedup,"
         "efficiency,steals,steals_per_s,working_frac\n");
     std::printf("%s,%d,%d,%s,\"%s\",%llu,%.9f,%.4f,%.4f,%.4f,%llu,%.1f,%.4f\n",
-                ws::algo_label(algo), nranks, chunk, net_name.c_str(),
+                ws::algo_label(spec.algo), spec.nranks, spec.chunk,
+                spec.net.c_str(),
                 tree.describe().c_str(),
                 static_cast<unsigned long long>(res.agg.total_nodes),
                 res.agg.elapsed_s, res.agg.nodes_per_sec / 1e6,
@@ -686,7 +498,7 @@ int main(int argc, char** argv) {
   if (verbose) {
     stats::Table t({"rank", "nodes", "releases", "steals", "probes",
                     "failed", "peak stack", "working%"});
-    for (int r = 0; r < nranks; ++r) {
+    for (int r = 0; r < spec.nranks; ++r) {
       const auto& s = res.per_thread[r];
       const double tot = static_cast<double>(s.timer.total_ns());
       t.add_row({stats::Table::fmt(r), stats::Table::fmt(s.c.nodes),

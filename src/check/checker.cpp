@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "check/cli.hpp"
 #include "check/strategies.hpp"
 #include "pgas/sim_engine.hpp"
 #include "sim/scheduler.hpp"
@@ -80,23 +81,22 @@ std::uint64_t schedule_hash(const std::vector<sim::Decision>& trail) {
 
 }  // namespace
 
-ws::Algo algo_from_label(const std::string& s) {
-  for (ws::Algo a : ws::kAllAlgosExtended)
-    if (s == ws::algo_label(a)) return a;
-  throw std::invalid_argument("unknown algorithm label: " + s);
-}
-
-pgas::NetModel net_by_name(const std::string& s) {
-  if (s == "shared" || s == "shmem") return pgas::NetModel::shared_memory();
-  if (s == "dist") return pgas::NetModel::distributed();
-  if (s == "free") return pgas::NetModel::free();
-  if (s.rfind("smp", 0) == 0 || s.rfind("hier:", 0) == 0) {
-    const int tpn = std::stoi(s.substr(s[0] == 's' ? 3 : 5));
-    if (tpn < 1) throw std::invalid_argument("hierarchical net: tpn < 1");
-    return pgas::NetModel::hierarchical(tpn);
-  }
-  throw std::invalid_argument("unknown net profile: " + s +
-                              " (want shared|shmem|dist|free|smp<tpn>)");
+SpecConfigs configs_for(const CheckSpec& spec) {
+  SpecConfigs c;
+  c.run.nranks = spec.nranks;
+  c.run.net = net_by_name(spec.net);
+  c.run.seed = spec.run_seed;
+  c.run.vt_limit_ns = spec.vt_limit_ns;
+  c.run.watchdog_ns = spec.watchdog_ns;
+  c.run.faults = spec.faults;
+  c.ws = ws::WsConfig::for_algo(spec.algo, spec.chunk);
+  c.ws.steal_timeout_ns = spec.steal_timeout_ns;
+  c.ws.sample_frac = spec.sample_frac;
+  c.ws.quantile = spec.quantile;
+  c.ws.lifeline_dim = spec.lifeline_dim;
+  c.ws.bug_weak_claim = spec.bug_weak_claim;
+  c.ws.bug_drop_distress = spec.bug_drop_distress;
+  return c;
 }
 
 std::uint64_t expected_nodes(const CheckSpec& spec) {
@@ -116,26 +116,12 @@ RunOutcome run_schedule(const CheckSpec& spec, sim::SchedulePolicy* policy,
   if (oracles != nullptr) oracles_reset(*oracles);
   const ws::UtsProblem prob(spec.tree);
   pgas::SimEngine eng;
-
-  pgas::RunConfig rc;
-  rc.nranks = spec.nranks;
-  rc.net = net_by_name(spec.net);
-  rc.seed = spec.run_seed;
-  rc.vt_limit_ns = spec.vt_limit_ns;
-  rc.watchdog_ns = spec.watchdog_ns;
-  rc.faults.stall_ns = spec.stall_ns;
-  rc.faults.stall_period_ns = spec.stall_period_ns;
-  rc.faults.stall_rank = spec.stall_rank;
-  rc.faults.drop_prob = spec.drop_prob;
-  rc.faults.dup_prob = spec.dup_prob;
-  rc.faults.crashes = spec.crashes;
-  rc.faults.crash_detect_ns = spec.crash_detect_ns;
-  rc.faults.drains = spec.drains;
-  rc.faults.joins = spec.joins;
-  rc.faults.partitions = spec.partitions;
+  SpecConfigs c = configs_for(spec);
+  pgas::RunConfig& rc = c.run;
+  ws::WsConfig& cfg = c.ws;
   std::optional<pgas::Liveness> live;
   if (rc.faults.crashes_enabled() || rc.faults.membership_enabled()) {
-    live.emplace(spec.nranks, spec.crash_detect_ns);
+    live.emplace(spec.nranks, rc.faults.crash_detect_ns);
     if (rc.faults.joins_enabled()) live->apply_join_plan(rc.faults);
     rc.liveness = &*live;
   }
@@ -146,14 +132,7 @@ RunOutcome run_schedule(const CheckSpec& spec, sim::SchedulePolicy* policy,
   rc.schedule_policy = &ip;
   rc.schedule_window_ns = window_ns;
 
-  ws::WsConfig cfg = ws::WsConfig::for_algo(spec.algo, spec.chunk);
-  cfg.steal_timeout_ns = spec.steal_timeout_ns;
   cfg.trace = tr;
-  cfg.sample_frac = spec.sample_frac;
-  cfg.quantile = spec.quantile;
-  cfg.lifeline_dim = spec.lifeline_dim;
-  cfg.bug_weak_claim = spec.bug_weak_claim;
-  cfg.bug_drop_distress = spec.bug_drop_distress;
   cfg.check_attach = [&](ws::SharedState* g, ws::RecoveryBoard* b) {
     ip.attach(g, b, rc.liveness, spec.nranks);
   };
@@ -173,29 +152,18 @@ RunOutcome run_schedule(const CheckSpec& spec, sim::SchedulePolicy* policy,
       ep.trace = tr;
       ep.expected_nodes = expected_nodes(spec);
       ep.chunk = spec.chunk;
-      // Drains exercise the same salvage/replay accounting as crashes, so
-      // they relax the strict stolen==granted bookkeeping too.
-      ep.crash_mode = !spec.crashes.empty() || !spec.drains.empty();
-      ep.planned_drains = static_cast<int>(spec.drains.size());
-      ep.planned_joins = static_cast<int>(spec.joins.size());
-      ep.planned_partitions = static_cast<int>(spec.partitions.size());
+      ep.faults = spec.faults;
       ep.request_response =
           cfg.protocol == ws::StackProtocol::kRequestResponse &&
           cfg.termination != ws::Termination::kToken;
       oracles_end(*oracles, ep);
     }
   } catch (const OracleViolation& v) {
-    out.violated = true;
-    out.oracle = v.oracle;
-    out.message = v.message;
+    out.violate(v.oracle, v.message);
   } catch (const sim::HangDetected& h) {
-    out.violated = true;
-    out.oracle = "hang";
-    out.message = h.what();
+    out.violate("hang", h.what());
   } catch (const sim::TimeLimitExceeded& t) {
-    out.violated = true;
-    out.oracle = "vt-limit";
-    out.message = t.what();
+    out.violate("vt-limit", t.what());
   }
   out.choices = project_choices(out.trail);
   return out;

@@ -6,9 +6,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/oracles.hpp"
+#include "pgas/engine.hpp"
 #include "pgas/faults.hpp"
 #include "pgas/netmodel.hpp"
 #include "sim/schedule_policy.hpp"
@@ -17,10 +19,11 @@
 
 namespace upcws::check {
 
-/// Everything that defines the system under test for one exploration: the
-/// problem, the protocol configuration, and the fault plan. Serialized
-/// verbatim into replay files, so a violation reproduces from the file
-/// alone.
+/// Everything that defines one run: the problem, the protocol
+/// configuration, and the fault plan. The checker explores it, replay files
+/// serialize it verbatim (so a violation reproduces from the file alone),
+/// uts_cli and chaos_soak describe their runs with it, and configs_for()
+/// turns it into the engine and protocol configurations.
 struct CheckSpec {
   ws::Algo algo = ws::Algo::kUpcDistMem;
   int nranks = 4;
@@ -34,20 +37,14 @@ struct CheckSpec {
   /// into to diagnosable "hang" violations instead of vt-limit aborts.
   std::uint64_t watchdog_ns = 200'000'000;
   std::uint64_t vt_limit_ns = 0;
-  std::vector<pgas::CrashSpec> crashes;
-  std::uint64_t crash_detect_ns = 5'000;
-  /// Transient faults, threaded verbatim into the run's FaultPlan (all off
-  /// by default; replay files record them only when non-default).
-  std::uint64_t stall_ns = 0;
-  std::uint64_t stall_period_ns = 0;
-  int stall_rank = -1;
-  double drop_prob = 0.0;
-  double dup_prob = 0.0;
-  /// Elastic membership: graceful leaves, mid-run joins, and correlated
-  /// network partitions (see pgas/faults.hpp).
-  std::vector<pgas::DrainSpec> drains;
-  std::vector<pgas::JoinSpec> joins;
-  std::vector<pgas::PartitionSpec> partitions;
+  /// The run's fault plan, threaded verbatim into its RunConfig. Crash
+  /// detection defaults to 5,000 ns; every fault is off by default, and
+  /// replay files record the optional ones only when non-default.
+  pgas::FaultPlan faults = [] {
+    pgas::FaultPlan f;
+    f.crash_detect_ns = 5'000;
+    return f;
+  }();
   /// Victim-selection knobs (lifeline/sampling variants; see config.hpp).
   /// Recorded in replay files only when non-default.
   double sample_frac = 0.5;
@@ -93,6 +90,13 @@ struct RunOutcome {
   std::uint64_t switches = 0;
   std::vector<sim::Decision> trail;    ///< recorded decisions
   std::vector<std::uint16_t> choices;  ///< trail projected to choice indices
+
+  /// Records a violation of `by`: an oracle's name, "hang" or "vt-limit".
+  void violate(std::string by, std::string what) {
+    violated = true;
+    oracle = std::move(by);
+    message = std::move(what);
+  }
 };
 
 /// A confirmed violation with its schedules.
@@ -139,8 +143,12 @@ std::vector<std::uint16_t> shrink_trail(const CheckSpec& spec,
                                         std::vector<std::uint16_t> choices,
                                         int budget, int* runs);
 
-/// Parse helpers shared with the CLIs (throw std::invalid_argument).
-ws::Algo algo_from_label(const std::string& s);
-pgas::NetModel net_by_name(const std::string& s);
+/// The engine and protocol configuration a spec describes, before any
+/// schedule policy, oracle, trace or observer is attached.
+struct SpecConfigs {
+  pgas::RunConfig run;
+  ws::WsConfig ws;
+};
+SpecConfigs configs_for(const CheckSpec& spec);
 
 }  // namespace upcws::check

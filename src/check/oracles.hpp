@@ -20,8 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "pgas/faults.hpp"
+
 namespace upcws::pgas {
-class Liveness;
 struct Lock;
 }
 namespace upcws::trace {
@@ -57,11 +58,8 @@ struct EndProbe {
   const trace::Trace* trace = nullptr;
   std::uint64_t expected_nodes = 0;  ///< sequential-reference node count
   int chunk = 1;                     ///< chunk size k of the run
-  bool crash_mode = false;           ///< fault plan injected crashes/drains
   bool request_response = false;     ///< protocol emits service grants
-  int planned_drains = 0;            ///< DrainSpecs in the fault plan
-  int planned_joins = 0;             ///< JoinSpecs in the fault plan
-  int planned_partitions = 0;        ///< PartitionSpecs in the fault plan
+  pgas::FaultPlan faults;            ///< the run's fault plan
 };
 
 class Oracle {

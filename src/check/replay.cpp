@@ -4,56 +4,43 @@
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
+#include "check/cli.hpp"
 #include "check/strategies.hpp"
 
 namespace upcws::check {
 
 namespace {
 
-const char* tree_type_name(uts::TreeType t) {
-  switch (t) {
-    case uts::TreeType::kBinomial: return "binomial";
-    case uts::TreeType::kGeometric: return "geometric";
-    case uts::TreeType::kHybrid: return "hybrid";
-  }
-  return "binomial";
-}
-
-uts::TreeType tree_type_from(const std::string& s) {
-  if (s == "binomial") return uts::TreeType::kBinomial;
-  if (s == "geometric") return uts::TreeType::kGeometric;
-  if (s == "hybrid") return uts::TreeType::kHybrid;
-  throw std::invalid_argument("replay: unknown tree type " + s);
-}
-
-const char* where_name(pgas::CrashSpec::Where w) {
-  switch (w) {
-    case pgas::CrashSpec::Where::kAnywhere: return "anywhere";
-    case pgas::CrashSpec::Where::kInLock: return "in-lock";
-    case pgas::CrashSpec::Where::kMidSteal: return "mid-steal";
-  }
-  return "anywhere";
-}
-
-pgas::CrashSpec::Where where_from(const std::string& s) {
-  if (s == "anywhere") return pgas::CrashSpec::Where::kAnywhere;
-  if (s == "in-lock") return pgas::CrashSpec::Where::kInLock;
-  if (s == "mid-steal") return pgas::CrashSpec::Where::kMidSteal;
-  throw std::invalid_argument("replay: unknown crash site " + s);
-}
-
 [[noreturn]] void bad(const std::string& what) {
-  throw std::invalid_argument("replay: " + what);
+  throw std::invalid_argument(what);
 }
 
-/// Parse a "<rank>@<at_ns>" operand (shared by crash/drain/join lines).
-void parse_rank_at(const std::string& at, const char* key, int* rank,
-                   std::uint64_t* at_ns) {
-  const std::size_t sep = at.find('@');
-  if (sep == std::string::npos) bad(std::string(key) + " wants <rank>@<at_ns>");
-  *rank = std::stoi(at.substr(0, sep));
-  *at_ns = std::stoull(at.substr(sep + 1));
+/// The spelling of each enum value a replay file names, written once for
+/// both directions.
+constexpr std::pair<uts::TreeType, const char*> kTreeTypes[] = {
+    {uts::TreeType::kBinomial, "binomial"},
+    {uts::TreeType::kGeometric, "geometric"},
+    {uts::TreeType::kHybrid, "hybrid"}};
+constexpr std::pair<pgas::CrashSpec::Where, const char*> kCrashSites[] = {
+    {pgas::CrashSpec::Where::kAnywhere, "anywhere"},
+    {pgas::CrashSpec::Where::kInLock, "in-lock"},
+    {pgas::CrashSpec::Where::kMidSteal, "mid-steal"}};
+
+template <typename E, std::size_t N>
+const char* name_of(const std::pair<E, const char*> (&names)[N], E e) {
+  for (const auto& [v, name] : names)
+    if (v == e) return name;
+  return names[0].second;
+}
+
+template <typename E, std::size_t N>
+E named(const std::pair<E, const char*> (&names)[N], const std::string& s,
+        const char* what) {
+  for (const auto& [v, name] : names)
+    if (s == name) return v;
+  bad(std::string("unknown ") + what + " " + s);
 }
 
 }  // namespace
@@ -68,7 +55,7 @@ void write_replay(std::ostream& os, const ReplayFile& rf) {
   os << "nranks " << s.nranks << "\n";
   os << "chunk " << s.chunk << "\n";
   os << "net " << s.net << "\n";
-  os << "tree " << tree_type_name(s.tree.type) << " " << s.tree.root_seed
+  os << "tree " << name_of(kTreeTypes, s.tree.type) << " " << s.tree.root_seed
      << " " << s.tree.b0 << " " << s.tree.m << " " << s.tree.q << " "
      << s.tree.gen_mx << " " << static_cast<int>(s.tree.shape) << " "
      << s.tree.shift_depth << "\n";
@@ -76,22 +63,23 @@ void write_replay(std::ostream& os, const ReplayFile& rf) {
   os << "steal-timeout-ns " << s.steal_timeout_ns << "\n";
   os << "watchdog-ns " << s.watchdog_ns << "\n";
   os << "vt-limit-ns " << s.vt_limit_ns << "\n";
-  for (const pgas::CrashSpec& c : s.crashes)
-    os << "crash " << c.rank << "@" << c.at_ns << " " << where_name(c.where)
-       << "\n";
-  os << "crash-detect-ns " << s.crash_detect_ns << "\n";
+  const pgas::FaultPlan& f = s.faults;
+  for (const pgas::CrashSpec& c : f.crashes)
+    os << "crash " << c.rank << "@" << c.at_ns << " "
+       << name_of(kCrashSites, c.where) << "\n";
+  os << "crash-detect-ns " << f.crash_detect_ns << "\n";
   // Fault and membership keys are written only when non-default, so files
   // recorded before they existed stay valid and byte-stable.
-  if (s.stall_ns > 0 || s.stall_period_ns > 0)
-    os << "stall " << s.stall_ns << " " << s.stall_period_ns << " "
-       << s.stall_rank << "\n";
-  if (s.drop_prob > 0.0) os << "drop-prob " << s.drop_prob << "\n";
-  if (s.dup_prob > 0.0) os << "dup-prob " << s.dup_prob << "\n";
-  for (const pgas::DrainSpec& d : s.drains)
+  if (f.stall_ns > 0 || f.stall_period_ns > 0)
+    os << "stall " << f.stall_ns << " " << f.stall_period_ns << " "
+       << f.stall_rank << "\n";
+  if (f.drop_prob > 0.0) os << "drop-prob " << f.drop_prob << "\n";
+  if (f.dup_prob > 0.0) os << "dup-prob " << f.dup_prob << "\n";
+  for (const pgas::DrainSpec& d : f.drains)
     os << "drain " << d.rank << "@" << d.at_ns << "\n";
-  for (const pgas::JoinSpec& j : s.joins)
+  for (const pgas::JoinSpec& j : f.joins)
     os << "join " << j.rank << "@" << j.at_ns << "\n";
-  for (const pgas::PartitionSpec& p : s.partitions)
+  for (const pgas::PartitionSpec& p : f.partitions)
     os << "partition " << p.group_mask << " " << p.start_ns << " "
        << p.heal_ns << "\n";
   if (s.sample_frac != 0.5) os << "sample-frac " << s.sample_frac << "\n";
@@ -108,16 +96,15 @@ void write_replay(std::ostream& os, const ReplayFile& rf) {
 
 void save_replay(const std::string& path, const ReplayFile& rf) {
   std::ofstream os(path);
-  if (!os) bad("cannot write " + path);
+  if (!os) bad("replay: cannot write " + path);
   write_replay(os, rf);
 }
 
-ReplayFile read_replay(std::istream& is) {
+namespace {
+
+ReplayFile parse_replay(std::istream& is) {
   ReplayFile rf;
-  rf.spec.crashes.clear();
-  rf.spec.drains.clear();
-  rf.spec.joins.clear();
-  rf.spec.partitions.clear();
+  pgas::FaultPlan& f = rf.spec.faults;
   std::string line;
   if (!std::getline(is, line) || line != "upcws-replay v1")
     bad("missing 'upcws-replay v1' header");
@@ -144,7 +131,7 @@ ReplayFile read_replay(std::istream& is) {
       ls >> t >> rf.spec.tree.root_seed >> rf.spec.tree.b0 >> rf.spec.tree.m >>
           rf.spec.tree.q >> rf.spec.tree.gen_mx >> shape >>
           rf.spec.tree.shift_depth;
-      rf.spec.tree.type = tree_type_from(t);
+      rf.spec.tree.type = named(kTreeTypes, t, "tree type");
       rf.spec.tree.shape = static_cast<uts::GeomShape>(shape);
     } else if (key == "run-seed") {
       ls >> rf.spec.run_seed;
@@ -157,39 +144,29 @@ ReplayFile read_replay(std::istream& is) {
     } else if (key == "crash") {
       std::string at, where;
       ls >> at >> where;
-      const std::size_t sep = at.find('@');
-      if (sep == std::string::npos) bad("crash wants <rank>@<at_ns>");
-      pgas::CrashSpec c;
-      c.rank = std::stoi(at.substr(0, sep));
-      c.at_ns = std::stoull(at.substr(sep + 1));
-      c.where = where_from(where);
-      rf.spec.crashes.push_back(c);
+      const auto [rank, at_ns] = parse_rank_at(at, key);
+      f.crashes.push_back(
+          {rank, at_ns, named(kCrashSites, where, "crash site")});
     } else if (key == "crash-detect-ns") {
-      ls >> rf.spec.crash_detect_ns;
+      ls >> f.crash_detect_ns;
     } else if (key == "stall") {
-      ls >> rf.spec.stall_ns >> rf.spec.stall_period_ns >> rf.spec.stall_rank;
+      ls >> f.stall_ns >> f.stall_period_ns >> f.stall_rank;
     } else if (key == "drop-prob") {
-      ls >> rf.spec.drop_prob;
+      ls >> f.drop_prob;
     } else if (key == "dup-prob") {
-      ls >> rf.spec.dup_prob;
-    } else if (key == "drain") {
+      ls >> f.dup_prob;
+    } else if (key == "drain" || key == "join") {
       std::string at;
       ls >> at;
-      pgas::DrainSpec d;
-      parse_rank_at(at, "drain", &d.rank, &d.at_ns);
-      rf.spec.drains.push_back(d);
-    } else if (key == "join") {
-      std::string at;
-      ls >> at;
-      pgas::JoinSpec j;
-      parse_rank_at(at, "join", &j.rank, &j.at_ns);
-      rf.spec.joins.push_back(j);
+      const auto [rank, at_ns] = parse_rank_at(at, key);
+      if (key == "drain")
+        f.drains.push_back({rank, at_ns});
+      else
+        f.joins.push_back({rank, at_ns});
     } else if (key == "partition") {
       pgas::PartitionSpec p;
       ls >> p.group_mask >> p.start_ns >> p.heal_ns;
-      if (!ls.fail() && p.heal_ns <= p.start_ns)
-        bad("partition heal_ns must be > start_ns");
-      rf.spec.partitions.push_back(p);
+      f.partitions.push_back(p);
     } else if (key == "sample-frac") {
       ls >> rf.spec.sample_frac;
     } else if (key == "quantile") {
@@ -216,15 +193,30 @@ ReplayFile read_replay(std::istream& is) {
     } else {
       bad("unknown key " + key);
     }
-    if (ls.fail() && !ls.eof()) bad("malformed value for key " + key);
+    // A value that does not read is malformed (a missing one too); only the
+    // trail's loop ends by failing, at the end of its line.
+    if (ls.fail() && (key != "trail" || !ls.eof()))
+      bad("malformed value for key " + key);
   }
   if (!have_trail) bad("missing trail line");
+  validate_faults(f, rf.spec.nranks, rf.spec.algo);
   return rf;
+}
+
+}  // namespace
+
+ReplayFile read_replay(std::istream& is) {
+  // One prefix for every rejection, the shared parsers' and checks' too.
+  try {
+    return parse_replay(is);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("replay: ") + e.what());
+  }
 }
 
 ReplayFile load_replay(const std::string& path) {
   std::ifstream is(path);
-  if (!is) bad("cannot read " + path);
+  if (!is) bad("replay: cannot read " + path);
   return read_replay(is);
 }
 

@@ -1,6 +1,7 @@
 #include "pgas/faults.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace upcws::pgas {
 
@@ -11,6 +12,41 @@ constexpr std::size_t kMaxEvents = 1 << 16;
 /// decorrelated from the algorithm's probe-order stream.
 constexpr std::uint64_t kSeedMix = 0xD1B54A32D192ED03ull;
 }  // namespace
+
+void FaultPlan::validate(int nranks) const {
+  const std::string range = " out of range [0," + std::to_string(nranks) + ")";
+  auto fail = [](const std::string& msg) {
+    throw std::invalid_argument(msg);
+  };
+  auto check_rank = [&](const char* item, int r) {
+    if (r < 0 || r >= nranks)
+      fail(std::string(item) + " rank " + std::to_string(r) + range);
+  };
+  if (stalls_enabled() && (stall_rank < -1 || stall_rank >= nranks))
+    fail("stall rank " + std::to_string(stall_rank) + range +
+         " (or -1 for all ranks)");
+  if (!(drop_prob >= 0.0 && drop_prob <= 1.0))
+    fail("drop-prob must be a probability in [0,1]");
+  if (!(dup_prob >= 0.0 && dup_prob <= 1.0))
+    fail("dup-prob must be a probability in [0,1]");
+  for (const CrashSpec& c : crashes) check_rank("crash", c.rank);
+  for (const DrainSpec& d : drains) check_rank("drain", d.rank);
+  for (const JoinSpec& j : joins) {
+    check_rank("join", j.rank);
+    if (j.rank == 0) fail("join rank 0 is invalid (rank 0 seeds the root)");
+  }
+  const std::uint64_t all = nranks >= 64 ? ~0ull
+                            : nranks > 0  ? (1ull << nranks) - 1
+                                          : 0;
+  for (const PartitionSpec& p : partitions) {
+    if (p.heal_ns <= p.start_ns)
+      fail("partition heal time must be after its start time");
+    if ((p.group_mask & ~all) != 0)
+      fail("partition mask names ranks >= " + std::to_string(nranks));
+    if (p.group_mask == 0 || p.group_mask == all)
+      fail("partition mask must leave both sides nonempty");
+  }
+}
 
 FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t run_seed,
                              int rank)

@@ -157,6 +157,16 @@ struct FaultPlan {
     return stalls_enabled() || spikes_enabled() || messages_enabled() ||
            crashes_enabled() || membership_enabled() || partitions_enabled();
   }
+
+  /// Throws std::invalid_argument unless the plan fits a run of `nranks`
+  /// ranks: stall rank in [-1, n); drop and dup probabilities in [0, 1];
+  /// crash, drain and join ranks in [0, n), and no join of rank 0 (it seeds
+  /// the root); each partition heals after it starts, and its mask names
+  /// only ranks of the run and leaves both sides nonempty. A message starts
+  /// with the item's name ("crash rank 9 out of range [0,4)"), so a caller
+  /// can prefix its own spelling of it. Called where a plan enters from
+  /// outside (CLIs, replay files); the engines do not call it.
+  void validate(int nranks) const;
 };
 
 /// Shared liveness board: one death-time word per rank, written once by the

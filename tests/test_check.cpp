@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "check/checker.hpp"
+#include "check/cli.hpp"
 #include "check/oracles.hpp"
 #include "check/replay.hpp"
 #include "check/strategies.hpp"
@@ -28,7 +29,7 @@ check::CheckSpec bug_spec() {
   s.nranks = 4;
   s.chunk = 2;
   s.tree = uts::test_small(0);
-  s.crashes.push_back({0, 10'000, pgas::CrashSpec::Where::kAnywhere});
+  s.faults.crashes.push_back({0, 10'000, pgas::CrashSpec::Where::kAnywhere});
   s.bug_weak_claim = true;
   return s;
 }
@@ -358,8 +359,8 @@ TEST_F(SeededBug, ReplayFileRoundTripReproducesSameViolation) {
   EXPECT_EQ(loaded.spec.nranks, rf.spec.nranks);
   EXPECT_EQ(loaded.spec.tree.q, rf.spec.tree.q);  // bit-exact double
   EXPECT_EQ(loaded.spec.bug_weak_claim, true);
-  ASSERT_EQ(loaded.spec.crashes.size(), 1u);
-  EXPECT_EQ(loaded.spec.crashes[0].rank, 0);
+  ASSERT_EQ(loaded.spec.faults.crashes.size(), 1u);
+  EXPECT_EQ(loaded.spec.faults.crashes[0].rank, 0);
   EXPECT_EQ(loaded.oracle, "node-conservation");
   EXPECT_EQ(loaded.trail, rf.trail);
 
@@ -386,6 +387,119 @@ TEST(CheckReplayFile, RejectsMalformedInput) {
     std::stringstream ss("upcws-replay v1\nfrobnicate 3\ntrail 1\n");
     EXPECT_THROW(check::read_replay(ss), std::invalid_argument);
   }
+  // A key whose value is missing or cut short used to keep the default.
+  for (const char* line : {"nranks", "run-seed", "stall 100"}) {
+    std::stringstream ss(std::string("upcws-replay v1\n") + line +
+                         "\ntrail\n");
+    EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << line;
+  }
+}
+
+TEST(CheckReplayFile, RejectsPlansTheRunCannotHold) {
+  // A crash of a rank the 4-rank run lacks would never fire, and a negative
+  // crash time used to wrap to a huge one: both make a replay that checks
+  // nothing, so the reader refuses them.
+  for (const char* crash : {"crash 9@100 anywhere", "crash 1@-5 anywhere"}) {
+    std::stringstream ss(std::string("upcws-replay v1\nnranks 4\n") + crash +
+                         "\ntrail\n");
+    EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << crash;
+  }
+  std::stringstream ok("upcws-replay v1\nnranks 4\ncrash 3@100 anywhere\n"
+                       "trail\n");
+  EXPECT_EQ(check::read_replay(ok).spec.faults.crashes.at(0).rank, 3);
+}
+
+TEST(CheckParse, StrictValuesAndSpecs) {
+  EXPECT_EQ(check::parse_uint<int>("42", "-n"), 42);
+  EXPECT_EQ(check::parse_real("0.45", "-q"), 0.45);
+  for (const char* bad : {"-5", "3x", "", " 7", "+7"})
+    EXPECT_THROW(check::parse_uint<std::uint64_t>(bad, "-S"),
+                 std::invalid_argument)
+        << bad;
+  EXPECT_THROW(check::parse_uint<int>("4294967296", "-n"),
+               std::invalid_argument);
+  for (const char* bad : {"-1", "1.5x", "", "nan", "inf"})
+    EXPECT_THROW(check::parse_real(bad, "--watchdog-ms"),
+                 std::invalid_argument)
+        << bad;
+
+  const auto list = check::parse_rank_at_list("1@100,3@200", "--crash");
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_EQ(list[1], (std::pair<int, std::uint64_t>{3, 200}));
+  for (const char* bad : {"1@-5", "1@", "@5", "1@5,", "1-5"})
+    EXPECT_THROW(check::parse_rank_at_list(bad, "--crash"),
+                 std::invalid_argument)
+        << bad;
+  try {
+    check::parse_rank_at("1@-5", "--crash");
+    ADD_FAILURE() << "1@-5 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("bad --crash spec", 0), 0u);
+  }
+
+  pgas::FaultPlan plan;
+  check::parse_stall("100", "--stall", plan);
+  EXPECT_EQ(plan.stall_period_ns, 1000u);  // PERIOD defaults to 10*DUR
+  EXPECT_EQ(plan.stall_rank, -1);
+  check::parse_stall("100:300:2", "--stall", plan);
+  EXPECT_EQ(plan.stall_period_ns, 300u);
+  EXPECT_EQ(plan.stall_rank, 2);
+  for (const char* bad : {"0", "100:", "1:2:3:4", "100:-1"})
+    EXPECT_THROW(check::parse_stall(bad, "--stall", plan),
+                 std::invalid_argument)
+        << bad;
+  check::parse_partitions("3:10:20,1:30:40", "--partition", plan);
+  ASSERT_EQ(plan.partitions.size(), 2u);
+  EXPECT_EQ(plan.partitions[1].heal_ns, 40u);
+  EXPECT_THROW(check::parse_partitions("3:10", "--partition", plan),
+               std::invalid_argument);
+}
+
+TEST(CheckParse, FaultPlanRulesNameTheItem) {
+  auto message = [](const pgas::FaultPlan& p, int n, ws::Algo a) {
+    try {
+      check::validate_faults(p, n, a);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("valid");
+  };
+  const ws::Algo dist = ws::Algo::kUpcDistMem;
+  pgas::FaultPlan p;
+  EXPECT_EQ(message(p, 4, dist), "valid");
+  p.crashes.push_back({9, 100});
+  EXPECT_EQ(message(p, 4, dist), "crash rank 9 out of range [0,4)");
+  p = {};
+  p.crashes.push_back({1, 100});
+  EXPECT_EQ(message(p, 4, dist), "valid");
+  EXPECT_EQ(message(p, 4, ws::Algo::kWorkPush).rfind("crash needs", 0), 0u);
+  p = {};
+  p.dup_prob = 0.1;
+  EXPECT_EQ(message(p, 4, ws::Algo::kWorkPush).rfind("dup-prob needs", 0),
+            0u);
+  p.dup_prob = 1.5;
+  EXPECT_EQ(message(p, 4, dist).rfind("dup-prob must", 0), 0u);
+  p = {};
+  p.stall_ns = p.stall_period_ns = 100;
+  p.stall_rank = 4;
+  EXPECT_EQ(message(p, 4, dist).rfind("stall rank 4", 0), 0u);
+  p.stall_rank = -1;
+  EXPECT_EQ(message(p, 4, dist), "valid");
+  p = {};
+  p.drains.push_back({-1, 100});
+  EXPECT_EQ(message(p, 4, dist).rfind("drain rank -1", 0), 0u);
+  p = {};
+  p.joins.push_back({0, 100});
+  EXPECT_EQ(message(p, 4, dist).rfind("join rank 0 is invalid", 0), 0u);
+  for (const pgas::PartitionSpec& bad :
+       {pgas::PartitionSpec{3, 9, 9}, pgas::PartitionSpec{16, 1, 9},
+        pgas::PartitionSpec{15, 1, 9}, pgas::PartitionSpec{0, 1, 9}}) {
+    p = {};
+    p.partitions.push_back(bad);
+    EXPECT_EQ(message(p, 4, dist).rfind("partition", 0), 0u);
+  }
+  p.partitions = {{5, 1, 9}};
+  EXPECT_EQ(message(p, 4, dist), "valid");
 }
 
 TEST(CheckReplayFile, CleanExpectationMatchesOnlyCleanRuns) {

@@ -39,13 +39,14 @@ TEST(MembershipReplay, DrainJoinPartitionRoundTrip) {
   rf.spec.net = "smp4";
   rf.spec.tree = uts::test_small(4);
   rf.spec.run_seed = 9;
-  rf.spec.crashes.push_back({1, 118'000, pgas::CrashSpec::Where::kAnywhere});
-  rf.spec.crash_detect_ns = 5'000;
-  rf.spec.drains.push_back({3, 24'000});
-  rf.spec.joins.push_back({2, 68'000});
-  rf.spec.joins.push_back({5, 70'500});
-  rf.spec.partitions.push_back({0b010110u, 49'000, 116'000});
-  rf.spec.partitions.push_back({0b000011u, 120'000, 130'000});
+  rf.spec.faults.crashes.push_back(
+      {1, 118'000, pgas::CrashSpec::Where::kAnywhere});
+  rf.spec.faults.crash_detect_ns = 5'000;
+  rf.spec.faults.drains.push_back({3, 24'000});
+  rf.spec.faults.joins.push_back({2, 68'000});
+  rf.spec.faults.joins.push_back({5, 70'500});
+  rf.spec.faults.partitions.push_back({0b010110u, 49'000, 116'000});
+  rf.spec.faults.partitions.push_back({0b000011u, 120'000, 130'000});
   rf.oracle = "membership-safety";
   rf.trail = {0, 2, 0, 1};
 
@@ -53,19 +54,19 @@ TEST(MembershipReplay, DrainJoinPartitionRoundTrip) {
   check::write_replay(ss, rf);
   const check::ReplayFile rt = check::read_replay(ss);
 
-  ASSERT_EQ(rt.spec.drains.size(), 1u);
-  EXPECT_EQ(rt.spec.drains[0].rank, 3);
-  EXPECT_EQ(rt.spec.drains[0].at_ns, 24'000u);
-  ASSERT_EQ(rt.spec.joins.size(), 2u);
-  EXPECT_EQ(rt.spec.joins[0].rank, 2);
-  EXPECT_EQ(rt.spec.joins[0].at_ns, 68'000u);
-  EXPECT_EQ(rt.spec.joins[1].rank, 5);
-  EXPECT_EQ(rt.spec.joins[1].at_ns, 70'500u);
-  ASSERT_EQ(rt.spec.partitions.size(), 2u);
-  EXPECT_EQ(rt.spec.partitions[0].group_mask, 0b010110u);
-  EXPECT_EQ(rt.spec.partitions[0].start_ns, 49'000u);
-  EXPECT_EQ(rt.spec.partitions[0].heal_ns, 116'000u);
-  EXPECT_EQ(rt.spec.partitions[1].group_mask, 0b000011u);
+  ASSERT_EQ(rt.spec.faults.drains.size(), 1u);
+  EXPECT_EQ(rt.spec.faults.drains[0].rank, 3);
+  EXPECT_EQ(rt.spec.faults.drains[0].at_ns, 24'000u);
+  ASSERT_EQ(rt.spec.faults.joins.size(), 2u);
+  EXPECT_EQ(rt.spec.faults.joins[0].rank, 2);
+  EXPECT_EQ(rt.spec.faults.joins[0].at_ns, 68'000u);
+  EXPECT_EQ(rt.spec.faults.joins[1].rank, 5);
+  EXPECT_EQ(rt.spec.faults.joins[1].at_ns, 70'500u);
+  ASSERT_EQ(rt.spec.faults.partitions.size(), 2u);
+  EXPECT_EQ(rt.spec.faults.partitions[0].group_mask, 0b010110u);
+  EXPECT_EQ(rt.spec.faults.partitions[0].start_ns, 49'000u);
+  EXPECT_EQ(rt.spec.faults.partitions[0].heal_ns, 116'000u);
+  EXPECT_EQ(rt.spec.faults.partitions[1].group_mask, 0b000011u);
 
   // The serialization is canonical: re-writing the parsed file reproduces
   // the original byte-for-byte (covers every remaining field at once).
