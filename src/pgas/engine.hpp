@@ -631,7 +631,8 @@ struct RunConfig {
   /// through the mediated Ctx surface (get/put/add/cas/bulk_get/bulk_put)
   /// or mp::Comm — never by dereferencing another rank's memory directly.
   /// Set by ws::run_search for the protocols that qualify (lock-less
-  /// request/response, token-ring, work-push). The parallel PDES engine
+  /// request/response, token-ring, work-push) when the problem's expansion
+  /// shares no state across ranks (ws::Problem::shares_state()). The parallel PDES engine
   /// (src/psim) requires it to shard ranks across OS workers and silently
   /// falls back to the sequential engine when false. Ignored by SimEngine
   /// and ThreadEngine.

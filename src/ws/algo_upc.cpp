@@ -352,7 +352,7 @@ class UpcWorker final : public RankWorker {
         // Denied; the victim recorded the span's kDeny when it answered.
         drop_span(v);
         backoff_ns_ = kStealBackoffNs;  // the victim answered in time
-        return false;                         // denied
+        return false;                   // denied
       }
       if (a > 0) {
         const std::size_t take = static_cast<std::size_t>(a);
