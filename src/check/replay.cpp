@@ -188,8 +188,8 @@ ReplayFile parse_replay(std::istream& is) {
       ls >> rf.oracle;
     } else if (key == "trail") {
       have_trail = true;
-      unsigned v = 0;
-      while (ls >> v) rf.trail.push_back(static_cast<std::uint16_t>(v));
+      std::string v;
+      while (ls >> v) rf.trail.push_back(parse_uint<std::uint16_t>(v, key));
     } else {
       bad("unknown key " + key);
     }

@@ -393,6 +393,14 @@ TEST(CheckReplayFile, RejectsMalformedInput) {
                          "\ntrail\n");
     EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << line;
   }
+  // A choice is a 16-bit index: these used to wrap to 0 and 65535.
+  for (const char* trail : {"trail 65536", "trail -1", "trail 3 65536 -1"}) {
+    std::stringstream ss(std::string("upcws-replay v1\n") + trail + "\n");
+    EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << trail;
+  }
+  std::stringstream ok("upcws-replay v1\ntrail 0 65535 7\n");
+  EXPECT_EQ(check::read_replay(ok).trail,
+            (std::vector<std::uint16_t>{0, 65535, 7}));
 }
 
 TEST(CheckReplayFile, RejectsPlansTheRunCannotHold) {
