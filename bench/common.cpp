@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "sha1/sha1.hpp"
+#include "stats/table.hpp"
 
 namespace upcws::benchutil {
 
@@ -48,31 +49,6 @@ std::string fmt(double v, int prec) {
 }
 
 namespace {
-
-// Minimal JSON string escape: the keys/values we emit are bench and metric
-// names plus tree descriptions -- printable ASCII -- but quotes and
-// backslashes must not corrupt the document.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string json_number(double v) {
   char buf[64];
@@ -117,7 +93,7 @@ BenchReporter::Result& BenchReporter::result(const std::string& name) {
 void BenchReporter::write_json(std::ostream& os) const {
   os << "{\n";
   os << "  \"schema\": \"upcws-bench-v1\",\n";
-  os << "  \"bench\": \"" << json_escape(bench_) << "\",\n";
+  os << "  \"bench\": \"" << stats::json_escape(bench_) << "\",\n";
   os << "  \"mode\": \"" << mode_name(mode_) << "\",\n";
   // Host context: host-time metrics compare only between files that agree
   // on both (tools/compare_bench.py notes any difference).
@@ -126,18 +102,18 @@ void BenchReporter::write_json(std::ostream& os) const {
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const Result& r = results_[i];
-    os << "    {\n      \"name\": \"" << json_escape(r.name) << "\",\n";
+    os << "    {\n      \"name\": \"" << stats::json_escape(r.name) << "\",\n";
     os << "      \"metrics\": {";
     for (std::size_t j = 0; j < r.metrics.size(); ++j) {
       if (j > 0) os << ", ";
-      os << "\"" << json_escape(r.metrics[j].first)
+      os << "\"" << stats::json_escape(r.metrics[j].first)
          << "\": " << json_number(r.metrics[j].second);
     }
     os << "},\n      \"notes\": {";
     for (std::size_t j = 0; j < r.notes.size(); ++j) {
       if (j > 0) os << ", ";
-      os << "\"" << json_escape(r.notes[j].first) << "\": \""
-         << json_escape(r.notes[j].second) << "\"";
+      os << "\"" << stats::json_escape(r.notes[j].first) << "\": \""
+         << stats::json_escape(r.notes[j].second) << "\"";
     }
     os << "}\n    }" << (i + 1 < results_.size() ? "," : "") << "\n";
   }

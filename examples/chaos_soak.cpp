@@ -75,6 +75,7 @@
 #include "pgas/thread_engine.hpp"
 #include "psim/engine.hpp"
 #include "sim/scheduler.hpp"
+#include "stats/table.hpp"
 #include "uts/sequential.hpp"
 #include "ws/driver.hpp"
 #include "ws/uts_problem.hpp"
@@ -226,18 +227,6 @@ check::RunOutcome run_real(pgas::Engine& eng, const check::CheckSpec& s,
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string o;
-  o.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') (o += '\\') += c;
-    else if (c == '\n') o += "\\n";
-    else if (static_cast<unsigned char>(c) < 0x20) o += ' ';
-    else o += c;
-  }
-  return o;
-}
-
 void write_summary(std::ostream& os, int campaigns, int threads_runs,
                    const std::map<std::string, int>& algo_runs,
                    const std::map<std::string, int>& fault_runs,
@@ -266,9 +255,9 @@ void write_summary(std::ostream& os, int campaigns, int threads_runs,
     const Failure& f = failures[i];
     os << (i > 0 ? "," : "") << "\n    {\"campaign\": " << f.campaign
        << ", \"engine\": \"" << f.engine << "\", \"algo\": \"" << f.algo
-       << "\", \"oracle\": \"" << json_escape(f.oracle)
-       << "\", \"replay\": \"" << json_escape(f.replay)
-       << "\", \"message\": \"" << json_escape(f.message) << "\"}";
+       << "\", \"oracle\": \"" << stats::json_escape(f.oracle)
+       << "\", \"replay\": \"" << stats::json_escape(f.replay)
+       << "\", \"message\": \"" << stats::json_escape(f.message) << "\"}";
   }
   os << (failures.empty() ? "]" : "\n  ]") << ",\n";
   os << "  \"elapsed_s\": " << elapsed_s << "\n}\n";

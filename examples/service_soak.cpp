@@ -62,6 +62,7 @@
 #include "obs/autopsy.hpp"
 #include "pgas/sim_engine.hpp"
 #include "pgas/thread_engine.hpp"
+#include "stats/table.hpp"
 #include "svc/service.hpp"
 #include "ws/driver.hpp"
 
@@ -146,18 +147,6 @@ svc::JobSpec draw_job(std::mt19937_64& g, int index, bool sim_engine,
   if (chance(2)) s.chunk = 0;      // invalid spec: typed rejection
   if (chance(2)) s.min_ranks = 99;  // impossible spec: pool-exhausted
   return s;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string o;
-  o.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') (o += '\\') += c;
-    else if (c == '\n') o += "\\n";
-    else if (static_cast<unsigned char>(c) < 0x20) o += ' ';
-    else o += c;
-  }
-  return o;
 }
 
 void write_map(std::ostream& os, const std::map<std::string, int>& m) {
@@ -402,7 +391,7 @@ int main(int argc, char** argv) {
     f << "  \"oracle\": {\"checked\": " << sim_rep.checked + thr_rep.checked
       << ", \"violations\": [";
     for (std::size_t i = 0; i < violations.size(); ++i)
-      f << (i > 0 ? ", " : "") << "\"" << json_escape(violations[i]) << "\"";
+      f << (i > 0 ? ", " : "") << "\"" << stats::json_escape(violations[i]) << "\"";
     f << "]},\n";
     f << "  \"result_mismatches\": " << mismatches << ",\n";
     f << "  \"elapsed_s\": " << elapsed_s << "\n}\n";

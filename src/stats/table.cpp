@@ -1,6 +1,7 @@
 #include "stats/table.hpp"
 
 #include <cstdint>
+#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -54,6 +55,28 @@ void Table::print_csv(std::ostream& os) const {
   };
   line(headers_);
   for (const auto& r : rows_) line(r);
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace upcws::stats

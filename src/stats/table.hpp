@@ -1,6 +1,7 @@
 // Minimal fixed-width table / CSV formatter for the benchmark harness.
 // Every figure/table reproduction prints through this so the output format
-// is uniform and machine-parsable (EXPERIMENTS.md records the rows).
+// is uniform and machine-parsable (EXPERIMENTS.md records the rows). Also
+// the one JSON string escaper of the hand-written JSON writers.
 #pragma once
 
 #include <iosfwd>
@@ -34,5 +35,9 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// `s` as the body of a JSON string: `"`, `\` and newline and tab in
+/// their short forms, every other control character as \u00XX.
+std::string json_escape(const std::string& s);
 
 }  // namespace upcws::stats

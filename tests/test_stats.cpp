@@ -185,4 +185,13 @@ TEST(RunStatsTest, SummaryMentionsKeyFigures) {
   EXPECT_NE(s.find("speedup"), std::string::npos);
 }
 
+TEST(JsonEscape, ShortFormsAndControlCharacters) {
+  EXPECT_EQ(json_escape("plain text"), "plain text");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("line\nnext\ttab"), "line\\nnext\\ttab");
+  EXPECT_EQ(json_escape(std::string("\0\x01\r\x1f", 4)),
+            "\\u0000\\u0001\\u000d\\u001f");
+  EXPECT_EQ(json_escape("\x7f \xc3\xa9"), "\x7f \xc3\xa9");  // not control
+}
+
 }  // namespace
