@@ -86,8 +86,8 @@ void LockEpochOracle::on_step(const StepProbe& p) {
 void BarrierWorkOracle::on_step(const StepProbe& p) {
   if (declared_ || p.shared == nullptr) return;
   const bool term =
-      p.shared->term_root.load(std::memory_order_relaxed) != -1 ||
-      p.shared->cb_done.load(std::memory_order_relaxed) != 0;
+      p.shared->term_root.unmediated().load(std::memory_order_relaxed) != -1 ||
+      p.shared->cb_done.unmediated().load(std::memory_order_relaxed) != 0;
   if (!term) return;
   declared_ = true;
   for (int r = 0; r < p.nranks; ++r) {
@@ -188,8 +188,8 @@ void MembershipSafetyOracle::on_step(const StepProbe& p) {
   }
   if (declared_ || p.shared == nullptr) return;
   const bool term =
-      p.shared->term_root.load(std::memory_order_relaxed) != -1 ||
-      p.shared->cb_done.load(std::memory_order_relaxed) != 0;
+      p.shared->term_root.unmediated().load(std::memory_order_relaxed) != -1 ||
+      p.shared->cb_done.unmediated().load(std::memory_order_relaxed) != 0;
   if (!term) return;
   declared_ = true;
   for (int r = 0; r < p.nranks; ++r) {

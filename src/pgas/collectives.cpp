@@ -4,7 +4,13 @@
 
 namespace upcws::pgas {
 
-Coll::Coll(int nranks) : nranks_(nranks), slots_(nranks), gens_(nranks) {}
+Coll::Coll(int nranks) : nranks_(nranks), slots_(nranks), gens_(nranks) {
+  for (int r = 0; r < nranks; ++r) {
+    Slot& s = slots_[r];
+    set_owner(r, s.arrive0, s.arrive1, s.ready, s.down_ack, s.val0, s.val1,
+              s.down);
+  }
+}
 
 void Coll::barrier(Ctx& c) { (void)allreduce(c, 0, Op::kSum); }
 
@@ -19,12 +25,9 @@ std::int64_t Coll::allreduce_max(Ctx& c, std::int64_t v) {
 void Coll::send_down(Ctx& c, int child, std::uint64_t gen,
                      std::int64_t value) {
   Slot& cs = slots_[child];
-  while (cs.down_ack.load(std::memory_order_acquire) + 1 < gen) {
-    c.charge_poll();
-    c.yield();
-  }
-  c.put(cs.down, child, value);
-  c.put(cs.ready, child, gen);
+  while (c.get(cs.down_ack) + 1 < gen) c.yield();
+  c.put(cs.down, value);
+  c.put(cs.ready, gen);
 }
 
 std::int64_t Coll::allreduce(Ctx& c, std::int64_t v, Op op) {
@@ -45,19 +48,19 @@ std::int64_t Coll::allreduce(Ctx& c, std::int64_t v, Op op) {
   // Gather: wait for children, combine their partial values.
   if (c0 < n) {
     Slot& s = slots_[me];
-    while (s.arrive0.load(std::memory_order_acquire) < gen) {
+    while (c.peek(s.arrive0) < gen) {
       c.charge_poll();
       c.yield();
     }
-    combine(s.val0.load(std::memory_order_acquire));
+    combine(c.peek(s.val0));
   }
   if (c1 < n) {
     Slot& s = slots_[me];
-    while (s.arrive1.load(std::memory_order_acquire) < gen) {
+    while (c.peek(s.arrive1) < gen) {
       c.charge_poll();
       c.yield();
     }
-    combine(s.val1.load(std::memory_order_acquire));
+    combine(c.peek(s.val1));
   }
 
   if (pos != 0) {
@@ -67,24 +70,24 @@ std::int64_t Coll::allreduce(Ctx& c, std::int64_t v, Op op) {
     Slot& ps = slots_[parent];
     const bool left = (pos - 1) % 2 == 0;
     if (left) {
-      c.put(ps.val0, parent, acc);
-      c.put(ps.arrive0, parent, gen);
+      c.put(ps.val0, acc);
+      c.put(ps.arrive0, gen);
     } else {
-      c.put(ps.val1, parent, acc);
-      c.put(ps.arrive1, parent, gen);
+      c.put(ps.val1, acc);
+      c.put(ps.arrive1, gen);
     }
     // Wait for the total to come back down (spin on my own slot: local).
     Slot& mine = slots_[me];
-    while (mine.ready.load(std::memory_order_acquire) < gen) {
+    while (c.peek(mine.ready) < gen) {
       c.charge_poll();
       c.yield();
     }
-    acc = mine.down.load(std::memory_order_acquire);
-    mine.down_ack.store(gen, std::memory_order_release);
+    acc = c.peek(mine.down);
+    c.put_local(mine.down_ack, gen);
   } else {
     // The root consumes nothing but must keep its ack generation moving so
     // it can be a child of a later (differently rooted) operation.
-    slots_[me].down_ack.store(gen, std::memory_order_release);
+    c.put_local(slots_[me].down_ack, gen);
   }
 
   // Release downward: push the total to my children.
@@ -104,14 +107,14 @@ std::int64_t Coll::broadcast(Ctx& c, std::int64_t v, int root) {
   std::int64_t out = v;
   if (pos != 0) {
     Slot& mine = slots_[me];
-    while (mine.ready.load(std::memory_order_acquire) < gen) {
+    while (c.peek(mine.ready) < gen) {
       c.charge_poll();
       c.yield();
     }
-    out = mine.down.load(std::memory_order_acquire);
-    mine.down_ack.store(gen, std::memory_order_release);
+    out = c.peek(mine.down);
+    c.put_local(mine.down_ack, gen);
   } else {
-    slots_[me].down_ack.store(gen, std::memory_order_release);
+    c.put_local(slots_[me].down_ack, gen);
   }
   for (int child_pos : {2 * pos + 1, 2 * pos + 2}) {
     if (child_pos < n) send_down(c, rank_of(child_pos, root, n), gen, out);

@@ -9,7 +9,6 @@
 // successive operations by the full rank set.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -52,25 +51,27 @@ class Coll {
   }
   static int rank_of(int pos, int root, int n) { return (root + pos) % n; }
 
+  /// Rank r's slot; every word lives at r.
   struct alignas(64) Slot {
     /// Generation counters: a child publishes into its parent by bumping
     /// arrive[child_slot]; the parent publishes downward by bumping ready.
-    std::atomic<std::uint64_t> arrive0{0};
-    std::atomic<std::uint64_t> arrive1{0};
-    std::atomic<std::uint64_t> ready{0};
+    Shared<std::uint64_t> arrive0;
+    Shared<std::uint64_t> arrive1;
+    Shared<std::uint64_t> ready;
     /// Consumption ack for the down channel: the slot's owner bumps this
     /// after reading `down` for a generation. Because consecutive
     /// operations may use different tree shapes (broadcast roots vary), a
     /// parent must not overwrite `down`/`ready` for generation g until the
     /// owner acknowledged g-1.
-    std::atomic<std::uint64_t> down_ack{0};
-    std::atomic<std::int64_t> val0{0};
-    std::atomic<std::int64_t> val1{0};
-    std::atomic<std::int64_t> down{0};
+    Shared<std::uint64_t> down_ack;
+    Shared<std::int64_t> val0;
+    Shared<std::int64_t> val1;
+    Shared<std::int64_t> down;
   };
 
-  /// Wait until `child`'s down channel is free for `gen`, then deliver
-  /// value + generation flag (two remote writes, as one-sided puts).
+  /// Wait until `child`'s down channel is free for `gen` (each check reads
+  /// the child's ack remotely), then deliver value + generation flag (two
+  /// remote writes, as one-sided puts).
   void send_down(Ctx& c, int child, std::uint64_t gen, std::int64_t value);
 
   int nranks_;

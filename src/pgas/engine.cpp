@@ -23,18 +23,19 @@ void Ctx::unlock(Lock& l) {
   // on ThreadEngine, it is a no-op).
   const sim::Fiber::CancelShield shield;
   in_unlock_ = true;
-  charge_ref(l.owner);
+  ref_op(l.owner, [&] { lock_word_release(l); });
   in_unlock_ = false;
-  lock_word_release(l);
 }
 
-void Ctx::bulk_get(void* dst, const void* src, std::size_t bytes, int owner) {
+void Ctx::bulk_get(void* dst, const void* src, std::size_t bytes, int owner,
+                   OpRef then) {
   std::uint64_t c = jittered(net().bulk_ns(rank(), owner, bytes));
   if (faults_ != nullptr) c += faults_->partition_extra_ns(owner, now_ns());
   mediated_op(owner, c, [&] {
     // Synchronize-with the release of whatever handshake published `src`.
     std::atomic_thread_fence(std::memory_order_acquire);
     std::memcpy(dst, src, bytes);
+    then();
   });
   note_remote_op(owner, ObsSink::OpKind::kBulkGet);
 }

@@ -32,12 +32,14 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "pgas/faults.hpp"
 #include "pgas/netmodel.hpp"
+#include "pgas/shared.hpp"
 #include "sim/schedule_policy.hpp"
 
 namespace upcws::pgas {
@@ -71,6 +73,11 @@ class OpRef {
   void* obj_;
   void (*call_)(void*);
 };
+
+/// The empty OpRef: an op with nothing more to do.
+inline constexpr struct NoOp {
+  void operator()() const {}
+} kNoOp{};
 
 /// A UPC-style lock with affinity. The lock word is always manipulated via
 /// Ctx so every engine and the cost model see every operation.
@@ -230,13 +237,14 @@ class Ctx {
   /// spins (with yield) while contended.
   virtual void lock(Lock& l) = 0;
 
-  /// Single acquisition attempt; charges one reference cost.
+  /// Single acquisition attempt: one mediated reference to the lock word.
   bool try_lock(Lock& l) {
-    charge_ref(l.owner);
-    return lock_word_acquire(l);
+    bool ok = false;
+    ref_op(l.owner, [&] { ok = lock_word_acquire(l); });
+    return ok;
   }
 
-  /// Release `l`; must hold it. Charges one reference cost.
+  /// Release `l`; must hold it. One mediated reference to the lock word.
   void unlock(Lock& l);
 
   /// Deterministic per-rank random stream (probe order etc.); seeded from
@@ -257,6 +265,12 @@ class Ctx {
     charge(cost_ns);
     op();
   }
+
+  /// One small reference to `owner`'s memory whose access is `op`: a
+  /// protocol step that reads or updates several of the owner's fields at
+  /// once (a lock word, a victim's stack bookkeeping). Charged like one
+  /// shared-variable reference; not counted as a remote op.
+  void ref_op(int owner, OpRef op) { mediated_op(owner, ref_cost_ns(owner), op); }
 
   /// Virtual time at which the currently executing scheduling slice began
   /// (the slice's ready-queue key). Simulation engines override this;
@@ -381,53 +395,102 @@ class Ctx {
   /// into local memory, charging latency + bandwidth. The caller's protocol
   /// must guarantee the source region is quiescent (that is exactly what
   /// the paper's chunk-reservation / request-response protocols establish).
-  void bulk_get(void* dst, const void* src, std::size_t bytes, int owner);
+  /// `then` runs at the owner in the same op, after the copy.
+  void bulk_get(void* dst, const void* src, std::size_t bytes, int owner,
+                OpRef then = kNoOp);
 
   /// One-sided bulk put: mirror image of bulk_get.
   void bulk_put(void* dst, const void* src, std::size_t bytes, int owner);
+
+  // ------- shared words (pgas::Shared), mediated at their owner ----------
 
   /// Atomic load/store of a shared word with cost accounting. Mutations
   /// from a dead (crashed) Ctx are suppressed: destructors unwinding on the
   /// crashed rank's stack must not become visible to the survivors.
   template <typename T>
-  T get(const std::atomic<T>& v, int owner) {
+  T get(const Shared<T>& w) {
     T out{};
-    mediated_op(owner, ref_cost_ns(owner),
-                [&] { out = v.load(std::memory_order_acquire); });
-    note_remote_op(owner, ObsSink::OpKind::kGet);
+    mediated_op(w.owner(), ref_cost_ns(w.owner()),
+                [&] { out = w.v_.load(std::memory_order_acquire); });
+    note_remote_op(w.owner(), ObsSink::OpKind::kGet);
     return out;
   }
+  /// `then` runs at the owner in the same op, after the store: a protocol
+  /// step that must land together with it.
   template <typename T>
-  void put(std::atomic<T>& v, int owner, T x) {
+  void put(Shared<T>& w, T x, OpRef then = kNoOp) {
     if (dead_) return;
-    mediated_op(owner, ref_cost_ns(owner),
-                [&] { v.store(x, std::memory_order_release); });
-    note_remote_op(owner, ObsSink::OpKind::kPut);
+    mediated_op(w.owner(), ref_cost_ns(w.owner()), [&] {
+      w.v_.store(x, std::memory_order_release);
+      then();
+    });
+    note_remote_op(w.owner(), ObsSink::OpKind::kPut);
   }
   /// Atomic fetch-add on a shared word (one network round trip when
   /// remote). Returns the previous value.
   template <typename T>
-  T add(std::atomic<T>& v, int owner, T delta) {
-    if (dead_) return v.load(std::memory_order_acquire);
+  T add(Shared<T>& w, T delta) {
+    if (dead_) return w.v_.load(std::memory_order_acquire);
     T out{};
-    mediated_op(owner, ref_cost_ns(owner), [&] {
-      out = v.fetch_add(delta, std::memory_order_acq_rel);
+    mediated_op(w.owner(), ref_cost_ns(w.owner()), [&] {
+      out = w.v_.fetch_add(delta, std::memory_order_acq_rel);
     });
-    note_remote_op(owner, ObsSink::OpKind::kAdd);
+    note_remote_op(w.owner(), ObsSink::OpKind::kAdd);
     return out;
   }
   /// Atomic compare-exchange of a shared word (one network round trip when
   /// remote). Returns true on success; `expected` updated as usual.
   template <typename T>
-  bool cas(std::atomic<T>& v, int owner, T& expected, T desired) {
+  bool cas(Shared<T>& w, T& expected, T desired) {
     if (dead_) return false;
     bool ok = false;
-    mediated_op(owner, ref_cost_ns(owner), [&] {
-      ok = v.compare_exchange_strong(expected, desired,
-                                     std::memory_order_acq_rel);
+    mediated_op(w.owner(), ref_cost_ns(w.owner()), [&] {
+      ok = w.v_.compare_exchange_strong(expected, desired,
+                                        std::memory_order_acq_rel);
     });
-    note_remote_op(owner, ObsSink::OpKind::kCas);
+    note_remote_op(w.owner(), ObsSink::OpKind::kCas);
     return ok;
+  }
+
+  // ------- this rank's own shared words ----------------------------------
+  //
+  // Each throws std::logic_error unless `w` lives at this rank, and charges
+  // what one access of its kind costs the owner: nothing (a read an earlier
+  // charge covers), one poll-loop iteration, or one local reference.
+
+  /// Read, uncharged.
+  template <typename T>
+  T peek(const Shared<T>& w) const {
+    return own(w).load(std::memory_order_acquire);
+  }
+  /// One poll-loop iteration: a poll's charge, then the read.
+  template <typename T>
+  T poll(const Shared<T>& w) {
+    auto& a = own(w);
+    charge_poll();
+    return a.load(std::memory_order_acquire);
+  }
+  /// Store, at one local reference.
+  template <typename T>
+  void put_local(Shared<T>& w, T x) {
+    auto& a = own(w);
+    charge(net().local_ref_ns);
+    a.store(x, std::memory_order_release);
+  }
+  /// Compare-exchange, at one local reference.
+  template <typename T>
+  bool cas_local(Shared<T>& w, T& expected, T desired) {
+    auto& a = own(w);
+    charge(net().local_ref_ns);
+    return a.compare_exchange_strong(expected, desired,
+                                     std::memory_order_acq_rel);
+  }
+  /// Fetch-and, at one local reference. Returns the previous value.
+  template <typename T>
+  T and_local(Shared<T>& w, T mask) {
+    auto& a = own(w);
+    charge(net().local_ref_ns);
+    return a.fetch_and(mask, std::memory_order_acq_rel);
   }
 
  protected:
@@ -445,6 +508,17 @@ class Ctx {
   /// Hook for the progress watchdog (node-count progress); engines that
   /// support the watchdog override this. Must be free of cost accounting.
   virtual void note_progress() {}
+
+  /// The atomic of `w` (a Shared<T>, maybe const), which must live at
+  /// this rank (see peek()).
+  template <typename W>
+  auto& own(W& w) const {
+    if (w.owner() != rank_)
+      throw std::logic_error("pgas: rank " + std::to_string(rank_) +
+                             " made a local access to a word of rank " +
+                             std::to_string(w.owner()));
+    return w.v_;
+  }
 
   /// Report a finished mediated op to the sink (pure observation: runs
   /// after all cost accounting; now_ns() only reads the clock).
@@ -628,14 +702,13 @@ struct RunConfig {
   /// outlive run(). See ObsSink and src/obs.
   ObsSink* obs = nullptr;
   /// Promise that the SPMD body performs every cross-rank memory access
-  /// through the mediated Ctx surface (get/put/add/cas/bulk_get/bulk_put)
+  /// through the mediated Ctx surface (Shared words, locks, bulk_get/put)
   /// or mp::Comm — never by dereferencing another rank's memory directly.
-  /// Set by ws::run_search for the protocols that qualify (lock-less
-  /// request/response, token-ring, work-push) when the problem's expansion
-  /// shares no state across ranks (ws::Problem::shares_state()). The parallel PDES engine
-  /// (src/psim) requires it to shard ranks across OS workers and silently
-  /// falls back to the sequential engine when false. Ignored by SimEngine
-  /// and ThreadEngine.
+  /// Set by ws::run_search unless the problem's expansion shares state
+  /// across ranks outside Ctx (ws::Problem::shares_state()). The parallel
+  /// PDES engine (src/psim) requires it to shard ranks across OS workers
+  /// and silently falls back to the sequential engine when false. Ignored
+  /// by SimEngine and ThreadEngine.
   bool remote_ops_mediated = false;
 };
 

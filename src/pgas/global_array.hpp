@@ -10,7 +10,6 @@
 // references").
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <stdexcept>
 #include <type_traits>
@@ -25,9 +24,9 @@ enum class Layout {
   kCyclic,   ///< element i lives at rank i % nranks (upc default)
 };
 
-/// A fixed-size shared array of trivially copyable elements.
-/// All ranks may call get/put/fetch_add concurrently; accesses are atomic
-/// per element and charged by affinity.
+/// A fixed-size shared array of trivially copyable elements, one
+/// pgas::Shared word each. All ranks may call get/put/fetch_add
+/// concurrently; accesses are atomic per element and mediated by affinity.
 template <typename T>
 class GlobalArray {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -40,6 +39,7 @@ class GlobalArray {
     block_ = (n + static_cast<std::size_t>(nranks) - 1) /
              static_cast<std::size_t>(nranks);
     if (block_ == 0) block_ = 1;
+    for (std::size_t i = 0; i < n; ++i) cells_[i].set_owner(owner(i));
   }
 
   std::size_t size() const { return n_; }
@@ -53,36 +53,20 @@ class GlobalArray {
   }
 
   /// Shared read (charges by affinity).
-  T get(Ctx& c, std::size_t i) const {
-    c.charge_ref(owner(i));
-    return cells_[i].v.load(std::memory_order_acquire);
-  }
+  T get(Ctx& c, std::size_t i) const { return c.get(cells_[i]); }
 
   /// Shared write (charges by affinity).
-  void put(Ctx& c, std::size_t i, T x) {
-    c.charge_ref(owner(i));
-    cells_[i].v.store(x, std::memory_order_release);
-  }
+  void put(Ctx& c, std::size_t i, T x) { c.put(cells_[i], x); }
 
   /// Atomic read-modify-write add; returns the previous value.
   T fetch_add(Ctx& c, std::size_t i, T delta) {
-    c.charge_ref(owner(i));
-    return cells_[i].v.fetch_add(delta, std::memory_order_acq_rel);
+    return c.add(cells_[i], delta);
   }
 
-  /// Local access for an element the caller owns (UPC's cast-to-local-
-  /// pointer idiom: no address translation, no network). Throws if the
-  /// element is not local to `c.rank()`.
-  T local_get(Ctx& c, std::size_t i) const {
-    require_local(c, i);
-    c.charge(c.net().local_ref_ns);
-    return cells_[i].v.load(std::memory_order_relaxed);
-  }
-  void local_put(Ctx& c, std::size_t i, T x) {
-    require_local(c, i);
-    c.charge(c.net().local_ref_ns);
-    cells_[i].v.store(x, std::memory_order_relaxed);
-  }
+  /// Local write of an element the caller owns (UPC's cast-to-local-
+  /// pointer idiom: no address translation, no network). Throws
+  /// std::logic_error if the element is not local to `c.rank()`.
+  void local_put(Ctx& c, std::size_t i, T x) { c.put_local(cells_[i], x); }
 
   /// upc_forall(i; affinity i): invoke f(i) for every index with affinity
   /// to the calling rank, in ascending order.
@@ -101,27 +85,18 @@ class GlobalArray {
 
   /// Unsynchronized raw access for setup/teardown outside the SPMD region.
   T read_raw(std::size_t i) const {
-    return cells_[i].v.load(std::memory_order_relaxed);
+    return cells_[i].unmediated().load(std::memory_order_relaxed);
   }
   void write_raw(std::size_t i, T x) {
-    cells_[i].v.store(x, std::memory_order_relaxed);
+    cells_[i].unmediated().store(x, std::memory_order_relaxed);
   }
 
  private:
-  void require_local(Ctx& c, std::size_t i) const {
-    if (owner(i) != c.rank())
-      throw std::logic_error("GlobalArray: local access to remote element");
-  }
-
-  struct Cell {
-    std::atomic<T> v{};
-  };
-
   std::size_t n_;
   int nranks_;
   Layout layout_;
   std::size_t block_ = 1;
-  mutable std::vector<Cell> cells_;
+  std::vector<Shared<T>> cells_;
 };
 
 }  // namespace upcws::pgas

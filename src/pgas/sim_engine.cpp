@@ -48,19 +48,17 @@ void SimCtx::lock(Lock& l) {
   // One reference to reach the lock word; further spins each pay a
   // reference too (remote spinning is exactly what makes contended remote
   // locks so costly in UPC, paper §3.1/§3.3.3).
-  charge_ref(l.owner);
   // Cooperative fibers: no preemption between the check and the store, so
   // compare_exchange never spuriously races here — the spin models time,
   // not memory contention. Under crash injection the acquire attempt also
   // revokes a dead holder's expired lease, so a crashed lock holder stalls
   // contenders for at most detect latency + lease.
-  if (lock_word_acquire(l)) return;
+  if (try_lock(l)) return;
   const std::uint64_t wait_from = sched_.now(task_);
   do {
     sched_.yield();
     skip_spins(l);
-    charge_ref(l.owner);
-  } while (!lock_word_acquire(l));
+  } while (!try_lock(l));
   if (obs_ != nullptr) {
     const std::uint64_t now = sched_.now(task_);
     obs_->on_lock_wait(rank(), now, now - wait_from);
@@ -132,7 +130,11 @@ void SimCtx::skip_spins(const Lock& l) {
   // charge that draws randomness or records an event (jitter, spikes, a
   // partition to another rank), the charge that ends a quantum, one that
   // reaches the armed crash, and the attempt that may revoke a dead
-  // holder's lock.
+  // holder's lock. On psim the same holds within a shard, whose stepping
+  // bound stops the skip before the next cross-shard event; a lock owned
+  // on another shard never reaches it, because each spin there is a
+  // shipped op costing at least the lookahead plus a quantum, and the cap
+  // below declines every charge that ends a quantum.
   if (dead_ || net().jitter_frac > 0.0) return;
   if (faults_ != nullptr &&
       (faults_->plan().spikes_enabled() ||

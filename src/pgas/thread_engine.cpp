@@ -48,8 +48,8 @@ class ThreadCtx final : public Ctx {
   }
 
   void lock(Lock& l) override {
-    charge_ref(l.owner);
-    if (lock_word_acquire(l)) return;
+    if (try_lock(l)) return;
+    // Real threads reach the lock word directly; the spins are uncharged.
     const std::uint64_t wait_from = now_ns();
     do {
       std::this_thread::yield();

@@ -174,10 +174,8 @@ struct Runtime {
 
 /// psim's rank context: SimEngine's SimCtx on its shard's scheduler, so
 /// clocks, RNG draws and interaction points are SimEngine's own code, plus
-/// the mediation override that ships cross-shard accesses to the owner's
-/// worker. Locks are only safe intra-shard (the lock word is accessed raw);
-/// no parallel-eligible protocol uses them — the locked family is routed to
-/// the sequential lane by ws::run_search's mediation promise.
+/// the mediation override that ships cross-shard accesses — shared words,
+/// lock words, bulk copies — to the owner's worker.
 class PsimCtx final : public pgas::SimCtx {
  public:
   // `faults` holds no liveness board here: crash and membership plans take

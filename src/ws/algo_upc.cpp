@@ -97,9 +97,8 @@ class UpcWorker final : public RankWorker {
   // ---- work_avail publication (owner-local stores) ----
 
   void publish_avail() {
-    ctx_.charge(ctx_.net().local_ref_ns);
     const auto v = static_cast<std::int64_t>(my_.shared_size());
-    my_.work_avail().store(v, std::memory_order_release);
+    ctx_.put_local(my_.work_avail(), v);
     note_avail(my_, v);
   }
 
@@ -111,8 +110,7 @@ class UpcWorker final : public RankWorker {
     // that someone is still working — a termination livelock.
     std::optional<pgas::LockGuard> guard;
     if (!lockless()) guard.emplace(ctx_, my_.lock());
-    ctx_.charge(ctx_.net().local_ref_ns);
-    my_.work_avail().store(idle_avail_, std::memory_order_release);
+    ctx_.put_local(my_.work_avail(), idle_avail_);
     note_avail(my_, 0);
   }
 
@@ -184,20 +182,19 @@ class UpcWorker final : public RankWorker {
   /// remote lock cycle on rank 0's barrier lock.
   void cancel_barrier_reset() {
     pgas::LockGuard guard(ctx_, g_.cb_lock);
-    if (ctx_.get(g_.cb_count, 0) > 0) ctx_.put(g_.cb_cancel, 0, 1);
+    if (ctx_.get(g_.cb_count) > 0) ctx_.put(g_.cb_cancel, 1);
   }
 
   // ---- lock-less request servicing (victim side, §3.3.3) ----
 
   void service_requests() {
-    ctx_.charge_poll();
-    const int req = g_.slots[me_].steal_request.load(std::memory_order_acquire);
+    pgas::Shared<int>& request = g_.slots[me_].steal_request;
+    const int req = ctx_.poll(request);
     if (req < 0) return;  // no request, or one we already claimed
     if (crash_mode_ && ctx_.rank_dead(req)) {
       // The requester died waiting. Granting would strand the chunk in a
       // lineage record until someone replays it; just drop the request.
-      ctx_.charge(ctx_.net().local_ref_ns);
-      g_.slots[me_].steal_request.store(kNoRequest, std::memory_order_release);
+      ctx_.put_local(request, kNoRequest);
       return;
     }
     if (cfg_.hardened()) {
@@ -206,10 +203,8 @@ class UpcWorker final : public RankWorker {
       // mutually exclusive, so either the thief withdrew (we do nothing) or
       // we are now committed and its cancellation will fail — the granted
       // chunk can never be orphaned.
-      ctx_.charge(ctx_.net().local_ref_ns);
       int expect = req;
-      if (!g_.slots[me_].steal_request.compare_exchange_strong(
-              expect, kServicing, std::memory_order_acq_rel))
+      if (!ctx_.cas_local(request, expect, kServicing))
         return;  // thief gave up first
     }
     // The thief published its span id before the request CAS, so this read
@@ -224,7 +219,7 @@ class UpcWorker final : public RankWorker {
     if (chunks < 1) {
       denied(req, sid);
       // One remote write tells the thief it was denied.
-      ctx_.put(g_.slots[req].resp_amount, req, std::int64_t{0});
+      ctx_.put(g_.slots[req].resp_amount, std::int64_t{0});
     } else {
       const std::int64_t take_chunks =
           steal_half() ? std::max<std::int64_t>(1, chunks / 2) : 1;
@@ -244,19 +239,17 @@ class UpcWorker final : public RankWorker {
       my_.maybe_compact();
       granted(req, take, sid);
       // Two remote writes: the amount granted and the work's location.
-      ctx_.put(g_.slots[req].resp_amount, req,
-               static_cast<std::int64_t>(take));
+      ctx_.put(g_.slots[req].resp_amount, static_cast<std::int64_t>(take));
       ctx_.charge_ref(req);
     }
-    ctx_.charge(ctx_.net().local_ref_ns);
-    g_.slots[me_].steal_request.store(kNoRequest, std::memory_order_release);
+    ctx_.put_local(request, kNoRequest);
   }
 
   // ---- searching / stealing ----
 
   std::int64_t probe(int v) {
     probed();
-    return ctx_.get(g_.stacks[v].work_avail(), v);
+    return ctx_.get(g_.stacks[v].work_avail());
   }
 
   bool attempt_steal(int v) {
@@ -271,34 +264,45 @@ class UpcWorker final : public RankWorker {
   }
 
   /// §3.1 steal: lock the victim's stack, reserve a chunk run, unlock, then
-  /// transfer outside the critical section with a one-sided get.
+  /// transfer outside the critical section with a one-sided get. Every
+  /// touch of the victim's stack is an op at the victim.
   bool steal_locked(int v) {
     StealStack& vs = g_.stacks[v];
     // Under the locked protocol the victim never executes steal code, so
     // the thief records the whole span itself — the service step lands on
     // the victim's timeline via the event's track field.
     begin_span(v, /*publish=*/false);
-    std::size_t take = 0, begin = 0;
+    std::size_t take = 0;
+    const std::byte* chunk = nullptr;
     {
       pgas::LockGuard guard(ctx_, vs.lock());
-      ctx_.charge_ref(v);  // read the victim's region bookkeeping
-      const std::int64_t chunks =
-          static_cast<std::int64_t>(vs.shared_size() / k_);
-      if (chunks >= 1) {
+      // One reference reads the victim's region bookkeeping and reserves.
+      std::int64_t left = 0;
+      ctx_.ref_op(v, [&] {
+        const auto chunks = static_cast<std::int64_t>(vs.shared_size() / k_);
+        if (chunks < 1) return;
         const std::int64_t take_chunks =
             steal_half() ? std::max<std::int64_t>(1, chunks / 2) : 1;
         take = static_cast<std::size_t>(take_chunks) * k_;
-        begin = vs.reserve(take);
+        chunk = vs.slot(vs.reserve(take));
+        left = static_cast<std::int64_t>(vs.shared_size());
+      });
+      if (take > 0) {
         // Lineage record immediately after the reservation (no interaction
         // point between): if we die before the chunk lands on our stack, a
         // survivor replays it from the record.
         if (crash_mode_)
-          board_->publish(me_, v, v, me_, vs.slot(begin),
+          board_->publish(me_, v, v, me_, chunk,
                           static_cast<std::uint32_t>(take));
-        const auto left = static_cast<std::int64_t>(vs.shared_size());
-        ctx_.put(vs.work_avail(), v, left);
-        note_avail(vs, left);
-        vs.begin_transfer();
+        // The new count lands with the victim's source flag and the
+        // in-flight mark, so the victim cannot compact under our copy.
+        const bool src = left >= static_cast<std::int64_t>(k_);
+        bool flipped = false;
+        ctx_.put(vs.work_avail(), left, [&] {
+          flipped = vs.set_source_flag(src);
+          vs.begin_transfer();
+        });
+        if (flipped) source_flipped(src);
         span_event(obs::SpanPhase::kService, v, me_, take);
       }
     }
@@ -308,8 +312,8 @@ class UpcWorker final : public RankWorker {
       return false;
     }
     xfer_.resize(take * nb_);
-    ctx_.bulk_get(xfer_.data(), vs.slot(begin), take * nb_, v);
-    vs.end_transfer();
+    ctx_.bulk_get(xfer_.data(), chunk, take * nb_, v,
+                  [&] { vs.end_transfer(); });
     ctx_.charge_ref(v);  // remote completion notice for the in-flight count
     span_event(obs::SpanPhase::kTransfer, me_, v, take);
     const bool landed =
@@ -330,13 +334,12 @@ class UpcWorker final : public RankWorker {
   /// consume it — exactly-once chunk transfer either way.
   bool steal_reqresp(int v) {
     auto& mine = g_.slots[me_];
-    ctx_.charge(ctx_.net().local_ref_ns);
-    mine.resp_amount.store(kRespPending, std::memory_order_release);
+    ctx_.put_local(mine.resp_amount, kRespPending);
     // Publish the span id before the request CAS makes it visible: the
     // victim reads it when servicing and records its side under this id.
     begin_span(v, /*publish=*/true);
     int expect = kNoRequest;
-    if (!ctx_.cas(g_.slots[v].steal_request, v, expect, me_)) {
+    if (!ctx_.cas(g_.slots[v].steal_request, expect, me_)) {
       abandon_span(v);
       return false;  // another thief got there first; move on
     }
@@ -346,8 +349,7 @@ class UpcWorker final : public RankWorker {
     bool cancelable = hardened;
     for (;;) {
       cancel_check();  // flag-flip only: an in-flight steal always completes
-      ctx_.charge_poll();
-      const std::int64_t a = mine.resp_amount.load(std::memory_order_acquire);
+      const std::int64_t a = ctx_.poll(mine.resp_amount);
       if (a == 0) {
         // Denied; the victim recorded the span's kDeny when it answered.
         drop_span(v);
@@ -387,7 +389,7 @@ class UpcWorker final : public RankWorker {
       }
       if (cancelable && ctx_.now_ns() >= deadline) {
         int still_me = me_;
-        if (ctx_.cas(g_.slots[v].steal_request, v, still_me, kNoRequest)) {
+        if (ctx_.cas(g_.slots[v].steal_request, still_me, kNoRequest)) {
           // Withdrawn before the victim claimed it; no response will come.
           timed_out(v);
           span_event(obs::SpanPhase::kTimeout, me_, v);
@@ -405,8 +407,7 @@ class UpcWorker final : public RankWorker {
       // aimed at us, and abandon the wait if termination was announced
       // (the victim may have exited without seeing our request).
       service_requests();
-      if (probe_term() &&
-          g_.slots[me_].term_flag.load(std::memory_order_acquire)) {
+      if (probe_term() && ctx_.peek(mine.term_flag)) {
         abandon_span(v);
         return false;  // caller re-checks the flag and exits
       }
@@ -468,8 +469,7 @@ class UpcWorker final : public RankWorker {
 
   /// Thief side: mark ourselves parked and distress all live lifelines.
   void park_lifelines() {
-    ctx_.charge(ctx_.net().local_ref_ns);
-    g_.slots[me_].park.store(kParked, std::memory_order_release);
+    ctx_.put_local(g_.slots[me_].park, kParked);
     for (int d : lifeline_dims_) {
       const int v = me_ ^ (1 << d);
       if (skip_victim(v) || (crash_mode_ && ctx_.rank_dead(v))) continue;
@@ -478,20 +478,17 @@ class UpcWorker final : public RankWorker {
     parked();
   }
 
-  void unpark() {
-    ctx_.charge(ctx_.net().local_ref_ns);
-    g_.slots[me_].park.store(kUnparked, std::memory_order_release);
-  }
+  void unpark() { ctx_.put_local(g_.slots[me_].park, kUnparked); }
 
   /// Set bit `d` in the neighbor's distress word (remote CAS loop; the
   /// owner is the only clearer, so the loop is one iteration in practice).
   void raise_distress(int v, int d) {
     const std::uint64_t bit = std::uint64_t{1} << d;
     for (;;) {
-      const std::uint64_t cur = ctx_.get(g_.slots[v].distress, v);
+      const std::uint64_t cur = ctx_.get(g_.slots[v].distress);
       if ((cur & bit) != 0) return;
       std::uint64_t expect = cur;
-      if (ctx_.cas(g_.slots[v].distress, v, expect, cur | bit)) return;
+      if (ctx_.cas(g_.slots[v].distress, expect, cur | bit)) return;
     }
   }
 
@@ -500,8 +497,7 @@ class UpcWorker final : public RankWorker {
   /// neighbors) are cleared along the way; a cleared thief re-raises its
   /// bit if it re-parks.
   void maybe_wake_lifeline() {
-    ctx_.charge_poll();  // local read of our own distress word
-    std::uint64_t d = g_.slots[me_].distress.load(std::memory_order_acquire);
+    std::uint64_t d = ctx_.poll(g_.slots[me_].distress);
     while (d != 0) {
       const int bit = std::countr_zero(d);
       d &= d - 1;
@@ -509,13 +505,11 @@ class UpcWorker final : public RankWorker {
       bool hit = false;
       if (t < n_ && !skip_victim(t) && !(crash_mode_ && ctx_.rank_dead(t))) {
         int expect = kParked;
-        hit = ctx_.cas(g_.slots[t].park, t, expect, me_);
+        hit = ctx_.cas(g_.slots[t].park, expect, me_);
       }
       // Clear the bit either way: on a wake the hand-off is complete, on a
       // failed CAS the thief is no longer parked (stale distress).
-      ctx_.charge(ctx_.net().local_ref_ns);
-      g_.slots[me_].distress.fetch_and(~(std::uint64_t{1} << bit),
-                                       std::memory_order_acq_rel);
+      ctx_.and_local(g_.slots[me_].distress, ~(std::uint64_t{1} << bit));
       if (hit) {
         woke();
         return;  // one wake per surplus event; the thief pulls half and
@@ -554,20 +548,21 @@ class UpcWorker final : public RankWorker {
   /// (flag pre-charged), so survivors can always tell whether a dead
   /// rank's +1 is in the count.
   int bar_enter() {
-    if (!crash_mode_) return ctx_.add(g_.bar_count, 0, 1) + 1;
+    if (!crash_mode_) return ctx_.add(g_.bar_count, 1) + 1;
     ctx_.charge_ref(0);
     board_->in_barrier(me_).store(1, std::memory_order_release);
-    return g_.bar_count.fetch_add(1, std::memory_order_acq_rel) + 1;
+    return g_.bar_count.unmediated().fetch_add(1, std::memory_order_acq_rel) +
+           1;
   }
 
   void bar_leave() {
     if (!crash_mode_) {
-      ctx_.add(g_.bar_count, 0, -1);
+      ctx_.add(g_.bar_count, -1);
       return;
     }
     ctx_.charge_ref(0);
     board_->in_barrier(me_).store(0, std::memory_order_release);
-    g_.bar_count.fetch_add(-1, std::memory_order_acq_rel);
+    g_.bar_count.unmediated().fetch_add(-1, std::memory_order_acq_rel);
   }
 
   bool term_satisfied(int cnt) {
@@ -703,12 +698,12 @@ class UpcWorker final : public RankWorker {
   /// point between). Caller holds cb_lock.
   void cb_set_count(int cnt, int flag) {
     if (!crash_mode_) {
-      ctx_.put(g_.cb_count, 0, cnt);
+      ctx_.put(g_.cb_count, cnt);
       return;
     }
     ctx_.charge_ref(0);
     board_->in_barrier(me_).store(flag, std::memory_order_release);
-    g_.cb_count.store(cnt, std::memory_order_release);
+    g_.cb_count.unmediated().store(cnt, std::memory_order_release);
   }
 
   /// §3.1 cancelable barrier. Returns true when global termination was
@@ -723,17 +718,17 @@ class UpcWorker final : public RankWorker {
     ++st_.c.barrier_entries;
     {
       pgas::LockGuard guard(ctx_, g_.cb_lock);
-      const int cnt = ctx_.get(g_.cb_count, 0) + 1;
+      const int cnt = ctx_.get(g_.cb_count) + 1;
       cb_set_count(cnt, 1);
-      if (term_satisfied(cnt)) ctx_.put(g_.cb_done, 0, 1);
+      if (term_satisfied(cnt)) ctx_.put(g_.cb_done, 1);
     }
 
     // Remote spin on the done/cancel flags (all owned by rank 0) — the
     // §3.1 cost center on distributed memory.
     for (;;) {
       cancel_check();  // flag-flip only; the barrier protocol is unchanged
-      if (ctx_.get(g_.cb_done, 0) != 0) break;
-      if (ctx_.get(g_.cb_cancel, 0) != 0) break;
+      if (ctx_.get(g_.cb_done) != 0) break;
+      if (ctx_.get(g_.cb_cancel) != 0) break;
       if (crash_mode_) {
         if (recovery_possible()) {
           // Leave the barrier first; the find-work cycle top performs the
@@ -741,18 +736,18 @@ class UpcWorker final : public RankWorker {
           // survivor wins the claim meanwhile, the pre-check goes false and
           // we simply re-enter.
           pgas::LockGuard guard(ctx_, g_.cb_lock);
-          if (ctx_.get(g_.cb_done, 0) == 0) {
-            cb_set_count(ctx_.get(g_.cb_count, 0) - 1, 0);
+          if (ctx_.get(g_.cb_done) == 0) {
+            cb_set_count(ctx_.get(g_.cb_count) - 1, 0);
             return false;
           }
           break;  // termination already declared
         }
         // A death elsewhere may have lowered the target below the current
         // count; re-evaluate (cheap raw pre-check, confirmed under lock).
-        if (term_satisfied(g_.cb_count.load(std::memory_order_acquire))) {
+        if (term_satisfied(
+                g_.cb_count.unmediated().load(std::memory_order_acquire))) {
           pgas::LockGuard guard(ctx_, g_.cb_lock);
-          if (term_satisfied(ctx_.get(g_.cb_count, 0)))
-            ctx_.put(g_.cb_done, 0, 1);
+          if (term_satisfied(ctx_.get(g_.cb_count))) ctx_.put(g_.cb_done, 1);
         }
       }
       serve_and_yield();
@@ -761,10 +756,10 @@ class UpcWorker final : public RankWorker {
     bool done = false;
     {
       pgas::LockGuard guard(ctx_, g_.cb_lock);
-      done = ctx_.get(g_.cb_done, 0) != 0;
+      done = ctx_.get(g_.cb_done) != 0;
       if (!done) {
-        cb_set_count(ctx_.get(g_.cb_count, 0) - 1, 0);
-        ctx_.put(g_.cb_cancel, 0, 0);
+        cb_set_count(ctx_.get(g_.cb_count) - 1, 0);
+        ctx_.put(g_.cb_cancel, 0);
       }
     }
     return done;
@@ -796,7 +791,8 @@ class UpcWorker final : public RankWorker {
           return 0;
         }
         ctx_.charge_ref(0);
-        if (term_satisfied(g_.bar_count.load(std::memory_order_acquire))) {
+        if (term_satisfied(
+                g_.bar_count.unmediated().load(std::memory_order_acquire))) {
           announce_termination();
           return 1;
         }
@@ -805,9 +801,8 @@ class UpcWorker final : public RankWorker {
         // announcement can die with a crashed interior rank, or sit behind
         // a healing partition until every forwarder has exited — adopt it
         // straight from the root word and re-forward to our subtree.
-        if (g_.term_root.load(std::memory_order_acquire) != -1) {
-          ctx_.charge(ctx_.net().local_ref_ns);
-          g_.slots[me_].term_flag.store(1, std::memory_order_release);
+        if (g_.term_root.unmediated().load(std::memory_order_acquire) != -1) {
+          ctx_.put_local(g_.slots[me_].term_flag, 1);
           forward_announcement();
           return 1;
         }
@@ -817,8 +812,7 @@ class UpcWorker final : public RankWorker {
       if (!cancelled_ && lifeline()) {
         // Parked lifeline thief: no in-barrier probing — poll only our own
         // park word (a cheap local read) for a victim's wake.
-        ctx_.charge_poll();
-        const int w = g_.slots[me_].park.load(std::memory_order_acquire);
+        const int w = ctx_.poll(g_.slots[me_].park);
         if (w >= 0) {
           // Leave the barrier *before* pulling so that bar_count reaching
           // the target really implies no thread holds or is acquiring
@@ -870,9 +864,7 @@ class UpcWorker final : public RankWorker {
 
   /// Local check of our own flag; on announcement, forward down the tree.
   bool check_term_flag() {
-    ctx_.charge_poll();
-    if (g_.slots[me_].term_flag.load(std::memory_order_acquire) == 0)
-      return false;
+    if (ctx_.poll(g_.slots[me_].term_flag) == 0) return false;
     forward_announcement();
     return true;
   }
@@ -881,9 +873,8 @@ class UpcWorker final : public RankWorker {
   /// termination announcement rooted at itself.
   void announce_termination() {
     int expect = -1;
-    ctx_.cas(g_.term_root, 0, expect, me_);  // idempotent: first root wins
-    ctx_.charge(ctx_.net().local_ref_ns);
-    g_.slots[me_].term_flag.store(1, std::memory_order_release);
+    ctx_.cas(g_.term_root, expect, me_);  // idempotent: first root wins
+    ctx_.put_local(g_.slots[me_].term_flag, 1);
     forward_announcement();
   }
 
@@ -892,7 +883,7 @@ class UpcWorker final : public RankWorker {
   /// we forward directly to its descendants so the announcement cannot be
   /// swallowed by a crashed interior node.
   void forward_announcement() {
-    const int root = ctx_.get(g_.term_root, 0);
+    const int root = ctx_.get(g_.term_root);
     const int pos = (me_ - root + n_) % n_;
     fwd_.clear();
     fwd_.push_back(2 * pos + 1);
@@ -907,7 +898,7 @@ class UpcWorker final : public RankWorker {
         fwd_.push_back(2 * c + 2);
         continue;
       }
-      ctx_.put(g_.slots[dst].term_flag, dst, 1);
+      ctx_.put(g_.slots[dst].term_flag, 1);
     }
   }
 

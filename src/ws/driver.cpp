@@ -104,19 +104,11 @@ SearchResult run_search(pgas::Engine& engine, const pgas::RunConfig& rcfg,
   }
   const pgas::Liveness* live_view = rc.liveness;
 
-  // Mediation promise for the parallel PDES engine (src/psim): these
-  // protocols perform every cross-rank access through the mediated Ctx
-  // surface (get/put/add/cas/bulk) or mp::Comm — the token-ring family
-  // (mpi-ws, work-push) and the lock-less request/response family with
-  // probe-barrier termination. The locked family reads victim stacks raw
-  // under the stack lock, and cancelable-barrier termination predates the
-  // audit; both stay on the sequential lane, as does a problem whose
-  // expansion shares state across ranks outside Ctx.
-  rc.remote_ops_mediated =
-      !prob.shares_state() &&
-      (cfg.termination == Termination::kToken ||
-       (cfg.protocol == StackProtocol::kRequestResponse &&
-        cfg.termination == Termination::kProbeBarrier));
+  // Mediation promise for the parallel PDES engine (src/psim): every
+  // protocol reaches other ranks through Shared words, locks and bulk ops
+  // on Ctx, or mp::Comm. A problem whose expansion shares state across
+  // ranks outside Ctx withholds it.
+  rc.remote_ops_mediated = !prob.shares_state();
 
   if (cfg.termination == Termination::kToken) {
     mp::Comm comm(rcfg.nranks);
@@ -155,42 +147,39 @@ SearchResult run_search(pgas::Engine& engine, const pgas::RunConfig& rcfg,
       // Ranks without work advertise "no work at all" from the start so the
       // streamlined termination probe sees a consistent encoding.
       for (int r = 1; r < rcfg.nranks; ++r)
-        g.stacks[r].work_avail().store(kNoWorkAtAll,
-                                       std::memory_order_relaxed);
+        g.stacks[r].work_avail().unmediated().store(
+            kNoWorkAtAll, std::memory_order_relaxed);
     }
     if (rc.watchdog_ns > 0 && !rc.hang_reporter)
       rc.hang_reporter = [&g, nr = rcfg.nranks, tr = cfg.trace, live_view] {
         // Fibers are parked when this runs, so plain relaxed reads give a
         // consistent picture of the stuck protocol.
+        const auto raw = [](const auto& w) {
+          return w.unmediated().load(std::memory_order_relaxed);
+        };
         std::ostringstream os;
         os << liveness_report(live_view);
         os << "shared-state snapshot:\n";
         for (int r = 0; r < nr; ++r) {
           StealStack& ss = g.stacks[r];
-          os << "  rank " << r << ": work_avail="
-             << ss.work_avail().load(std::memory_order_relaxed)
+          const RankSlots& sl = g.slots[r];
+          os << "  rank " << r << ": work_avail=" << raw(ss.work_avail())
              << " lock_holder=" << ss.lock().holder()
              << " lock_epoch=" << ss.lock().epoch()
              << " lease_expiry="
              << ss.lock().lease_expiry_ns.load(std::memory_order_relaxed)
-             << " steal_request="
-             << g.slots[r].steal_request.load(std::memory_order_relaxed)
-             << " resp_amount="
-             << g.slots[r].resp_amount.load(std::memory_order_relaxed)
-             << " term_flag="
-             << g.slots[r].term_flag.load(std::memory_order_relaxed)
-             << " park=" << g.slots[r].park.load(std::memory_order_relaxed)
-             << " distress="
-             << g.slots[r].distress.load(std::memory_order_relaxed) << "\n";
+             << " steal_request=" << raw(sl.steal_request)
+             << " resp_amount=" << raw(sl.resp_amount)
+             << " term_flag=" << raw(sl.term_flag) << " park=" << raw(sl.park)
+             << " distress=" << raw(sl.distress) << "\n";
         }
         os << "  cb_lock_holder=" << g.cb_lock.holder()
            << " cb_lock_epoch=" << g.cb_lock.epoch()
-           << " cb_count=" << g.cb_count.load(std::memory_order_relaxed)
-           << " cb_cancel=" << g.cb_cancel.load(std::memory_order_relaxed)
-           << " cb_done=" << g.cb_done.load(std::memory_order_relaxed)
-           << " bar_count=" << g.bar_count.load(std::memory_order_relaxed)
-           << " term_root=" << g.term_root.load(std::memory_order_relaxed)
-           << "\n";
+           << " cb_count=" << raw(g.cb_count)
+           << " cb_cancel=" << raw(g.cb_cancel)
+           << " cb_done=" << raw(g.cb_done)
+           << " bar_count=" << raw(g.bar_count)
+           << " term_root=" << raw(g.term_root) << "\n";
         os << trace_tail(tr, 24);
         return os.str();
       };

@@ -374,8 +374,11 @@ class RankWorker : public NodeSink {
   /// Record a work-source status flip of `stk` (paper §3.3.2 analysis).
   void note_avail(StealStack& stk, std::int64_t avail) {
     const bool src = avail >= static_cast<std::int64_t>(k_);
-    if (stk.set_source_flag(src))
-      st_.source_events.push_back({ctx_.now_ns(), src ? +1 : -1});
+    if (stk.set_source_flag(src)) source_flipped(src);
+  }
+  /// A stack's source flag flipped to `src`.
+  void source_flipped(bool src) {
+    st_.source_events.push_back({ctx_.now_ns(), src ? +1 : -1});
   }
 
   // ---- crash recovery (crash_mode_ only) --------------------------------
@@ -435,7 +438,7 @@ class RankWorker : public NodeSink {
     ds.clear_after_salvage();
     // The emptied stack advertises no work to the UPC family's probes
     // (the token-ring workers never read work_avail).
-    ds.work_avail().store(idle_avail_, std::memory_order_release);
+    ds.work_avail().unmediated().store(idle_avail_, std::memory_order_release);
     note_avail(ds, 0);
     board_->finish_salvage(r);
     // Post-pay the transfer cost: the nodes are already safe on our stack,

@@ -10,7 +10,6 @@
 //     the point of §3.3.1's tree announcement and §3.3.3's local polling)
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -48,29 +47,30 @@ inline constexpr int kUnparked = -1;
 inline constexpr int kParked = -2;
 
 /// Per-rank protocol slots for the lock-less request/response steal (§3.3.3)
-/// and the tree-based termination announcement (§3.3.1).
+/// and the tree-based termination announcement (§3.3.1). Every word lives
+/// at the slot's rank.
 struct alignas(64) RankSlots {
   /// Thieves CAS their rank here; the owner polls it locally.
-  std::atomic<int> steal_request{kNoRequest};
+  pgas::Shared<int> steal_request{kNoRequest};
 
   /// This rank's *own* pending steal response, written remotely by its
   /// victim (amount granted); the thief spins on it locally.
-  std::atomic<std::int64_t> resp_amount{kRespPending};
+  pgas::Shared<std::int64_t> resp_amount{kRespPending};
 
   /// Termination-announcement flag; each rank spins on its own.
-  std::atomic<int> term_flag{0};
+  pgas::Shared<int> term_flag{0};
 
   // --- lifeline victim policy (Algo::kLifeline) only ---------------------
 
   /// Lifeline park word (see kUnparked/kParked above); lives at the thief
   /// so its park-poll is a local read, like resp_amount.
-  std::atomic<int> park{kUnparked};
+  pgas::Shared<int> park{kUnparked};
 
   /// Distress bitmask: bit d set means this rank's hypercube neighbor
   /// across dimension d (rank ^ (1 << d)) is parked and asking to be woken
   /// when surplus appears. Thieves set bits remotely (CAS loop); the owner
   /// polls and clears locally.
-  std::atomic<std::uint64_t> distress{0};
+  pgas::Shared<std::uint64_t> distress{0};
 
   /// Outboxes: outbox[thief] is filled by this rank (as victim) and then
   /// read by `thief` with a one-sided get. A thief never issues a new
@@ -90,13 +90,13 @@ struct SharedState {
 
   // --- cancelable barrier (§3.1); affinity rank 0 ---
   pgas::Lock cb_lock;
-  std::atomic<int> cb_count{0};
-  std::atomic<int> cb_cancel{0};
-  std::atomic<int> cb_done{0};
+  pgas::Shared<int> cb_count{0};
+  pgas::Shared<int> cb_cancel{0};
+  pgas::Shared<int> cb_done{0};
 
   // --- probe-then-barrier termination (§3.3.1); affinity rank 0 ---
-  std::atomic<int> bar_count{0};
-  std::atomic<int> term_root{-1};
+  pgas::Shared<int> bar_count{0};
+  pgas::Shared<int> term_root{-1};
 
   /// Crash-recovery board (lineage records, salvage claims, barrier
   /// membership mirror); null unless the fault plan injects crashes.

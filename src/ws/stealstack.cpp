@@ -14,6 +14,7 @@ void StealStack::init(std::size_t node_bytes, int owner) {
   node_bytes_ = node_bytes;
   owner_ = owner;
   lock_.owner = owner;
+  work_avail_.set_owner(owner);
   // Small warm-up reserve only: ensure_capacity() doubles on demand, and a
   // big up-front block multiplied by thousands of simulated ranks in one
   // process (full-scale psim runs) dominates the footprint for ranks that

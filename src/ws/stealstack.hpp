@@ -18,7 +18,10 @@
 //     the critical section. The owner's growth never frees the block a
 //     thief may be reading (old blocks are retired, not freed), and the
 //     in-flight counter keeps the owner from compacting — or reclaiming
-//     retired blocks — while a transfer is still reading them.
+//     retired blocks — while a transfer is still reading them. A thief
+//     touches the victim's bookkeeping (reserve, source flag, in-flight
+//     count, the copy) only inside mediated ops at the victim, so psim
+//     applies them on the victim's shard in the sequential order.
 //   * lock-less family (§3.3.3): only the owner ever touches the stack;
 //     thieves receive work through per-thief outboxes, so no locking at all.
 //
@@ -40,7 +43,8 @@ class StealStack {
  public:
   StealStack() = default;
 
-  /// Must be called before use. `owner` fixes the lock's affinity.
+  /// Must be called before use. `owner` fixes the affinity of the lock and
+  /// of work_avail.
   void init(std::size_t node_bytes, int owner);
 
   int owner() const { return owner_; }
@@ -106,10 +110,10 @@ class StealStack {
   void begin_transfer() { inflight_.fetch_add(1, std::memory_order_acq_rel); }
   void end_transfer() { inflight_.fetch_sub(1, std::memory_order_release); }
 
-  // ---- shared load indicator ----
+  // ---- shared load indicator (lives at the owner) ----
 
-  std::atomic<std::int64_t>& work_avail() { return work_avail_; }
-  const std::atomic<std::int64_t>& work_avail() const { return work_avail_; }
+  pgas::Shared<std::int64_t>& work_avail() { return work_avail_; }
+  const pgas::Shared<std::int64_t>& work_avail() const { return work_avail_; }
 
   /// The stack's lock (locked family only; affinity = owner).
   pgas::Lock& lock() { return lock_; }
@@ -163,7 +167,7 @@ class StealStack {
   std::size_t local_ = 0;                    // node index
   std::size_t top_ = 0;                      // node index
   std::uint64_t peak_ = 0;
-  alignas(64) std::atomic<std::int64_t> work_avail_{0};
+  alignas(64) pgas::Shared<std::int64_t> work_avail_;
   alignas(64) std::atomic<int> inflight_{0};
   std::atomic<bool> was_source_{false};
   pgas::Lock lock_;

@@ -103,6 +103,15 @@ case "$name" in
   rapdif_sim_plain)    engine=sim;     flags="$tree_rapdif" ;;
   rapdif_sim_fault)    engine=sim;     flags="$tree_rapdif $fault" ;;
   rapdif_sim_crash)    engine=sim;     flags="$tree_rapdif $crash_a" ;;
+  shm_psim_w4_plain)   engine=psim; workers=4; base=shm_sim_plain; flags="$tree_shm" ;;
+  shm_psim_w4_fault)   engine=psim; workers=4; base=shm_sim_fault; flags="$tree_shm $fault" ;;
+  shm_psim_w4_crash)   engine=psim; workers=4; base=shm_sim_crash; flags="$tree_shm $crash_a" ;;
+  term_psim_w4_plain)  engine=psim; workers=4; base=term_sim_plain; flags="$tree_term" ;;
+  term_psim_w4_fault)  engine=psim; workers=4; base=term_sim_fault; flags="$tree_term $fault" ;;
+  term_psim_w4_crash)  engine=psim; workers=4; base=term_sim_crash; flags="$tree_term $crash_a" ;;
+  rapdif_psim_w4_plain) engine=psim; workers=4; base=rapdif_sim_plain; flags="$tree_rapdif" ;;
+  rapdif_psim_w4_fault) engine=psim; workers=4; base=rapdif_sim_fault; flags="$tree_rapdif $fault" ;;
+  rapdif_psim_w4_crash) engine=psim; workers=4; base=rapdif_sim_crash; flags="$tree_rapdif $crash_a" ;;
   push_sim_plain)      engine=sim;     flags="$tree_push" ;;
   push_sim_fault)      engine=sim;     flags="$tree_push $fault" ;;
   *) echo "run_golden.sh: unknown case '$name'" >&2; exit 2 ;;

@@ -205,11 +205,11 @@ TEST(ThreadEngineTest, SharedWordHelpers) {
   ThreadEngine eng;
   RunConfig cfg;
   cfg.nranks = 4;
-  std::atomic<std::int64_t> word{0};
+  Shared<std::int64_t> word{0};
   eng.run(cfg, [&](Ctx& c) {
-    for (int i = 0; i < 1000; ++i) c.add(word, 0, std::int64_t{1});
+    for (int i = 0; i < 1000; ++i) c.add(word, std::int64_t{1});
   });
-  EXPECT_EQ(word.load(), 4000);
+  EXPECT_EQ(word.unmediated().load(), 4000);
 }
 
 TEST(CtxHelpers, CasSemantics) {
@@ -217,12 +217,12 @@ TEST(CtxHelpers, CasSemantics) {
   RunConfig cfg;
   cfg.nranks = 1;
   eng.run(cfg, [&](Ctx& c) {
-    std::atomic<int> w{5};
+    Shared<int> w{5};
     int expect = 4;
-    EXPECT_FALSE(c.cas(w, 0, expect, 9));
+    EXPECT_FALSE(c.cas(w, expect, 9));
     EXPECT_EQ(expect, 5);  // updated to observed value
-    EXPECT_TRUE(c.cas(w, 0, expect, 9));
-    EXPECT_EQ(w.load(), 9);
+    EXPECT_TRUE(c.cas(w, expect, 9));
+    EXPECT_EQ(c.peek(w), 9);
   });
 }
 

@@ -21,6 +21,7 @@
 #include "obs/observer.hpp"
 #include "pgas/sim_engine.hpp"
 #include "psim/engine.hpp"
+#include "sim/scheduler.hpp"
 #include "uts/sequential.hpp"
 #include "ws/driver.hpp"
 #include "ws/uts_problem.hpp"
@@ -108,21 +109,34 @@ TEST_P(PsimIdentity, MatchesSimEngineAcrossWorkerCounts) {
     psim::PsimEngine par(w);
     const ws::SearchResult got = run_on(par, sh, net, tree);
     expect_same_run(ref, got, "workers=" + std::to_string(w));
+    if (w >= 2) {
+      EXPECT_GT(par.last_stats().windows, 0u)
+          << "workers=" << w << ": expected the parallel lane";
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     MediatedAlgos, PsimIdentity,
     testing::Values(
-        // The three mediation-promising variants (token termination = mpi-ws
-        // and work-push; request/response + probe barrier = upc-distmem) at
-        // shapes where ranks don't divide evenly into shards.
+        // Every protocol family at shapes where ranks don't divide evenly
+        // into shards: token termination (mpi-ws, work-push), request/
+        // response + probe barrier (upc-distmem), and the locked family,
+        // whose lock words and victim-stack bookkeeping are mediated ops
+        // (upc-sharedmem with the cancelable barrier, upc-term and
+        // upc-term-rapdif with the probe barrier).
         Shape{ws::Algo::kMpiWs, 8, 4, 11}, Shape{ws::Algo::kMpiWs, 7, 2, 5},
         Shape{ws::Algo::kMpiWs, 12, 1, 23},
         Shape{ws::Algo::kWorkPush, 8, 4, 11},
         Shape{ws::Algo::kWorkPush, 6, 2, 7},
         Shape{ws::Algo::kUpcDistMem, 8, 4, 11},
-        Shape{ws::Algo::kUpcDistMem, 9, 3, 2}),
+        Shape{ws::Algo::kUpcDistMem, 9, 3, 2},
+        Shape{ws::Algo::kUpcSharedMem, 7, 2, 5},
+        Shape{ws::Algo::kUpcSharedMem, 10, 4, 11},
+        Shape{ws::Algo::kUpcTerm, 9, 3, 2},
+        Shape{ws::Algo::kUpcTerm, 11, 2, 23},
+        Shape{ws::Algo::kUpcTermRapdif, 7, 4, 11},
+        Shape{ws::Algo::kUpcTermRapdif, 10, 2, 3}),
     shape_name);
 
 TEST(Psim, OversubscribedWorkersMatchSimEngine) {
@@ -142,6 +156,45 @@ TEST(Psim, OversubscribedWorkersMatchSimEngine) {
     expect_same_run(ref, got,
                     std::string(ws::algo_label(algo)) + " workers=" +
                         std::to_string(w));
+  }
+}
+
+TEST(Psim, LadderAblationsMatchSimEngine) {
+  // bench_paper's §4.2 ablation grid: the three mechanisms (termination,
+  // steal amount, stack protocol) crossed, off-diagonal combinations
+  // included. Each must run sharded and match SimEngine exactly.
+  uts::Params tree = uts::test_small(3);
+  tree.b0 = 200;
+  tree.q = 0.48;  // ~5,000 nodes: hundreds of steals per config
+  pgas::RunConfig rcfg;
+  rcfg.nranks = 10;
+  rcfg.net = pgas::NetModel::distributed();
+  rcfg.seed = 3;
+  const ws::UtsProblem prob(tree);
+  for (const std::string name :
+       {"cb-one-locked", "cb-half-locked", "cb-half-lockless",
+        "probe-one-locked", "probe-one-lockless", "probe-half-locked",
+        "probe-half-lockless"}) {
+    ws::WsConfig c;
+    c.chunk_size = 5;
+    c.termination = name[0] == 'c' ? ws::Termination::kCancelableBarrier
+                                   : ws::Termination::kProbeBarrier;
+    c.steal_amount = name.find("half") != std::string::npos
+                         ? ws::StealAmount::kHalf
+                         : ws::StealAmount::kOneChunk;
+    c.protocol = name.find("lockless") != std::string::npos
+                     ? ws::StackProtocol::kRequestResponse
+                     : ws::StackProtocol::kLocked;
+    pgas::SimEngine seq;
+    const ws::SearchResult ref = ws::run_search(seq, rcfg, prob, c);
+    for (const int workers : {2, 4}) {
+      const std::string what = name + " workers=" + std::to_string(workers);
+      psim::PsimEngine par(workers);
+      const ws::SearchResult got = ws::run_search(par, rcfg, prob, c);
+      EXPECT_GT(par.last_stats().windows, 0u)
+          << what << ": expected the parallel lane";
+      expect_same_run(ref, got, what);
+    }
   }
 }
 
@@ -182,6 +235,48 @@ TEST(Psim, BranchAndBoundMatchesSimEngine) {
         EXPECT_EQ(ob.psim_fallbacks().count("unmediated"), 1u) << what;
       }
     }
+  }
+}
+
+TEST(Psim, LockedFamilyAbortsTearDown) {
+  // upc-sharedmem stopped mid-run on the parallel lane, with ranks parked
+  // in shipped lock attempts and releases (the cancelable barrier's lock
+  // lives at rank 0): the teardown must unwind every fiber, and the abort
+  // must be SimEngine's.
+  const ws::UtsProblem prob(uts::test_small(3));
+  const ws::WsConfig cfg = ws::WsConfig::for_algo(ws::Algo::kUpcSharedMem, 2);
+  pgas::RunConfig rcfg;
+  rcfg.nranks = 16;
+  rcfg.net = pgas::NetModel::distributed();
+  rcfg.seed = 7;
+  {
+    pgas::RunConfig rc = rcfg;
+    rc.vt_limit_ns = 150'000;
+    const auto limit_hit = [&](pgas::Engine& eng) {
+      try {
+        ws::run_search(eng, rc, prob, cfg);
+      } catch (const sim::TimeLimitExceeded& t) {
+        return std::make_pair(t.task, t.clock_ns);
+      }
+      ADD_FAILURE() << eng.name() << ": the run ended within the limit";
+      return std::make_pair(-1, std::uint64_t{0});
+    };
+    pgas::SimEngine seq;
+    psim::PsimEngine par(4);
+    EXPECT_EQ(limit_hit(seq), limit_hit(par));
+    EXPECT_GT(par.last_stats().windows, 0u);
+  }
+  {
+    // Rank 3 freezes for good; the others spin on the locks it holds or
+    // wait in the barrier for it until the watchdog fires.
+    pgas::RunConfig rc = rcfg;
+    rc.faults.stall_ns = 10'000'000'000;
+    rc.faults.stall_period_ns = 100'000;
+    rc.faults.stall_rank = 3;
+    rc.watchdog_ns = 2'000'000;
+    psim::PsimEngine par(4);
+    EXPECT_THROW(ws::run_search(par, rc, prob, cfg), sim::HangDetected);
+    EXPECT_GT(par.last_stats().windows, 0u);
   }
 }
 
@@ -230,20 +325,12 @@ TEST(Psim, PartitionPlanIdentity) {
 }
 
 TEST(Psim, SerialLaneFallbackIdentity) {
-  // Configs outside the parallel envelope (locked-family algorithms, crash
-  // plans, 1 worker, 1 rank) must silently take the sequential lane and
-  // still match SimEngine exactly.
+  // Configs outside the parallel envelope (crash plans, 1 worker, 1 rank)
+  // must silently take the sequential lane and still match SimEngine
+  // exactly.
   const uts::Params tree = uts::test_small(3);
   const pgas::NetModel net = pgas::NetModel::distributed();
 
-  // Locked family: no mediation promise.
-  {
-    const Shape sh{ws::Algo::kUpcTerm, 8, 4, 11};
-    pgas::SimEngine seq;
-    psim::PsimEngine par(4);
-    expect_same_run(run_on(seq, sh, net, tree), run_on(par, sh, net, tree),
-                    "locked family");
-  }
   // Crash plan: recovery touches remote state raw.
   {
     pgas::FaultPlan fp;
@@ -315,15 +402,28 @@ TEST(Psim, ParallelEligibility) {
   pgas::RunConfig free_net = rc;
   free_net.net = pgas::NetModel::free();
   EXPECT_EQ(reason(free_net, 4), "zero-lookahead");
+
+  // run_search promises mediation for every protocol: each of the eight
+  // algorithms runs sharded on the distributed net, no fallback named.
+  const ws::UtsProblem prob(uts::test_small(3));
+  for (const ws::Algo algo : ws::kAllAlgosExtended) {
+    obs::Observer ob;
+    ws::WsConfig cfg = ws::WsConfig::for_algo(algo, 4);
+    cfg.obs = &ob;
+    psim::PsimEngine par(4);
+    ws::run_search(par, rc, prob, cfg);
+    EXPECT_GT(par.last_stats().windows, 0u) << ws::algo_label(algo);
+    EXPECT_TRUE(ob.psim_fallbacks().empty()) << ws::algo_label(algo);
+  }
 }
 
 TEST(Psim, BenchScaleRowsReportTheLaneTaken) {
   // bench_paper labels each fig5/fig6 row's lane from last_stats().windows
   // after the run: eligibility checked on the caller's RunConfig beforehand
   // reads "serial" for every row, because run_search is what marks the body's
-  // remote ops mediated. Pin the three row shapes: the Fig-5 rows run the
-  // parallel lane, the Fig-6 row (locked family on the shared-memory model)
-  // the serial one.
+  // remote ops mediated. Pin the row shapes: the Fig-5 rows run the parallel
+  // lane, upc-sharedmem's included; the Fig-6 row runs the serial one, since
+  // the shared-memory model leaves no lookahead.
   const ws::UtsProblem prob(uts::test_small(3));
   struct Row {
     ws::Algo algo;
@@ -333,6 +433,7 @@ TEST(Psim, BenchScaleRowsReportTheLaneTaken) {
   const Row rows[] = {
       {ws::Algo::kUpcDistMem, pgas::NetModel::distributed(), true},
       {ws::Algo::kMpiWs, pgas::NetModel::distributed(), true},
+      {ws::Algo::kUpcSharedMem, pgas::NetModel::distributed(), true},
       {ws::Algo::kUpcSharedMem, pgas::NetModel::shared_memory(), false},
   };
   psim::PsimEngine eng(2);
