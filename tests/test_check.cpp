@@ -393,7 +393,8 @@ TEST(CheckReplayFile, RejectsMalformedInput) {
                          "\ntrail\n");
     EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << line;
   }
-  // A choice is a 16-bit index: these used to wrap to 0 and 65535.
+  // A choice is a 16-bit index: a larger or negative one is refused, not
+  // wrapped.
   for (const char* trail : {"trail 65536", "trail -1", "trail 3 65536 -1"}) {
     std::stringstream ss(std::string("upcws-replay v1\n") + trail + "\n");
     EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << trail;
