@@ -60,8 +60,21 @@ std::vector<SpanEvent> SpanLog::events() const {
 }
 
 std::vector<Span> SpanLog::assemble() const {
+  const std::vector<SpanEvent> all = events();
+  // The abandon key of each abandoned span; a victim's step keyed after it
+  // read an id the sequential engine's victim would have found withdrawn.
+  using Key = std::pair<std::uint64_t, int>;
+  std::map<std::uint64_t, Key> abandoned;
+  for (const SpanEvent& e : all)
+    if (e.phase == SpanPhase::kAbandon)
+      abandoned.emplace(e.id, Key{e.slice_ns, e.recorder});
   std::map<std::uint64_t, Span> by_id;
-  for (const SpanEvent& e : events()) {
+  for (const SpanEvent& e : all) {
+    if (e.recorder != thief_of(e.id)) {
+      const auto a = abandoned.find(e.id);
+      if (a != abandoned.end() && a->second < Key{e.slice_ns, e.recorder})
+        continue;
+    }
     Span& s = by_id[e.id];
     if (s.id == 0) {
       s.id = e.id;

@@ -17,11 +17,16 @@
 // request CAS), so a plain atomic slot is sufficient: when the victim
 // services a request from rank T it reads active(T, me) and gets the right
 // id (or 0 when no observer published one, in which case it records
-// nothing).
+// nothing). A thief that abandons a request leaves its id published, since
+// the request may still be in flight and no protocol edge orders the
+// abandon before the victim's read; assembly then drops the victim's steps
+// that come after the abandon in (slice key, rank) order — the steps the
+// sequential engine's victim would not have recorded.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -48,7 +53,11 @@ struct SpanEvent {
   SpanPhase phase = SpanPhase::kRequest;
   std::int32_t track = 0;  ///< rank timeline this step belongs to
   std::int32_t peer = -1;  ///< other side of the transaction (victim/thief)
+  std::int32_t recorder = 0;  ///< rank whose buffer holds the step
   std::int64_t nodes = 0;  ///< payload size where known
+  /// Key of the recorder's slice: (slice_ns, recorder) orders the steps of
+  /// different ranks as the sequential engine ran them.
+  std::uint64_t slice_ns = 0;
 };
 
 /// A steal transaction assembled from its events.
@@ -113,11 +122,13 @@ class SpanLog {
   /// Record one step of span `id` from `recorder`'s own context. `track`
   /// names the rank timeline the step belongs to (under the locked
   /// protocol the thief records the victim's service step itself, with
-  /// track = victim).
+  /// track = victim). `slice_ns` is the key of the recorder's current
+  /// slice (Ctx::slice_now_ns; `t` when omitted).
   void event(int recorder, std::uint64_t id, SpanPhase phase, std::uint64_t t,
-             int track, int peer, std::int64_t nodes = 0) {
+             int track, int peer, std::int64_t nodes = 0,
+             std::optional<std::uint64_t> slice_ns = std::nullopt) {
     bufs_[static_cast<std::size_t>(recorder)].v.push_back(
-        {id, t, phase, track, peer, nodes});
+        {id, t, phase, track, peer, recorder, nodes, slice_ns.value_or(t)});
   }
 
   /// Publish `id` as thief's outstanding request toward victim. Must

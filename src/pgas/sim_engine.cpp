@@ -131,10 +131,10 @@ void SimCtx::skip_spins(const Lock& l) {
   // partition to another rank), the charge that ends a quantum, one that
   // reaches the armed crash, and the attempt that may revoke a dead
   // holder's lock. On psim the same holds within a shard, whose stepping
-  // bound stops the skip before the next cross-shard event; a lock owned
-  // on another shard never reaches it, because each spin there is a
-  // shipped op costing at least the lookahead plus a quantum, and the cap
-  // below declines every charge that ends a quantum.
+  // bound stops the skip before the next event; a lock whose attempts psim
+  // ships never reaches it, because each spin there costs at least the
+  // lookahead plus a quantum, and the cap below declines every charge that
+  // ends a quantum.
   if (dead_ || net().jitter_frac > 0.0) return;
   if (faults_ != nullptr &&
       (faults_->plan().spikes_enabled() ||

@@ -38,7 +38,7 @@ class SimCtx : public Ctx {
   void lock(Lock& l) final;
 
  protected:
-  void note_progress() final { sched_.note_progress(); }
+  void note_progress() override { sched_.note_progress(); }
 
   /// The end of a charge quantum, short of its yield: reset the quantum,
   /// apply a due fault stall, report the tick.

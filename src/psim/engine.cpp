@@ -8,8 +8,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -76,13 +76,24 @@ class WindowBarrier {
   std::atomic<std::uint32_t> gen_{0};
 };
 
-/// A cross-shard PGAS operation in flight: the raw-memory half of a
-/// mediated access, keyed at the sender's post-charge slice instant. The
-/// OpRef references a lambda in the sender fiber's frame; the sender is
-/// parked until after the op is applied, so the frame stays alive.
+/// A global (vt, rank) key or, relative to one shard, a (vt, local task)
+/// key: local task t of a shard whose first rank is lo has global key
+/// (vt, lo + t).
+using Key = sim::ReadyQueue::Entry;
+
+/// Below every task at its virtual time: Key{vt, kBeforeAll} bounds the
+/// keys of earlier virtual times only.
+constexpr int kBeforeAll = std::numeric_limits<int>::min();
+
+/// A PGAS operation in flight from one rank to another rank's memory: the
+/// raw-memory half of a mediated access, keyed at the sender's post-charge
+/// slice instant and applied on the owner's shard. The OpRef references a
+/// lambda in the sender fiber's frame; the sender is parked until after
+/// the op is applied, so the frame stays alive.
 struct Event {
   std::uint64_t vt = 0;    ///< global key, major: post-charge instant
   int rank = 0;            ///< global key, minor: sender's global rank
+  int owner = 0;           ///< global rank whose memory `op` touches
   pgas::OpRef op;          ///< the access, run on the owner's worker
   int origin_shard = 0;    ///< where to deliver the wakeup
   int origin_task = 0;     ///< sender's local task id in its shard
@@ -94,13 +105,15 @@ struct EventAfter {
   }
 };
 
-/// Immediate un-park of a sender whose event has been applied. The wake
-/// cannot wait for the barrier: the sender resumes at the event's own key,
-/// *inside* the window the event is applied in, and its continuation must
-/// interleave ahead of every later local slice in the sender's shard. The
-/// owner's worker pushes the wake the moment it runs the op; the sender's
-/// shard drains it from its own thread (or the barrier completion does,
-/// when the sender's shard had already finished its window).
+struct KeyAfter {
+  bool operator()(const Key& a, const Key& b) const { return b < a; }
+};
+
+/// Immediate un-park of a sender whose event another shard has applied.
+/// The wake cannot wait for the barrier: the sender resumes at the event's
+/// own key, inside the window the event is applied in. The owner's worker
+/// pushes the wake the moment it runs the op; the sender's shard takes it
+/// from its own thread, between steps.
 struct Wake {
   int task = 0;          ///< sender's local task id in its shard
   std::uint64_t vt = 0;  ///< resume key: the post-charge instant
@@ -110,8 +123,8 @@ struct WakeChannel {
   std::mutex mu;
   std::condition_variable cv;
   std::vector<Wake> inbox;
-  /// `inbox` is non-empty. Written under `mu`; the waiter polls it without
-  /// the lock before it blocks on `cv`.
+  /// `inbox` is non-empty. Written under `mu`; the shard polls it without
+  /// the lock between steps and before it blocks on `cv`.
   std::atomic<bool> ready{false};
 };
 
@@ -119,18 +132,31 @@ struct Shard {
   int lo = 0;  ///< first global rank (inclusive)
   int hi = 0;  ///< last global rank (exclusive); local task id = rank - lo
   std::unique_ptr<sim::Scheduler> sched;
-  /// Cross-shard events addressed to this shard, merged by global key.
+  /// Events addressed to this shard's ranks, merged by global key.
   std::priority_queue<Event, std::vector<Event>, EventAfter> pending;
-  /// Outboxes filled during a window, drained at the barrier (single
-  /// writer: this shard's worker; single reader: the barrier completion).
-  std::vector<std::vector<Event>> out_events;  // indexed by target shard
-  /// Resume keys (vt, local task) of this shard's parked tasks, in global
-  /// key order (vt major, and local task order == global rank order).
-  /// Touched only by this shard's worker and the barrier completion.
-  std::set<std::pair<std::uint64_t, int>> parked_keys;
+  /// Cross-shard events shipped during a window, drained at the barrier
+  /// (single writer: this shard's worker; single reader: the barrier
+  /// completion). Indexed by target shard; an op on this shard's own ranks
+  /// goes straight to `pending`.
+  std::vector<std::vector<Event>> out_events;
+  /// Resume keys (vt, local task) of parked tasks, earliest on top. While
+  /// the scheduler has a task parked its clock is its key, so a key whose
+  /// task has since been woken is stale and dropped when it reaches the
+  /// top (first_parked). Touched only by this shard's worker.
+  std::priority_queue<Key, std::vector<Key>, KeyAfter> parked;
   /// Cross-thread wake channel (behind a pointer: Shard must stay movable).
   std::unique_ptr<WakeChannel> wake;
+  /// Wakes taken from the channel (swapped with its inbox, so neither
+  /// vector gives up its capacity).
+  std::vector<Wake> woken;
   std::exception_ptr error;
+  /// This shard's earliest time-limit crossing in global key order, named
+  /// by global rank.
+  std::optional<sim::TimeLimitExceeded> crossing;
+  /// Largest clock at which one of this shard's ranks reported progress
+  /// (the watchdog's input: a maximum does not depend on the host order in
+  /// which a shard runs its slices).
+  std::uint64_t progress_ns = 0;
   /// Host-time ledger, written by this shard's worker only: time inside
   /// windows, the part of it spent waiting for a wake, and time from
   /// arriving at the barrier to leaving it.
@@ -144,13 +170,24 @@ struct Runtime {
   std::vector<int> rank_shard;  ///< global rank -> shard index
   std::uint64_t lookahead = 0;
   std::uint64_t watchdog_ns = 0;
+  /// A parked rank stalls only itself: every op on another rank's memory
+  /// is an event at its owner, and the owner's shard runs its other ranks
+  /// past the parked key. False when a shard holds two ranks of one SMP
+  /// node, whose on-node references run inside a slice: there the shard
+  /// stops at its earliest parked key and ops on its own ranks run inline.
+  bool run_ahead = true;
   /// Window end B (exclusive): written by the barrier completion, read by
   /// all workers after the barrier (the barrier orders both).
   std::uint64_t bound = 0;
+  /// Least key vt of a time-limit crossing any shard has found (the run
+  /// ends at the next barrier). Every shard still runs all slices at or
+  /// below it, so the crossing first in global key order is found whatever
+  /// the host order.
+  std::atomic<std::uint64_t> stop_vt{std::numeric_limits<std::uint64_t>::max()};
   std::atomic<bool> stop{false};
   /// Set (with every wake CV notified) by a worker whose window threw, so
-  /// shards blocked at a parked key stop waiting for a wake that will never
-  /// come and fall through to the barrier.
+  /// shards waiting for a wake stop waiting for one that will never come
+  /// and fall through to the barrier.
   std::atomic<bool> abort_windows{false};
   /// Once set, mediated ops execute inline (raw): destructors unwinding on
   /// cancelled fibers may touch remote state, and nobody would wake them.
@@ -174,8 +211,8 @@ struct Runtime {
 
 /// psim's rank context: SimEngine's SimCtx on its shard's scheduler, so
 /// clocks, RNG draws and interaction points are SimEngine's own code, plus
-/// the mediation override that ships cross-shard accesses — shared words,
-/// lock words, bulk copies — to the owner's worker.
+/// the mediation override that ships accesses to other ranks' memory —
+/// shared words, lock words, bulk copies — to the owner.
 class PsimCtx final : public pgas::SimCtx {
  public:
   // `faults` holds no liveness board here: crash and membership plans take
@@ -189,37 +226,44 @@ class PsimCtx final : public pgas::SimCtx {
         shard_idx_(shard_idx) {}
 
   void mediated_op(int owner, std::uint64_t cost, pgas::OpRef op) override {
-    // Same-shard accesses take the sequential path verbatim: the shard is
-    // single-threaded and its slices execute in key order, exactly like the
-    // sequential engine. During teardown mediation is off (see
-    // Runtime::tearing_down).
-    if (rt_.rank_shard[owner] == shard_idx_ ||
+    // The rank's own memory, and a node-mate's when the shard runs in key
+    // order (see Runtime::run_ahead), take the sequential path verbatim.
+    // During teardown mediation is off (see Runtime::tearing_down).
+    const int os = rt_.rank_shard[owner];
+    if (owner == rank() || (os == shard_idx_ && !rt_.run_ahead) ||
         rt_.tearing_down.load(std::memory_order_acquire) || dead_) {
       charge(cost);
       op();
       return;
     }
-    // Cross-shard: the op must be shipped from *this* slice, not from the
-    // post-charge slice — the current slice key is < the window bound by
-    // construction, but the post-charge slice key can land past the bound,
-    // so that slice may only run in a later window, after the owner shard
-    // has stepped past the event's timestamp (the event would arrive at the
-    // barrier one window late). The charge (>= lookahead + quantum) always
-    // trips the quantum, so take charge()'s steps up to its yield — crash
-    // check, advance, then the end-of-quantum step (reset, stall, tick) —
-    // and ship the op keyed at the post-charge instant (>= window bound, so
-    // barrier delivery is always in time), parking in place of the yield.
-    // The wake-resume after the owner applies the op is the counted
-    // scheduling step the sequential engine's yield would have taken, so
-    // switch totals stay identical.
+    // The op must be shipped from *this* slice, not from the post-charge
+    // slice — the current slice key is < the window bound by construction,
+    // but the post-charge slice key can land past the bound, so that slice
+    // may only run in a later window, after the owner shard has stepped
+    // past the event's timestamp. The charge (>= lookahead + quantum)
+    // always trips the quantum, so take charge()'s steps up to its yield —
+    // crash check, advance, then the end-of-quantum step (reset, stall,
+    // tick) — and ship the op keyed at the post-charge instant (past the
+    // window bound, so it is never due in the window that ships it),
+    // parking in place of the yield. The wake-resume after the owner
+    // applies the op is the counted scheduling step the sequential
+    // engine's yield would have taken, so switch totals stay identical.
     maybe_crash();
     sched_.advance(cost);
     end_quantum();
     const std::uint64_t key = sched_.now(task_);
-    shard_.parked_keys.insert({key, task_});
-    shard_.out_events[rt_.rank_shard[owner]].push_back(
-        Event{key, rank(), op, shard_idx_, task_});
+    const Event e{key, rank(), owner, op, shard_idx_, task_};
+    if (os == shard_idx_)
+      shard_.pending.push(e);
+    else
+      shard_.out_events[os].push_back(e);
+    shard_.parked.push({key, task_});
     sched_.park_current();
+  }
+
+ protected:
+  void note_progress() override {
+    shard_.progress_ns = std::max(shard_.progress_ns, sched_.now(task_));
   }
 
  private:
@@ -228,107 +272,162 @@ class PsimCtx final : public pgas::SimCtx {
   int shard_idx_;
 };
 
-/// Execute one conservative window on one shard: local slices, pending
-/// cross-shard events, and parked-task resumptions interleaved in ascending
-/// global (vt, rank) order, strictly below `bound`. A parked task whose
-/// resume key falls inside the window blocks the shard at that key until
-/// the owner shard applies its event and delivers the wake: the sender's
-/// continuation must run at exactly its key, ahead of every later local
-/// slice. Deadlock-free: among all shards blocked at a parked key, the one
-/// with the globally smallest key waits on an owner that cannot itself be
-/// blocked at a smaller key (that key would be the smaller blocked one) and
-/// whose pending queue already holds the event (events ship at the barrier
-/// before the window their key falls in, because a post-charge key always
-/// lies past the end of the window that shipped it).
-void run_window(Runtime& rt, Shard& s, std::uint64_t bound) {
-  constexpr int kBeforeAll = std::numeric_limits<int>::min();
+/// The earliest resume key among `s`'s parked tasks if it lies below
+/// `end`, else `end`.
+Key first_parked(Shard& s, Key end) {
+  const sim::Scheduler& sched = *s.sched;
+  while (!s.parked.empty()) {
+    const Key k = s.parked.top();
+    if (sched.is_parked(k.task) && sched.now(k.task) == k.vt)
+      return k < end ? k : end;
+    s.parked.pop();  // woken since
+  }
+  return end;
+}
+
+/// Wake every shard that may be waiting on its channel: its condition
+/// changed elsewhere. Locking each channel (empty critical section) before
+/// notifying closes the race with a waiter that checked its predicate just
+/// before the caller's store.
+void release_waiters(Runtime& rt) {
+  for (Shard& o : rt.shards) {
+    { std::lock_guard<std::mutex> g(o.wake->mu); }
+    o.wake->cv.notify_all();
+  }
+}
+
+/// Re-queue the tasks whose wakes have landed on `s`'s channel.
+void take_wakes(Shard& s) {
+  {
+    std::lock_guard<std::mutex> g(s.wake->mu);
+    s.woken.swap(s.wake->inbox);
+    s.wake->ready.store(false, std::memory_order_relaxed);
+  }
+  for (const Wake& w : s.woken) s.sched->wake(w.task, w.vt);
+  s.woken.clear();
+}
+
+/// Apply the op at the top of shard `si`'s pending queue and un-park its
+/// sender right away: the continuation resumes at this same key, in this
+/// same window.
+void apply_event(Runtime& rt, int si) {
+  Shard& s = rt.shards[si];
+  const Event e = s.pending.top();
+  s.pending.pop();
+  e.op();
+  if (e.origin_shard == si) {
+    s.sched->wake(e.origin_task, e.vt);
+    return;
+  }
+  WakeChannel& ch = *rt.shards[e.origin_shard].wake;
+  {
+    std::lock_guard<std::mutex> g(ch.mu);
+    ch.inbox.push_back({e.origin_task, e.vt});
+    ch.ready.store(true, std::memory_order_release);
+  }
+  ch.cv.notify_one();
+}
+
+/// Record a slice of `s` that crossed the time limit, and lower the run's
+/// stop key to it. The shard itself goes on: a parked task's continuation
+/// below the crossing's key may cross first in key order.
+void note_crossing(Runtime& rt, Shard& s, const sim::TimeLimitExceeded& t) {
+  const Key k{t.slice_ns, s.lo + t.task};
+  if (!s.crossing || k < Key{s.crossing->slice_ns, s.crossing->task})
+    s.crossing.emplace(k.task, t.clock_ns, t.limit_ns, t.slice_ns);
+  std::uint64_t cur = rt.stop_vt.load(std::memory_order_relaxed);
+  while (k.vt < cur)
+    if (rt.stop_vt.compare_exchange_weak(cur, k.vt,
+                                         std::memory_order_acq_rel)) {
+      release_waiters(rt);
+      return;
+    }
+}
+
+/// Wait until a wake lands on `s`'s channel, another shard's crossing
+/// lowers the stop key below `stop`, or a peer's window throws. False in
+/// the last case.
+bool await_wake(Runtime& rt, Shard& s, std::uint64_t stop) {
+  WakeChannel& ch = *s.wake;
+  const auto woken = [&] {
+    return ch.ready.load(std::memory_order_acquire) ||
+           rt.stop_vt.load(std::memory_order_acquire) != stop ||
+           rt.abort_windows.load(std::memory_order_acquire);
+  };
+  if (!woken()) {
+    const std::uint64_t t0 = host_ns();
+    yield_then_block(woken, [&] {
+      std::unique_lock<std::mutex> lk(ch.mu);
+      ch.cv.wait(lk, woken);
+    });
+    s.wake_wait_ns += host_ns() - t0;
+  }
+  return !rt.abort_windows.load(std::memory_order_acquire);
+}
+
+/// Execute one conservative window on shard `si`: its local slices, the
+/// events addressed to its ranks and the continuations of its parked
+/// tasks, below the window end — the bound, or just past the stop key once
+/// a slice has crossed the time limit.
+///
+/// Local slices and events interleave in ascending global key order. A
+/// parked task X waiting at key k for its shipped op stalls only itself:
+/// the shard runs its other ranks' slices and applies events past k,
+/// because nothing another rank runs below the bound can reach X's memory
+/// (every op on it is an event, keyed at least one lookahead plus a
+/// quantum after its sending slice). The shard waits for a wake only when
+/// its next event addresses a rank parked at an earlier key, whose
+/// continuation must touch that memory first, or when it reaches the end
+/// with a parked key still below it. Without run-ahead (SMP nodes, see
+/// Runtime::run_ahead) the shard stops at its earliest parked key.
+///
+/// Deadlock-free: every wait is for an event at a key strictly below
+/// everything the waiting shard holds back (its next event and the local
+/// slices after it, or nothing below the end). Take the smallest such key
+/// over all waiting shards: its event sits on a shard that holds it back,
+/// so that shard is not waiting — it would wait for a smaller key — and it
+/// reaches the event. Events ship at the barrier before the window their
+/// key falls in, because a post-charge key always lies past the end of the
+/// window that shipped it.
+void run_window(Runtime& rt, int si) {
+  Shard& s = rt.shards[si];
   sim::Scheduler& sched = *s.sched;
   for (;;) {
-    // Next external obligation below the window end: the earlier of the
-    // next pending event and the earliest parked resume key (never equal —
-    // an event carries a remote sender's rank, a park a local one).
-    bool ev = !s.pending.empty() && s.pending.top().vt < bound;
-    bool pk = !s.parked_keys.empty() && s.parked_keys.begin()->first < bound;
-    if (ev && pk) {
-      const auto& p = *s.parked_keys.begin();
-      const Event& e = s.pending.top();
-      if (p.first < e.vt || (p.first == e.vt && s.lo + p.second < e.rank))
-        ev = false;
-      else
-        pk = false;
+    if (s.wake->ready.load(std::memory_order_acquire)) take_wakes(s);
+    const std::uint64_t stop = rt.stop_vt.load(std::memory_order_acquire);
+    const Key end{stop < rt.bound ? stop + 1 : rt.bound, kBeforeAll};
+    const bool ev = !s.pending.empty() && s.pending.top().vt < end.vt;
+    const Key ek = ev ? Key{s.pending.top().vt, s.pending.top().rank - s.lo}
+                      : end;
+    // Local slices run strictly below the next event (or the end).
+    const Key bound = rt.run_ahead ? ek : first_parked(s, ek);
+    try {
+      if (sched.step(bound.vt, bound.task)) continue;
+    } catch (const sim::TimeLimitExceeded& t) {
+      note_crossing(rt, s, t);
+      continue;
     }
-    // Step local slices strictly below the obligation's global key (local
-    // slice (vt, task) has global key (vt, lo + task)), or below the
-    // window end when none is due.
-    const std::uint64_t bvt = ev   ? s.pending.top().vt
-                              : pk ? s.parked_keys.begin()->first
-                                   : bound;
-    const int btask = ev   ? s.pending.top().rank - s.lo
-                      : pk ? s.parked_keys.begin()->second
-                           : kBeforeAll;
-    if (sched.step(bvt, btask)) continue;
     if (ev) {
-      // Apply the op at its global key and un-park the sender right away —
-      // its continuation resumes at this same key, in this same window.
-      const Event e = s.pending.top();
-      s.pending.pop();
-      e.op();
-      Shard& os = rt.shards[e.origin_shard];
-      {
-        std::lock_guard<std::mutex> g(os.wake->mu);
-        os.wake->inbox.push_back({e.origin_task, e.vt});
-        os.wake->ready.store(true, std::memory_order_release);
+      const int owner = s.pending.top().owner - s.lo;
+      const bool owner_first =
+          rt.run_ahead ? sched.is_parked(owner) &&
+                             Key{sched.now(owner), owner} < ek
+                       : bound < ek;
+      if (!owner_first) {
+        apply_event(rt, si);
+        continue;
       }
-      os.wake->cv.notify_one();
-      continue;
+    } else if (!(first_parked(s, end) < end)) {
+      return;
     }
-    if (pk) {
-      WakeChannel& ch = *s.wake;
-      const auto woken = [&] {
-        return ch.ready.load(std::memory_order_acquire) ||
-               rt.abort_windows.load(std::memory_order_acquire);
-      };
-      if (!woken()) {
-        const std::uint64_t t0 = host_ns();
-        yield_then_block(woken, [&] {
-          std::unique_lock<std::mutex> lk(ch.mu);
-          ch.cv.wait(lk, woken);
-        });
-        s.wake_wait_ns += host_ns() - t0;
-      }
-      std::vector<Wake> in;
-      {
-        std::lock_guard<std::mutex> g(ch.mu);
-        in.swap(ch.inbox);
-        ch.ready.store(false, std::memory_order_relaxed);
-      }
-      if (in.empty()) return;  // aborted: a peer shard's window threw
-      for (const Wake& w : in) {
-        sched.wake(w.task, w.vt);
-        s.parked_keys.erase({w.vt, w.task});
-      }
-      continue;
-    }
-    return;
+    if (!await_wake(rt, s, stop)) return;  // a peer shard's window threw
   }
 }
 
 /// Barrier completion: runs single-threaded while every worker waits at the
 /// window barrier — the only place cross-shard state moves.
 void close_window(Runtime& rt) {
-  // 1. Drain wakes that landed after their shard had already finished its
-  // window (the sender's worker was past its drain point; every worker is
-  // now in arrive_and_wait, so touching peer shard state is safe).
-  for (Shard& s : rt.shards) {
-    std::lock_guard<std::mutex> g(s.wake->mu);
-    for (const Wake& w : s.wake->inbox) {
-      s.sched->wake(w.task, w.vt);
-      s.parked_keys.erase({w.vt, w.task});
-    }
-    s.wake->inbox.clear();
-    s.wake->ready.store(false, std::memory_order_relaxed);
-  }
-  // 2. Deliver events shipped during the window.
+  // 1. Deliver events shipped during the window.
   ++rt.windows;
   for (Shard& s : rt.shards)
     for (std::size_t t = 0; t < s.out_events.size(); ++t) {
@@ -356,18 +455,19 @@ void close_window(Runtime& rt) {
     rt.obs->on_psim_window(w);
   }
   rt.prev_events = rt.events;
-  // 3. A shard error ends the run (deterministic: each shard's window
-  // content is a pure function of the bound and its delivered events).
+  // 2. A shard error or time-limit crossing ends the run (deterministic:
+  // each shard's window content is a pure function of the bound and its
+  // delivered events).
   for (const Shard& s : rt.shards)
-    if (s.error) {
+    if (s.error || s.crossing) {
       rt.tearing_down.store(true, std::memory_order_release);
       rt.stop.store(true, std::memory_order_release);
       return;
     }
-  // 4. Global minimum pending key over ready slices and queued events.
+  // 3. Global minimum pending key over ready slices and queued events.
   // Parked senders are always represented: their event sits in some
   // shard's pending queue until applied, after which the immediate wake
-  // (or step 1 above) has already re-queued them at the same key.
+  // has already re-queued them at the same key.
   bool any = false;
   std::uint64_t mvt = 0;
   for (const Shard& s : rt.shards) {
@@ -385,12 +485,12 @@ void close_window(Runtime& rt) {
     rt.stop.store(true, std::memory_order_release);
     return;
   }
-  // 5. Global progress watchdog (same condition the sequential run loop
-  // checks before each pop, evaluated once per window).
+  // 4. Global progress watchdog (the condition the sequential run loop
+  // checks before each pop, evaluated once per window on the latest
+  // progress clock).
   if (rt.watchdog_ns > 0) {
     std::uint64_t prog = 0;
-    for (const Shard& s : rt.shards)
-      prog = std::max(prog, s.sched->progress_ns());
+    for (const Shard& s : rt.shards) prog = std::max(prog, s.progress_ns);
     if (mvt > prog && mvt - prog > rt.watchdog_ns) {
       rt.hang = true;
       rt.hang_at = mvt;
@@ -400,7 +500,7 @@ void close_window(Runtime& rt) {
       return;
     }
   }
-  // 6. Next window.
+  // 5. Next window.
   rt.win_begin = mvt;
   rt.bound = mvt + rt.lookahead;
 }
@@ -499,7 +599,11 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
       s.sched = std::make_unique<sim::Scheduler>(scfg);
       s.out_events.resize(W);
       s.wake = std::make_unique<WakeChannel>();
-      for (int r = s.lo; r < s.hi; ++r) rt.rank_shard[r] = i;
+      for (int r = s.lo; r < s.hi; ++r) {
+        rt.rank_shard[r] = i;
+        // SMP nodes are contiguous rank blocks.
+        if (r > s.lo && cfg.net.same_node(r - 1, r)) rt.run_ahead = false;
+      }
     }
   }
   for (int i = 0; i < W; ++i) {
@@ -529,18 +633,13 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
     std::uint64_t t = host_ns();
     for (;;) {
       try {
-        run_window(rt, s, rt.bound);
+        run_window(rt, wi);
       } catch (...) {
         s.error = std::current_exception();
-        // Peer shards may be blocked at a parked key waiting for a wake
-        // this shard will never send — release them. Locking the channel
-        // (empty critical section) before notifying closes the race with a
-        // waiter that checked the predicate just before the store above.
+        // Peer shards may be waiting for a wake this shard will never
+        // send — release them.
         rt.abort_windows.store(true, std::memory_order_release);
-        for (Shard& o : rt.shards) {
-          { std::lock_guard<std::mutex> g(o.wake->mu); }
-          o.wake->cv.notify_all();
-        }
+        release_waiters(rt);
       }
       const std::uint64_t arrived = host_ns();
       s.window_ns += arrived - t;
@@ -576,37 +675,21 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
 
   if (cfg.decision_trail != nullptr) cfg.decision_trail->clear();
 
-  // Deterministic rethrow: the error *set* is deterministic (window
-  // contents are), so a fixed selection rule gives a deterministic abort.
   if (rt.hang)
     throw sim::HangDetected(hang_report(rt, cfg), rt.watchdog_ns,
                             rt.hang_prog, rt.hang_at);
-  std::exception_ptr other_err;
-  bool have_tle = false;
-  std::uint64_t tle_clock = 0, tle_limit = 0;
-  int tle_rank = 0;
-  for (const Shard& s : rt.shards) {
-    if (!s.error) continue;
-    try {
-      std::rethrow_exception(s.error);
-    } catch (const sim::TimeLimitExceeded& t) {
-      // Pick the offender earliest in global (clock, rank) order — the one
-      // the sequential run loop would have tripped on first. The shard
-      // threw with its local task id; report the global rank.
-      const int rank = t.task + s.lo;
-      if (!have_tle || t.clock_ns < tle_clock ||
-          (t.clock_ns == tle_clock && rank < tle_rank)) {
-        have_tle = true;
-        tle_clock = t.clock_ns;
-        tle_limit = t.limit_ns;
-        tle_rank = rank;
-      }
-    } catch (...) {
-      if (!other_err) other_err = s.error;
-    }
-  }
-  if (have_tle) throw sim::TimeLimitExceeded(tle_rank, tle_clock, tle_limit);
-  if (other_err) std::rethrow_exception(other_err);
+  // Deterministic rethrow. A time-limit crossing first: every shard ran all
+  // slices up to the earliest crossing's key, so the earliest in global
+  // (slice key, rank) order is the slice the sequential run loop throws at.
+  const sim::TimeLimitExceeded* first = nullptr;
+  for (const Shard& s : rt.shards)
+    if (s.crossing && (first == nullptr ||
+                       Key{s.crossing->slice_ns, s.crossing->task} <
+                           Key{first->slice_ns, first->task}))
+      first = &*s.crossing;
+  if (first != nullptr) throw *first;
+  for (const Shard& s : rt.shards)
+    if (s.error) std::rethrow_exception(s.error);
 
   pgas::RunResult res;
   std::uint64_t makespan = 0, switches = 0;

@@ -7,17 +7,19 @@
 // virtual-time windows [M, M + L): M is the global minimum pending key,
 // and the lookahead L is derived from the cost model — the cheapest
 // cross-shard reference minus the charge quantum. Within a window each
-// shard executes its own ready slices in local (vt, rank) order;
-// cross-shard PGAS operations ship to the owning rank's worker as events
-// keyed at the sender's post-charge slice instant and are interleaved
-// with that shard's local slices by the same global key (the sender parks
-// across the charge and is woken the instant its op is applied, resuming
-// at that same key). Because every
-// cross-shard interaction costs at least L + quantum of virtual time,
-// nothing generated inside a window can affect that same window — so the
-// merged execution is, slice for slice, the sequential engine's schedule,
-// and the run's output (clocks, RNG draws, traces, switch counts) is
-// byte-identical to SimEngine for any seed and config.
+// shard executes its own ready slices in local (vt, rank) order; PGAS
+// operations on another rank's memory ship to the owning rank's shard as
+// events keyed at the sender's post-charge slice instant and are
+// interleaved with that shard's local slices by the same global key (the
+// sender parks across the charge and is woken the instant its op is
+// applied, resuming at that same key). A parked rank stalls only itself:
+// its shard runs its other ranks ahead and holds back only events on the
+// parked rank's memory. Because every shipped op costs at least
+// L + quantum of virtual time, nothing generated inside a window can
+// affect that same window — so the merged execution is, slice for slice,
+// the sequential engine's schedule, and the run's output (clocks, RNG
+// draws, traces, switch counts) is byte-identical to SimEngine for any
+// seed and config.
 //
 // Parallel execution requires the run to promise that all cross-rank
 // memory access is mediated (RunConfig::remote_ops_mediated) and a

@@ -18,11 +18,13 @@ std::string time_limit_msg(int task, std::uint64_t clock_ns,
 }  // namespace
 
 TimeLimitExceeded::TimeLimitExceeded(int task, std::uint64_t clock_ns,
-                                     std::uint64_t limit_ns)
+                                     std::uint64_t limit_ns,
+                                     std::uint64_t slice_ns)
     : std::runtime_error(time_limit_msg(task, clock_ns, limit_ns)),
       task(task),
       clock_ns(clock_ns),
-      limit_ns(limit_ns) {}
+      limit_ns(limit_ns),
+      slice_ns(slice_ns) {}
 
 Scheduler::Scheduler(Config cfg) : cfg_(cfg) {}
 
@@ -77,6 +79,7 @@ void Scheduler::yield() {
   if (self.vt > cfg_.vt_limit_ns || hang_due(next.vt) || !(next < bound_))
     return Fiber::yield_current();
   ++switches_;
+  slice_vt_ = next.vt;
   if (next.task == cur) return;  // still the minimum: continue inline
   rq_.push_pop(self.vt, cur);
   current_ = next.task;
@@ -86,7 +89,7 @@ void Scheduler::yield() {
 void Scheduler::requeue_current() {
   const int t = current_;
   if (clocks_[t] > cfg_.vt_limit_ns)
-    throw TimeLimitExceeded(t, clocks_[t], cfg_.vt_limit_ns);
+    throw TimeLimitExceeded(t, clocks_[t], cfg_.vt_limit_ns, slice_vt_);
   if (!fibers_[t]->finished() && !parked_[t]) rq_.push(clocks_[t], t);
 }
 
@@ -111,6 +114,7 @@ void Scheduler::run() {
       if (hang_due(e.vt)) throw_hang(e.vt);
       current_ = e.task;
       ++switches_;
+      slice_vt_ = e.vt;
       fibers_[e.task]->resume();
       requeue_current();
     }
@@ -160,7 +164,8 @@ void Scheduler::run_policy() {
     ++switches_;
     fibers_[task]->resume();
     if (clocks_[task] > cfg_.vt_limit_ns)
-      throw TimeLimitExceeded(task, clocks_[task], cfg_.vt_limit_ns);
+      throw TimeLimitExceeded(task, clocks_[task], cfg_.vt_limit_ns,
+                              cand[choice].vt);
     for (std::size_t i = 0; i < runnable.size(); ++i) {
       if (runnable[i].task != task) continue;
       if (fibers_[task]->finished()) {
@@ -195,6 +200,7 @@ bool Scheduler::step(std::uint64_t bound_vt, int bound_task) {
   const ReadyQueue::Entry e = rq_.pop();
   current_ = e.task;
   ++switches_;
+  slice_vt_ = e.vt;
   fibers_[e.task]->resume();
   requeue_current();
   return true;
@@ -207,13 +213,11 @@ std::optional<ReadyQueue::Entry> Scheduler::peek() const {
 
 void Scheduler::park_current() {
   parked_[current_] = true;
-  ++parked_count_;
   Fiber::yield_current();
 }
 
 void Scheduler::wake(int task, std::uint64_t vt_ns) {
   parked_[task] = false;
-  --parked_count_;
   clocks_[task] = vt_ns;
   rq_.push(vt_ns, task);
 }
@@ -274,6 +278,7 @@ std::uint64_t Scheduler::skip_inline_yields(std::uint64_t step_ns,
   const std::uint64_t n = std::min(max, (last - t) / step_ns);
   clocks_[cur] = t + n * step_ns;
   switches_ += n;
+  if (n > 0) slice_vt_ = clocks_[cur];
   return n;
 }
 

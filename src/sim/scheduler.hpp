@@ -34,10 +34,14 @@ namespace upcws::sim {
 /// its clock, and the limit so the failure is diagnosable.
 class TimeLimitExceeded : public std::runtime_error {
  public:
-  TimeLimitExceeded(int task, std::uint64_t clock_ns, std::uint64_t limit_ns);
+  TimeLimitExceeded(int task, std::uint64_t clock_ns, std::uint64_t limit_ns,
+                    std::uint64_t slice_ns = 0);
   int task;                 ///< task (rank) whose clock crossed the limit
   std::uint64_t clock_ns;   ///< that task's virtual clock at the abort
   std::uint64_t limit_ns;   ///< the configured limit
+  /// Key of the slice that crossed (the virtual time it was resumed at):
+  /// run() throws at the first crossing slice in (key, task) order.
+  std::uint64_t slice_ns;
 };
 
 /// Thrown by run() when the progress watchdog trips: no task reported
@@ -182,12 +186,8 @@ class Scheduler {
   /// Re-arm a parked task at virtual time `vt_ns` (its clock at the park).
   void wake(int task, std::uint64_t vt_ns);
 
-  /// Number of currently parked tasks.
-  std::size_t parked() const { return parked_count_; }
-
-  /// Virtual time of the last note_progress() (watchdog bookkeeping; the
-  /// parallel driver aggregates this across shards).
-  std::uint64_t progress_ns() const { return progress_ns_; }
+  /// Is `task` parked? Its clock is then its resume key.
+  bool is_parked(int task) const { return parked_[task]; }
 
   /// Has `task` run to completion?
   bool finished(int task) const { return fibers_[task]->finished(); }
@@ -226,6 +226,8 @@ class Scheduler {
   int current_ = -1;
   bool running_ = false;
   std::uint64_t switches_ = 0;
+  /// Key (virtual time) of the slice the current task runs.
+  std::uint64_t slice_vt_ = 0;
   std::uint64_t progress_ns_ = 0;
   std::vector<Decision> decisions_;
   // Stepping-mode state (see begin_stepping); the bound also gates the
@@ -233,7 +235,6 @@ class Scheduler {
   // under run(): no key reaches (UINT64_MAX, 0).
   ReadyQueue::Entry bound_{UINT64_MAX, 0};
   std::vector<bool> parked_;
-  std::size_t parked_count_ = 0;
 };
 
 }  // namespace upcws::sim

@@ -199,9 +199,7 @@ class RankWorker : public NodeSink {
     if (m_services_ != nullptr) ++*m_services_;
     const auto n = static_cast<std::int64_t>(nodes);
     if (trace_ != nullptr) trace_->service(me_, ctx_.now_ns(), thief, n, true);
-    if (sid != 0)
-      obs_->spans().event(me_, sid, obs::SpanPhase::kService, ctx_.now_ns(),
-                          me_, thief, n);
+    if (sid != 0) record_span(sid, obs::SpanPhase::kService, me_, thief, n);
   }
 
   /// We refused `thief`'s steal request; `sid` is the span the thief
@@ -210,9 +208,7 @@ class RankWorker : public NodeSink {
     ++st_.c.requests_denied;
     if (trace_ != nullptr)
       trace_->service(me_, ctx_.now_ns(), thief, 0, false);
-    if (sid != 0)
-      obs_->spans().event(me_, sid, obs::SpanPhase::kDeny, ctx_.now_ns(), me_,
-                          thief);
+    if (sid != 0) record_span(sid, obs::SpanPhase::kDeny, me_, thief);
   }
 
   /// The span id `thief` published for its request to us (0 = none, or no
@@ -258,22 +254,23 @@ class RankWorker : public NodeSink {
     if (obs_ == nullptr) return;
     span_ = obs_->spans().begin(me_, v);
     if (publish) obs_->spans().publish_active(me_, v, span_);
-    obs_->spans().event(me_, span_, obs::SpanPhase::kRequest, ctx_.now_ns(),
-                        me_, v);
+    record_span(span_, obs::SpanPhase::kRequest, me_, v);
   }
 
   /// One step of the outstanding span, on rank `track`'s timeline.
   void span_event(obs::SpanPhase phase, int track, int peer,
                   std::size_t nodes = 0) {
     if (span_ != 0)
-      obs_->spans().event(me_, span_, phase, ctx_.now_ns(), track, peer,
-                          static_cast<std::int64_t>(nodes));
+      record_span(span_, phase, track, peer, static_cast<std::int64_t>(nodes));
   }
 
-  /// Close the outstanding span as abandoned (the thief walked away).
+  /// Close the outstanding span as abandoned (the thief walked away). The
+  /// id stays published: the victim may read it later in host order yet
+  /// earlier in virtual time, and span assembly drops whatever the victim
+  /// records after the abandon (obs/spans.hpp).
   void abandon_span(int v) {
     span_event(obs::SpanPhase::kAbandon, me_, v);
-    drop_span(v);
+    span_ = 0;
   }
 
   /// Close the outstanding span without a terminal event of our own.
@@ -281,6 +278,13 @@ class RankWorker : public NodeSink {
     if (span_ == 0) return;
     obs_->spans().clear_active(me_, v);
     span_ = 0;
+  }
+
+  /// Append one step of span `id` to our own buffer, keyed by our slice.
+  void record_span(std::uint64_t id, obs::SpanPhase phase, int track, int peer,
+                   std::int64_t nodes = 0) {
+    obs_->spans().event(me_, id, phase, ctx_.now_ns(), track, peer, nodes,
+                        ctx_.slice_now_ns());
   }
 
   // ---- elastic membership and the pop-loop safe points ------------------

@@ -65,7 +65,14 @@ struct Shape {
   int nranks;
   int chunk;
   std::uint64_t seed;
+  /// Ranks per SMP node: 1 is the distributed net, more a hierarchical one.
+  int tpn = 1;
 };
+
+pgas::NetModel net_of(const Shape& sh) {
+  return sh.tpn == 1 ? pgas::NetModel::distributed()
+                     : pgas::NetModel::hierarchical(sh.tpn);
+}
 
 ws::SearchResult run_on(pgas::Engine& eng, const Shape& sh,
                         const pgas::NetModel& net, const uts::Params& tree,
@@ -89,15 +96,17 @@ std::string shape_name(const testing::TestParamInfo<Shape>& info) {
   std::string s = ws::algo_label(info.param.algo);
   for (auto& ch : s)
     if (ch == '-') ch = '_';
-  return s + "_r" + std::to_string(info.param.nranks) + "_k" +
-         std::to_string(info.param.chunk) + "_s" +
-         std::to_string(info.param.seed);
+  s += "_r" + std::to_string(info.param.nranks) + "_k" +
+       std::to_string(info.param.chunk) + "_s" +
+       std::to_string(info.param.seed);
+  if (info.param.tpn > 1) s += "_hier" + std::to_string(info.param.tpn);
+  return s;
 }
 
 TEST_P(PsimIdentity, MatchesSimEngineAcrossWorkerCounts) {
   const Shape sh = GetParam();
   const uts::Params tree = uts::test_small(3);
-  const pgas::NetModel net = pgas::NetModel::distributed();
+  const pgas::NetModel net = net_of(sh);
 
   pgas::SimEngine seq;
   const ws::SearchResult ref = run_on(seq, sh, net, tree);
@@ -105,7 +114,11 @@ TEST_P(PsimIdentity, MatchesSimEngineAcrossWorkerCounts) {
   ASSERT_TRUE(expect.has_value());
   ASSERT_EQ(ref.agg.total_nodes, expect->nodes);
 
-  for (int w : {1, 2, 3, 4}) {
+  // On a hierarchical net only splits that keep SMP nodes whole run
+  // sharded; each such shard holds node-mates.
+  const std::vector<int> workers =
+      sh.tpn == 1 ? std::vector<int>{1, 2, 3, 4} : std::vector<int>{2, 4};
+  for (int w : workers) {
     psim::PsimEngine par(w);
     const ws::SearchResult got = run_on(par, sh, net, tree);
     expect_same_run(ref, got, "workers=" + std::to_string(w));
@@ -136,7 +149,15 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{ws::Algo::kUpcTerm, 9, 3, 2},
         Shape{ws::Algo::kUpcTerm, 11, 2, 23},
         Shape{ws::Algo::kUpcTermRapdif, 7, 4, 11},
-        Shape{ws::Algo::kUpcTermRapdif, 10, 2, 3}),
+        Shape{ws::Algo::kUpcTermRapdif, 10, 2, 3},
+        // SMP nodes of 2 and 4 ranks: a parked rank must keep its node-mates,
+        // whose on-node references run inside a slice, behind its key.
+        Shape{ws::Algo::kUpcDistMem, 16, 4, 11, 2},
+        Shape{ws::Algo::kUpcDistMem, 16, 4, 11, 4},
+        Shape{ws::Algo::kUpcTerm, 16, 2, 23, 2},
+        Shape{ws::Algo::kUpcTerm, 16, 2, 23, 4},
+        Shape{ws::Algo::kMpiWs, 16, 4, 5, 2},
+        Shape{ws::Algo::kMpiWs, 16, 4, 5, 4}),
     shape_name);
 
 TEST(Psim, OversubscribedWorkersMatchSimEngine) {
@@ -277,6 +298,50 @@ TEST(Psim, LockedFamilyAbortsTearDown) {
     psim::PsimEngine par(4);
     EXPECT_THROW(ws::run_search(par, rc, prob, cfg), sim::HangDetected);
     EXPECT_GT(par.last_stats().windows, 0u);
+  }
+}
+
+TEST(Psim, TimeLimitAbortNamesSimEnginesOffender) {
+  // SimEngine throws at the first slice in (key, rank) order whose clock
+  // passes the limit. psim must name the same rank and clock at every
+  // worker count and in every repeat: the earliest crossing by slice key,
+  // not by clock, and found even when a shard waits for a peer whose own
+  // slice crossed, or runs past a parked rank whose continuation crosses.
+  const ws::UtsProblem prob(uts::scaled_bench(5));
+  struct Cell {
+    ws::Algo algo;
+    std::uint64_t limit_ns;
+  };
+  const Cell cells[] = {{ws::Algo::kMpiWs, 1'234'567},
+                        {ws::Algo::kUpcDistMem, 777'777},
+                        {ws::Algo::kUpcTerm, 1'234'567}};
+  for (const Cell& c : cells) {
+    pgas::RunConfig rc;
+    rc.nranks = 128;
+    rc.net = pgas::NetModel::distributed();
+    rc.seed = 3;
+    rc.vt_limit_ns = c.limit_ns;
+    rc.fiber_stack_bytes = 96 * 1024;
+    const ws::WsConfig cfg = ws::WsConfig::for_algo(c.algo, 10);
+    const auto limit_hit = [&](pgas::Engine& eng) {
+      try {
+        ws::run_search(eng, rc, prob, cfg);
+      } catch (const sim::TimeLimitExceeded& t) {
+        return std::make_pair(t.task, t.clock_ns);
+      }
+      ADD_FAILURE() << eng.name() << ": the run ended within the limit";
+      return std::make_pair(-1, std::uint64_t{0});
+    };
+    pgas::SimEngine seq;
+    const auto want = limit_hit(seq);
+    for (const int workers : {2, 4})
+      for (int rep = 0; rep < 3; ++rep) {
+        psim::PsimEngine par(workers);
+        EXPECT_EQ(want, limit_hit(par))
+            << ws::algo_label(c.algo) << " limit=" << c.limit_ns
+            << " workers=" << workers << " repeat " << rep;
+        EXPECT_GT(par.last_stats().windows, 0u);
+      }
   }
 }
 
@@ -595,6 +660,42 @@ TEST(PsimTelemetry, SinkHooksMatchSimEngine) {
     EXPECT_EQ(counters, got.merged_counters()) << what;
     if (algo == ws::Algo::kUpcDistMem) {
       EXPECT_GT(counters.at("remote_ops"), 0u);
+    }
+  }
+}
+
+TEST(PsimTelemetry, MpiWsStealSpansMatchSimEngine) {
+  // A legacy mpi-ws thief that sees termination abandons its request while
+  // it is still in flight, and the victim reads the thief's published span
+  // id when it answers. Assembled spans must follow virtual time, not the
+  // host order in which psim's shards run those two steps.
+  const auto spans = [](const obs::Observer& ob) {
+    std::vector<std::tuple<int, int, int, std::uint64_t, std::uint64_t,
+                           std::uint64_t, std::uint64_t, std::uint64_t,
+                           std::int64_t, int>>
+        out;
+    for (const obs::Span& s : ob.spans().assemble())
+      out.emplace_back(static_cast<int>(s.outcome), s.thief, s.victim,
+                       s.t_request, s.t_service, s.t_transfer, s.t_absorb,
+                       s.t_end, s.nodes, s.timeouts);
+    return out;
+  };
+  const uts::Params tree = uts::test_small(1);
+  const pgas::NetModel net = pgas::NetModel::distributed();
+  for (const int n : {8, 16, 32}) {
+    const Shape sh{ws::Algo::kMpiWs, n, 4, 0};
+    pgas::SimEngine seq;
+    obs::Observer want;
+    run_on(seq, sh, net, tree, nullptr, &want);
+    const auto ref = spans(want);
+    ASSERT_FALSE(ref.empty());
+    for (const int workers : {2, 4}) {
+      psim::PsimEngine par(workers);
+      obs::Observer got;
+      run_on(par, sh, net, tree, nullptr, &got);
+      ASSERT_GT(par.last_stats().windows, 0u);
+      EXPECT_EQ(ref, spans(got))
+          << "n=" << n << " workers=" << workers;
     }
   }
 }
