@@ -33,7 +33,9 @@
 //   --threads-every N  every Nth campaign runs on the real-thread engine
 //                   (node-count check only; 0 = sim only; default 8); those
 //                   campaigns also re-run on the parallel PDES engine (psim)
-//                   as a differential node-count check
+//                   as a differential node-count check, and their plan
+//                   without its crash and membership parts runs on psim and
+//                   on the sequential simulator, which must agree exactly
 //   --workers N     psim worker threads for the differential re-run
 //                   (default: hardware concurrency)
 //   --nranks N      pin every campaign to N ranks (default: random 4..8)
@@ -72,6 +74,7 @@
 #include "check/replay.hpp"
 #include "check/strategies.hpp"
 #include "obs/observer.hpp"
+#include "pgas/sim_engine.hpp"
 #include "pgas/thread_engine.hpp"
 #include "psim/engine.hpp"
 #include "sim/scheduler.hpp"
@@ -227,6 +230,51 @@ check::RunOutcome run_real(pgas::Engine& eng, const check::CheckSpec& s,
   return out;
 }
 
+/// psim against the sequential simulator on `s`'s plan without its crash
+/// and membership parts (which psim runs on the serial lane): stalls,
+/// drops, duplicates and partitions stay. Nodes, switches, virtual elapsed
+/// time and every rank's counters must be identical. Sets `parallel` when
+/// the psim run took the parallel lane.
+check::RunOutcome run_identity(int workers, const check::CheckSpec& s,
+                               obs::Observer* obs, bool& parallel) {
+  check::CheckSpec t = s;
+  t.faults.crashes.clear();
+  t.faults.drains.clear();
+  t.faults.joins.clear();
+  check::SpecConfigs c = check::configs_for(t);
+  const ws::UtsProblem prob(t.tree);
+  check::RunOutcome out;
+  try {
+    pgas::SimEngine seng;
+    const ws::SearchResult want = ws::run_search(seng, c.run, prob, c.ws);
+    psim::PsimEngine peng(workers);
+    c.ws.obs = obs;  // pure observation: attaching it cannot change the run
+    const ws::SearchResult got = ws::run_search(peng, c.run, prob, c.ws);
+    parallel = peng.last_stats().windows > 0;
+    out.completed = true;
+    out.nodes = got.agg.total_nodes;
+    bool same = want.agg.total_nodes == got.agg.total_nodes &&
+                want.run.switches == got.run.switches &&
+                want.run.elapsed_s == got.run.elapsed_s &&
+                want.per_thread.size() == got.per_thread.size();
+    for (std::size_t r = 0; same && r < want.per_thread.size(); ++r)
+      same = want.per_thread[r].c == got.per_thread[r].c;
+    if (!same) {
+      std::ostringstream os;
+      os << "psim differs from sim without crash/membership faults: nodes "
+         << got.agg.total_nodes << " vs " << want.agg.total_nodes
+         << ", switches " << got.run.switches << " vs " << want.run.switches
+         << ", elapsed " << got.run.elapsed_s << " vs " << want.run.elapsed_s;
+      out.violate("psim-identity", os.str());
+    }
+  } catch (const sim::HangDetected& h) {
+    out.violate("hang", h.what());
+  } catch (const sim::TimeLimitExceeded& e) {
+    out.violate("vt-limit", e.what());
+  }
+  return out;
+}
+
 void write_summary(std::ostream& os, int campaigns, int threads_runs,
                    const std::map<std::string, int>& algo_runs,
                    const std::map<std::string, int>& fault_runs,
@@ -366,8 +414,13 @@ int main(int argc, char** argv) {
   // The observer is reused (start_run resets its per-run state; the fallback
   // tally deliberately survives so reasons accumulate soak-wide).
   obs::Observer pobs;
-  int psim_runs = 0;
+  int psim_runs = 0, psim_parallel = 0;
   std::uint64_t psim_total_windows = 0, psim_total_events = 0;
+  const auto add_psim_telemetry = [&] {
+    ++psim_runs;
+    psim_total_windows += pobs.psim_windows().size();
+    for (const auto& w : pobs.psim_windows()) psim_total_events += w.events;
+  };
   const auto t0 = std::chrono::steady_clock::now();
 
   for (int i = 0; i < campaigns; ++i) {
@@ -411,11 +464,12 @@ int main(int argc, char** argv) {
         psim::PsimEngine peng(workers);
         check::RunOutcome po =
             run_real(peng, s, psim_obs ? &pobs : nullptr);
-        if (psim_obs) {
-          ++psim_runs;
-          psim_total_windows += pobs.psim_windows().size();
-          for (const auto& w : pobs.psim_windows())
-            psim_total_events += w.events;
+        if (psim_obs) add_psim_telemetry();
+        if (!po.violated) {
+          bool parallel = false;
+          po = run_identity(workers, s, psim_obs ? &pobs : nullptr, parallel);
+          if (psim_obs) add_psim_telemetry();
+          if (parallel) ++psim_parallel;
         }
         if (po.violated) {
           o = po;
@@ -470,6 +524,8 @@ int main(int argc, char** argv) {
               campaigns, threads_runs, failures.size(), elapsed_s);
   for (const auto& [k, v] : fault_runs)
     std::printf("  %-11s in %d campaigns\n", k.c_str(), v);
+  std::printf("  psim identity re-runs on the parallel lane: %d of %d\n",
+              psim_parallel, threads_runs);
   if (psim_window_metrics) {
     std::printf("psim telemetry: %d observed differentials  %llu windows  "
                 "%llu events\n",

@@ -43,6 +43,7 @@ struct FaultTally {
   std::uint64_t partition_delay_ns = 0;  ///< total partition delay (ns)
 
   FaultTally& operator+=(const FaultTally& o);
+  bool operator==(const FaultTally&) const = default;
 };
 
 /// Counters one thread accumulates during a search.
@@ -85,6 +86,8 @@ struct Counters {
   std::uint64_t dedup_drops = 0;      ///< always 0 (recovery keeps every
                                       ///< node); retained for stat-format
                                       ///< stability
+
+  bool operator==(const Counters&) const = default;
 };
 
 /// Tracks which Figure-1 state a thread is in and accumulates ns per state.
