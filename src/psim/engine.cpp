@@ -408,12 +408,14 @@ void run_window(Runtime& rt, int si) {
       continue;
     }
     if (ev) {
+      // A parked continuation that must run before the event: its owner's
+      // (or, without run-ahead, any parked task's).
       const int owner = s.pending.top().owner - s.lo;
-      const bool owner_first =
+      const bool parked_first =
           rt.run_ahead ? sched.is_parked(owner) &&
                              Key{sched.now(owner), owner} < ek
                        : bound < ek;
-      if (!owner_first) {
+      if (!parked_first) {
         apply_event(rt, si);
         continue;
       }
