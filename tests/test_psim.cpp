@@ -65,14 +65,13 @@ struct Shape {
   int nranks;
   int chunk;
   std::uint64_t seed;
-  /// Ranks per SMP node: 1 is the distributed net, more a hierarchical one.
-  int tpn = 1;
 };
 
-pgas::NetModel net_of(const Shape& sh) {
-  return sh.tpn == 1 ? pgas::NetModel::distributed()
-                     : pgas::NetModel::hierarchical(sh.tpn);
-}
+/// A shape on a hierarchical net of `tpn` ranks per SMP node.
+struct HierShape {
+  Shape shape;
+  int tpn;
+};
 
 ws::SearchResult run_on(pgas::Engine& eng, const Shape& sh,
                         const pgas::NetModel& net, const uts::Params& tree,
@@ -90,23 +89,11 @@ ws::SearchResult run_on(pgas::Engine& eng, const Shape& sh,
   return ws::run_search(eng, rcfg, prob, cfg);
 }
 
-class PsimIdentity : public testing::TestWithParam<Shape> {};
-
-std::string shape_name(const testing::TestParamInfo<Shape>& info) {
-  std::string s = ws::algo_label(info.param.algo);
-  for (auto& ch : s)
-    if (ch == '-') ch = '_';
-  s += "_r" + std::to_string(info.param.nranks) + "_k" +
-       std::to_string(info.param.chunk) + "_s" +
-       std::to_string(info.param.seed);
-  if (info.param.tpn > 1) s += "_hier" + std::to_string(info.param.tpn);
-  return s;
-}
-
-TEST_P(PsimIdentity, MatchesSimEngineAcrossWorkerCounts) {
-  const Shape sh = GetParam();
+/// Runs `sh` on SimEngine, checks it against the sequential traversal, and
+/// expects psim at each worker count to match it.
+void expect_identity(const Shape& sh, const pgas::NetModel& net,
+                     const std::vector<int>& workers) {
   const uts::Params tree = uts::test_small(3);
-  const pgas::NetModel net = net_of(sh);
 
   pgas::SimEngine seq;
   const ws::SearchResult ref = run_on(seq, sh, net, tree);
@@ -114,10 +101,6 @@ TEST_P(PsimIdentity, MatchesSimEngineAcrossWorkerCounts) {
   ASSERT_TRUE(expect.has_value());
   ASSERT_EQ(ref.agg.total_nodes, expect->nodes);
 
-  // On a hierarchical net only splits that keep SMP nodes whole run
-  // sharded; each such shard holds node-mates.
-  const std::vector<int> workers =
-      sh.tpn == 1 ? std::vector<int>{1, 2, 3, 4} : std::vector<int>{2, 4};
   for (int w : workers) {
     psim::PsimEngine par(w);
     const ws::SearchResult got = run_on(par, sh, net, tree);
@@ -127,6 +110,24 @@ TEST_P(PsimIdentity, MatchesSimEngineAcrossWorkerCounts) {
           << "workers=" << w << ": expected the parallel lane";
     }
   }
+}
+
+std::string shape_label(const Shape& sh) {
+  std::string s = ws::algo_label(sh.algo);
+  for (auto& ch : s)
+    if (ch == '-') ch = '_';
+  return s + "_r" + std::to_string(sh.nranks) + "_k" +
+         std::to_string(sh.chunk) + "_s" + std::to_string(sh.seed);
+}
+
+class PsimIdentity : public testing::TestWithParam<Shape> {};
+
+std::string shape_name(const testing::TestParamInfo<Shape>& info) {
+  return shape_label(info.param);
+}
+
+TEST_P(PsimIdentity, MatchesSimEngineAcrossWorkerCounts) {
+  expect_identity(GetParam(), pgas::NetModel::distributed(), {1, 2, 3, 4});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -149,16 +150,35 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{ws::Algo::kUpcTerm, 9, 3, 2},
         Shape{ws::Algo::kUpcTerm, 11, 2, 23},
         Shape{ws::Algo::kUpcTermRapdif, 7, 4, 11},
-        Shape{ws::Algo::kUpcTermRapdif, 10, 2, 3},
+        Shape{ws::Algo::kUpcTermRapdif, 10, 2, 3}),
+    shape_name);
+
+class PsimHierIdentity : public testing::TestWithParam<HierShape> {};
+
+std::string hier_shape_name(const testing::TestParamInfo<HierShape>& info) {
+  return shape_label(info.param.shape) + "_hier" +
+         std::to_string(info.param.tpn);
+}
+
+TEST_P(PsimHierIdentity, MatchesSimEngineAcrossWorkerCounts) {
+  // On a hierarchical net only splits that keep SMP nodes whole run
+  // sharded; each such shard holds node-mates.
+  const HierShape& hs = GetParam();
+  expect_identity(hs.shape, pgas::NetModel::hierarchical(hs.tpn), {2, 4});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MediatedAlgos, PsimHierIdentity,
+    testing::Values(
         // SMP nodes of 2 and 4 ranks: a parked rank must keep its node-mates,
         // whose on-node references run inside a slice, behind its key.
-        Shape{ws::Algo::kUpcDistMem, 16, 4, 11, 2},
-        Shape{ws::Algo::kUpcDistMem, 16, 4, 11, 4},
-        Shape{ws::Algo::kUpcTerm, 16, 2, 23, 2},
-        Shape{ws::Algo::kUpcTerm, 16, 2, 23, 4},
-        Shape{ws::Algo::kMpiWs, 16, 4, 5, 2},
-        Shape{ws::Algo::kMpiWs, 16, 4, 5, 4}),
-    shape_name);
+        HierShape{{ws::Algo::kUpcDistMem, 16, 4, 11}, 2},
+        HierShape{{ws::Algo::kUpcDistMem, 16, 4, 11}, 4},
+        HierShape{{ws::Algo::kUpcTerm, 16, 2, 23}, 2},
+        HierShape{{ws::Algo::kUpcTerm, 16, 2, 23}, 4},
+        HierShape{{ws::Algo::kMpiWs, 16, 4, 5}, 2},
+        HierShape{{ws::Algo::kMpiWs, 16, 4, 5}, 4}),
+    hier_shape_name);
 
 TEST(Psim, OversubscribedWorkersMatchSimEngine) {
   // More shard workers than cores: waiters yield their core before they
