@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) of the implementation substrates:
 // SHA-1, UTS node expansion, steal-stack operations, fiber context
-// switching, the discrete-event scheduler, lock spins, and the message
-// layer. These quantify the real costs underlying the simulator (and back
-// the paper's §2 point that UTS performance at small chunk sizes measures
-// small-message efficiency).
+// switching, the discrete-event scheduler, lock spins, idle mailbox
+// waits, and the message layer. These quantify the real costs underlying
+// the simulator (and back the paper's §2 point that UTS performance at
+// small chunk sizes measures small-message efficiency).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -201,6 +201,60 @@ static void BM_LockSpin(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_LockSpin)->ArgName("crash_plan")->Arg(0)->Arg(1);
+
+static void BM_MailboxWait(benchmark::State& state) {
+  // Host cost of one idle mpi-ws-shaped pass: six try_recv polls of a
+  // mailbox where nothing has arrived and one yield, as
+  // MpiWorker::await_steal makes while its steal reply is in flight. The
+  // other `ranks` - 1 ranks wait side by side for a message rank 0 sends
+  // them after 1 ms of local work, so each pass's yield hands the step to
+  // the next waiter (~4,800 passes per waiter). skip:1 calls
+  // Comm::idle_wait after each yield, as the waits do; skip:0 leaves it
+  // out, so every pass is a scheduling step, as before the skip. (The
+  // pass-through policy, which also skips nothing, is the tests'
+  // reference; it sends every step through the scheduler loop, which
+  // costs more than the direct handoff, so timing it would overstate the
+  // saving.) A pass is 210 virtual ns, so passes are counted from the
+  // waiters' clocks.
+  const int n = static_cast<int>(state.range(0));
+  const bool skip = state.range(1) != 0;
+  pgas::SimEngine eng;
+  pgas::RunConfig cfg;
+  cfg.nranks = n;
+  cfg.net = pgas::NetModel::distributed();
+  cfg.fiber_stack_bytes = 64 * 1024;
+  const std::uint64_t pass_ns = 7 * cfg.net.poll_ns;
+  std::uint64_t passes = 0;
+  for (auto _ : state) {
+    mp::Comm comm(n);
+    const pgas::RunResult r = eng.run(cfg, [&](pgas::Ctx& c) {
+      if (c.rank() == 0) {
+        c.charge(1'000'000);
+        for (int w = 1; w < n; ++w) comm.send(c, w, 1);
+        return;
+      }
+      mp::IdleWait idle;
+      mp::Message m;
+      const std::uint64_t from = c.now_ns();
+      while (!comm.try_recv(c, 0, 1, m)) {
+        for (int tag = 2; tag < 7; ++tag) comm.try_recv(c, mp::kAny, tag, m);
+        c.yield();
+        if (skip) comm.idle_wait(c, idle);
+      }
+      passes += (c.now_ns() - from) / pass_ns;
+    });
+    benchmark::DoNotOptimize(r.switches);
+  }
+  state.counters["pass_ns"] = benchmark::Counter(
+      static_cast<double>(passes),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MailboxWait)
+    ->ArgNames({"ranks", "skip"})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({128, 0})
+    ->Args({128, 1});
 
 static void BM_CommSendRecv(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

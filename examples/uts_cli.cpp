@@ -54,7 +54,9 @@
 //                 arrows for completed steals); requires --report
 //   --psim-window-metrics  print the conservative-PDES window telemetry
 //                 (windows, events, spans, shard imbalance, serial-lane
-//                 fallback reason); requires -e psim
+//                 fallback reason) and the search's host-time ledger
+//                 (wall time; busy, wake-wait, barrier and completion
+//                 shares of the workers' time); requires -e psim
 //   --obs-sample NS  telemetry sampling cadence in virtual ns
 //                 (default 100000)
 //   --csv         emit one machine-readable CSV result line (plus a header)
@@ -102,6 +104,7 @@
 //                 virtual ns [START, HEAL); cross-cut traffic is delayed
 //                 until the heal, never lost
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -334,13 +337,22 @@ int main(int argc, char** argv) {
                tree.root_seed, static_cast<unsigned long long>(spec.run_seed));
 
   ws::SearchResult res;
+  psim::PsimEngine::Stats ledger;  // psim: the search's host-time ledger
+  double wall_s = 0;
+  int lanes = 1;
   try {
     if (engine_name == "sim") {
       pgas::SimEngine eng;
       res = ws::run_search(eng, rcfg, prob, cfg);
     } else if (engine_name == "psim") {
       psim::PsimEngine eng(workers);
+      const auto t0 = std::chrono::steady_clock::now();
       res = ws::run_search(eng, rcfg, prob, cfg);
+      wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                             t0)
+                   .count();
+      lanes = std::min(eng.workers(), spec.nranks);
+      ledger = eng.last_stats();
     } else if (engine_name == "threads") {
       pgas::ThreadEngine eng;
       res = ws::run_search(eng, rcfg, prob, cfg);
@@ -437,6 +449,15 @@ int main(int argc, char** argv) {
       for (const auto& [reason, count] : observer->psim_fallbacks())
         std::printf("psim fallback: serial lane (%s) x%llu\n", reason.c_str(),
                     static_cast<unsigned long long>(count));
+      // Shares of workers x wall; the wall includes set-up and
+      // verification, so they sum below 1 (0 on the serial lane).
+      const auto share = [&](std::uint64_t ns) {
+        return static_cast<double>(ns) * 1e-9 / (wall_s * lanes);
+      };
+      std::printf("psim host ledger: wall %.3f s  busy %.3f  wake wait %.3f  "
+                  "barrier %.3f  completion %.3f\n",
+                  wall_s, share(ledger.busy_ns), share(ledger.wake_wait_ns),
+                  share(ledger.barrier_wait_ns), share(ledger.completion_ns));
     }
   }
   if (csv) {

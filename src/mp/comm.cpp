@@ -25,7 +25,7 @@ void Comm::send(pgas::Ctx& c, int dst, int tag, const void* data,
   // Wire time: latency plus payload serialization (with modeled jitter).
   const std::uint64_t wire = c.jittered(net.bulk_ns(c.rank(), dst, bytes));
   m.arrival_ns = c.now_ns() + wire;
-  sends_.fetch_add(1, std::memory_order_relaxed);
+  ++boxes_[c.rank()]->tally.sent;
   pgas::FaultInjector* fi = c.faults();
   // A network partition delays (never drops) cross-cut messages: delivery
   // is deferred until the heal instant, as if the fabric buffered them.
@@ -89,6 +89,7 @@ bool Comm::try_recv(pgas::Ctx& c, int src, int tag, Message& out) {
   if (best == box.q.end()) return false;
   out = std::move(*best);
   box.q.erase(best);
+  ++box.tally.received;
   std::uint64_t earliest = kNever;
   for (const Message& m : box.q) earliest = std::min(earliest, m.arrival_ns);
   box.earliest.store(earliest, std::memory_order_relaxed);
@@ -99,6 +100,33 @@ Message Comm::recv(pgas::Ctx& c, int src, int tag) {
   Message m;
   while (!try_recv(c, src, tag, m)) c.yield();
   return m;
+}
+
+void Comm::idle_wait(pgas::Ctx& c, IdleWait& w, std::uint64_t until_ns) {
+  Box& box = *boxes_[c.rank()];
+  if (w.armed && box.tally.sent == w.sent &&
+      box.tally.received == w.received) {
+    // Re-read after the yield: others may have sent while this rank was
+    // yielded. A message not yet sent is sent at or after the least key M
+    // another rank can still run at, and arrives at least one wire time
+    // later: a latency from a node-mate, or from across the network.
+    const pgas::NetModel& net = c.net();
+    const std::uint64_t wire =
+        net.threads_per_node > 1
+            ? std::min(net.on_node_ref_ns, net.remote_ref_ns)
+            : net.remote_ref_ns;
+    c.skip_idle_passes(
+        c.now_ns() - w.at_ns,
+        std::min(until_ns, box.earliest.load(std::memory_order_relaxed)),
+        wire);
+  }
+  w = {true, c.now_ns(), box.tally.sent, box.tally.received};
+}
+
+std::uint64_t Comm::total_sends() const {
+  std::uint64_t n = 0;
+  for (const auto& box : boxes_) n += box->tally.sent;
+  return n;
 }
 
 std::string Comm::debug_report() const {

@@ -56,10 +56,24 @@ struct Message {
   }
 };
 
+/// What a loop that waits for messages carries from one pass to the next
+/// for Comm::idle_wait: the rank's clock and tallies right after the last
+/// pass ended. Declare one per wait, just before its loop.
+struct IdleWait {
+  bool armed = false;  ///< a pass has ended since the wait began
+  std::uint64_t at_ns = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+};
+
 /// A communicator over a fixed set of ranks. Construct once per run, outside
 /// the SPMD body; every rank then calls the member functions with its Ctx.
 class Comm {
  public:
+  /// No instant: an empty mailbox's earliest arrival, or no deadline.
+  static constexpr std::uint64_t kNever =
+      std::numeric_limits<std::uint64_t>::max();
+
   explicit Comm(int nranks);
 
   int nranks() const { return static_cast<int>(boxes_.size()); }
@@ -88,19 +102,34 @@ class Comm {
   /// Blocking receive: polls (with yield) until a match arrives.
   Message recv(pgas::Ctx& c, int src, int tag);
 
-  /// Total messages ever sent through this communicator (diagnostic).
-  std::uint64_t total_sends() const {
-    return sends_.load(std::memory_order_relaxed);
+  /// Call right after the yield that ends each pass of a loop that waits
+  /// for messages: a pass is the loop body from one such yield to the
+  /// next, and `w` is the wait's own state. When the pass just ended began
+  /// right after the previous one, took and sent nothing, and the mailbox
+  /// still shows nothing arrived, every pass the loop would run next is
+  /// the same pass until a message can arrive: no earlier than the earliest
+  /// queued arrival, nor than the cheapest wire time after the least key
+  /// another rank can still send from. The rank's Ctx accounts those
+  /// passes in closed form (Ctx::skip_idle_passes), each ending by
+  /// `until_ns` as well (the caller's own deadline: a pass that would see
+  /// it pass must run).
+  void idle_wait(pgas::Ctx& c, IdleWait& w, std::uint64_t until_ns = kNever);
+
+  /// Messages `rank` has sent (dropped ones included) and taken.
+  std::uint64_t sent(int rank) const { return boxes_[rank]->tally.sent; }
+  std::uint64_t received(int rank) const {
+    return boxes_[rank]->tally.received;
   }
+
+  /// Total messages ever sent through this communicator (diagnostic). Like
+  /// the per-rank tallies, read it after the run or while ranks are parked.
+  std::uint64_t total_sends() const;
 
   /// Snapshot of queued (undelivered or unconsumed) messages per rank, for
   /// hang reports. Not a synchronization point — call when ranks are parked.
   std::string debug_report() const;
 
  private:
-  static constexpr std::uint64_t kNever =
-      std::numeric_limits<std::uint64_t>::max();
-
   struct Box {
     std::mutex mu;
     std::deque<Message> q;
@@ -110,6 +139,12 @@ class Comm {
     /// arrives after the receiver's current instant on sim and psim, and
     /// on the thread engine a stale read equals polling a moment earlier.
     std::atomic<std::uint64_t> earliest{kNever};
+    /// The owner's own send/receive tallies, written and read by the owner
+    /// only, on a cache line of their own: senders write the fields above.
+    struct alignas(64) Tally {
+      std::uint64_t sent = 0;
+      std::uint64_t received = 0;
+    } tally;
   };
 
   /// Nothing queued for the caller has arrived by its current instant.
@@ -122,7 +157,6 @@ class Comm {
   }
 
   std::vector<std::unique_ptr<Box>> boxes_;
-  std::atomic<std::uint64_t> sends_{0};
 };
 
 }  // namespace upcws::mp

@@ -158,7 +158,40 @@ void SimCtx::skip_spins(const Lock& l) {
     if (revoke <= t) return;
     n = std::min(n, (revoke - t - 1) / c);
   }
-  acc_ += c * sched_.skip_inline_yields(c, n);
+  acc_ += c * sched_.skip_inline_yields(c, n, 0);
+}
+
+void SimCtx::skip_idle_passes(std::uint64_t pass_ns, std::uint64_t until_ns,
+                              std::uint64_t lead_ns) {
+  // A pass is its polls, charged from a fresh quantum (the caller has just
+  // yielded), and a yield that advances `step` and ticks. Without faults
+  // and jitter nothing else in it can differ from pass to pass, so each
+  // pass the caller would run next is this one again, as long as its reads
+  // see nothing new. The caller's bounds see to that up to `until_ns`;
+  // the scheduler's lead sees to it up to M + lead_ns. A pass whose polls
+  // end a quantum holds one more yield and tick than this accounts.
+  const std::uint64_t step = net().poll_ns > 0 ? net().poll_ns : 1;
+  if (dead_ || faults_ != nullptr || net().jitter_frac > 0.0 || acc_ != 0 ||
+      pass_ns < step || pass_ns - step >= kChargeQuantumNs ||
+      lead_ns < pass_ns)
+    return;
+  const std::uint64_t t = sched_.now(task_);
+  if (until_ns <= t) return;
+  // Passes 1..n end by until_ns. The scheduler accounts the yields of all
+  // but the last, each at the clock c the next pass starts at, while that
+  // pass ends by M + lead_ns: c < M + (lead_ns - pass_ns + 1).
+  const std::uint64_t n = (until_ns - t) / pass_ns;
+  if (n < 2) return;
+  const std::uint64_t k =
+      sched_.skip_inline_yields(pass_ns, n - 1, lead_ns - pass_ns + 1);
+  if (k == 0) return;
+  if (obs_ != nullptr)
+    for (std::uint64_t i = 1; i <= k; ++i)
+      obs_->on_tick(rank(), t + i * pass_ns);
+  // The last accounted pass: its polls, then its yield, for real, so the
+  // pass after it runs at its own key in key order.
+  sched_.advance(pass_ns - step);
+  yield();
 }
 
 }  // namespace upcws::pgas

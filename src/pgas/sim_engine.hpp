@@ -36,6 +36,8 @@ class SimCtx : public Ctx {
   void charge(std::uint64_t ns) final;
   void yield() final;
   void lock(Lock& l) final;
+  void skip_idle_passes(std::uint64_t pass_ns, std::uint64_t until_ns,
+                        std::uint64_t lead_ns) final;
 
  protected:
   void note_progress() override { sched_.note_progress(); }

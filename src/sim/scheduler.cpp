@@ -213,11 +213,13 @@ std::optional<ReadyQueue::Entry> Scheduler::peek() const {
 
 void Scheduler::park_current() {
   parked_[current_] = true;
+  ++nparked_;
   Fiber::yield_current();
 }
 
 void Scheduler::wake(int task, std::uint64_t vt_ns) {
   parked_[task] = false;
+  --nparked_;
   clocks_[task] = vt_ns;
   rq_.push(vt_ns, task);
 }
@@ -257,22 +259,39 @@ std::uint64_t Scheduler::makespan_ns() const {
 }
 
 std::uint64_t Scheduler::skip_inline_yields(std::uint64_t step_ns,
-                                            std::uint64_t max) {
+                                            std::uint64_t max,
+                                            std::uint64_t lead_ns) {
   const int cur = current_;
   if (!running_ || cfg_.policy != nullptr || cur < 0 || step_ns == 0)
     return 0;
-  // yield()'s inline guards, solved for the last clock `last` at which a
-  // yield still continues inline: within the vt limit and the progress
-  // window, and (last, cur) below the ready head and the stepping bound.
-  std::uint64_t last = cfg_.vt_limit_ns;
-  if (cfg_.watchdog_ns > 0)
-    last = std::min(last, progress_ns_ + std::min(cfg_.watchdog_ns,
-                                                  UINT64_MAX - progress_ns_));
-  const ReadyQueue::Entry head = rq_.empty() ? bound_ : rq_.top();
-  for (const ReadyQueue::Entry& e : {head, bound_}) {
-    if (e.vt == 0) return 0;
-    last = std::min(last, cur < e.task ? e.vt : e.vt - 1);
+  // M, the least key another task can still run at. Only a lead lets the
+  // skip past it, and then a parked task counts too: its continuation
+  // runs at its key (psim), and may reach the skipped slices.
+  ReadyQueue::Entry m = rq_.empty() ? bound_ : rq_.top();
+  if (lead_ns > 0 && nparked_ > 0)
+    for (int t = 0; t < static_cast<int>(parked_.size()); ++t)
+      if (parked_[t] && ReadyQueue::Entry{clocks_[t], t} < m)
+        m = {clocks_[t], t};
+  // yield()'s guards, solved for the last clock `last` at which a yield is
+  // accounted: one step within the vt limit, within the progress window
+  // from min(progress, M), and (last, cur) below M (or last below M.vt
+  // plus the lead) and below the stepping bound.
+  std::uint64_t last =
+      cfg_.vt_limit_ns > step_ns ? cfg_.vt_limit_ns - step_ns : 0;
+  if (cfg_.watchdog_ns > 0) {
+    const std::uint64_t p = std::min(progress_ns_, m.vt);
+    last = std::min(last, p + std::min(cfg_.watchdog_ns, UINT64_MAX - p));
   }
+  const auto below = [&](const ReadyQueue::Entry& e) {
+    if (e.vt == 0) return false;
+    last = std::min(last, cur < e.task ? e.vt : e.vt - 1);
+    return true;
+  };
+  if (lead_ns > 0)
+    last = std::min(last, m.vt + std::min(lead_ns, UINT64_MAX - m.vt) - 1);
+  else if (!below(m))
+    return 0;
+  if (!below(bound_)) return 0;
   const std::uint64_t t = clocks_[cur];
   if (last <= t) return 0;
   const std::uint64_t n = std::min(max, (last - t) / step_ns);

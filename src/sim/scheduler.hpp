@@ -131,15 +131,28 @@ class Scheduler {
   void yield();
 
   /// Account in one step for up to `max` consecutive interaction points of
-  /// the current task that would each continue inline: its clock advances
-  /// by `step_ns`, then it yields and is still the minimum. Adds exactly
-  /// their clock and switches, under exactly the guards yield() applies —
-  /// a running scheduler with no policy, the task's (vt, id) key staying
-  /// below both the ready-queue head and the stepping bound, and neither
-  /// the vt limit nor the watchdog firing — and returns how many it
-  /// accounted. The caller guarantees that nothing else those steps would
-  /// do can differ (SimCtx::lock's constant-cost spins, docs/simulator.md).
-  std::uint64_t skip_inline_yields(std::uint64_t step_ns, std::uint64_t max);
+  /// the current task: each advances its clock by `step_ns`, then yields.
+  /// Adds exactly their clock and one switch each (the step that begins
+  /// the slice after each yield) and returns how many it accounted.
+  ///
+  /// Let M be the least key another task can still run at: the ready-queue
+  /// head and, with a lead, the earliest parked task's key. With
+  /// `lead_ns` 0 it accounts yields that would each continue inline, the
+  /// task's (vt, id) key staying below M; with a lead, yields whose clock
+  /// stays below M.vt + lead_ns, so the slices they begin may run ahead of
+  /// other tasks' earlier ones. Either way a yield is accounted only under
+  /// the guards yield() applies: a running scheduler with no policy, the
+  /// key below the stepping bound, and neither the vt limit nor the
+  /// watchdog firing. The vt limit is held one step early, so the caller's
+  /// first real yield after the skip cannot cross it from a slice keyed
+  /// past another task's, and the watchdog window is measured from
+  /// min(progress, M), the least progress clock another task could still
+  /// leave behind. The caller guarantees that nothing else those steps
+  /// would do can differ, and with a lead that nothing another task does
+  /// below M.vt + lead_ns can reach them (SimCtx::lock's constant-cost
+  /// spins, mp::Comm::idle_wait; docs/simulator.md).
+  std::uint64_t skip_inline_yields(std::uint64_t step_ns, std::uint64_t max,
+                                   std::uint64_t lead_ns);
 
   /// Largest virtual clock over all tasks after run() — the simulated
   /// makespan of the parallel execution.
@@ -235,6 +248,9 @@ class Scheduler {
   // under run(): no key reaches (UINT64_MAX, 0).
   ReadyQueue::Entry bound_{UINT64_MAX, 0};
   std::vector<bool> parked_;
+  /// How many tasks are parked (the lead skip scans for the earliest only
+  /// while some are).
+  int nparked_ = 0;
 };
 
 }  // namespace upcws::sim

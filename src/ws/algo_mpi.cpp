@@ -473,6 +473,7 @@ class MpiWorker final : public RankWorker {
   /// Legacy steal round-trip: the bare request was already sent; await
   /// that victim's answer, staying responsive meanwhile.
   bool await_steal(int v) {
+    mp::IdleWait idle;
     for (;;) {
       cancel_check();  // flag-flip only: the reply must still be consumed
       mp::Message m;
@@ -491,6 +492,7 @@ class MpiWorker final : public RankWorker {
         return false;
       }
       ctx_.yield();
+      comm_.idle_wait(ctx_, idle, cancel_horizon());
     }
   }
 

@@ -217,6 +217,7 @@ class PushWorker final : public RankWorker {
   /// Returns true when work arrived, false on termination.
   bool wait_for_work() {
     set_state(State::kSearching);
+    mp::IdleWait idle;
     for (;;) {
       if (drain_check()) return false;
       cancel_check();  // arriving pushes are still absorbed, then bled
@@ -250,6 +251,7 @@ class PushWorker final : public RankWorker {
         }
       }
       ctx_.yield();
+      comm_.idle_wait(ctx_, idle, cancel_horizon());
     }
   }
 

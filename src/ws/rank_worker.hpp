@@ -325,6 +325,13 @@ class RankWorker : public NodeSink {
     }
   }
 
+  /// The instant cancel_check() would next raise the flag at, or never
+  /// (UINT64_MAX): an idle wait must not skip a pass past it.
+  std::uint64_t cancel_horizon() const {
+    return cfg_.cancel_at_ns == 0 || cancelled_ ? UINT64_MAX
+                                                : cfg_.cancel_at_ns;
+  }
+
   /// Pop-loop top: the drain and deadline safe points, then pop the next
   /// node into nodebuf_. False when draining or the stack is empty.
   bool next_node() {

@@ -1,7 +1,7 @@
 // PGAS engine tests: cost-model arithmetic, lock semantics and cost
 // accounting under both engines, shared-word helpers, determinism of
-// simulated runs, and lock spins skipped in closed form checked against
-// spins run one by one.
+// simulated runs, and lock spins and idle mailbox waits skipped in closed
+// form checked against spins and passes run one by one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "mp/comm.hpp"
 #include "pgas/engine.hpp"
 #include "pgas/netmodel.hpp"
 #include "pgas/sim_engine.hpp"
@@ -319,7 +320,7 @@ SpinRun run_spins(RunConfig cfg, const std::function<void(Ctx&)>& body,
     }).switches;
   } catch (const TimeLimitExceeded& e) {
     o.error = "limit " + std::to_string(e.task) + " " +
-              std::to_string(e.clock_ns);
+              std::to_string(e.clock_ns) + " @" + std::to_string(e.slice_ns);
   } catch (const HangDetected& h) {
     o.error = "hang " + std::to_string(h.stuck_at_ns);
   }
@@ -597,6 +598,371 @@ TEST(LockSpinSkip, DrawingSpinsMatchPassThrough) {
     });
   });
   EXPECT_GT(got.ends[1].clock, 9'000u);
+}
+
+// --- Idle mailbox waits: accounted in closed form vs. run one by one -------
+//
+// mp::Comm::idle_wait has SimCtx account the coming passes of a wait that
+// changed nothing, up to the earliest queued arrival and one wire time
+// past the least key another rank can still send from. Those passes run
+// ahead of other ranks' earlier slices, so hook calls interleave across
+// ranks in another order than under the pass-through policy, which skips
+// nothing: records are compared rank by rank.
+
+namespace mp = upcws::mp;
+
+constexpr int kReply = 1;
+constexpr int kToken = 2;
+constexpr int kDone = 3;
+
+/// A body of one run: the communicator is fresh per run, and `passes`
+/// counts the wait passes the body really ran.
+using WaitBody = std::function<void(Ctx&, mp::Comm&, std::uint64_t& passes)>;
+
+struct WaitRun {
+  SpinRun run;
+  std::uint64_t passes = 0;
+};
+
+WaitRun run_waits(const RunConfig& cfg, const WaitBody& body,
+                  SchedulePolicy* policy) {
+  WaitRun o;
+  mp::Comm comm(cfg.nranks);
+  o.run = run_spins(cfg, [&](Ctx& c) { body(c, comm, o.passes); }, policy);
+  return o;
+}
+
+std::vector<RecordingSink::Rec> recs_of(
+    const std::vector<RecordingSink::Rec>& recs, int rank) {
+  std::vector<RecordingSink::Rec> out;
+  for (const RecordingSink::Rec& r : recs)
+    if (r.rank == rank) out.push_back(r);
+  return out;
+}
+
+/// Runs `body` with and without the pass-through policy and compares them
+/// rank by rank. A time-limit abort ends the run at the crossing slice, in
+/// key order; a rank that ran ahead of it has records past it, so there
+/// the reference's records must be a prefix of the skipping run's. Returns
+/// the skipping run; `skips` says whether it must have skipped passes.
+WaitRun expect_waits_match(const RunConfig& cfg, const WaitBody& body,
+                           bool skips = true) {
+  PassThrough pass;
+  const WaitRun ref = run_waits(cfg, body, &pass);
+  WaitRun got = run_waits(cfg, body, nullptr);
+  EXPECT_EQ(got.run.error, ref.run.error);
+  const bool limit = ref.run.error.rfind("limit ", 0) == 0;
+  for (int r = 0; r < cfg.nranks; ++r) {
+    std::vector<RecordingSink::Rec> g = recs_of(got.run.recs, r);
+    const std::vector<RecordingSink::Rec> w = recs_of(ref.run.recs, r);
+    if (limit && g.size() > w.size()) g.resize(w.size());
+    EXPECT_TRUE(g == w) << "rank " << r << ": " << g.size() << " vs "
+                        << w.size() << " records, or they differ";
+  }
+  EXPECT_EQ(got.run.ends, ref.run.ends);
+  EXPECT_EQ(got.run.switches, ref.run.switches);
+  if (skips)
+    EXPECT_LT(got.passes, ref.passes);
+  else
+    EXPECT_EQ(got.passes, ref.passes);
+  return got;
+}
+
+/// An mpi-ws-shaped idle wait for a reply from `from`: each pass makes six
+/// polls (the reply, then five tags nobody sends) and yields, and
+/// Comm::idle_wait follows every yield. `until` is the caller's deadline.
+void await_reply(Ctx& c, mp::Comm& comm, int from, std::uint64_t& passes,
+                 std::uint64_t until = mp::Comm::kNever) {
+  mp::IdleWait idle;
+  mp::Message m;
+  for (;;) {
+    ++passes;
+    if (comm.try_recv(c, from, kReply, m)) return;
+    for (int tag = 10; tag < 15; ++tag)
+      EXPECT_FALSE(comm.try_recv(c, mp::kAny, tag, m));
+    c.yield();
+    comm.idle_wait(c, idle, until);
+  }
+}
+
+/// Local work in slices of `slice` ns up to `until`, with a yield after
+/// each, the way a busy rank interleaves with waiters.
+void work_until(Ctx& c, std::uint64_t until, std::uint64_t slice) {
+  while (c.now_ns() < until) {
+    c.charge(slice);
+    c.yield();
+  }
+}
+
+/// The distributed model; `n` ranks. The vt limit, far past every wait
+/// here, bounds a skip that would overrun one.
+RunConfig wait_cfg(int n) {
+  RunConfig cfg;
+  cfg.nranks = n;
+  cfg.net = NetModel::distributed();
+  cfg.vt_limit_ns = 10'000'000;
+  return cfg;
+}
+
+TEST(MailboxWaitSkip, QueuedReplyWithLaterArrivalMatchesPassThrough) {
+  // Rank 1 sends at once and leaves: the queued reply's arrival is rank
+  // 0's only bound.
+  for (const std::uint64_t at : {0u, 1u, 7u, 500u, 995u, 5'000u, 40'000u}) {
+    SCOPED_TRACE(testing::Message() << "send at " << at);
+    const WaitRun got = expect_waits_match(
+        wait_cfg(2), [at](Ctx& c, mp::Comm& comm, std::uint64_t& passes) {
+          if (c.rank() == 1) {
+            c.charge(at);
+            comm.send(c, 0, kReply);
+          } else {
+            await_reply(c, comm, 1, passes);
+          }
+        });
+    EXPECT_GE(got.run.ends[0].clock, at + 3'400);
+  }
+}
+
+TEST(MailboxWaitSkip, LowerKeyRankSendingDuringTheSpanMatchesPassThrough) {
+  // Rank 1 works behind rank 0's run-ahead in slices of every remainder,
+  // then sends at the start of a slice: its message arrives a wire time
+  // after its key, plus the send overhead when there is one.
+  const auto body = [](std::uint64_t slice, std::uint64_t at) -> WaitBody {
+    return [=](Ctx& c, mp::Comm& comm, std::uint64_t& passes) {
+      if (c.rank() == 1) {
+        work_until(c, at, slice);
+        comm.send(c, 0, kReply);
+        work_until(c, at + 20'000, slice);
+      } else {
+        await_reply(c, comm, 1, passes);
+      }
+    };
+  };
+  for (const std::uint64_t overhead : {400u, 0u}) {
+    RunConfig cfg = wait_cfg(2);
+    cfg.net.mp_send_overhead_ns = overhead;
+    for (const std::uint64_t slice : {1u, 29u, 210u, 450u, 999u, 3'001u}) {
+      for (const std::uint64_t at : {2'000u, 7'777u}) {
+        SCOPED_TRACE(testing::Message() << "overhead " << overhead
+                                        << ", slice " << slice
+                                        << ", send at " << at);
+        expect_waits_match(cfg, body(slice, at));
+      }
+    }
+  }
+}
+
+TEST(MailboxWaitSkip, ReplyLandingWhileTheWaiterIsYieldedMatchesPassThrough) {
+  // Rank 1 sends while rank 0 is yielded — at the end of a pass or of a
+  // skip — then jumps far ahead: only the mailbox, read after the yield,
+  // still bounds rank 0's run-ahead.
+  for (std::uint64_t at = 100; at < 4'000; at += 37) {
+    for (const std::uint64_t jump : {5'000u, 50'000u}) {
+      SCOPED_TRACE(testing::Message() << "send at " << at << ", jump "
+                                      << jump);
+      expect_waits_match(wait_cfg(2), [=](Ctx& c, mp::Comm& comm,
+                                          std::uint64_t& passes) {
+        if (c.rank() == 1) {
+          work_until(c, at, 50);
+          comm.send(c, 0, kReply);
+          c.charge(jump);
+        } else {
+          await_reply(c, comm, 1, passes);
+        }
+      });
+    }
+  }
+}
+
+TEST(MailboxWaitSkip, EqualKeyTiesMatchPassThrough) {
+  // Ranks 0-2 wait from the same instant at the same pass length, so their
+  // keys tie at every pass; rank 3 answers each in turn.
+  for (const std::uint64_t gap : {0u, 210u, 1'000u}) {
+    SCOPED_TRACE(testing::Message() << "gap " << gap);
+    expect_waits_match(wait_cfg(4), [gap](Ctx& c, mp::Comm& comm,
+                                          std::uint64_t& passes) {
+      if (c.rank() == 3) {
+        for (int r = 0; r < 3; ++r) {
+          work_until(c, 6'000 + gap * static_cast<std::uint64_t>(r), 210);
+          comm.send(c, r, kReply);
+        }
+      } else {
+        await_reply(c, comm, 3, passes);
+      }
+    });
+  }
+}
+
+/// Ranks idle on a token ring, as token-terminated ranks do with every
+/// stack empty: each pass makes five polls (the token, the done message,
+/// three tags nobody sends) and, holding the token, forwards it to the
+/// next rank down — a pass that sends, so the pass after it must run.
+/// Rank 0 retires the token after `rounds` trips and tells every rank.
+WaitBody token_ring(int rounds) {
+  return [rounds](Ctx& c, mp::Comm& comm, std::uint64_t& passes) {
+    const int n = c.nranks();
+    bool token = c.rank() == 0;
+    int trips = 0;
+    mp::IdleWait idle;
+    mp::Message m;
+    for (;;) {
+      ++passes;
+      if (comm.try_recv(c, mp::kAny, kToken, m)) {
+        token = true;
+        if (c.rank() == 0) ++trips;
+      }
+      if (comm.try_recv(c, mp::kAny, kDone, m)) return;
+      for (int tag = 10; tag < 13; ++tag)
+        EXPECT_FALSE(comm.try_recv(c, mp::kAny, tag, m));
+      if (token && trips == rounds) {
+        for (int r = 1; r < n; ++r) comm.send(c, r, kDone);
+        return;
+      }
+      if (token) {
+        token = false;
+        comm.send(c, c.rank() == 0 ? n - 1 : c.rank() - 1, kToken);
+      }
+      c.yield();
+      comm.idle_wait(c, idle);
+    }
+  };
+}
+
+TEST(MailboxWaitSkip, TokenForwardMatchesPassThrough) {
+  for (const int n : {2, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << n << " ranks");
+    const WaitRun got = expect_waits_match(wait_cfg(n), token_ring(3));
+    EXPECT_GT(got.run.ends[0].clock, 3u * static_cast<std::uint64_t>(n) *
+                                         3'400);
+  }
+}
+
+TEST(MailboxWaitSkip, FirstPassWithPartOfAQuantumChargedMatchesPassThrough) {
+  // The first pass's polls may end the quantum charged before the wait:
+  // it yields an extra time, so the pass after it is not its repeat.
+  for (const std::uint64_t pre : {0u, 700u, 820u, 821u, 850u, 999u}) {
+    SCOPED_TRACE(testing::Message() << "charged " << pre);
+    expect_waits_match(wait_cfg(2), [pre](Ctx& c, mp::Comm& comm,
+                                          std::uint64_t& passes) {
+      if (c.rank() == 1) {
+        work_until(c, 9'000, 300);
+        comm.send(c, 0, kReply);
+      } else {
+        c.charge(pre);
+        await_reply(c, comm, 1, passes);
+      }
+    });
+  }
+}
+
+TEST(MailboxWaitSkip, CallersDeadlineMatchesPassThrough) {
+  // The first pass from the deadline on differs (as a cooperative cancel
+  // flips its flag there): here it tells rank 1, which answers only then.
+  // So every pass that begins at or past the deadline must run.
+  for (const std::uint64_t until : {2'345u, 8'000u, 15'001u}) {
+    SCOPED_TRACE(testing::Message() << "until " << until);
+    const WaitRun got = expect_waits_match(
+        wait_cfg(2), [until](Ctx& c, mp::Comm& comm, std::uint64_t& passes) {
+          mp::Message m;
+          if (c.rank() == 1) {
+            c.charge(20'000);
+            while (!comm.try_recv(c, 0, kToken, m)) c.yield();
+            comm.send(c, 0, kReply);
+            return;
+          }
+          mp::IdleWait idle;
+          bool told = false;
+          for (;;) {
+            ++passes;
+            if (!told && c.now_ns() >= until) {
+              told = true;
+              comm.send(c, 1, kToken);
+            }
+            if (comm.try_recv(c, 1, kReply, m)) return;
+            for (int tag = 10; tag < 15; ++tag)
+              EXPECT_FALSE(comm.try_recv(c, mp::kAny, tag, m));
+            c.yield();
+            comm.idle_wait(c, idle, told ? mp::Comm::kNever : until);
+          }
+        });
+    EXPECT_GT(got.run.ends[0].clock, 20'000u);
+  }
+}
+
+TEST(MailboxWaitSkip, VtLimitAndWatchdogMidWaitMatchPassThrough) {
+  // Three waiters whose replies never come, beside a rank that visits
+  // nodes until 5 us: the run ends at the vt limit or at the watchdog,
+  // in the middle of the waits.
+  const WaitBody body = [](Ctx& c, mp::Comm& comm, std::uint64_t& passes) {
+    if (c.rank() == 3) {
+      while (c.now_ns() < 5'000) {
+        c.charge_node_work();
+        c.yield();
+      }
+      return;
+    }
+    await_reply(c, comm, 3, passes);
+  };
+  for (const std::uint64_t limit : {9'000u, 12'345u, 30'001u}) {
+    SCOPED_TRACE(testing::Message() << "limit " << limit);
+    RunConfig cfg = wait_cfg(4);
+    cfg.vt_limit_ns = limit;
+    const WaitRun got = expect_waits_match(cfg, body);
+    EXPECT_EQ(got.run.error.rfind("limit ", 0), 0u) << got.run.error;
+  }
+  for (const std::uint64_t window : {4'000u, 10'003u, 25'000u}) {
+    SCOPED_TRACE(testing::Message() << "window " << window);
+    RunConfig cfg = wait_cfg(4);
+    cfg.watchdog_ns = window;
+    const WaitRun got = expect_waits_match(cfg, body);
+    EXPECT_EQ(got.run.error.rfind("hang ", 0), 0u) << got.run.error;
+  }
+}
+
+TEST(MailboxWaitSkip, WatchdogFromTheLeastProgressMatchesPassThrough) {
+  // Rank 0 reports progress at 900 ns, ahead of rank 1's next slice at
+  // 430 ns, which reports progress at its own, earlier clock: the window
+  // runs from 430, not 900, for every yield rank 2's wait could skip.
+  RunConfig cfg = wait_cfg(3);
+  cfg.watchdog_ns = 1'000;
+  const WaitRun got = expect_waits_match(
+      cfg, [](Ctx& c, mp::Comm& comm, std::uint64_t& passes) {
+        if (c.rank() == 0) {
+          c.charge(900);
+          c.charge_node_work();
+        } else if (c.rank() == 1) {
+          c.charge(400);
+          c.yield();
+          c.charge_node_work();
+        } else {
+          await_reply(c, comm, 0, passes);
+        }
+      });
+  EXPECT_EQ(got.run.error, "hang 1470");
+}
+
+TEST(MailboxWaitSkip, DeclinedWaitsRunEveryPass) {
+  // Jitter, any fault plan, a wire no longer than a pass, or a pass whose
+  // polls end a quantum: every pass runs, as under the pass-through
+  // policy.
+  const WaitBody body = [](Ctx& c, mp::Comm& comm, std::uint64_t& passes) {
+    if (c.rank() == 1) {
+      work_until(c, 9'000, 300);
+      comm.send(c, 0, kReply);
+    } else {
+      await_reply(c, comm, 1, passes);
+    }
+  };
+  RunConfig jitter = wait_cfg(2);
+  jitter.net.jitter_frac = 0.5;
+  RunConfig stalls = wait_cfg(2);
+  stalls.faults.stall_period_ns = 1'000'000;
+  stalls.faults.stall_ns = 10;
+  RunConfig short_wire = wait_cfg(2);
+  short_wire.net.remote_ref_ns = 209;
+  RunConfig long_polls = wait_cfg(2);  // six polls end a quantum
+  long_polls.net.poll_ns = 167;
+  for (const RunConfig& cfg : {jitter, stalls, short_wire, long_polls})
+    expect_waits_match(cfg, body, /*skips=*/false);
 }
 
 }  // namespace

@@ -143,6 +143,12 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{ws::Algo::kMpiWs, 12, 1, 23},
         Shape{ws::Algo::kWorkPush, 8, 4, 11},
         Shape{ws::Algo::kWorkPush, 6, 2, 7},
+        // The token family at perfbench's scale, where most ranks wait
+        // idle and their waits run ahead of other ranks' slices.
+        Shape{ws::Algo::kMpiWs, 64, 4, 11},
+        Shape{ws::Algo::kMpiWs, 128, 2, 5},
+        Shape{ws::Algo::kWorkPush, 64, 2, 7},
+        Shape{ws::Algo::kWorkPush, 128, 4, 11},
         Shape{ws::Algo::kUpcDistMem, 8, 4, 11},
         Shape{ws::Algo::kUpcDistMem, 9, 3, 2},
         Shape{ws::Algo::kUpcSharedMem, 7, 2, 5},

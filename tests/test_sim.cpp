@@ -447,24 +447,28 @@ TEST(Scheduler, HandoffMatchesPhysicalReference) {
 // unit, as SimCtx::lock does, and runs the rest; the reference runs every
 // unit. Only slices that begin after another task ran are logged, so the
 // two logs, switch counts, clocks and guard exceptions must match exactly.
+// With a lead the skipping task's slices run ahead of other tasks' earlier
+// ones, as an idle mailbox wait's do (SimCtx::skip_idle_passes), so the
+// logs differ in order; everything else must still match, and the last
+// unit of every skip runs for real, as the wait's last pass does.
 
 struct SpinOutcome {
   std::vector<Slice> log;  // slice starts where the running task changed
   std::vector<std::uint64_t> clocks;
   std::uint64_t switches = 0;
   std::uint64_t skipped = 0;
-  std::string error;  // "limit task/clock" or "hang progress/stuck_at"
+  std::string error;  // "limit task/clock@slice" or "hang progress/stuck_at"
 };
 
 /// Task `id` of a random spin program: a few segments, each a random local
 /// charge then 1..300 spin units of a step from {1, 2, 3, 5} (so keys tie
 /// often), skipped with a cap that is sometimes 0 or 1. Task 0 reports
 /// progress while its clock is below 300. Each slice must start below
-/// `bound`, the step() bound in force (if any).
+/// `bound`, the step() bound in force (if any). Skips use `lead`.
 std::function<void()> spin_body(std::uint64_t seed, int id, bool skip,
                                 SpinOutcome& o, int& last,
-                                const Slice* bound = nullptr) {
-  return [seed, id, skip, &o, &last, bound] {
+                                const Slice* bound, std::uint64_t lead) {
+  return [seed, id, skip, &o, &last, bound, lead] {
     static constexpr std::uint64_t kSteps[] = {1, 2, 3, 5};
     std::mt19937_64 rng(seed * 7919 + static_cast<std::uint64_t>(id));
     auto& sc = Scheduler::current();
@@ -486,9 +490,10 @@ std::function<void()> spin_body(std::uint64_t seed, int id, bool skip,
       const std::uint64_t cap = rng() % 4 == 0 ? rng() % 2 : UINT64_MAX;
       for (std::uint64_t units = 1 + rng() % 300; units > 0; --units) {
         if (skip) {
-          const std::uint64_t n =
-              sc.skip_inline_yields(step, std::min(cap, units));
-          EXPECT_LE(n, std::min(cap, units));
+          const std::uint64_t max =
+              std::min(cap, lead > 0 ? units - 1 : units);
+          const std::uint64_t n = sc.skip_inline_yields(step, max, lead);
+          EXPECT_LE(n, max);
           o.skipped += n;
           units -= n;
           if (units == 0) break;
@@ -505,13 +510,14 @@ std::function<void()> spin_body(std::uint64_t seed, int id, bool skip,
 /// Run `ntasks` spin programs under `cfg`, through run() or, with
 /// `stepping`, through step() with random bounds as in step_random().
 SpinOutcome run_spin(std::uint64_t seed, int ntasks, bool skip,
-                     Scheduler::Config cfg, bool stepping = false) {
+                     Scheduler::Config cfg, bool stepping, std::uint64_t lead) {
   SpinOutcome o;
   int last = -1;
   Slice bound{};
   Scheduler s(cfg);
   for (int i = 0; i < ntasks; ++i)
-    s.spawn(spin_body(seed, i, skip, o, last, stepping ? &bound : nullptr));
+    s.spawn(spin_body(seed, i, skip, o, last, stepping ? &bound : nullptr,
+                      lead));
   try {
     if (stepping) {
       std::mt19937_64 rng(seed);
@@ -529,7 +535,7 @@ SpinOutcome run_spin(std::uint64_t seed, int ntasks, bool skip,
     }
   } catch (const TimeLimitExceeded& e) {
     o.error = "limit " + std::to_string(e.task) + "/" +
-              std::to_string(e.clock_ns);
+              std::to_string(e.clock_ns) + "@" + std::to_string(e.slice_ns);
   } catch (const HangDetected& h) {
     o.error = "hang " + std::to_string(h.last_progress_ns) + "/" +
               std::to_string(h.stuck_at_ns);
@@ -539,24 +545,39 @@ SpinOutcome run_spin(std::uint64_t seed, int ntasks, bool skip,
   return o;
 }
 
-void expect_same_spin(const SpinOutcome& got, const SpinOutcome& ref) {
-  EXPECT_EQ(got.log, ref.log);
+void expect_same_spin(const SpinOutcome& got, const SpinOutcome& ref,
+                      bool lead) {
+  EXPECT_EQ(got.error, ref.error);
+  if (lead && ref.error.rfind("limit ", 0) == 0) {
+    // A time-limit abort ends the run at the crossing slice, in key order.
+    // A task that ran ahead of it stands further along than in the
+    // reference, never behind.
+    ASSERT_EQ(got.clocks.size(), ref.clocks.size());
+    for (std::size_t i = 0; i < ref.clocks.size(); ++i)
+      EXPECT_GE(got.clocks[i], ref.clocks[i]) << "task " << i;
+    EXPECT_GE(got.switches, ref.switches);
+    return;
+  }
+  if (!lead) {
+    EXPECT_EQ(got.log, ref.log);
+  }
   EXPECT_EQ(got.clocks, ref.clocks);
   EXPECT_EQ(got.switches, ref.switches);
-  EXPECT_EQ(got.error, ref.error);
 }
 
 /// Skip vs. every unit run, over 100 programs each for 1, 2, 5 and 16
 /// tasks under `cfg`; returns the units skipped in all.
 std::uint64_t check_skip_matches_yields(const Scheduler::Config& cfg,
-                                        bool stepping = false) {
+                                        bool stepping = false,
+                                        std::uint64_t lead = 0) {
   std::uint64_t skipped = 0;
   for (const int ntasks : {1, 2, 5, 16}) {
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
       SCOPED_TRACE(testing::Message() << ntasks << " tasks, seed " << seed);
-      const SpinOutcome ref = run_spin(seed, ntasks, false, cfg, stepping);
-      const SpinOutcome got = run_spin(seed, ntasks, true, cfg, stepping);
-      expect_same_spin(got, ref);
+      const SpinOutcome ref =
+          run_spin(seed, ntasks, false, cfg, stepping, lead);
+      const SpinOutcome got = run_spin(seed, ntasks, true, cfg, stepping, lead);
+      expect_same_spin(got, ref, lead > 0);
       skipped += got.skipped;
     }
   }
@@ -583,12 +604,32 @@ TEST(SchedulerSkip, StopsAtTheSteppingBound) {
   EXPECT_GT(check_skip_matches_yields(small_stacks(), /*stepping=*/true), 0u);
 }
 
+TEST(SchedulerSkip, LeadMatchesTheYieldsItStandsFor) {
+  // Leads below, near and far above a unit: the skipping task runs ahead
+  // of the head, and the guards still abort where the reference's yields
+  // would, on the same task, clock and slice (and, for the watchdog, with
+  // every clock the same).
+  for (const std::uint64_t lead : {1u, 4u, 40u, 1000u}) {
+    SCOPED_TRACE(testing::Message() << "lead " << lead);
+    Scheduler::Config limit = small_stacks();
+    limit.vt_limit_ns = 1000;
+    Scheduler::Config watchdog = small_stacks();
+    watchdog.watchdog_ns = 500;
+    EXPECT_GT(check_skip_matches_yields(small_stacks(), false, lead),
+              10'000u);
+    EXPECT_GT(check_skip_matches_yields(limit, false, lead), 0u);
+    EXPECT_GT(check_skip_matches_yields(watchdog, false, lead), 0u);
+    EXPECT_GT(check_skip_matches_yields(small_stacks(), true, lead), 0u);
+  }
+}
+
 /// Task `skipper` of tasks {0, 1} asks to skip up to `max` units of 5 ns
 /// from vt 50 while the other task waits at vt 100; returns the units
 /// granted. The reference runs the same units and counts those that
 /// continued inline, before a slice of the other task ran.
 std::uint64_t skip_beside_waiter(int skipper, bool skip, std::uint64_t max,
-                                 SchedulePolicy* policy = nullptr) {
+                                 SchedulePolicy* policy = nullptr,
+                                 std::uint64_t lead = 0) {
   Scheduler s(small_stacks(policy));
   std::uint64_t granted = 0;
   bool waiter_ran = false;
@@ -604,7 +645,7 @@ std::uint64_t skip_beside_waiter(int skipper, bool skip, std::uint64_t max,
       sc.advance(50);
       sc.yield();  // the waiter reaches vt 100 first
       if (skip) {
-        granted = sc.skip_inline_yields(5, max);
+        granted = sc.skip_inline_yields(5, max, lead);
         return;
       }
       for (; granted < max; ++granted) {
@@ -634,6 +675,47 @@ TEST(SchedulerSkip, MaxCapsTheUnits) {
     SCOPED_TRACE(skip ? "skip" : "yields");
     EXPECT_EQ(skip_beside_waiter(0, skip, 4), 4u);
     EXPECT_EQ(skip_beside_waiter(0, skip, 0), 0u);
+  }
+}
+
+TEST(SchedulerSkip, LeadRunsPastTheHeadByTheLead) {
+  // Yields at clocks below 100 + lead, whatever the ids: 55..115 for a
+  // lead of 20 (the tie at 100 no longer decides), 55..100 for a lead of 1.
+  for (const int skipper : {0, 1}) {
+    EXPECT_EQ(skip_beside_waiter(skipper, true, 1000, nullptr, 20), 13u);
+    EXPECT_EQ(skip_beside_waiter(skipper, true, 1000, nullptr, 1), 10u);
+  }
+  EXPECT_EQ(skip_beside_waiter(0, true, 4, nullptr, 20), 4u);
+}
+
+TEST(SchedulerSkip, LeadCountsParkedTasks) {
+  // Task 1 parks at vt 100 with nothing else ready, as a psim rank awaiting
+  // its shipped op does. Its continuation bounds a lead skip of task 0
+  // (yields below 100 + 20) but not a skip without a lead, which only
+  // competes with ready tasks.
+  for (const std::uint64_t lead : {0u, 20u}) {
+    Scheduler s(small_stacks());
+    std::uint64_t granted = 0;
+    s.spawn([&] {
+      auto& sc = Scheduler::current();
+      sc.advance(50);
+      sc.yield();  // task 1 parks first
+      granted = sc.skip_inline_yields(5, 1000, lead);
+    });
+    s.spawn([] {
+      auto& sc = Scheduler::current();
+      sc.advance(100);
+      sc.park_current();
+    });
+    s.begin_stepping();
+    while (s.step(UINT64_MAX, 0)) {
+    }
+    EXPECT_TRUE(s.is_parked(1));
+    EXPECT_EQ(granted, lead == 0 ? 1000u : 13u) << "lead " << lead;
+    s.wake(1, 100);
+    while (s.step(UINT64_MAX, 0)) {
+    }
+    s.end_stepping();
   }
 }
 

@@ -11,15 +11,20 @@
 //     (kAllAlgosExtended completeness is a static_assert in config.hpp —
 //     here we pin the runtime label table to the same canon);
 //   * the locked family's searches, plain and with a crash, are identical
-//     with lock spins skipped and with every spin run one by one.
+//     with lock spins skipped and with every spin run one by one;
+//   * the token-terminated searches (mpi-ws, work-push), UTS and B&B, are
+//     identical with idle mailbox waits skipped and with every pass run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bnb/bnb.hpp"
+#include "bnb/maxclique.hpp"
 #include "pgas/sim_engine.hpp"
 #include "psim/engine.hpp"
 #include "sim/schedule_policy.hpp"
@@ -259,6 +264,117 @@ TEST(LockSpinSkip, LockedSearchesMatchPassThrough) {
           << what;
       EXPECT_EQ(csv[0], csv[1]) << what;
       EXPECT_GT(waits.n, 0u) << what;
+    }
+  }
+}
+
+// ---- token family: skipped idle mailbox waits change nothing ---------------
+//
+// mp::Comm::idle_wait has an idle rank's passes accounted in closed form;
+// the pass-through policy skips none. Whole searches must agree exactly,
+// each rank's ticks included (rank by rank: run-ahead reorders hook calls
+// across ranks), and a time-limit abort must name the same offender.
+
+/// Each rank's on_tick instants, in that rank's call order.
+struct Ticks : pgas::ObsSink {
+  explicit Ticks(int n) : t(static_cast<std::size_t>(n)) {}
+  void on_tick(int r, std::uint64_t ns) override {
+    t[static_cast<std::size_t>(r)].push_back(ns);
+  }
+  void on_lock_wait(int, std::uint64_t, std::uint64_t) override {}
+  void on_stall(int, std::uint64_t, std::uint64_t) override {}
+  std::vector<std::vector<std::uint64_t>> t;
+};
+
+/// One search on an engine under a run and a search configuration.
+using Search = std::function<ws::SearchResult(
+    pgas::Engine&, const pgas::RunConfig&, const ws::WsConfig&)>;
+
+/// One search with and without the pass-through policy: stats, trace rows
+/// and ticks must match, or both runs must abort alike.
+void expect_waits_match(const Search& search, pgas::RunConfig rcfg,
+                        ws::WsConfig cfg, const std::string& what) {
+  pgas::SimEngine eng;
+  PassThrough pass;
+  std::string csv[2], error[2];
+  ws::SearchResult res[2];
+  std::vector<std::vector<std::uint64_t>> ticks[2];
+  for (int k = 0; k < 2; ++k) {
+    trace::Trace tr(rcfg.nranks);
+    Ticks sink(rcfg.nranks);
+    cfg.trace = &tr;
+    rcfg.obs = &sink;
+    rcfg.schedule_policy = k == 0 ? nullptr : &pass;
+    try {
+      res[k] = search(eng, rcfg, cfg);
+    } catch (const sim::TimeLimitExceeded& e) {
+      error[k] = e.what();
+    }
+    std::ostringstream os;
+    tr.write_csv(os);
+    csv[k] = os.str();
+    ticks[k] = std::move(sink.t);
+  }
+  EXPECT_EQ(error[0], error[1]) << what;
+  if (!error[1].empty()) return;  // rows and ticks past the abort differ
+  expect_identical(res[0], res[1], what);
+  EXPECT_EQ(csv[0], csv[1]) << what;
+  for (int r = 0; r < rcfg.nranks; ++r)
+    EXPECT_TRUE(ticks[0][static_cast<std::size_t>(r)] ==
+                ticks[1][static_cast<std::size_t>(r)])
+        << what << ": rank " << r << " ticks differ";
+}
+
+pgas::RunConfig wait_run_cfg(int nranks, std::uint64_t seed) {
+  pgas::RunConfig rcfg;
+  rcfg.nranks = nranks;
+  rcfg.net = pgas::NetModel::distributed();
+  rcfg.seed = seed;
+  return rcfg;
+}
+
+TEST(MailboxWaitSkip, TokenSearchesMatchPassThrough) {
+  // Plain, with a cooperative deadline mid-search (the wait's own bound),
+  // and cut by the vt limit mid-search.
+  const ws::UtsProblem prob(uts::test_small(3));
+  const Search search = [&prob](pgas::Engine& eng,
+                                const pgas::RunConfig& rcfg,
+                                const ws::WsConfig& cfg) {
+    return ws::run_search(eng, rcfg, prob, cfg);
+  };
+  for (const ws::Algo algo : {ws::Algo::kMpiWs, ws::Algo::kWorkPush}) {
+    for (const int n : {8, 16, 32}) {
+      for (const int variant : {0, 1, 2}) {
+        const std::string what = std::string(ws::algo_label(algo)) + " n" +
+                                 std::to_string(n) + " variant " +
+                                 std::to_string(variant);
+        pgas::RunConfig rcfg = wait_run_cfg(n, 5 + static_cast<unsigned>(n));
+        ws::WsConfig cfg = ws::WsConfig::for_algo(algo, 4);
+        if (variant == 1) cfg.cancel_at_ns = 150'000;
+        if (variant == 2) rcfg.vt_limit_ns = 200'001;
+        expect_waits_match(search, rcfg, cfg, what);
+      }
+    }
+  }
+}
+
+TEST(MailboxWaitSkip, BranchAndBoundSearchesMatchPassThrough) {
+  // B&B ranks read the shared incumbent in host order, so a wait that
+  // ran past another rank's earlier slices and kept running would prune
+  // differently.
+  const bnb::MaxClique prob(bnb::make_random_graph(40, 0.5, 3));
+  const Search search = [&prob](pgas::Engine& eng,
+                                const pgas::RunConfig& rcfg,
+                                const ws::WsConfig& cfg) {
+    return bnb::solve(eng, rcfg, prob, cfg).search;
+  };
+  for (const ws::Algo algo : {ws::Algo::kMpiWs, ws::Algo::kWorkPush}) {
+    for (const int n : {8, 16}) {
+      pgas::RunConfig rcfg = wait_run_cfg(n, 7);
+      rcfg.net.work_ns_per_node = 150;
+      expect_waits_match(search, rcfg, ws::WsConfig::for_algo(algo, 4),
+                         std::string(ws::algo_label(algo)) + " n" +
+                             std::to_string(n));
     }
   }
 }
