@@ -6,11 +6,13 @@
 // small chunk sizes measures small-message efficiency).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstring>
 #include <vector>
 
 #include "mp/comm.hpp"
 #include "pgas/sim_engine.hpp"
+#include "psim/engine.hpp"
 #include "sha1/sha1.hpp"
 #include "sim/fiber.hpp"
 #include "sim/ready_queue.hpp"
@@ -208,23 +210,28 @@ static void BM_MailboxWait(benchmark::State& state) {
   // MpiWorker::await_steal makes while its steal reply is in flight. The
   // other `ranks` - 1 ranks wait side by side for a message rank 0 sends
   // them after 1 ms of local work, so each pass's yield hands the step to
-  // the next waiter (~4,800 passes per waiter). skip:1 calls
-  // Comm::idle_wait after each yield, as the waits do; skip:0 leaves it
-  // out, so every pass is a scheduling step, as before the skip. (The
-  // pass-through policy, which also skips nothing, is the tests'
-  // reference; it sends every step through the scheduler loop, which
-  // costs more than the direct handoff, so timing it would overstate the
-  // saving.) A pass is 210 virtual ns, so passes are counted from the
-  // waiters' clocks.
+  // the next waiter (~4,800 passes per waiter). workers:0 runs SimEngine,
+  // workers:N psim on N workers, where a pass costs N times less wall
+  // time when the shards keep busy. skip:1 calls Comm::idle_wait after
+  // each yield, as the waits do; skip:0 leaves it out, so every pass is a
+  // scheduling step, as before the skip. (The pass-through policy, which
+  // also skips nothing, is the tests' reference; it sends every step
+  // through the scheduler loop, which costs more than the direct handoff,
+  // and it forces psim onto its serial lane.) A pass is 210 virtual ns,
+  // so passes are counted from the waiters' clocks.
   const int n = static_cast<int>(state.range(0));
-  const bool skip = state.range(1) != 0;
-  pgas::SimEngine eng;
+  const int workers = static_cast<int>(state.range(1));
+  const bool skip = state.range(2) != 0;
+  pgas::SimEngine sim;
+  psim::PsimEngine par(workers);
+  pgas::Engine& eng = workers > 0 ? static_cast<pgas::Engine&>(par) : sim;
   pgas::RunConfig cfg;
   cfg.nranks = n;
   cfg.net = pgas::NetModel::distributed();
   cfg.fiber_stack_bytes = 64 * 1024;
+  cfg.remote_ops_mediated = true;
   const std::uint64_t pass_ns = 7 * cfg.net.poll_ns;
-  std::uint64_t passes = 0;
+  std::atomic<std::uint64_t> passes{0};
   for (auto _ : state) {
     mp::Comm comm(n);
     const pgas::RunResult r = eng.run(cfg, [&](pgas::Ctx& c) {
@@ -241,20 +248,24 @@ static void BM_MailboxWait(benchmark::State& state) {
         c.yield();
         if (skip) comm.idle_wait(c, idle);
       }
-      passes += (c.now_ns() - from) / pass_ns;
+      passes.fetch_add((c.now_ns() - from) / pass_ns,
+                       std::memory_order_relaxed);
     });
     benchmark::DoNotOptimize(r.switches);
   }
   state.counters["pass_ns"] = benchmark::Counter(
-      static_cast<double>(passes),
+      static_cast<double>(passes.load()),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MailboxWait)
-    ->ArgNames({"ranks", "skip"})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({128, 0})
-    ->Args({128, 1});
+    ->ArgNames({"ranks", "workers", "skip"})
+    ->Args({8, 0, 0})
+    ->Args({8, 0, 1})
+    ->Args({128, 0, 0})
+    ->Args({128, 0, 1})
+    ->Args({128, 4, 0})
+    ->Args({128, 4, 1})
+    ->UseRealTime();
 
 static void BM_CommSendRecv(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

@@ -238,13 +238,13 @@ class Ctx {
   virtual void lock(Lock& l) = 0;
 
   /// Idle-wait run-ahead, for mp::Comm::idle_wait: the caller has just
-  /// yielded at the end of a poll pass that read, took and sent nothing
-  /// else, and that cost `pass_ns` of clock — its polls plus the yield's
-  /// own advance. Account the coming identical passes (their polls, their
-  /// clock, one scheduling step and one tick each) while each ends by
-  /// `until_ns` and by the least key any other rank can still run at plus
-  /// `lead_ns`, then take the last accounted pass's yield for real.
-  /// Default: nothing (ThreadEngine's ranks poll in real time).
+  /// yielded at the end of a poll pass that took and sent nothing and
+  /// cost `pass_ns` of clock, its polls plus the yield's own advance.
+  /// Account the coming identical passes (their polls, their clock, one
+  /// scheduling step and one tick each) while each ends by `until_ns` and
+  /// by the least key any other rank can still run at plus `lead_ns`,
+  /// then take the last accounted pass's yield for real. Default: nothing
+  /// (ThreadEngine's ranks poll in real time).
   virtual void skip_idle_passes(std::uint64_t pass_ns, std::uint64_t until_ns,
                                 std::uint64_t lead_ns) {
     (void)pass_ns;
