@@ -111,8 +111,8 @@ class Comm {
   /// queued arrival, nor than the cheapest wire time after the least key
   /// another rank can still send from. The rank's Ctx accounts those
   /// passes in closed form (Ctx::skip_idle_passes), each ending by
-  /// `until_ns` as well (the caller's own deadline: a pass that would see
-  /// it pass must run).
+  /// `until_ns` as well: the caller's own deadline, from which its passes
+  /// may differ.
   void idle_wait(pgas::Ctx& c, IdleWait& w, std::uint64_t until_ns = kNever);
 
   /// Messages `rank` has sent (dropped ones included) and taken.
