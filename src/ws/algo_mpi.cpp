@@ -4,40 +4,14 @@
 #include <cstring>
 #include <vector>
 
-#include "ws/rank_worker.hpp"
+#include "ws/token_worker.hpp"
 
 namespace upcws::ws {
 namespace {
 
 using stats::State;
 
-enum Tag : int {
-  kTagRequest = 1,  ///< thief -> victim: give me work
-  kTagWork = 2,     ///< victim -> thief: payload of chunk nodes
-  kTagNone = 3,     ///< victim -> thief: request denied
-  kTagToken = 4,    ///< termination token (1-byte color payload)
-  kTagTerm = 5,     ///< rank 0 -> all: terminate
-  kTagAck = 6,      ///< thief -> victim: work payload received
-};
-
-enum Color : std::uint8_t { kWhite = 0, kBlack = 1 };
-
-/// Hardened wire format: REQUEST/NONE/ACK carry a u32 sequence number;
-/// WORK carries the u32 followed by the node payload; the token carries its
-/// color byte followed by a u32 round number. The legacy (unhardened)
-/// format — empty control payloads, raw WORK, 1-byte token — is preserved
-/// bit-for-bit when WsConfig::steal_timeout_ns == 0.
-std::uint32_t get_u32(const mp::SmallBuf& p, std::size_t off) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p.data() + off, sizeof v);
-  return v;
-}
-
-void put_u32(std::uint8_t* dst, std::uint32_t v) {
-  std::memcpy(dst, &v, sizeof v);
-}
-
-class MpiWorker final : public RankWorker {
+class MpiWorker final : public TokenWorker {
  public:
   /// Planned drains ride the crash-recovery machinery (lineage records,
   /// token regeneration, leader takeover), so they are honoured only in
@@ -46,20 +20,9 @@ class MpiWorker final : public RankWorker {
   MpiWorker(pgas::Ctx& ctx, mp::Comm& comm, StealStack& stack,
             const Problem& prob, const WsConfig& cfg, RecoveryBoard* board,
             bool crash_mode)
-      : RankWorker(ctx, stack, prob, cfg, board, crash_mode,
-                   /*drains=*/crash_mode),
-        comm_(comm),
-        hardened_(cfg.hardened()) {
+      : TokenWorker(ctx, comm, stack, prob, cfg, board, crash_mode,
+                    /*drains=*/crash_mode, /*hardened=*/cfg.hardened()) {
     if (hardened_) cache_.resize(n_);
-    // Rank 0 starts holding a token so it can initiate the first probe
-    // round once it goes idle. Under crash injection leadership is dynamic
-    // (lowest live rank); leading_ tracks whether we currently run the
-    // leader rules.
-    if (me_ == 0) {
-      has_token_ = true;
-      token_color_ = kWhite;
-      leading_ = true;
-    }
   }
 
  private:
@@ -108,8 +71,7 @@ class MpiWorker final : public RankWorker {
         const std::size_t begin = my_.reserve(k_);
         comm_.send(ctx_, m.src, kTagWork, my_.slot(begin), k_ * nb_);
         my_.maybe_compact();
-        color_ = kBlack;  // we re-activated someone: current round invalid
-        ++outstanding_acks_;
+        shipped();
         granted(m.src, k_, thief_span(m.src));
       } else {
         comm_.send(ctx_, m.src, kTagNone);
@@ -117,14 +79,15 @@ class MpiWorker final : public RankWorker {
       }
     }
     if (hardened_) drain_stray_replies();
-    drain_acks_and_token();
+    drain_acks();
+    take_token();
   }
 
-  void drain_acks_and_token() {
+  void drain_acks() {
     mp::Message m;
     while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) {
       if (!hardened_) {
-        --outstanding_acks_;
+        acked();
         continue;
       }
       // Count each grant's ack exactly once; re-acks of nudged duplicates
@@ -132,53 +95,18 @@ class MpiWorker final : public RankWorker {
       GrantCache& gc = cache_[m.src];
       if (gc.seq != 0 && gc.seq == get_u32(m.payload, 0) && !gc.acked) {
         gc.acked = true;
-        --outstanding_acks_;
+        acked();
       } else {
         ++st_.c.dups_suppressed;
       }
-    }
-    if (!hardened_) {
-      if (comm_.try_recv(ctx_, mp::kAny, kTagToken, m)) {
-        has_token_ = true;
-        token_color_ = static_cast<Color>(m.payload.at(0));
-      }
-      return;
-    }
-    while (comm_.try_recv(ctx_, mp::kAny, kTagToken, m)) {
-      const auto c = static_cast<Color>(m.payload.at(0));
-      const std::uint32_t rd = get_u32(m.payload, 1);
-      // Round filter: the leader accepts only the round it is waiting on
-      // (its own regenerations obsolete older rounds); other ranks accept
-      // each round once, in increasing order — duplicated or superseded
-      // tokens are dropped, so at most one token per round circulates
-      // usefully.
-      const bool fresh = leading_ ? rd == round_ : rd > max_round_seen_;
-      if (!fresh) {
-        ++st_.c.dups_suppressed;
-        continue;
-      }
-      has_token_ = true;
-      token_color_ = c;
-      token_round_ = rd;
-      if (!leading_) max_round_seen_ = rd;
     }
   }
 
   /// Idle-state message handling: deny requests, process acks, and run the
   /// token-ring termination rules. Returns true when TERMINATE arrives (or
-  /// rank 0 decides termination).
+  /// this rank, leading, decides termination).
   bool idle_comm() {
-    if (crash_mode_ && !leading_ && leader() == me_) {
-      // Leader takeover: every rank below us died. Adopt the leader rules
-      // and start a fresh round that obsoletes anything the dead leader
-      // left circulating on the ring.
-      leading_ = true;
-      round_ = max_round_seen_ + 1;
-      round_started_ = false;
-      has_token_ = true;
-      token_color_ = kBlack;  // force one full clean round before deciding
-      color_ = kBlack;
-    }
+    take_lead();
     mp::Message m;
     while (comm_.try_recv(ctx_, mp::kAny, kTagRequest, m)) {
       if (hardened_) {
@@ -189,101 +117,10 @@ class MpiWorker final : public RankWorker {
       denied(m.src, thief_span(m.src));
     }
     if (hardened_ && wait_victim_ < 0) drain_stray_replies();
-    drain_acks_and_token();
+    drain_acks();
+    take_token();
     if (hardened_) nudge_unacked();
-    if (comm_.try_recv(ctx_, mp::kAny, kTagTerm, m)) return true;
-
-    // Token rules (EWD840 with the ack hardening): only a passive rank with
-    // no unacknowledged transfers may handle the token. Under crash
-    // injection the leader additionally requires that the finished round
-    // raced with no death or recovery (epoch snapshot) and that no
-    // recoverable work remains — a salvage or replay re-activates work the
-    // token never saw.
-    if (has_token_ && outstanding_acks_ == 0) {
-      if (leading_) {
-        if (round_started_ && token_color_ == kWhite && color_ == kWhite &&
-            (!crash_mode_ ||
-             (recovery_epoch() == round_epoch_ && recovery_clean()))) {
-          broadcast_term();
-          return true;
-        }
-        round_started_ = true;
-        color_ = kWhite;
-        has_token_ = false;
-        send_token(kWhite, hardened_ ? ++round_ : 0);
-      } else {
-        const std::uint8_t c = (color_ == kBlack) ? kBlack : token_color_;
-        color_ = kWhite;
-        has_token_ = false;
-        send_token(static_cast<Color>(c), token_round_);
-      }
-    } else if (hardened_ && leading_ && !has_token_ && round_started_ &&
-               outstanding_acks_ == 0 &&
-               ctx_.now_ns() - token_sent_ns_ >= token_rto_ns()) {
-      // The round's token is overdue — presumed dropped somewhere on the
-      // ring. Regenerate under a fresh round number; any late survivor of
-      // the old round is filtered out by every receiver.
-      color_ = kWhite;
-      send_token(kWhite, ++round_);
-      retransmitted(ring_next());
-    }
-    return false;
-  }
-
-  /// Token travels "down": 0 -> n-1 -> n-2 -> ... -> 1 -> 0. In crash mode
-  /// dead ranks are skipped, so the ring always spans exactly the ranks the
-  /// sender sees alive.
-  int ring_next() const {
-    int nxt = me_ == 0 ? n_ - 1 : me_ - 1;
-    if (!crash_mode_) return nxt;
-    for (int i = 0; i < n_; ++i) {
-      if (!ctx_.rank_dead(nxt)) return nxt;
-      nxt = nxt == 0 ? n_ - 1 : nxt - 1;
-    }
-    return me_;
-  }
-
-  /// Failure-aware leadership: the lowest live rank runs the EWD840 leader
-  /// rules (rank 0 until it dies).
-  int leader() const {
-    if (!crash_mode_) return 0;
-    for (int r = 0; r < n_; ++r)
-      if (r == me_ || !ctx_.rank_dead(r)) return r;
-    return me_;
-  }
-
-  void send_token(Color c, std::uint32_t round) {
-    if (crash_mode_ && leading_) round_epoch_ = recovery_epoch();
-    if (!hardened_) {
-      const std::uint8_t b = c;
-      comm_.send(ctx_, ring_next(), kTagToken, &b, 1);
-      return;
-    }
-    std::uint8_t buf[5];
-    buf[0] = c;
-    put_u32(buf + 1, round);
-    comm_.send(ctx_, ring_next(), kTagToken, buf, sizeof buf);
-    if (leading_) token_sent_ns_ = ctx_.now_ns();
-  }
-
-  /// A full ring traversal plus slack; after this long without the round's
-  /// token returning, rank 0 assumes it was dropped.
-  std::uint64_t token_rto_ns() const {
-    return cfg_.steal_timeout_ns * static_cast<std::uint64_t>(2 * n_);
-  }
-
-  void broadcast_term() {
-    // Under message drops the TERM broadcast is repeated: each rank must
-    // miss every copy to hang, which the repetition makes vanishingly
-    // unlikely (documented as probabilistic delivery; the watchdog is the
-    // backstop). Without drops one copy suffices.
-    pgas::FaultInjector* fi = ctx_.faults();
-    const int reps = (fi != nullptr && fi->plan().drop_prob > 0.0) ? 16 : 1;
-    for (int rep = 0; rep < reps; ++rep)
-      for (int r = 0; r < n_; ++r) {
-        if (r == me_ || (crash_mode_ && ctx_.rank_dead(r))) continue;
-        comm_.send(ctx_, r, kTagTerm);
-      }
+    return term_arrived() || pass_token();
   }
 
   // ---- hardened victim side: per-thief reply cache -----------------------
@@ -313,7 +150,7 @@ class MpiWorker final : public RankWorker {
       }
       if (!gc.acked) {  // newer request: the old grant was consumed
         gc.acked = true;
-        --outstanding_acks_;
+        acked();
       }
     }
     answer_request(m.src, seq, can_grant);
@@ -343,8 +180,7 @@ class MpiWorker final : public RankWorker {
       std::memcpy(gc.reply.data() + 4, my_.slot(begin), k_ * nb_);
       comm_.send(ctx_, src, kTagWork, gc.reply.data(), gc.reply.size());
       my_.maybe_compact();
-      color_ = kBlack;
-      ++outstanding_acks_;
+      shipped();
       granted(src, k_, thief_span(src));
     } else {
       gc.is_work = false;
@@ -365,9 +201,9 @@ class MpiWorker final : public RankWorker {
 
   /// Idle victim: re-push any unacknowledged grant whose ack is overdue
   /// (the WORK or its ACK may have been dropped). Without this, a lost ACK
-  /// would pin outstanding_acks_ above zero forever and block the token.
+  /// would pin the ack ledger above zero forever and block the token.
   void nudge_unacked() {
-    if (outstanding_acks_ == 0) return;
+    if (!awaiting_acks()) return;
     const std::uint64_t now = ctx_.now_ns();
     for (int t = 0; t < n_; ++t) {
       GrantCache& gc = cache_[t];
@@ -378,7 +214,7 @@ class MpiWorker final : public RankWorker {
         // never absorbed); stop waiting so the token is not pinned by a
         // ghost.
         gc.acked = true;
-        --outstanding_acks_;
+        acked();
         continue;
       }
       if (now - gc.last_send_ns >= cfg_.steal_timeout_ns)
@@ -424,7 +260,7 @@ class MpiWorker final : public RankWorker {
       if (maybe_recover()) {
         // We re-activated ourselves with a dead rank's work: turn black so
         // any in-flight token round is invalidated.
-        color_ = kBlack;
+        blacken();
         set_state(State::kWorking);
         return true;
       }
@@ -607,39 +443,12 @@ class MpiWorker final : public RankWorker {
     drop_span(m.src);
   }
 
-  // ---- crash recovery (crash_mode_ only) --------------------------------
-
-  /// Snapshot of (deaths I have detected, recoveries completed). The
-  /// leader records it when a round's token leaves and refuses to declare
-  /// termination if it changed — a death or recovery mid-round may have
-  /// re-activated work the token never saw.
-  std::uint64_t recovery_epoch() const {
-    std::uint64_t dead = 0;
-    for (int r = 0; r < n_; ++r)
-      if (r != me_ && ctx_.rank_dead(r)) ++dead;
-    return (dead << 32) | board_->recoveries();
-  }
-
-  mp::Comm& comm_;
-  const bool hardened_;
-  bool leading_ = false;   ///< currently running the EWD840 leader rules
-  std::uint64_t round_epoch_ = 0;  ///< leader: recovery_epoch at round start
-
-  Color color_ = kWhite;
-  Color token_color_ = kWhite;
-  bool has_token_ = false;
-  bool round_started_ = false;
-  int outstanding_acks_ = 0;
   bool term_seen_ = false;
 
   // hardened-only state
-  std::uint32_t req_seq_ = 0;         ///< thief: last issued request seq
-  int wait_victim_ = -1;              ///< thief: victim awaited, or -1
-  std::vector<GrantCache> cache_;     ///< victim: last reply per thief
-  std::uint32_t round_ = 0;           ///< rank 0: current token round
-  std::uint32_t max_round_seen_ = 0;  ///< others: newest round accepted
-  std::uint32_t token_round_ = 0;     ///< round carried by the held token
-  std::uint64_t token_sent_ns_ = 0;   ///< rank 0: when the round's token left
+  std::uint32_t req_seq_ = 0;      ///< thief: last issued request seq
+  int wait_victim_ = -1;           ///< thief: victim awaited, or -1
+  std::vector<GrantCache> cache_;  ///< victim: last reply per thief
 };
 
 }  // namespace

@@ -2,36 +2,24 @@
 
 #include <vector>
 
-#include "ws/rank_worker.hpp"
+#include "ws/token_worker.hpp"
 
 namespace upcws::ws {
 namespace {
 
 using stats::State;
 
-enum Tag : int {
-  kTagWork = 2,   ///< pusher -> target: payload of chunk nodes
-  kTagToken = 4,  ///< termination token (1-byte color payload)
-  kTagTerm = 5,   ///< rank 0 -> all: terminate
-  kTagAck = 6,    ///< target -> pusher: work payload received
-};
-
-enum Color : std::uint8_t { kWhite = 0, kBlack = 1 };
-
 /// Received transfers count as steals (ThreadStats, obs and trace alike),
-/// pushes and drain relays as releases. Work-push has no crash recovery.
-class PushWorker final : public RankWorker {
+/// pushes and drain relays as releases. Work-push has no crash recovery
+/// and runs the unhardened ring (1-byte token) whatever the steal timeout
+/// says: it has no seq/ack message layer to harden.
+class PushWorker final : public TokenWorker {
  public:
   PushWorker(pgas::Ctx& ctx, mp::Comm& comm, StealStack& stack,
              const Problem& prob, const WsConfig& cfg)
-      : RankWorker(ctx, stack, prob, cfg, /*board=*/nullptr,
-                   /*crash_mode=*/false, /*drains=*/true),
-        comm_(comm) {
-    if (me_ == 0) {
-      has_token_ = true;
-      token_color_ = kWhite;
-    }
-  }
+      : TokenWorker(ctx, comm, stack, prob, cfg, /*board=*/nullptr,
+                    /*crash_mode=*/false, /*drains=*/true,
+                    /*hardened=*/false) {}
 
  private:
   void search() override {
@@ -68,7 +56,8 @@ class PushWorker final : public RankWorker {
   // A joiner parks in run() until its join instant; the static token ring
   // keeps it in rotation meanwhile, so a token sent to it buffers in its
   // mailbox until the join — delayed termination, never false termination.
-  // Rank 0 (ring leader, TERM broadcaster) never joins or drains.
+  // Rank 0 (ring leader, TERM broadcaster) never joins; if it drains, it
+  // keeps the leader rules in its drain loops.
 
   /// A uniformly random push/relay target that is currently a member
   /// (joined and not drained), or -1 when no such rank exists. Without
@@ -98,23 +87,22 @@ class PushWorker final : public RankWorker {
   ///     go white around work in flight through a leaving rank.
   ///  3. Once nothing is outstanding, nothing owed, and the stack is empty,
   ///     mark ourselves departed on the liveness board (pushers stop
-  ///     picking us) and park — still relaying and forwarding tokens, so
-  ///     the static ring never stalls — until rank 0 broadcasts TERM.
+  ///     picking us) and park — still relaying and passing tokens, so
+  ///     the static ring never stalls — until TERM.
   void drain_leave() {
     set_state(State::kTermination);
     flush_all();
     for (;;) {
       relay_inbox();
       if (term_seen_) return;
-      if (outstanding_acks_ == 0 && owed_.empty() && my_.depth() == 0) break;
-      maybe_forward_token();
+      if (!awaiting_acks() && owed_.empty() && my_.depth() == 0) break;
+      if (pass_token()) return;
       ctx_.yield();
     }
     ctx_.leave();
     for (;;) {
       relay_inbox();
-      if (term_seen_) return;
-      maybe_forward_token();
+      if (term_seen_ || pass_token()) return;
       ctx_.yield();
     }
   }
@@ -130,8 +118,7 @@ class PushWorker final : public RankWorker {
     const std::size_t begin = my_.reserve(total);
     comm_.send(ctx_, target, kTagWork, my_.slot(begin), total * nb_);
     my_.maybe_compact();
-    color_ = kBlack;
-    ++outstanding_acks_;
+    shipped();
     released(total);
   }
 
@@ -151,33 +138,19 @@ class PushWorker final : public RankWorker {
         continue;
       }
       comm_.send(ctx_, target, kTagWork, m.payload.data(), m.payload.size());
-      color_ = kBlack;
-      ++outstanding_acks_;
+      shipped();
       owed_.push_back(m.src);
       released(m.payload.size() / nb_);
     }
     while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) {
-      --outstanding_acks_;
+      acked();
       if (!owed_.empty()) {
         comm_.send(ctx_, owed_.front(), kTagAck);
         owed_.erase(owed_.begin());
       }
     }
-    if (comm_.try_recv(ctx_, mp::kAny, kTagToken, m)) {
-      has_token_ = true;
-      token_color_ = static_cast<Color>(m.payload.at(0));
-    }
-    if (comm_.try_recv(ctx_, mp::kAny, kTagTerm, m)) term_seen_ = true;
-  }
-
-  /// Non-leader EWD840 forwarding rule, used by the drain loops (a leaver
-  /// is never rank 0).
-  void maybe_forward_token() {
-    if (!has_token_ || outstanding_acks_ != 0) return;
-    const std::uint8_t c = (color_ == kBlack) ? kBlack : token_color_;
-    color_ = kWhite;
-    has_token_ = false;
-    comm_.send(ctx_, ring_next(), kTagToken, &c, 1);
+    take_token();
+    if (term_arrived()) term_seen_ = true;
   }
 
   /// Ship the oldest local chunk to a uniformly random other rank,
@@ -189,8 +162,7 @@ class PushWorker final : public RankWorker {
     const std::size_t begin = my_.reserve(k_);
     comm_.send(ctx_, target, kTagWork, my_.slot(begin), k_ * nb_);
     my_.maybe_compact();
-    color_ = kBlack;
-    ++outstanding_acks_;
+    shipped();
     released(k_);
   }
 
@@ -204,14 +176,9 @@ class PushWorker final : public RankWorker {
       comm_.send(ctx_, m.src, kTagAck);
       stole(m.src, take);
     }
-    while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) --outstanding_acks_;
-    if (comm_.try_recv(ctx_, mp::kAny, kTagToken, m)) {
-      has_token_ = true;
-      token_color_ = static_cast<Color>(m.payload.at(0));
-    }
+    while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) acked();
+    take_token();
   }
-
-  int ring_next() const { return me_ == 0 ? n_ - 1 : me_ - 1; }
 
   /// Idle loop: poll for pushed work; run the token protocol meanwhile.
   /// Returns true when work arrived, false on termination.
@@ -226,42 +193,14 @@ class PushWorker final : public RankWorker {
         set_state(State::kWorking);
         return true;
       }
-      mp::Message m;
-      if (comm_.try_recv(ctx_, mp::kAny, kTagTerm, m)) {
+      if (term_arrived() || pass_token()) {
         set_state(State::kTermination);
         return false;
-      }
-      if (has_token_ && outstanding_acks_ == 0) {
-        if (me_ == 0) {
-          if (round_started_ && token_color_ == kWhite && color_ == kWhite) {
-            for (int r = 1; r < n_; ++r) comm_.send(ctx_, r, kTagTerm);
-            set_state(State::kTermination);
-            return false;
-          }
-          round_started_ = true;
-          color_ = kWhite;
-          has_token_ = false;
-          const std::uint8_t c = kWhite;
-          comm_.send(ctx_, ring_next(), kTagToken, &c, 1);
-        } else {
-          const std::uint8_t c = (color_ == kBlack) ? kBlack : token_color_;
-          color_ = kWhite;
-          has_token_ = false;
-          comm_.send(ctx_, ring_next(), kTagToken, &c, 1);
-        }
       }
       ctx_.yield();
       comm_.idle_wait(ctx_, idle, cancel_horizon());
     }
   }
-
-  mp::Comm& comm_;
-
-  Color color_ = kWhite;
-  Color token_color_ = kWhite;
-  bool has_token_ = false;
-  bool round_started_ = false;
-  int outstanding_acks_ = 0;
 
   /// TERM arrived while in the drain loops.
   bool term_seen_ = false;

@@ -220,4 +220,25 @@ TEST(Membership, TraceRowsMatchTallies) {
   EXPECT_EQ(delay_ns, 143'329u);
 }
 
+// ---------------------------------------------------------------------------
+// A work-push plan may drain rank 0, the token ring's leader. The leaver
+// keeps the leader rules in its drain loops, so the run still ends with
+// the exact count instead of circling the token with nobody to declare.
+
+TEST(Membership, WorkPushLeaderDrainEnds) {
+  const uts::Params p = uts::test_small(6);
+  const ws::UtsProblem prob(p);
+  const auto want = uts::search_sequential(p)->nodes;
+  pgas::SimEngine eng;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    pgas::RunConfig rcfg = dist_cfg(8, seed);
+    rcfg.faults.drains.push_back({0, 20'000});
+    rcfg.watchdog_ns = 20'000'000;  // hang backstop
+    const auto r = ws::run_search(
+        eng, rcfg, prob, ws::WsConfig::for_algo(ws::Algo::kWorkPush, 4));
+    EXPECT_EQ(r.total_nodes(), want) << "seed " << seed;
+    EXPECT_EQ(r.per_thread[0].c.faults.drains, 1u) << "seed " << seed;
+  }
+}
+
 }  // namespace
