@@ -210,7 +210,9 @@ class TokenWorker : public RankWorker {
     std::uint8_t buf[5];
     buf[0] = c;
     put_u32(buf + 1, round);
-    comm_.send(ctx_, ring_next(), kTagToken, buf, sizeof buf);
+    const int to = ring_next();
+    for (int i = copies(); i > 0; --i)
+      comm_.send(ctx_, to, kTagToken, buf, sizeof buf);
     if (leading_) token_sent_ns_ = ctx_.now_ns();
   }
 
@@ -220,13 +222,20 @@ class TokenWorker : public RankWorker {
     return cfg_.steal_timeout_ns * static_cast<std::uint64_t>(2 * n_);
   }
 
-  void broadcast_term() {
-    // Under message drops the TERM broadcast is repeated: each rank must
-    // miss every copy to hang, which the repetition makes vanishingly
-    // unlikely (documented as probabilistic delivery; the watchdog is the
-    // backstop). Without drops one copy suffices.
+  /// Copies of each control message (a hardened token hop, TERM) on the
+  /// wire. Under message drops one copy per hop would let a token round
+  /// survive with probability (1-p)^n, so at scale the leader would
+  /// regenerate it nearly forever; a hop now fails only if every copy is
+  /// dropped. Receivers discard the extra copies (the round filter, and
+  /// TERM ends the rank). Delivery stays probabilistic; the watchdog is
+  /// the backstop. Without drops one copy suffices.
+  int copies() const {
     pgas::FaultInjector* fi = ctx_.faults();
-    const int reps = (fi != nullptr && fi->plan().drop_prob > 0.0) ? 16 : 1;
+    return fi != nullptr && fi->plan().drop_prob > 0.0 ? 16 : 1;
+  }
+
+  void broadcast_term() {
+    const int reps = copies();
     for (int rep = 0; rep < reps; ++rep)
       for (int r = 0; r < n_; ++r) {
         if (r == me_ || (crash_mode_ && ctx_.rank_dead(r))) continue;

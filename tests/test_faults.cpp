@@ -213,6 +213,29 @@ TEST(FaultPlans, MpiWsExactCountsUnderDropAndDup) {
   EXPECT_GT(recoveries, 0u);
 }
 
+TEST(FaultPlans, MpiWsTokenRingEndsUnderLossAtScale) {
+  // One copy per token hop lets a round cross 128 ranks under 5% loss
+  // with probability 0.95^128 ~ 0.0014, so the leader regenerated rounds
+  // for hundreds of virtual ms (185 ms at 64 ranks). Copied hops end this
+  // run near 2 ms; 10 ms of virtual time is the limit.
+  uts::Params p;  // uts_cli -t 1 -b 64 -q 0.45 -m 2 -r 1: 491 nodes
+  p.type = uts::TreeType::kBinomial;
+  p.b0 = 64;
+  p.q = 0.45;
+  p.m = 2;
+  p.root_seed = 1;
+  const ws::UtsProblem prob(p);
+  pgas::RunConfig rcfg = dist_cfg(128, 1);
+  rcfg.faults.drop_prob = 0.05;
+  rcfg.faults.dup_prob = 0.05;
+  rcfg.vt_limit_ns = 10'000'000;
+  pgas::SimEngine eng;
+  const auto r =
+      ws::run_search(eng, rcfg, prob, hardened_cfg(ws::Algo::kMpiWs, 4));
+  EXPECT_EQ(r.total_nodes(), uts::search_sequential(p)->nodes);
+  EXPECT_GT(r.agg.faults.dropped, 0u);
+}
+
 TEST(FaultPlans, HardenedDistmemSurvivesStallsAndTimesOut) {
   // Stall-prone victims + hardened thieves: thieves must exercise the
   // timeout/withdraw/backoff path yet never lose or double-count a chunk.

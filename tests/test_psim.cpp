@@ -394,6 +394,36 @@ TEST(Psim, FaultPlanIdentity) {
   EXPECT_GT(ref.agg.faults.stalls, 0u);
 }
 
+TEST(Psim, LossyTokenRingAtScaleMatchesSimEngine) {
+  // The 128-rank lossy mpi-ws run of
+  // FaultPlans.MpiWsTokenRingEndsUnderLossAtScale, whose token hops go out
+  // in copies, on four workers: same nodes, switches and virtual time.
+  uts::Params tree;  // uts_cli -t 1 -b 64 -q 0.45 -m 2 -r 1: 491 nodes
+  tree.type = uts::TreeType::kBinomial;
+  tree.b0 = 64;
+  tree.q = 0.45;
+  tree.m = 2;
+  tree.root_seed = 1;
+  const ws::UtsProblem prob(tree);
+  pgas::RunConfig rcfg;
+  rcfg.nranks = 128;
+  rcfg.net = pgas::NetModel::distributed();
+  rcfg.seed = 1;
+  rcfg.faults.drop_prob = 0.05;
+  rcfg.faults.dup_prob = 0.05;
+  rcfg.vt_limit_ns = 10'000'000;
+  ws::WsConfig cfg = ws::WsConfig::for_algo(ws::Algo::kMpiWs, 4);
+  cfg.steal_timeout_ns = 30'000;
+
+  pgas::SimEngine seq;
+  psim::PsimEngine par(4);
+  const ws::SearchResult ref = ws::run_search(seq, rcfg, prob, cfg);
+  const ws::SearchResult got = ws::run_search(par, rcfg, prob, cfg);
+  EXPECT_EQ(ref.agg.total_nodes, uts::search_sequential(tree)->nodes);
+  expect_same_run(ref, got, "lossy mpi-ws r128");
+  EXPECT_GT(par.last_stats().windows, 0u) << "expected the parallel lane";
+}
+
 TEST(Psim, PartitionPlanIdentity) {
   // A healed bipartition delays cross-group traffic; delay is additive so
   // the conservative window stays sound.
