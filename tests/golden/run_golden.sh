@@ -46,6 +46,7 @@ tree_term="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A upc-term"
 tree_rapdif="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A upc-term-rapdif"
 tree_push="-t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A work-push"
 fault="--stall 2000:20000"
+drop="--drop-prob 0.05 --dup-prob 0.05"
 crash_a="--crash 1@30000 --crash-detect 2000"
 crash_b="--crash 2@100000 --crash-detect 2000"
 
@@ -64,6 +65,7 @@ case "$name" in
   geoB_threads_plain)  engine=threads; flags="$tree_b" ;;
   geoB_threads_fault)  engine=threads; flags="$tree_b $fault" ;;
   geoB_threads_crash)  engine=threads; flags="$tree_b $crash_b" ;;
+  geoB_sim_drop)       engine=sim;     flags="$tree_b $drop" ;;
   binA_psim_w1_plain)  engine=psim; workers=1; base=binA_sim_plain; flags="$tree_a" ;;
   binA_psim_w1_fault)  engine=psim; workers=1; base=binA_sim_fault; flags="$tree_a $fault" ;;
   binA_psim_w1_crash)  engine=psim; workers=1; base=binA_sim_crash; flags="$tree_a $crash_a" ;;
@@ -76,6 +78,7 @@ case "$name" in
   geoB_psim_w4_plain)  engine=psim; workers=4; base=geoB_sim_plain; flags="$tree_b" ;;
   geoB_psim_w4_fault)  engine=psim; workers=4; base=geoB_sim_fault; flags="$tree_b $fault" ;;
   geoB_psim_w4_crash)  engine=psim; workers=4; base=geoB_sim_crash; flags="$tree_b $crash_b" ;;
+  geoB_psim_w4_drop)   engine=psim; workers=4; base=geoB_sim_drop; flags="$tree_b $drop" ;;
   life_sim_plain)      engine=sim;     flags="$tree_l" ;;
   life_sim_fault)      engine=sim;     flags="$tree_l $fault" ;;
   life_sim_crash)      engine=sim;     flags="$tree_l $crash_a" ;;
