@@ -2,11 +2,11 @@
 //
 // Thieves send explicit steal-request messages; working threads poll their
 // inbox every poll_interval nodes and answer with a chunk of work or a
-// rejection. Global termination uses a Dijkstra-style (EWD840) token ring,
-// hardened for asynchronous channels with per-transfer acknowledgements:
-// a rank holds the token while it is active *or* has unacknowledged work
-// transfers outstanding, so a white token returning to rank 0 really means
-// the system is quiescent.
+// rejection. Global termination uses a Dijkstra-style (EWD840) token ring
+// (ws/token_worker.hpp, shared with work-push), hardened for asynchronous
+// channels with per-transfer acknowledgements: a rank holds the token while
+// it is active *or* has unacknowledged work transfers outstanding, so a
+// white token returning to rank 0 really means the system is quiescent.
 #pragma once
 
 #include "mp/comm.hpp"

@@ -4,7 +4,8 @@
 // The inverse of work stealing: load balancing is driven by the *busy*
 // threads, which periodically push a surplus chunk to a uniformly random
 // target, whether or not that target needs work. Idle threads simply poll
-// their inbox. Termination reuses the hardened token ring from mpi-ws.
+// their inbox. Termination is mpi-ws's token ring (ws/token_worker.hpp) in
+// its unhardened form: the 1-byte token with the ack rule.
 //
 // On UTS-style workloads this policy wastes transfers (pushes often land on
 // busy threads) and leaves idle threads waiting at the mercy of the push

@@ -98,7 +98,7 @@ enum class StackProtocol {
 enum class Termination {
   kCancelableBarrier,  ///< §3.1: barrier that releases cancel on new work
   kProbeBarrier,       ///< §3.3.1: enter barrier only when all appear idle
-  kToken,              ///< §3.2: Dijkstra-style token ring (mpi-ws only)
+  kToken,              ///< §3.2: Dijkstra-style token ring (mpi-ws, work-push)
 };
 
 /// How an idle rank picks its next victim (UPC family only; the token-ring
@@ -114,7 +114,7 @@ struct WsConfig {
   int chunk_size = 20;
 
   /// Nodes visited between polls of the steal-request word (lock-less
-  /// protocol) or the message queue (mpi-ws).
+  /// protocol) or the message queue (mpi-ws, work-push).
   int poll_interval = 1;
 
   StealAmount steal_amount = StealAmount::kOneChunk;
