@@ -222,21 +222,19 @@ class TokenWorker : public RankWorker {
     return cfg_.steal_timeout_ns * static_cast<std::uint64_t>(2 * n_);
   }
 
-  /// Copies of each control message (a hardened token hop, TERM) on the
-  /// wire. Under message drops one copy per hop would let a token round
-  /// survive with probability (1-p)^n, so at scale the leader would
-  /// regenerate it nearly forever; a hop now fails only if every copy is
-  /// dropped. Receivers discard the extra copies (the round filter, and
-  /// TERM ends the rank). Delivery stays probabilistic; the watchdog is
-  /// the backstop. Without drops one copy suffices.
+  /// Copies of each control message (a hardened token hop, TERM). Under
+  /// message drops a round sent one copy per hop crosses n ranks with
+  /// probability (1-p)^n, so at scale the leader's regenerations rarely
+  /// get through; with copies a hop is lost only if every copy is.
+  /// Receivers drop the extras (the round filter; TERM ends the rank).
+  /// Delivery stays probabilistic; the watchdog is the backstop.
   int copies() const {
     pgas::FaultInjector* fi = ctx_.faults();
     return fi != nullptr && fi->plan().drop_prob > 0.0 ? 16 : 1;
   }
 
   void broadcast_term() {
-    const int reps = copies();
-    for (int rep = 0; rep < reps; ++rep)
+    for (int rep = copies(); rep > 0; --rep)
       for (int r = 0; r < n_; ++r) {
         if (r == me_ || (crash_mode_ && ctx_.rank_dead(r))) continue;
         comm_.send(ctx_, r, kTagTerm);
