@@ -18,7 +18,8 @@
 //     counter, the obs counter and the trace row together.
 //
 // A worker derives from RankWorker, implements search() — its transport
-// and termination protocol — and is driven by run().
+// and termination protocol — and is driven by run(). mpi-ws and work-push
+// derive through TokenWorker (token_worker.hpp), their shared token ring.
 #pragma once
 
 #include <algorithm>
