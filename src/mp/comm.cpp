@@ -58,10 +58,11 @@ bool Comm::iprobe(pgas::Ctx& c, int src, int tag, int* src_out, int* tag_out) {
   if (nothing_arrived(box, now)) return false;
   std::lock_guard<std::mutex> g(box.mu);
   // Select the delivered match that is first in deterministic delivery
-  // order (send_vt, src, seq) — not first in physical append order. Under
-  // the sequential engine the two coincide (sending slices execute, and
-  // therefore append, in ascending key order); under the parallel engine
-  // append order depends on worker interleaving, the key does not.
+  // order (send_vt, src, seq) — not first in physical append order. In
+  // the min-vt order the two coincide (sending slices execute, and
+  // therefore append, in ascending key order); with SimEngine's run-ahead
+  // or the parallel engine append order depends on which rank ran first,
+  // the key does not.
   const Message* best = nullptr;
   for (const Message& m : box.q) {
     if (m.arrival_ns <= now && matches(m, src, tag) &&

@@ -37,11 +37,12 @@ struct Message {
   std::uint64_t arrival_ns = 0;
   /// Virtual time of the sending scheduling slice (Ctx::slice_now_ns at
   /// send). Together with (src, seq) this is the message's deterministic
-  /// delivery-order key: the sequential engine executes sending slices in
+  /// delivery-order key: the min-vt order executes sending slices in
   /// (vt, rank) order, so its mailbox append order *is* ascending
   /// (send_vt, src, seq) — probe/recv select by that key instead of by
-  /// physical append order, which makes delivery order independent of which
-  /// OS worker enqueued first under the parallel engine.
+  /// physical append order, which makes delivery order independent of
+  /// which rank ran ahead (SimEngine) or which OS worker enqueued first
+  /// (the parallel engine).
   std::uint64_t send_vt = 0;
   /// Per-sender monotone sequence (breaks ties within one sending slice;
   /// a duplicated copy is ordered before its original, matching the

@@ -1,5 +1,6 @@
 #include "pgas/engine.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/fiber.hpp"
@@ -12,6 +13,23 @@ Ctx::Ctx(int rank, const RunConfig& cfg, const RunFaults& faults)
   obs_ = cfg.obs;
   live_ = faults.liveness();
   lease_ns_ = faults.lease_ns();
+}
+
+std::uint64_t lookahead_ns(const NetModel& net, int nranks, int blocks) {
+  const int W = std::min(blocks, nranks);
+  if (W < 2) return 0;
+  // Blocks and SMP nodes are both contiguous rank blocks, so the cheapest
+  // cross-block reference is on_node_ref_ns exactly when some block
+  // boundary splits a node, remote_ref_ns otherwise.
+  std::uint64_t m = net.remote_ref_ns;
+  const int base = nranks / W, rem = nranks % W;
+  int lo = 0;
+  for (int i = 0; i + 1 < W; ++i) {
+    lo += base + (i < rem ? 1 : 0);
+    if (lo < nranks && net.same_node(lo - 1, lo))
+      m = std::min(m, net.on_node_ref_ns);
+  }
+  return m > kChargeQuantumNs ? m - kChargeQuantumNs : 0;
 }
 
 void Ctx::unlock(Lock& l) {

@@ -54,6 +54,14 @@ namespace upcws::pgas {
 /// docs/simulator.md.
 inline constexpr std::uint64_t kChargeQuantumNs = 1000;
 
+/// Conservative lookahead of `nranks` ranks split into `blocks` contiguous
+/// blocks: the cheapest reference between ranks of different blocks under
+/// `net`, minus the charge quantum. Every modifier (jitter, latency spikes,
+/// partition delay) only adds cost, so the base is a sound lower bound. 0
+/// means no safe lead. psim's shards are the blocks; SimEngine's run-ahead
+/// takes one rank per block.
+std::uint64_t lookahead_ns(const NetModel& net, int nranks, int blocks);
+
 /// Non-owning reference to a small callable: the raw-memory half of a
 /// mediated PGAS operation (one atomic access or one bulk memcpy). Passing
 /// it through the virtual Ctx::mediated_op() hook lets an engine decide
@@ -133,6 +141,12 @@ struct Lock {
 /// Threading: hooks are invoked from the rank's own fiber (sim) or thread
 /// (threads), so per-rank sink state needs no synchronization as long as
 /// ranks never touch each other's slots.
+///
+/// Order: the hooks of one rank arrive in that rank's own clock order.
+/// Hooks of different ranks may interleave out of global virtual-time
+/// order — on psim, whose shards run concurrently, and on SimEngine, whose
+/// ranks run ahead of each other (docs/simulator.md, "Run-ahead on
+/// SimEngine") — so a sink must not read a global order into them.
 class ObsSink {
  public:
   virtual ~ObsSink() = default;
@@ -722,8 +736,9 @@ struct RunConfig {
   /// Set by ws::run_search unless the problem's expansion shares state
   /// across ranks outside Ctx (ws::Problem::shares_state()). The parallel
   /// PDES engine (src/psim) requires it to shard ranks across OS workers
-  /// and silently falls back to the sequential engine when false. Ignored
-  /// by SimEngine and ThreadEngine.
+  /// and silently falls back to the sequential engine when false;
+  /// SimEngine requires it to run ranks ahead (SimEngine::lead_ns).
+  /// Ignored by ThreadEngine.
   bool remote_ops_mediated = false;
 };
 

@@ -2,7 +2,7 @@
 
 namespace upcws::pgas {
 
-void SimCtx::charge(std::uint64_t ns) {
+void SimCtx::charge_for(std::uint64_t ns, int op_owner) {
   if (dead_) return;  // a crashed rank's clock is frozen at its death
   // Zero-latency local ops (the free/shared-memory cost models return 0
   // for local references) change neither the clock nor the accumulated
@@ -19,7 +19,7 @@ void SimCtx::charge(std::uint64_t ns) {
   acc_ += ns;
   if (acc_ >= kChargeQuantumNs) {
     end_quantum();
-    sched_.yield();
+    sched_.yield(op_owner);
   }
 }
 
@@ -85,6 +85,7 @@ RunResult SimEngine::run(const RunConfig& cfg,
   scfg.hang_report = cfg.hang_reporter;
   scfg.policy = cfg.schedule_policy;
   scfg.policy_window_ns = cfg.schedule_window_ns;
+  scfg.lead_ns = lead_ns(cfg);
   const RunFaults faults(cfg);
 
   // Declared after the fault set-up on purpose: on abnormal teardown (time
@@ -119,6 +120,13 @@ RunResult SimEngine::run(const RunConfig& cfg,
   res.elapsed_s = static_cast<double>(sched.makespan_ns()) * 1e-9;
   res.switches = sched.switches();
   return res;
+}
+
+std::uint64_t SimEngine::lead_ns(const RunConfig& cfg) {
+  if (cfg.schedule_policy != nullptr || cfg.faults.any() ||
+      cfg.watchdog_ns > 0 || !cfg.remote_ops_mediated)
+    return 0;
+  return lookahead_ns(cfg.net, cfg.nranks, cfg.nranks);
 }
 
 void SimCtx::skip_spins(const Lock& l) {

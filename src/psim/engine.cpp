@@ -527,24 +527,6 @@ PsimEngine::PsimEngine(int workers) : workers_(workers) {
   }
 }
 
-std::uint64_t PsimEngine::lookahead_ns(const pgas::NetModel& net, int nranks,
-                                       int workers) {
-  const int W = std::min(workers, nranks);
-  if (W < 2) return 0;
-  // Shards and SMP nodes are both contiguous rank blocks, so the cheapest
-  // cross-shard reference is on_node_ref_ns exactly when some shard
-  // boundary splits a node, remote_ref_ns otherwise.
-  std::uint64_t m = net.remote_ref_ns;
-  const int base = nranks / W, rem = nranks % W;
-  int lo = 0;
-  for (int i = 0; i + 1 < W; ++i) {
-    lo += base + (i < rem ? 1 : 0);
-    if (lo < nranks && net.same_node(lo - 1, lo))
-      m = std::min(m, net.on_node_ref_ns);
-  }
-  return m > pgas::kChargeQuantumNs ? m - pgas::kChargeQuantumNs : 0;
-}
-
 const char* PsimEngine::fallback_reason(const pgas::RunConfig& cfg,
                                         int workers) {
   if (std::min(workers, cfg.nranks) < 2) return "too-few-lanes";
@@ -557,7 +539,8 @@ const char* PsimEngine::fallback_reason(const pgas::RunConfig& cfg,
   // dead rank's memory raw by design — sequential lane.
   if (cfg.faults.crashes_enabled()) return "crash-plan";
   if (cfg.faults.membership_enabled()) return "membership-plan";
-  if (lookahead_ns(cfg.net, cfg.nranks, workers) == 0) return "zero-lookahead";
+  if (pgas::lookahead_ns(cfg.net, cfg.nranks, workers) == 0)
+    return "zero-lookahead";
   return nullptr;
 }
 
@@ -583,7 +566,7 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
   const pgas::RunFaults faults(cfg);
 
   Runtime rt;
-  rt.lookahead = lookahead_ns(cfg.net, cfg.nranks, W);
+  rt.lookahead = pgas::lookahead_ns(cfg.net, cfg.nranks, W);
   rt.watchdog_ns = cfg.watchdog_ns;
   rt.bound = rt.lookahead;  // first window: global min key is (0, 0)
   rt.obs = cfg.obs;

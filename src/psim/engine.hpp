@@ -52,14 +52,6 @@ class PsimEngine final : public pgas::Engine {
   /// ObsSink::on_psim_fallback before delegating.
   static const char* fallback_reason(const pgas::RunConfig& cfg, int workers);
 
-  /// Conservative lookahead for `nranks` ranks sharded over `workers`
-  /// contiguous blocks: the cheapest possible cross-shard reference under
-  /// `net` minus the charge quantum (every modifier — jitter, latency
-  /// spikes, partition delay — only adds cost, so the base is a sound
-  /// lower bound). 0 means no safe window exists (parallel-ineligible).
-  static std::uint64_t lookahead_ns(const pgas::NetModel& net, int nranks,
-                                    int workers);
-
   /// Diagnostics from the last run() on the parallel path (all zero after
   /// a sequential-lane run): conservative windows executed and cross-shard
   /// events exchanged, plus a host-time ledger summed over the shard

@@ -49,6 +49,7 @@ int Scheduler::spawn(std::function<void()> body) {
   fibers_.push_back(std::make_unique<Fiber>(std::move(body), cfg_.stack_bytes));
   clocks_.push_back(0);
   parked_.push_back(false);
+  pending_ops_.push_back(0);
   rq_.push(0, id);
   return id;
 }
@@ -59,7 +60,7 @@ Scheduler& Scheduler::current() {
   return *g_current_scheduler;
 }
 
-void Scheduler::yield() {
+void Scheduler::yield(int op_owner) {
   // A policy must see every interaction point as a scheduling decision, so
   // policy runs always switch back to their loop; outside run()/stepping
   // (cancel-unwind teardown) Fiber::yield_current owns the semantics.
@@ -81,15 +82,47 @@ void Scheduler::yield() {
   ++switches_;
   slice_vt_ = next.vt;
   if (next.task == cur) return;  // still the minimum: continue inline
+  if (cfg_.lead_ns > 0) return yield_ahead(self, next, op_owner);
   rq_.push_pop(self.vt, cur);
   current_ = next.task;
   Fiber::switch_to(*fibers_[next.task]);
 }
 
+void Scheduler::yield_ahead(ReadyQueue::Entry self, ReadyQueue::Entry next,
+                            int op_owner) {
+  // Nothing keyed below M + lead can reach the caller's next slice, unless
+  // a suspended task's op on its memory lands first (docs/simulator.md,
+  // "Run-ahead on SimEngine"). self lies past the head: self.vt >= next.vt.
+  const int cur = self.task;
+  if (op_owner < 0 && pending_ops_[cur] == 0 &&
+      self.vt - next.vt < cfg_.lead_ns && self < bound_) {
+    slice_vt_ = self.vt;
+    return;
+  }
+  rq_.push_pop(self.vt, cur);
+  current_ = next.task;
+  if (op_owner < 0) return Fiber::switch_to(*fibers_[next.task]);
+  // The op lands when the caller resumes; until then its owner waits.
+  ++pending_ops_[op_owner];
+  Fiber::switch_to(*fibers_[next.task]);
+  --pending_ops_[op_owner];
+}
+
 void Scheduler::requeue_current() {
   const int t = current_;
-  if (clocks_[t] > cfg_.vt_limit_ns)
-    throw TimeLimitExceeded(t, clocks_[t], cfg_.vt_limit_ns, slice_vt_);
+  if (clocks_[t] > cfg_.vt_limit_ns) {
+    if (cfg_.lead_ns == 0)
+      throw TimeLimitExceeded(t, clocks_[t], cfg_.vt_limit_ns, slice_vt_);
+    // The crossing slice may have run ahead of a lower-keyed slice that
+    // crosses too. Hold it and bound the run at its key; run() throws the
+    // earliest once nothing below is left.
+    const ReadyQueue::Entry k{slice_vt_, t};
+    if (k < bound_) {
+      held_.emplace(t, clocks_[t], cfg_.vt_limit_ns, slice_vt_);
+      bound_ = k;
+    }
+    return;
+  }
   if (!fibers_[t]->finished() && !parked_[t]) rq_.push(clocks_[t], t);
 }
 
@@ -105,7 +138,7 @@ void Scheduler::run() {
       running_ = false;
       return;
     }
-    while (!rq_.empty()) {
+    while (!rq_.empty() && rq_.top() < bound_) {
       const ReadyQueue::Entry e = rq_.pop();
       // The head of the queue holds the global minimum virtual time: if even
       // the least-advanced task is past the progress window, every task has
@@ -118,6 +151,7 @@ void Scheduler::run() {
       fibers_[e.task]->resume();
       requeue_current();
     }
+    if (held_) throw *held_;
   } catch (...) {
     g_current_scheduler = prev;
     current_ = -1;
@@ -181,8 +215,9 @@ void Scheduler::run_policy() {
 
 void Scheduler::begin_stepping() {
   if (running_) throw std::logic_error("begin_stepping() during run()");
-  if (cfg_.policy != nullptr)
-    throw std::logic_error("stepping mode is incompatible with a policy");
+  if (cfg_.policy != nullptr || cfg_.lead_ns > 0)
+    throw std::logic_error(
+        "stepping mode is incompatible with a policy or a lead");
   running_ = true;
   g_current_scheduler = this;
 }

@@ -4,7 +4,9 @@
 // The scheduler always resumes the runnable task with the smallest virtual
 // time (ties broken by task id), so the simulated interleaving approximates
 // a real parallel execution: a task that performs a long remote operation
-// falls behind in virtual time and the others overtake it.
+// falls behind in virtual time and the others overtake it. With a lead
+// (Config::lead_ns) a task may run ahead of the minimum where no other
+// task can observe the difference.
 //
 // Tasks interact with the clock through:
 //   advance(ns)  — charge local time (no context switch; cheap)
@@ -86,6 +88,14 @@ class Scheduler {
     /// adversarial policy can starve the min-vt task behind a busy-wait
     /// spinner forever (the spinner stays runnable at ever-growing vt).
     std::uint64_t policy_window_ns = 0;
+    /// Run-ahead lead L of run(): a yield whose key stays below the ready
+    /// head's plus L continues inline, unless it is an op yield or another
+    /// task holds a pending op on the yielder (see yield(int)). Sound only
+    /// when every cross-task access is an op charged at least L plus a
+    /// quantum and no watchdog is armed; the engine decides
+    /// (pgas::SimEngine::lead_ns). 0 keeps the min-vt order. Inert under a
+    /// policy; stepping mode requires 0.
+    std::uint64_t lead_ns = 0;
   };
 
   Scheduler() : Scheduler(Config{}) {}
@@ -128,7 +138,14 @@ class Scheduler {
   /// order the step goes straight to its successor — inline when that is
   /// the caller, else one fiber-to-fiber switch — unless a guard, the
   /// stepping bound, a policy or teardown needs the scheduler loop.
-  void yield();
+  ///
+  /// With a lead (Config::lead_ns) the caller also continues inline while
+  /// its key stays below the ready head's plus the lead and below the
+  /// bound, counted as one switch with its own key as the slice key. An
+  /// op yield never runs ahead: `op_owner` >= 0 names the task whose memory
+  /// the op that begins the caller's next slice touches, and until the
+  /// caller resumes that owner does not run ahead either.
+  void yield(int op_owner = -1);
 
   /// Account in one step for up to `max` consecutive interaction points of
   /// the current task: each advances its clock by `step_ns`, then yields.
@@ -222,8 +239,14 @@ class Scheduler {
 
   /// Back in scheduler context after resume(): current_ is the task that
   /// gave control back (the last of any handoff chain). Enforce the vt
-  /// limit on it and re-queue it unless it finished or parked.
+  /// limit on it and re-queue it unless it finished or parked. With a lead
+  /// a crossing is held instead: lower keys may still cross first.
   void requeue_current();
+
+  /// yield()'s handoff with a lead: run ahead of `next`, the ready head,
+  /// when the rule allows, else hand it the step.
+  void yield_ahead(ReadyQueue::Entry self, ReadyQueue::Entry next,
+                   int op_owner);
 
   /// Policy-driven variant of the run loop (Config::policy != nullptr).
   void run_policy();
@@ -244,9 +267,14 @@ class Scheduler {
   std::uint64_t progress_ns_ = 0;
   std::vector<Decision> decisions_;
   // Stepping-mode state (see begin_stepping); the bound also gates the
-  // handoff in yield() so a fiber cannot overrun the window horizon. Inert
-  // under run(): no key reaches (UINT64_MAX, 0).
+  // handoff in yield() so a fiber cannot overrun the window horizon. Under
+  // run() it is (UINT64_MAX, 0), which no key reaches, until a held
+  // crossing lowers it to its own key.
   ReadyQueue::Entry bound_{UINT64_MAX, 0};
+  /// Run-ahead state: pending op yields per owner task (touched only with
+  /// a lead), and the earliest time-limit crossing found so far.
+  std::vector<int> pending_ops_;
+  std::optional<TimeLimitExceeded> held_;
   std::vector<bool> parked_;
   /// How many tasks are parked (the lead skip scans for the earliest only
   /// while some are).

@@ -1,14 +1,17 @@
 // PGAS engine tests: cost-model arithmetic, lock semantics and cost
 // accounting under both engines, shared-word helpers, determinism of
-// simulated runs, and lock spins and idle mailbox waits skipped in closed
-// form checked against spins and passes run one by one.
+// simulated runs, lock spins and idle mailbox waits skipped in closed form
+// checked against spins and passes run one by one, and SimEngine's
+// run-ahead checked against the min-vt order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -963,6 +966,359 @@ TEST(MailboxWaitSkip, DeclinedWaitsRunEveryPass) {
   long_polls.net.poll_ns = 167;
   for (const RunConfig& cfg : {jitter, stalls, short_wire, long_polls})
     expect_waits_match(cfg, body, /*skips=*/false);
+}
+
+// --- Run-ahead: SimEngine with a lead vs. the pass-through policy ---------
+//
+// A run that mediates every cross-rank access runs ahead by psim's
+// one-rank-per-shard lookahead (SimEngine::lead_ns); a policy turns that
+// off, so the pass-through run is the reference. Programs of charges,
+// yields, ops on other ranks' words, polls of own words, locks and
+// messages must read the same values at the same clocks, and leave the
+// same clocks, switches and telemetry, rank by rank: run-ahead reorders
+// hook calls across ranks. A time-limit abort must name the same offender.
+
+/// What one rank saw: the step, its clock, and the value it read.
+struct Seen {
+  int op;
+  std::uint64_t t;
+  std::int64_t v;
+  bool operator==(const Seen&) const = default;
+};
+
+constexpr int kAheadTag = 7;
+
+/// The shared state of one run: two words and a lock per rank, and a
+/// communicator.
+struct AheadWorld {
+  explicit AheadWorld(int n)
+      : words(static_cast<std::size_t>(2 * n)),
+        locks(static_cast<std::size_t>(n)),
+        comm(n) {
+    for (int r = 0; r < n; ++r) {
+      word(r, 0).set_owner(r);
+      word(r, 1).set_owner(r);
+      locks[static_cast<std::size_t>(r)].owner = r;
+    }
+  }
+  Shared<std::int64_t>& word(int rank, std::uint64_t k) {
+    return words[static_cast<std::size_t>(2 * rank) + k];
+  }
+  std::vector<Shared<std::int64_t>> words;
+  std::vector<Lock> locks;
+  mp::Comm comm;
+};
+
+using AheadBody = std::function<void(Ctx&, AheadWorld&, std::vector<Seen>&)>;
+
+struct AheadRun {
+  SpinRun run;
+  std::vector<std::vector<Seen>> seen;  // per rank
+};
+
+AheadRun run_ahead(const RunConfig& cfg, const AheadBody& body,
+                   SchedulePolicy* policy) {
+  AheadRun o;
+  AheadWorld world(cfg.nranks);
+  o.seen.resize(static_cast<std::size_t>(cfg.nranks));
+  o.run = run_spins(
+      cfg,
+      [&](Ctx& c) { body(c, world, o.seen[static_cast<std::size_t>(c.rank())]); },
+      policy);
+  return o;
+}
+
+/// Truncates `got` to `want`'s length under an abort: a rank that ran
+/// ahead of the crossing went on past it.
+template <class T>
+bool same_prefix(std::vector<T> got, const std::vector<T>& want, bool limit) {
+  if (limit && got.size() > want.size()) got.resize(want.size());
+  return got == want;
+}
+
+/// How a run ahead went: whether it called the hooks in another order
+/// than the reference (some rank ran ahead), and whether it aborted.
+struct AheadMatch {
+  bool reordered = false;
+  bool aborted = false;
+};
+
+/// Runs `body` on `cfg` with every cross-rank access mediated, with and
+/// without the pass-through policy, and compares them rank by rank.
+AheadMatch expect_ahead_match(RunConfig cfg, const AheadBody& body) {
+  cfg.remote_ops_mediated = true;
+  PassThrough pass;
+  const AheadRun ref = run_ahead(cfg, body, &pass);
+  const AheadRun got = run_ahead(cfg, body, nullptr);
+  EXPECT_EQ(got.run.error, ref.run.error);
+  const bool limit = ref.run.error.rfind("limit ", 0) == 0;
+  for (int r = 0; r < cfg.nranks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_TRUE(same_prefix(got.seen[i], ref.seen[i], limit))
+        << "rank " << r << " read other values";
+    EXPECT_TRUE(same_prefix(recs_of(got.run.recs, r), recs_of(ref.run.recs, r),
+                            limit))
+        << "rank " << r << " telemetry differs";
+  }
+  if (!limit) {
+    EXPECT_EQ(got.run.ends, ref.run.ends);
+    EXPECT_EQ(got.run.switches, ref.run.switches);
+  }
+  return {!(got.run.recs == ref.run.recs), !ref.run.error.empty()};
+}
+
+/// A random program of `steps` steps per rank: charges, yields, put, get
+/// and cas on other ranks' words, polls and stores of its own words, a
+/// wait on an own word, a lock of any rank's lock, and sends and receives.
+AheadBody random_program(std::uint64_t seed, int steps) {
+  return [seed, steps](Ctx& c, AheadWorld& w, std::vector<Seen>& seen) {
+    std::mt19937_64 rng(seed * 7919 + static_cast<std::uint64_t>(c.rank()));
+    const int n = c.nranks();
+    const auto other = [&] {
+      const int r = static_cast<int>(rng() % static_cast<std::uint64_t>(n - 1));
+      return r >= c.rank() ? r + 1 : r;
+    };
+    const auto note = [&](int op, std::int64_t v) {
+      seen.push_back({op, c.now_ns(), v});
+    };
+    Shared<std::int64_t>& mine = w.word(c.rank(), 0);
+    for (int i = 0; i < steps; ++i) {
+      const std::int64_t x = c.rank() * 1000 + i;
+      switch (rng() % 11) {
+        case 0:
+          c.charge(rng() % 4 == 0 ? rng() % 40 : rng() % 1500);
+          break;
+        case 1:
+          c.yield();
+          break;
+        case 2:
+          c.put(w.word(other(), rng() % 2), x);
+          break;
+        case 3:
+          note(3, c.get(w.word(other(), rng() % 2)));
+          break;
+        case 4: {
+          std::int64_t expected = static_cast<std::int64_t>(rng() % 3);
+          note(4, c.cas(w.word(other(), rng() % 2), expected, x) ? 1 : 0);
+          break;
+        }
+        case 5:
+          note(5, c.poll(w.word(c.rank(), rng() % 2)));
+          break;
+        case 6:
+          c.put_local(w.word(c.rank(), 1), x);
+          break;
+        case 7:
+          w.comm.send(c, other(), kAheadTag, &x, sizeof x);
+          break;
+        case 8: {
+          mp::Message m;
+          std::int64_t v = -1;
+          if (w.comm.try_recv(c, mp::kAny, kAheadTag, m))
+            std::memcpy(&v, m.payload.data(), sizeof v);
+          note(8, v);
+          break;
+        }
+        case 9: {  // wait for an own word to change, at most 50 polls
+          const std::int64_t v0 = c.peek(mine);
+          std::int64_t k = 0;
+          for (; k < 50 && c.poll(mine) == v0; ++k) c.yield();
+          note(9, k);
+          break;
+        }
+        default: {
+          LockGuard g(c, w.locks[rng() % static_cast<std::uint64_t>(n)]);
+          c.charge(rng() % 200);
+          note(10, 0);
+        }
+      }
+    }
+  };
+}
+
+/// The distributed model on `n` ranks.
+RunConfig ahead_cfg(int n) {
+  RunConfig cfg;
+  cfg.nranks = n;
+  cfg.net = NetModel::distributed();
+  return cfg;
+}
+
+TEST(RunAhead, LeadIsDecidedPerRun) {
+  RunConfig cfg = ahead_cfg(8);
+  EXPECT_EQ(SimEngine::lead_ns(cfg), 0u);  // unmediated
+  cfg.remote_ops_mediated = true;
+  EXPECT_EQ(SimEngine::lead_ns(cfg), 2'000u);
+  PassThrough pass;
+  RunConfig policy = cfg;
+  policy.schedule_policy = &pass;
+  RunConfig faults = cfg;
+  faults.faults.stall_period_ns = 1'000'000;
+  faults.faults.stall_ns = 10;
+  RunConfig watchdog = cfg;
+  watchdog.watchdog_ns = 1'000'000;
+  RunConfig one_rank = cfg;
+  one_rank.nranks = 1;
+  for (const RunConfig& off : {policy, faults, watchdog, one_rank})
+    EXPECT_EQ(SimEngine::lead_ns(off), 0u);
+  // No cross-rank reference reaches past a quantum: node-mates, shared
+  // memory, the free model.
+  for (const NetModel& net :
+       {NetModel::hierarchical(2), NetModel::hierarchical(4),
+        NetModel::shared_memory(), NetModel::free()}) {
+    RunConfig c = cfg;
+    c.net = net;
+    EXPECT_EQ(SimEngine::lead_ns(c), 0u);
+  }
+}
+
+TEST(RunAhead, RandomProgramsMatchPassThrough) {
+  int reordered = 0, runs = 0;
+  for (const int n : {2, 3, 5, 8}) {
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      SCOPED_TRACE(testing::Message() << n << " ranks, seed " << seed);
+      reordered +=
+          expect_ahead_match(ahead_cfg(n), random_program(seed, 60)).reordered;
+      ++runs;
+    }
+  }
+  EXPECT_GT(reordered, runs / 2) << "ranks rarely ran ahead";
+}
+
+TEST(RunAhead, RandomProgramsMatchPassThroughOnVariedNets) {
+  // No send overhead (a message arrives a wire time after its slice key),
+  // jitter, a slow poll, and a network just past a quantum (lead 1 ns).
+  RunConfig no_overhead = ahead_cfg(4);
+  no_overhead.net.mp_send_overhead_ns = 0;
+  RunConfig jitter = ahead_cfg(4);
+  jitter.net.jitter_frac = 0.3;
+  RunConfig slow_poll = ahead_cfg(4);
+  slow_poll.net.poll_ns = 333;
+  RunConfig thin = ahead_cfg(4);
+  thin.net.remote_ref_ns = kChargeQuantumNs + 1;
+  for (RunConfig cfg : {no_overhead, jitter, slow_poll, thin}) {
+    cfg.remote_ops_mediated = true;
+    EXPECT_GT(SimEngine::lead_ns(cfg), 0u);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed);
+      expect_ahead_match(cfg, random_program(seed, 60));
+    }
+  }
+}
+
+TEST(RunAhead, VtLimitNamesTheReferencesOffender) {
+  // Limits inside the programs: a rank that ran ahead may cross first in
+  // host order while a lower-keyed slice crosses too.
+  int aborted = 0;
+  for (const std::uint64_t limit : {3'000u, 9'000u, 20'000u, 40'000u}) {
+    for (const int n : {2, 5, 8}) {
+      for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+        SCOPED_TRACE(testing::Message() << "limit " << limit << ", " << n
+                                        << " ranks, seed " << seed);
+        RunConfig cfg = ahead_cfg(n);
+        cfg.vt_limit_ns = limit;
+        aborted += expect_ahead_match(cfg, random_program(seed, 60)).aborted;
+      }
+    }
+  }
+  EXPECT_GT(aborted, 100);
+}
+
+TEST(RunAhead, RankAheadOfALowerCrossingIsNotTheOffender) {
+  // Rank 0 runs ahead of rank 1 (at key 0) in slices of 450 ns and
+  // crosses the limit first in host order; rank 1 then crosses from a
+  // lower key in one big charge. The reference names rank 1.
+  for (const std::uint64_t limit : {1'500u, 1'900u}) {
+    RunConfig cfg = ahead_cfg(2);
+    cfg.vt_limit_ns = limit;
+    const AheadBody body = [](Ctx& c, AheadWorld&, std::vector<Seen>&) {
+      if (c.rank() == 0) {
+        for (int i = 0; i < 10; ++i) {
+          c.charge(450);
+          c.yield();
+        }
+      } else {
+        c.charge(5'000);
+      }
+    };
+    expect_ahead_match(cfg, body);
+    RunConfig mediated = cfg;
+    mediated.remote_ops_mediated = true;
+    EXPECT_EQ(run_ahead(mediated, body, nullptr).run.error.substr(0, 8),
+              "limit 1 ")
+        << "limit " << limit;
+  }
+}
+
+TEST(RunAhead, MessageArrivingInTheLastQuantumIsSeen) {
+  // Rank 0 polls its mailbox late in each slice, after `pre` ns of work,
+  // while rank 1 works behind it in slices of every remainder, then
+  // sends: with no send overhead the message arrives one wire time R
+  // after rank 1's slice key M. Rank 0 runs ahead of M by R - Q, so its
+  // last polls there read just below M + R and must still miss it, and
+  // its first poll at or past the arrival must see it, as in key order.
+  const auto body = [](std::uint64_t slice, std::uint64_t at,
+                       std::uint64_t pre) -> AheadBody {
+    return [=](Ctx& c, AheadWorld& w, std::vector<Seen>& seen) {
+      if (c.rank() == 1) {
+        work_until(c, at, slice);
+        const std::int64_t x = 1;
+        w.comm.send(c, 0, kAheadTag, &x, sizeof x);
+        work_until(c, at + 20'000, slice);
+        return;
+      }
+      mp::Message m;
+      for (;;) {
+        c.charge(pre);
+        if (w.comm.try_recv(c, 1, kAheadTag, m)) break;
+        c.yield();
+      }
+      seen.push_back({8, c.now_ns(), 1});
+    };
+  };
+  for (const std::uint64_t overhead : {0u, 400u}) {
+    RunConfig cfg = ahead_cfg(2);
+    cfg.net.mp_send_overhead_ns = overhead;
+    for (const std::uint64_t slice : {1u, 29u, 210u, 450u, 999u, 3'001u})
+      for (const std::uint64_t at : {0u, 2'000u, 7'777u})
+        for (const std::uint64_t pre : {0u, 500u, 900u, 969u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "overhead " << overhead << ", slice " << slice
+                       << ", send at " << at << ", poll after " << pre);
+          expect_ahead_match(cfg, body(slice, at, pre));
+        }
+  }
+}
+
+TEST(RunAhead, PutOnAPolledWordLandsAtItsKey) {
+  // Rank 0 polls its own word while rank 1, behind it, puts to it: the
+  // put's op lands at rank 1's post-charge key. Rank 0 must neither run
+  // ahead past that key while the op is pending nor see it early.
+  const auto body = [](std::uint64_t delay, bool remote) -> AheadBody {
+    return [=](Ctx& c, AheadWorld& w, std::vector<Seen>& seen) {
+      if (c.rank() == 1) {
+        c.charge(delay);
+        if (remote)
+          c.put(w.word(0, 0), std::int64_t{1});
+        else
+          w.comm.send(c, 0, kAheadTag);
+        c.charge(5'000);
+        return;
+      }
+      Shared<std::int64_t>& mine = w.word(0, 0);
+      mp::Message m;
+      while (c.poll(mine) == 0 && !w.comm.try_recv(c, 1, kAheadTag, m))
+        c.yield();
+      seen.push_back({5, c.now_ns(), c.peek(mine)});
+    };
+  };
+  for (const bool remote : {true, false})
+    for (const std::uint64_t delay :
+         {0u, 1u, 500u, 999u, 1'000u, 1'700u, 2'500u, 4'321u}) {
+      SCOPED_TRACE(testing::Message()
+                   << (remote ? "put" : "send") << " after " << delay);
+      expect_ahead_match(ahead_cfg(2), body(delay, remote));
+    }
 }
 
 }  // namespace

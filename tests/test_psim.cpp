@@ -597,25 +597,23 @@ TEST(Psim, MemoryLeanFourThousandRanks) {
 
 TEST(Psim, LookaheadDerivation) {
   // Distributed: one rank per node, so every cross-shard ref is remote.
-  EXPECT_EQ(psim::PsimEngine::lookahead_ns(pgas::NetModel::distributed(), 8, 4),
+  EXPECT_EQ(pgas::lookahead_ns(pgas::NetModel::distributed(), 8, 4),
             pgas::NetModel::distributed().remote_ref_ns -
                 pgas::kChargeQuantumNs);
   // Shared memory: cross-shard refs are on-node (180 ns), which is below
   // the 1000 ns charge quantum — no safe window.
-  EXPECT_EQ(
-      psim::PsimEngine::lookahead_ns(pgas::NetModel::shared_memory(), 8, 4),
-      0u);
+  EXPECT_EQ(pgas::lookahead_ns(pgas::NetModel::shared_memory(), 8, 4), 0u);
   // Hierarchical with 2 ranks per SMP node: an odd shard split puts two
   // on-node ranks in different shards, so the on-node latency governs;
   // an even split keeps SMP pairs together and the remote latency governs.
   const pgas::NetModel h2 = pgas::NetModel::hierarchical(2);
-  EXPECT_EQ(psim::PsimEngine::lookahead_ns(h2, 8, 4),
+  EXPECT_EQ(pgas::lookahead_ns(h2, 8, 4),
             h2.remote_ref_ns - pgas::kChargeQuantumNs);
-  EXPECT_EQ(psim::PsimEngine::lookahead_ns(h2, 6, 4),
+  EXPECT_EQ(pgas::lookahead_ns(h2, 6, 4),
             h2.on_node_ref_ns > pgas::kChargeQuantumNs
                 ? h2.on_node_ref_ns - pgas::kChargeQuantumNs
                 : 0u);
-  EXPECT_EQ(psim::PsimEngine::lookahead_ns(pgas::NetModel::free(), 8, 4), 0u);
+  EXPECT_EQ(pgas::lookahead_ns(pgas::NetModel::free(), 8, 4), 0u);
 }
 
 // ---------------------------------------------------------------------------

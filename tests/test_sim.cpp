@@ -1,7 +1,8 @@
 // Fiber and discrete-event-scheduler tests: determinism, virtual-time
 // ordering, livelock guard, cooperative interleaving semantics, the
 // fiber-to-fiber handoff checked against a physically switching reference,
-// and skip_inline_yields checked against the yields it stands for.
+// skip_inline_yields checked against the yields it stands for, and the
+// run-ahead lead checked against the min-vt order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -832,6 +833,240 @@ TEST(Scheduler, DestroyAfterTimeLimitUnwindsFibersInSwitchTo) {
     EXPECT_EQ(live, 3);
   }
   EXPECT_EQ(live, 0);
+}
+
+// --- Run-ahead: a lead vs. the min-vt order ---------------------------------
+//
+// With Config::lead_ns a yield continues inline while its key stays below
+// the ready head's plus the lead, unless it is an op yield or a suspended
+// task's op targets the yielder. The reference is the first-candidate
+// policy, which never runs ahead. Tasks that do not interact must see the
+// same slices, rank by rank, and the same switch count, clocks and aborts.
+
+/// Per-task slice logs of `o`, in each task's own order.
+std::vector<std::vector<std::uint64_t>> per_task(const Outcome& o,
+                                                 int ntasks) {
+  std::vector<std::vector<std::uint64_t>> out(
+      static_cast<std::size_t>(ntasks));
+  for (const Slice& s : o.log)
+    out[static_cast<std::size_t>(s.task)].push_back(s.vt);
+  return out;
+}
+
+struct AheadOutcome {
+  Outcome o;
+  std::vector<std::uint64_t> clocks;
+  std::string error;  // "limit task/clock@slice"
+};
+
+AheadOutcome run_ahead_random(std::uint64_t seed, int ntasks,
+                              std::uint64_t lead, std::uint64_t vt_limit,
+                              SchedulePolicy* policy) {
+  AheadOutcome a;
+  Scheduler::Config cfg = small_stacks(policy);
+  cfg.lead_ns = lead;
+  if (vt_limit > 0) cfg.vt_limit_ns = vt_limit;
+  Scheduler s(cfg);
+  for (int i = 0; i < ntasks; ++i) s.spawn(random_body(seed, i, a.o.log));
+  try {
+    s.run();
+  } catch (const TimeLimitExceeded& e) {
+    a.error = "limit " + std::to_string(e.task) + "/" +
+              std::to_string(e.clock_ns) + "@" + std::to_string(e.slice_ns);
+  }
+  a.o.switches = s.switches();
+  a.o.makespan = s.makespan_ns();
+  for (int i = 0; i < ntasks; ++i) a.clocks.push_back(s.now(i));
+  return a;
+}
+
+TEST(SchedulerRunAhead, RandomSlicesMatchTheMinVtOrderTaskByTask) {
+  // Without a limit everything matches, task by task. Under a limit the
+  // abort names the reference's crossing; tasks that ran ahead of it stand
+  // further along, their slices extending the reference's.
+  FirstCandidate ref;
+  std::uint64_t reordered = 0;
+  for (const std::uint64_t lead : {1u, 40u, 1000u}) {
+    for (const std::uint64_t limit : {0u, 150u, 400u, 1000u}) {
+      for (const int ntasks : {2, 5, 16}) {
+        for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+          SCOPED_TRACE(testing::Message()
+                       << "lead " << lead << ", limit " << limit << ", "
+                       << ntasks << " tasks, seed " << seed);
+          const AheadOutcome want =
+              run_ahead_random(seed, ntasks, 0, limit, &ref);
+          const AheadOutcome got =
+              run_ahead_random(seed, ntasks, lead, limit, nullptr);
+          EXPECT_EQ(got.error, want.error);
+          if (got.o.log != want.o.log) ++reordered;
+          const auto g = per_task(got.o, ntasks);
+          const auto w = per_task(want.o, ntasks);
+          for (std::size_t t = 0; t < w.size(); ++t) {
+            if (want.error.empty()) {
+              EXPECT_EQ(g[t], w[t]) << "task " << t;
+              EXPECT_EQ(got.clocks[t], want.clocks[t]) << "task " << t;
+            } else {
+              ASSERT_GE(g[t].size(), w[t].size()) << "task " << t;
+              EXPECT_TRUE(std::equal(w[t].begin(), w[t].end(), g[t].begin()))
+                  << "task " << t;
+              EXPECT_GE(got.clocks[t], want.clocks[t]) << "task " << t;
+            }
+          }
+          if (want.error.empty()) {
+            EXPECT_EQ(got.o.switches, want.o.switches);
+            EXPECT_EQ(got.o.makespan, want.o.makespan);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(reordered, 100u) << "the lead never ran a task ahead";
+}
+
+/// Tasks {0, 1}: task 0 yields at vt 50, task 1 yields at 100 (an op yield
+/// on task 0's memory when `pending`), then task 0 yields every 5 ns,
+/// passing `op_owner`. Returns how many of those yields continued inline
+/// before task 1's second slice ran.
+std::uint64_t yields_before_waiter(std::uint64_t lead, int op_owner = -1,
+                                   bool pending = false) {
+  Scheduler::Config cfg = small_stacks();
+  cfg.lead_ns = lead;
+  Scheduler s(cfg);
+  std::uint64_t inline_yields = 0;
+  bool waiter_ran = false;
+  s.spawn([&] {
+    auto& sc = Scheduler::current();
+    sc.advance(50);
+    sc.yield();  // task 1 reaches vt 100 first (50 >= lead here)
+    for (; inline_yields < 1000; ++inline_yields) {
+      sc.advance(5);
+      sc.yield(op_owner);
+      if (waiter_ran) return;
+    }
+  });
+  s.spawn([&] {
+    auto& sc = Scheduler::current();
+    sc.advance(100);
+    sc.yield(pending ? 0 : -1);
+    waiter_ran = true;
+  });
+  s.run();
+  EXPECT_TRUE(waiter_ran);
+  return inline_yields;
+}
+
+TEST(SchedulerRunAhead, LeadRunsPastTheHeadByTheLead) {
+  // Yields at 55..100 continue inline as the minimum; a lead of 20 adds
+  // 105..115, below 100 + 20; a lead of 1 adds nothing past 100.
+  EXPECT_EQ(yields_before_waiter(0), 10u);
+  EXPECT_EQ(yields_before_waiter(20), 13u);
+  EXPECT_EQ(yields_before_waiter(1), 10u);
+}
+
+TEST(SchedulerRunAhead, OpYieldsDoNotRunAhead) {
+  // Op yields still continue inline as the minimum, never past it.
+  EXPECT_EQ(yields_before_waiter(20, 1), 10u);
+}
+
+TEST(SchedulerRunAhead, PendingOpHoldsItsOwner) {
+  // Task 1 is suspended by an op yield on task 0's memory at key 100: its
+  // op lands there, so task 0 stops at the head as without a lead.
+  EXPECT_EQ(yields_before_waiter(20, -1, true), 10u);
+}
+
+TEST(SchedulerRunAhead, CrossingIsHeldUntilNoLowerKeyIsLeft) {
+  // Task 0 runs ahead of task 1 into a slice keyed 500 and crosses the
+  // limit there. Task 1, at key 0, runs in steps of `step` and crosses
+  // too: from slice 0 when its step passes the limit, otherwise later
+  // than 500 (task 0's crossing is then the first in key order).
+  FirstCandidate ref;
+  for (const std::uint64_t step : {200u, 400u, 1200u}) {
+    std::string error[2];
+    for (int k = 0; k < 2; ++k) {
+      Scheduler::Config cfg = small_stacks(k == 0 ? &ref : nullptr);
+      cfg.vt_limit_ns = 1000;
+      cfg.lead_ns = k == 0 ? 0 : 2000;
+      Scheduler s(cfg);
+      s.spawn([] {
+        auto& sc = Scheduler::current();
+        sc.advance(500);
+        sc.yield();
+        sc.advance(600);
+        sc.yield();
+      });
+      s.spawn([step] {
+        auto& sc = Scheduler::current();
+        for (int i = 0; i < 10; ++i) {
+          sc.advance(step);
+          sc.yield();
+        }
+      });
+      try {
+        s.run();
+      } catch (const TimeLimitExceeded& e) {
+        error[k] = std::to_string(e.task) + "/" + std::to_string(e.clock_ns) +
+                   "@" + std::to_string(e.slice_ns);
+      }
+    }
+    EXPECT_EQ(error[1], error[0]) << "step " << step;
+    EXPECT_EQ(error[0], step == 1200 ? "1/1200@0" : "0/1100@500")
+        << "step " << step;
+  }
+}
+
+TEST(SchedulerRunAhead, HeldCrossingBoundsTheRunAhead) {
+  // Task 0 runs ahead into a slice keyed 500 and crosses there; the hold
+  // bounds the run at (500, 0). Task 1 may run ahead of task 2 below that
+  // bound but not past it, so every task starts exactly the reference's
+  // slices before the abort.
+  FirstCandidate ref;
+  Outcome o[2];
+  std::string error[2];
+  for (int k = 0; k < 2; ++k) {
+    Scheduler::Config cfg = small_stacks(k == 0 ? &ref : nullptr);
+    cfg.vt_limit_ns = 1000;
+    cfg.lead_ns = k == 0 ? 0 : 2000;
+    Scheduler s(cfg);
+    std::vector<Slice>& log = o[k].log;
+    static constexpr std::uint64_t kStep[] = {500, 300, 50};
+    for (int i = 0; i < 3; ++i) {
+      s.spawn([i, &log] {
+        auto& sc = Scheduler::current();
+        for (int n = 0; n < 20; ++n) {
+          log.push_back({i, sc.now()});
+          sc.advance(i == 0 && n == 1 ? 600 : kStep[i]);
+          sc.yield();
+        }
+      });
+    }
+    try {
+      s.run();
+    } catch (const TimeLimitExceeded& e) {
+      error[k] = std::to_string(e.task) + "/" + std::to_string(e.clock_ns) +
+                 "@" + std::to_string(e.slice_ns);
+    }
+  }
+  EXPECT_EQ(error[0], "0/1100@500");
+  EXPECT_EQ(error[1], error[0]);
+  EXPECT_EQ(per_task(o[1], 3), per_task(o[0], 3));
+}
+
+TEST(SchedulerRunAhead, PolicyRunsNoLead) {
+  // Under a policy every yield goes back to the loop: a lead changes
+  // nothing, not even the order of slices.
+  FirstCandidate ref;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    const AheadOutcome want = run_ahead_random(seed, 5, 0, 0, &ref);
+    const AheadOutcome got = run_ahead_random(seed, 5, 1000, 0, &ref);
+    expect_same(got.o, want.o);
+  }
+}
+
+TEST(SchedulerRunAhead, SteppingModeRejectsALead) {
+  Scheduler::Config cfg = small_stacks();
+  cfg.lead_ns = 2000;
+  Scheduler s(cfg);
+  EXPECT_THROW(s.begin_stepping(), std::logic_error);
 }
 
 }  // namespace

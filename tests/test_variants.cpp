@@ -13,7 +13,9 @@
 //   * the locked family's searches, plain and with a crash, are identical
 //     with lock spins skipped and with every spin run one by one;
 //   * the token-terminated searches (mpi-ws, work-push), UTS and B&B, are
-//     identical with idle mailbox waits skipped and with every pass run.
+//     identical with idle mailbox waits skipped and with every pass run;
+//   * every protocol's searches are identical with ranks running ahead on
+//     SimEngine and in the min-vt order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -291,8 +293,9 @@ using Search = std::function<ws::SearchResult(
     pgas::Engine&, const pgas::RunConfig&, const ws::WsConfig&)>;
 
 /// One search with and without the pass-through policy: stats, trace rows
-/// and ticks must match, or both runs must abort alike.
-void expect_waits_match(const Search& search, pgas::RunConfig rcfg,
+/// and ticks must match, or both runs must abort alike. Returns whether
+/// they aborted.
+bool expect_searches_match(const Search& search, pgas::RunConfig rcfg,
                         ws::WsConfig cfg, const std::string& what) {
   pgas::SimEngine eng;
   PassThrough pass;
@@ -316,13 +319,14 @@ void expect_waits_match(const Search& search, pgas::RunConfig rcfg,
     ticks[k] = std::move(sink.t);
   }
   EXPECT_EQ(error[0], error[1]) << what;
-  if (!error[1].empty()) return;  // rows and ticks past the abort differ
+  if (!error[1].empty()) return true;  // rows and ticks past it differ
   expect_identical(res[0], res[1], what);
   EXPECT_EQ(csv[0], csv[1]) << what;
   for (int r = 0; r < rcfg.nranks; ++r)
     EXPECT_TRUE(ticks[0][static_cast<std::size_t>(r)] ==
                 ticks[1][static_cast<std::size_t>(r)])
         << what << ": rank " << r << " ticks differ";
+  return false;
 }
 
 pgas::RunConfig wait_run_cfg(int nranks, std::uint64_t seed) {
@@ -352,7 +356,7 @@ TEST(MailboxWaitSkip, TokenSearchesMatchPassThrough) {
         ws::WsConfig cfg = ws::WsConfig::for_algo(algo, 4);
         if (variant == 1) cfg.cancel_at_ns = 150'000;
         if (variant == 2) rcfg.vt_limit_ns = 200'001;
-        expect_waits_match(search, rcfg, cfg, what);
+        expect_searches_match(search, rcfg, cfg, what);
       }
     }
   }
@@ -372,9 +376,65 @@ TEST(MailboxWaitSkip, BranchAndBoundSearchesMatchPassThrough) {
     for (const int n : {8, 16}) {
       pgas::RunConfig rcfg = wait_run_cfg(n, 7);
       rcfg.net.work_ns_per_node = 150;
-      expect_waits_match(search, rcfg, ws::WsConfig::for_algo(algo, 4),
+      expect_searches_match(search, rcfg, ws::WsConfig::for_algo(algo, 4),
                          std::string(ws::algo_label(algo)) + " n" +
                              std::to_string(n));
+    }
+  }
+}
+
+// ---- run-ahead: SimEngine ranks running ahead change nothing ---------------
+//
+// ws::run_search mediates every cross-rank access, so SimEngine runs its
+// ranks ahead by the lookahead (SimEngine::lead_ns); the pass-through
+// policy turns that off. All eight protocols' searches must agree exactly:
+// stats, trace rows and each rank's ticks, or the offender of a time-limit
+// abort.
+
+/// A UTS search of `tree` through ws::run_search.
+Search uts_search(const ws::UtsProblem& prob) {
+  return [&prob](pgas::Engine& eng, const pgas::RunConfig& rcfg,
+                 const ws::WsConfig& cfg) {
+    return ws::run_search(eng, rcfg, prob, cfg);
+  };
+}
+
+/// Every protocol's search of `tree` on `n` ranks, run ahead and not.
+void expect_all_protocols_match(const uts::Params& tree, int n) {
+  const ws::UtsProblem prob(tree);
+  for (const ws::Algo algo : ws::kAllAlgosExtended) {
+    pgas::RunConfig rcfg = wait_run_cfg(n, 3 + static_cast<unsigned>(n));
+    rcfg.remote_ops_mediated = true;
+    ASSERT_GT(pgas::SimEngine::lead_ns(rcfg), 0u);
+    EXPECT_FALSE(expect_searches_match(
+        uts_search(prob), rcfg, ws::WsConfig::for_algo(algo, 4),
+        std::string(ws::algo_label(algo)) + " n" + std::to_string(n)));
+  }
+}
+
+TEST(RunAhead, WholeSearchesMatchPassThroughAt16Ranks) {
+  uts::Params tree = uts::test_small(3);  // 23,611 nodes
+  tree.b0 = 200;
+  tree.q = 0.49;
+  expect_all_protocols_match(tree, 16);
+}
+
+TEST(RunAhead, WholeSearchesMatchPassThroughAt128Ranks) {
+  // 1,089 nodes: the pass-through reference sorts every runnable rank at
+  // every step, and the token family's idle passes are steps there.
+  expect_all_protocols_match(uts::test_small(3), 128);
+}
+
+TEST(RunAhead, WholeSearchVtLimitNamesTheSameOffender) {
+  const ws::UtsProblem prob(uts::test_small(3));
+  for (const ws::Algo algo : ws::kAllAlgosExtended) {
+    for (const std::uint64_t limit : {8'001u, 15'001u}) {
+      pgas::RunConfig rcfg = wait_run_cfg(16, 9);
+      rcfg.vt_limit_ns = limit;
+      EXPECT_TRUE(expect_searches_match(
+          uts_search(prob), rcfg, ws::WsConfig::for_algo(algo, 4),
+          std::string(ws::algo_label(algo)) + " limit " +
+              std::to_string(limit)));
     }
   }
 }
