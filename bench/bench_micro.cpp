@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of the implementation substrates:
 // SHA-1, UTS node expansion, steal-stack operations, fiber context
-// switching, the discrete-event scheduler, lock spins, idle mailbox
-// waits, and the message layer. These quantify the real costs underlying
+// switching, the discrete-event scheduler and its run-ahead, lock spins,
+// idle mailbox waits, and the message layer. These quantify the real costs underlying
 // the simulator (and back the paper's §2 point that UTS performance at
 // small chunk sizes measures small-message efficiency).
 #include <benchmark/benchmark.h>
@@ -164,6 +164,45 @@ static void BM_SchedulerRoundRobin(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SchedulerRoundRobin)->Arg(2)->Arg(16)->Arg(128);
+
+static void BM_SchedulerRunAhead(benchmark::State& state) {
+  // One scheduling step of a T3-shaped working loop: `tasks` fibers, each
+  // making one SHA-1 spawn and advancing 510 ns (a node visit and its
+  // yield's poll) per step. lead:0 hands every step to the next fiber;
+  // lead:2000 (SimEngine's lead on the distributed model) runs each fiber
+  // ahead of the head for up to 2 us, about four steps.
+  const int n = static_cast<int>(state.range(0));
+  sim::Scheduler::Config cfg;
+  cfg.lead_ns = static_cast<std::uint64_t>(state.range(1));
+  const std::uint64_t steps = 2000;
+  for (auto _ : state) {
+    sim::Scheduler s(cfg);
+    for (int i = 0; i < n; ++i) {
+      s.spawn([steps, i] {
+        auto& sc = sim::Scheduler::current();
+        sha1::Digest d{};
+        d[0] = static_cast<std::uint8_t>(i);
+        for (std::uint64_t j = 0; j < steps; ++j) {
+          sha1::spawn(d, static_cast<std::uint32_t>(j), d);
+          sc.advance(510);
+          sc.yield();
+        }
+        benchmark::DoNotOptimize(d);
+      });
+    }
+    s.run();
+    benchmark::DoNotOptimize(s.switches());
+  }
+  state.counters["step_ns"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * n * steps,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SchedulerRunAhead)
+    ->ArgNames({"tasks", "lead"})
+    ->Args({16, 0})
+    ->Args({16, 2000})
+    ->Args({128, 0})
+    ->Args({128, 2000});
 
 static void BM_LockSpin(benchmark::State& state) {
   // Host cost of one lock spin: rank 0 spins on its own lock (3 ns local
