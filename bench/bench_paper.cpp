@@ -762,13 +762,16 @@ void faults(Paper& p) {
     rcfg.faults.dup_prob = pr;
     const auto r = ws::run_search(p.sim, rcfg, prob, mcfg);
     rates.push_back(r.agg.nodes_per_sec);
-    search(p.row(std::string("dropdup/p") + benchutil::fmt(pr)), r)
-        .metric("rel_to_fault_free", rates.back() / rates.front())
-        .metric("retransmits", r.agg.total_retransmits)
-        .metric("dups_suppressed", r.agg.total_dups_suppressed)
-        .metric("dropped", r.agg.faults.dropped)
-        .metric("duplicated", r.agg.faults.duplicated)
-        .note("steal_timeout_ns", "30000");
+    Row& row =
+        search(p.row(std::string("dropdup/p") + benchutil::fmt(pr)), r)
+            .metric("rel_to_fault_free", rates.back() / rates.front())
+            .metric("retransmits", r.agg.total_retransmits)
+            .metric("dups_suppressed", r.agg.total_dups_suppressed)
+            .metric("dropped", r.agg.faults.dropped)
+            .metric("duplicated", r.agg.faults.duplicated)
+            .note("steal_timeout_ns", "30000");
+    // Token hops go out in copies only under drops (TokenWorker::copies).
+    if (pr > 0) row.metric("copies_dropped", r.agg.total_copies_dropped);
   }
   p.claim("dropdup_rate_falls_with_probability", falling(rates));
 

@@ -12,7 +12,7 @@ Comm::Comm(int nranks) {
 }
 
 void Comm::send(pgas::Ctx& c, int dst, int tag, const void* data,
-                std::size_t bytes) {
+                std::size_t bytes, std::uint32_t copy) {
   if (c.crashed()) return;  // a fail-stopped rank injects nothing
   const auto& net = c.net();
   // Sender-side CPU cost (message injection).
@@ -21,6 +21,7 @@ void Comm::send(pgas::Ctx& c, int dst, int tag, const void* data,
   m.src = c.rank();
   m.tag = tag;
   m.send_vt = c.slice_now_ns();
+  m.copy = copy;
   if (bytes > 0) m.payload.assign(data, bytes);
   // Wire time: latency plus payload serialization (with modeled jitter).
   const std::uint64_t wire = c.jittered(net.bulk_ns(c.rank(), dst, bytes));

@@ -48,6 +48,10 @@ struct Message {
   /// a duplicated copy is ordered before its original, matching the
   /// sequential enqueue order).
   std::uint64_t seq = 0;
+  /// Which of the sender's copies of one control message this is (0 = the
+  /// first; see send()). Delivery metadata, not payload: it costs no wire
+  /// time, and a wire duplicate carries its original's index.
+  std::uint32_t copy = 0;
 
   /// Deterministic delivery-order comparison.
   bool before(const Message& o) const {
@@ -84,9 +88,10 @@ class Comm {
   /// latency + bandwidth delay later. When the sender's fault injector is
   /// active the message may be silently dropped (never enqueued) or
   /// duplicated (a second copy arrives up to two wire-times later) —
-  /// deterministically per (seed, rank).
+  /// deterministically per (seed, rank). A sender that sends one message
+  /// in several copies numbers them with `copy` (Message::copy).
   void send(pgas::Ctx& c, int dst, int tag, const void* data,
-            std::size_t bytes);
+            std::size_t bytes, std::uint32_t copy = 0);
 
   /// Zero-payload convenience.
   void send(pgas::Ctx& c, int dst, int tag) { send(c, dst, tag, nullptr, 0); }

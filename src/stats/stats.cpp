@@ -53,6 +53,7 @@ RunStats aggregate(const std::vector<ThreadStats>& per_thread,
     r.total_steal_timeouts += t.c.steal_timeouts;
     r.total_retransmits += t.c.retransmits;
     r.total_dups_suppressed += t.c.dups_suppressed;
+    r.total_copies_dropped += t.c.copies_dropped;
     r.faults += t.c.faults;
     r.total_locks_revoked += t.c.locks_revoked;
     r.total_stale_unlocks += t.c.stale_unlocks;
@@ -141,10 +142,13 @@ std::string RunStats::summary() const {
     os << " faults[stalls=" << faults.stalls << " spikes=" << faults.spikes
        << " dropped=" << faults.dropped
        << " duplicated=" << faults.duplicated << "]";
-  if (total_steal_timeouts + total_retransmits + total_dups_suppressed > 0)
+  if (total_steal_timeouts + total_retransmits + total_dups_suppressed +
+          total_copies_dropped >
+      0)
     os << " recovery[timeouts=" << total_steal_timeouts
        << " retransmits=" << total_retransmits
-       << " dups_suppressed=" << total_dups_suppressed << "]";
+       << " dups_suppressed=" << total_dups_suppressed
+       << " copies_dropped=" << total_copies_dropped << "]";
   if (faults.drains + faults.joins + faults.partition_delays > 0)
     os << " membership[drains=" << faults.drains
        << " joins=" << faults.joins

@@ -73,6 +73,9 @@ struct Counters {
   std::uint64_t steal_timeouts = 0;   ///< distmem: steal requests withdrawn
   std::uint64_t retransmits = 0;      ///< mpi-ws: requests/replies/tokens resent
   std::uint64_t dups_suppressed = 0;  ///< mpi-ws: duplicate messages discarded
+  /// mpi-ws: the hardened ring's own extra token copies (Message::copy
+  /// > 0) discarded by the round filter; not in dups_suppressed.
+  std::uint64_t copies_dropped = 0;
 
   // --- injected faults (this rank's FaultInjector tally; 0 without one) --
   FaultTally faults;
@@ -172,6 +175,7 @@ struct RunStats {
   std::uint64_t total_steal_timeouts = 0;
   std::uint64_t total_retransmits = 0;
   std::uint64_t total_dups_suppressed = 0;
+  std::uint64_t total_copies_dropped = 0;
   /// Injected-fault totals (all 0 when the plan injects nothing).
   FaultTally faults;
   /// Crash-fault tolerance totals (all 0 for a crash-free run).

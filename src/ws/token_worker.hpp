@@ -117,7 +117,7 @@ class TokenWorker : public RankWorker {
       // usefully.
       const bool fresh = leading_ ? rd == round_ : rd > max_round_seen_;
       if (!fresh) {
-        ++st_.c.dups_suppressed;
+        ++(m.copy > 0 ? st_.c.copies_dropped : st_.c.dups_suppressed);
         continue;
       }
       has_token_ = true;
@@ -211,8 +211,9 @@ class TokenWorker : public RankWorker {
     buf[0] = c;
     put_u32(buf + 1, round);
     const int to = ring_next();
-    for (int i = copies(); i > 0; --i)
-      comm_.send(ctx_, to, kTagToken, buf, sizeof buf);
+    for (int k = 0, n = copies(); k < n; ++k)
+      comm_.send(ctx_, to, kTagToken, buf, sizeof buf,
+                 static_cast<std::uint32_t>(k));
     if (leading_) token_sent_ns_ = ctx_.now_ns();
   }
 
@@ -226,7 +227,8 @@ class TokenWorker : public RankWorker {
   /// message drops a round sent one copy per hop crosses n ranks with
   /// probability (1-p)^n, so at scale the leader's regenerations rarely
   /// get through; with copies a hop is lost only if every copy is.
-  /// Receivers drop the extras (the round filter; TERM ends the rank).
+  /// Receivers drop the extras (the round filter, which counts a token
+  /// copy past the first in copies_dropped; TERM ends the rank).
   /// Delivery stays probabilistic; the watchdog is the backstop.
   int copies() const {
     pgas::FaultInjector* fi = ctx_.faults();

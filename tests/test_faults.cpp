@@ -236,6 +236,31 @@ TEST(FaultPlans, MpiWsTokenRingEndsUnderLossAtScale) {
   EXPECT_GT(r.agg.faults.dropped, 0u);
 }
 
+TEST(FaultPlans, TokenCopiesCountApartFromWireDuplicates) {
+  // Under drops each hardened token hop goes out in 16 copies; receivers
+  // drop copies past the first by round into copies_dropped, and only the
+  // rest into dups_suppressed. Without drops a hop is one copy.
+  const uts::Params p = uts::test_small(1);
+  const ws::UtsProblem prob(p);
+  pgas::SimEngine eng;
+  for (const bool drops : {true, false}) {
+    pgas::RunConfig rcfg = dist_cfg(16, 3);
+    rcfg.faults.drop_prob = drops ? 0.05 : 0.0;
+    rcfg.faults.dup_prob = drops ? 0.0 : 0.2;
+    rcfg.vt_limit_ns = 10'000'000;
+    const auto r =
+        ws::run_search(eng, rcfg, prob, hardened_cfg(ws::Algo::kMpiWs, 4));
+    EXPECT_EQ(r.total_nodes(), uts::search_sequential(p)->nodes);
+    if (drops) {
+      EXPECT_GT(r.agg.total_copies_dropped, 10 * r.agg.total_dups_suppressed)
+          << r.agg.summary();
+    } else {
+      EXPECT_EQ(r.agg.total_copies_dropped, 0u);
+      EXPECT_GT(r.agg.total_dups_suppressed, 0u);
+    }
+  }
+}
+
 TEST(FaultPlans, HardenedDistmemSurvivesStallsAndTimesOut) {
   // Stall-prone victims + hardened thieves: thieves must exercise the
   // timeout/withdraw/backoff path yet never lose or double-count a chunk.

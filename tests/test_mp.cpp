@@ -253,6 +253,36 @@ TEST(Comm, DuplicateIsGatedByItsOwnArrival) {
   EXPECT_EQ(m.arrival_ns, dup);
 }
 
+TEST(Comm, CopyIndexIsMetadataAndRidesOnItsDuplicate) {
+  // A sender's copies of one message carry their index beside seq; the
+  // payload and the wire time are a copy-0 send's, and a wire duplicate
+  // keeps the index of the copy it duplicates.
+  pgas::FaultPlan plan;
+  plan.dup_prob = 1.0;
+  pgas::FaultInjector fi(plan, 1, 0);
+  mp::Comm comm(2);
+  ClockCtx tx(0, &fi), rx(1);
+  const std::uint8_t payload[5] = {1, 2, 3, 4, 5};
+  tx.now = 1000;
+  comm.send(tx, 1, 3, payload, sizeof payload, 0);
+  comm.send(tx, 1, 3, payload, sizeof payload, 7);
+  rx.now = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint32_t> copies;
+  std::vector<std::uint64_t> arrivals;
+  mp::Message m;
+  while (comm.try_recv(rx, 0, 3, m)) {
+    copies.push_back(m.copy);
+    arrivals.push_back(m.arrival_ns);
+    ASSERT_EQ(m.payload.size(), sizeof payload);
+    EXPECT_EQ(std::memcmp(m.payload.data(), payload, sizeof payload), 0);
+  }
+  // Each send enqueues its duplicate first, then the original.
+  EXPECT_EQ(copies, (std::vector<std::uint32_t>{0, 0, 7, 7}));
+  ASSERT_EQ(arrivals.size(), 4u);
+  EXPECT_EQ(arrivals[1], 1000 + tx.net().bulk_ns(0, 1, sizeof payload));
+  EXPECT_EQ(arrivals[3], arrivals[1]);
+}
+
 TEST(Comm, ThreadEngineDelivery) {
   pgas::ThreadEngine eng;
   pgas::RunConfig cfg;
