@@ -6,6 +6,8 @@
 //
 //   seq           §4.1 the sequential search (its rate is host time; the
 //                 per-hash SHA-1 cost is bench_micro's BM_Sha1)
+//   engines       host ns per simulated node on sim, psim and threads: the
+//                 median and MAD of k interleaved trials per row
 //   fig4          Figure 4: every label across the chunk range
 //   fig5, fig6    Figures 5-6: rank sweeps on the distributed and
 //                 shared-memory cost models, on the parallel PDES engine
@@ -20,10 +22,11 @@
 //   faults        degradation under stalls, drops/dups and crashes
 //   service       resident job service latency vs offered load
 //
-// Every figure except seq's host rates (host_*, wall_s) and psim's wall
-// time and window counts is virtual time, a pure function of the inputs:
+// Every figure except the host-time ones (host_*, wall_s) and psim's window
+// counts is virtual time or a count, a pure function of the inputs:
 // `ctest -L perf` compares the --quick JSON with bench/BENCH_paper.quick.json
-// exactly (tools/compare_bench.py --exact).
+// exactly (tools/compare_bench.py --exact). When fig5 and fig6 both run, the
+// row sweep/fig5+fig6 holds the sum of their rows' wall times.
 //
 // Flags:
 //   --quick | --full   smaller / paper-scale sweeps (default: in between)
@@ -32,7 +35,8 @@
 //   --out FILE         JSON path (default BENCH_paper[.quick|.full].json)
 // Exit 1 when a hard check (Paper::require) fails: autopsy attribution
 // under 99%, a zero-fault plan changing a run, a crash run miscounting
-// nodes, or the sequential search exceeding its budget. Other claims that
+// nodes, an engines trial not repeating its row's invariants, or the
+// sequential search exceeding its budget. Other claims that
 // read 0 are recorded, not fatal: the gate catches any change to them.
 #include <algorithm>
 #include <cmath>
@@ -51,6 +55,7 @@
 #include "obs/autopsy.hpp"
 #include "obs/observer.hpp"
 #include "pgas/sim_engine.hpp"
+#include "pgas/thread_engine.hpp"
 #include "psim/engine.hpp"
 #include "sha1/sha1.hpp"
 #include "stats/table.hpp"
@@ -235,6 +240,145 @@ void seq(Paper& p) {
       .metric("calibrated_nodes_per_sec",
               1e9 / pgas::NetModel::distributed().work_ns_per_node)
       .note("kernel", sha1::kernel_name());
+}
+
+// ---- host time per simulated node, on each engine ------------------------
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n == 0 ? 0 : n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+/// Median absolute deviation from the median.
+double mad(const std::vector<double>& v) {
+  const double m = median(v);
+  std::vector<double> d;
+  for (double x : v) d.push_back(std::fabs(x - m));
+  return median(d);
+}
+
+/// Engines x protocols on the distributed net. Every row runs once untimed,
+/// then k times, one pass over all rows at a time so host drift spreads over
+/// them; a row writes the median and MAD of its host ns per node beside
+/// invariants every trial must repeat. Each trial's wall time includes the
+/// search's set-up and verification.
+void engines(Paper& p) {
+  struct Shape {
+    uts::Params tree;
+    int nranks, chunk;
+  };
+  const Shape t3{uts::scaled_bench(5), 16, 10},
+      small{uts::test_small(1), 8, 4}, geo{uts::geo_test(1), 8, 4},
+      t3l{uts::scaled_medium(1), 64, 10};
+  struct Case {
+    const char* engine;  // sim | threads | psim
+    Algo algo;
+    const char* tree;    // the row name's last part
+    const Shape* shape;
+    int workers = 0;     // psim: 2, or 0 for the run's --workers engine
+    // Filled in below.
+    std::string name{};
+    pgas::RunConfig rcfg{};
+    pgas::Engine* eng = nullptr;
+    psim::PsimEngine* psim = nullptr;
+    ws::SearchResult first{};  // the untimed pass
+    std::map<std::string, std::vector<double>> host{};  // one value per trial
+  };
+  std::vector<Case> cases{{"sim", Algo::kUpcDistMem, "T3", &t3},
+                          {"sim", Algo::kUpcDistMem, "small", &small},
+                          {"sim", Algo::kMpiWs, "geo", &geo},
+                          {"sim", Algo::kLifeline, "small", &small},
+                          {"sim", Algo::kSampling, "geo", &geo},
+                          {"psim", Algo::kUpcDistMem, "T3", &t3},
+                          {"psim", Algo::kUpcDistMem, "small", &small, 2},
+                          {"psim", Algo::kMpiWs, "geo", &geo, 2},
+                          {"psim", Algo::kLifeline, "small", &small, 2},
+                          {"psim", Algo::kSampling, "geo", &geo, 2}};
+  if (p.mode != Mode::kQuick)
+    cases.insert(cases.end(), {{"sim", Algo::kUpcSharedMem, "T3", &t3},
+                               {"sim", Algo::kMpiWs, "T3", &t3},
+                               {"threads", Algo::kUpcDistMem, "T3", &t3},
+                               {"psim", Algo::kMpiWs, "T3", &t3},
+                               {"psim", Algo::kUpcDistMem, "T3w2", &t3, 2}});
+  if (p.mode == Mode::kFull)
+    cases.insert(cases.end(), {{"sim", Algo::kUpcDistMem, "T3L", &t3l},
+                               {"threads", Algo::kMpiWs, "T3", &t3},
+                               {"psim", Algo::kUpcDistMem, "T3L", &t3l}});
+  const int k = p.pick(5, 11, 11);
+  p.note("trials", str(k));
+  pgas::ThreadEngine threads;
+  psim::PsimEngine two(2);
+  for (Case& c : cases) {
+    c.name = label(c.algo, std::string(c.engine) + "/") + "/" + c.tree;
+    c.rcfg = p.machine(c.shape->nranks, "distributed", 1);
+    p.note("tree", c.shape->tree.describe());
+    p.note("chunk", str(c.shape->chunk));
+    c.eng = c.engine == std::string("sim") ? static_cast<pgas::Engine*>(&p.sim)
+                                           : &threads;
+    if (c.engine == std::string("psim"))
+      c.eng = c.psim = c.workers == 2 ? &two : &p.psim;
+    Row& r = p.row(c.name);  // takes the notes above
+    if (c.psim) r.note("workers", str(c.psim->workers()));
+  }
+
+  bool repeat = true;
+  for (int pass = 0; pass <= k; ++pass)
+    for (Case& c : cases) {
+      benchutil::Stopwatch sw;
+      ws::SearchResult r =
+          ws::run_search(*c.eng, c.rcfg, ws::UtsProblem(c.shape->tree),
+                         cfg(c.algo, c.shape->chunk));
+      const double wall = sw.seconds();
+      if (pass == 0) {
+        c.first = std::move(r);
+        continue;
+      }
+      // Threads rows' elapsed time is wall time.
+      repeat = repeat && r.total_nodes() == c.first.total_nodes() &&
+               r.run.switches == c.first.run.switches &&
+               (c.eng == &threads || r.run.elapsed_s == c.first.run.elapsed_s);
+      c.host["host_ns_per_node"].push_back(
+          wall * 1e9 / static_cast<double>(r.total_nodes()));
+      if (!c.psim) continue;
+      // The host-time ledger as shares of lanes x wall.
+      const psim::PsimEngine::Stats& ps = c.psim->last_stats();
+      const double lane_ns =
+          std::min(c.psim->workers(), c.rcfg.nranks) * wall * 1e9;
+      const auto frac = [&](std::uint64_t ns) {
+        return static_cast<double>(ns) / lane_ns;
+      };
+      c.host["host_frac.busy"].push_back(frac(ps.busy_ns));
+      c.host["host_frac.wake_wait"].push_back(frac(ps.wake_wait_ns));
+      c.host["host_frac.barrier_wait"].push_back(frac(ps.barrier_wait_ns));
+      c.host["host_frac.completion"].push_back(frac(ps.completion_ns));
+      c.host["windows"].push_back(static_cast<double>(ps.windows));
+      c.host["events"].push_back(static_cast<double>(ps.events));
+    }
+
+  for (Case& c : cases) {
+    const double ns = median(c.host["host_ns_per_node"]);
+    Row& r = p.row(c.name)
+                 .metric("nodes", c.first.total_nodes())
+                 .metric("switches", c.first.run.switches);
+    if (c.eng != &threads) r.metric("virtual_elapsed_s", c.first.run.elapsed_s);
+    r.metric("host_ns_per_node", ns)
+        .metric("host_ns_per_node_mad", mad(c.host["host_ns_per_node"]));
+    if (!c.psim) continue;
+    // On a T3-class tree, against sim on the same search.
+    for (Case& s : cases)
+      if ((c.shape == &t3 || c.shape == &t3l) && s.eng == &p.sim &&
+          s.algo == c.algo && s.shape == c.shape)
+        r.metric("host_speedup_vs_sim",
+                 median(s.host["host_ns_per_node"]) / ns);
+    for (const char* m : {"host_frac.busy", "host_frac.wake_wait",
+                          "host_frac.barrier_wait", "host_frac.completion",
+                          "windows", "events"})
+      r.metric(m, median(c.host[m]));
+    r.metric("events_per_window",
+             r.value("events") / std::max(r.value("windows"), 1.0));
+  }
+  p.require("invariants_repeat_every_trial", repeat);
 }
 
 // ---- Figures 4-6 -----------------------------------------------------------
@@ -897,6 +1041,7 @@ struct Experiment {
 const Experiment kExperiments[] = {
     {"seq", seq,
      "2.10 M nodes/s (Topsail E5345), 2.39 (Kitty Hawk E5150), 1.12 (Altix)"},
+    {"engines", engines, "no figure: the simulator's own speed"},
     {"fig4", fig4,
      "256 threads: a plateau; sharedmem collapses at small k, MPI ~2x it"},
     {"fig5", fig5,
@@ -961,10 +1106,23 @@ int main(int argc, char** argv) {
   for (const Experiment* e : run) {
     std::printf("\n==== %s\n", e->id);
     std::fflush(stdout);
+    benchutil::Stopwatch sw;
     Paper p{mode, rep, eng, {}, e->id, e->paper, {}, true};
     e->run(p);
     ok = ok && p.ok;
     render(rep.results(), e->id);
+    std::printf("(%s: %.1f s)\n", e->id, sw.seconds());
+  }
+  // The Figure 5-6 sweep's wall time, the end-to-end figure of host speed.
+  if (std::count_if(run.begin(), run.end(), [](const Experiment* e) {
+        return e->run == fig5 || e->run == fig6;
+      }) == 2) {
+    double wall = 0;
+    for (const Row& r : rep.results())
+      if (r.name.rfind("fig5/", 0) == 0 || r.name.rfind("fig6/", 0) == 0)
+        wall += r.value("wall_s");
+    rep.result("sweep/fig5+fig6").metric("wall_s", wall);
+    std::printf("\nsweep/fig5+fig6: %.1f s of row wall time\n", wall);
   }
   return rep.write_json_file(out) && ok ? 0 : 1;
 }

@@ -12,14 +12,6 @@
 
 namespace upcws::benchutil {
 
-Mode mode_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) return Mode::kQuick;
-    if (std::strcmp(argv[i], "--full") == 0) return Mode::kFull;
-  }
-  return Mode::kDefault;
-}
-
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::kQuick: return "quick";
@@ -28,17 +20,6 @@ const char* mode_name(Mode m) {
   }
   return "?";
 }
-
-void print_banner(const std::string& title, const std::string& paper_ref,
-                  const std::string& config) {
-  std::printf("==============================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("paper: %s\n", paper_ref.c_str());
-  std::printf("run:   %s\n", config.c_str());
-  std::printf("==============================================================\n");
-}
-
-double mnps(const ws::SearchResult& r) { return r.agg.nodes_per_sec / 1e6; }
 
 std::string fmt(double v, int prec) {
   std::ostringstream os;
@@ -58,6 +39,18 @@ std::string json_number(double v) {
   if (std::strstr(buf, "inf") != nullptr || std::strstr(buf, "nan") != nullptr)
     return "0";
   return buf;
+}
+
+std::string cpu_model() {
+  std::ifstream f("/proc/cpuinfo");
+  for (std::string line; std::getline(f, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+      continue;
+    const std::size_t from = line.find_first_not_of(" \t", colon + 1);
+    if (from != std::string::npos) return line.substr(from);
+  }
+  return "unrecorded";
 }
 
 }  // namespace
@@ -96,9 +89,10 @@ void BenchReporter::write_json(std::ostream& os) const {
   os << "  \"bench\": \"" << stats::json_escape(bench_) << "\",\n";
   os << "  \"mode\": \"" << mode_name(mode_) << "\",\n";
   // Host context: host-time metrics compare only between files that agree
-  // on both (tools/compare_bench.py notes any difference).
+  // on all three (tools/compare_bench.py notes any difference).
   os << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
   os << "  \"sha1_kernel\": \"" << sha1::kernel_name() << "\",\n";
+  os << "  \"cpu_model\": \"" << stats::json_escape(cpu_model()) << "\",\n";
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const Result& r = results_[i];

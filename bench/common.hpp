@@ -6,29 +6,16 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "pgas/engine.hpp"
-#include "ws/driver.hpp"
-
 namespace upcws::benchutil {
 
 enum class Mode { kQuick, kDefault, kFull };
 
-Mode mode_from_args(int argc, char** argv);
 const char* mode_name(Mode m);
-
-/// Print the standard bench banner: what paper artifact this regenerates,
-/// what the paper reported, and the local run configuration.
-void print_banner(const std::string& title, const std::string& paper_ref,
-                  const std::string& config);
-
-/// Mega-nodes per second of simulated search rate.
-double mnps(const ws::SearchResult& r);
 
 /// Format helpers.
 std::string fmt(double v, int prec = 2);
@@ -52,7 +39,8 @@ class Stopwatch {
 /// schema-versioned JSON document (`upcws-bench-v1`) that
 /// tools/compare_bench.py validates and diffs against a checked-in
 /// baseline. Every document also records its host context: `nproc`
-/// (hardware threads) and `sha1_kernel` (sha1::kernel_name()). One
+/// (hardware threads), `sha1_kernel` (sha1::kernel_name()) and `cpu_model`
+/// (the first "model name" of /proc/cpuinfo, or "unrecorded"). One
 /// reporter per bench binary.
 class BenchReporter {
  public:
