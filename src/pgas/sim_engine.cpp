@@ -77,22 +77,13 @@ void SimCtx::maybe_stall() {
 
 RunResult SimEngine::run(const RunConfig& cfg,
                          const std::function<void(Ctx&)>& body) {
-  sim::Scheduler::Config scfg;
-  scfg.vt_limit_ns =
-      cfg.vt_limit_ns != 0 ? cfg.vt_limit_ns : 10'000'000'000'000ull;
-  scfg.stack_bytes = cfg.fiber_stack_bytes;
-  scfg.watchdog_ns = cfg.watchdog_ns;
-  scfg.hang_report = cfg.hang_reporter;
-  scfg.policy = cfg.schedule_policy;
-  scfg.policy_window_ns = cfg.schedule_window_ns;
-  scfg.lead_ns = lead_ns(cfg);
   const RunFaults faults(cfg);
 
   // Declared after the fault set-up on purpose: on abnormal teardown (time
   // limit, hang watchdog) ~Scheduler cancel-unwinds suspended fibers, and
   // destructors on those stacks may still charge time through a Ctx that
   // dereferences its injector.
-  sim::Scheduler sched(scfg);
+  sim::Scheduler sched(scheduler_config(cfg));
   for (int r = 0; r < cfg.nranks; ++r) {
     sched.spawn([&, r] {
       SimCtx ctx(sched, r, r, cfg, faults);
@@ -127,6 +118,19 @@ std::uint64_t SimEngine::lead_ns(const RunConfig& cfg) {
       cfg.watchdog_ns > 0 || !cfg.remote_ops_mediated)
     return 0;
   return lookahead_ns(cfg.net, cfg.nranks, cfg.nranks);
+}
+
+sim::Scheduler::Config SimEngine::scheduler_config(const RunConfig& cfg) {
+  sim::Scheduler::Config scfg;
+  scfg.vt_limit_ns =
+      cfg.vt_limit_ns != 0 ? cfg.vt_limit_ns : 10'000'000'000'000ull;
+  scfg.stack_bytes = cfg.fiber_stack_bytes;
+  scfg.watchdog_ns = cfg.watchdog_ns;
+  scfg.hang_report = cfg.hang_reporter;
+  scfg.policy = cfg.schedule_policy;
+  scfg.policy_window_ns = cfg.schedule_window_ns;
+  scfg.lead_ns = lead_ns(cfg);
+  return scfg;
 }
 
 void SimCtx::skip_spins(const Lock& l) {

@@ -25,6 +25,10 @@ class SimEngine final : public Engine {
   /// policy, a fault plan, a watchdog, or unmediated cross-rank access.
   /// See docs/simulator.md, "Run-ahead on SimEngine".
   static std::uint64_t lead_ns(const RunConfig& cfg);
+
+  /// The scheduler set-up run() uses for `cfg`; psim's shards start from
+  /// it too.
+  static sim::Scheduler::Config scheduler_config(const RunConfig& cfg);
 };
 
 /// The rank context of a fiber task in a sim::Scheduler: its clock is the

@@ -8,9 +8,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -105,10 +104,6 @@ struct EventAfter {
   }
 };
 
-struct KeyAfter {
-  bool operator()(const Key& a, const Key& b) const { return b < a; }
-};
-
 /// Immediate un-park of a sender whose event another shard has applied.
 /// The wake cannot wait for the barrier: the sender resumes at the event's
 /// own key, inside the window the event is applied in. The owner's worker
@@ -139,20 +134,12 @@ struct Shard {
   /// completion). Indexed by target shard; an op on this shard's own ranks
   /// goes straight to `pending`.
   std::vector<std::vector<Event>> out_events;
-  /// Resume keys (vt, local task) of parked tasks, earliest on top. While
-  /// the scheduler has a task parked its clock is its key, so a key whose
-  /// task has since been woken is stale and dropped when it reaches the
-  /// top (first_parked). Touched only by this shard's worker.
-  std::priority_queue<Key, std::vector<Key>, KeyAfter> parked;
   /// Cross-thread wake channel (behind a pointer: Shard must stay movable).
   std::unique_ptr<WakeChannel> wake;
   /// Wakes taken from the channel (swapped with its inbox, so neither
   /// vector gives up its capacity).
   std::vector<Wake> woken;
   std::exception_ptr error;
-  /// This shard's earliest time-limit crossing in global key order, named
-  /// by global rank.
-  std::optional<sim::TimeLimitExceeded> crossing;
   /// Largest clock at which one of this shard's ranks reported progress
   /// (the watchdog's input: a maximum does not depend on the host order in
   /// which a shard runs its slices).
@@ -179,10 +166,10 @@ struct Runtime {
   /// Window end B (exclusive): written by the barrier completion, read by
   /// all workers after the barrier (the barrier orders both).
   std::uint64_t bound = 0;
-  /// Least key vt of a time-limit crossing any shard has found (the run
-  /// ends at the next barrier). Every shard still runs all slices at or
-  /// below it, so the crossing first in global key order is found whatever
-  /// the host order.
+  /// Least key vt of a time-limit crossing any shard's scheduler holds
+  /// (the run ends at the next barrier). Every shard still runs all slices
+  /// at or below it, up to its own held crossing, so the crossing first in
+  /// global key order is found whatever the host order.
   std::atomic<std::uint64_t> stop_vt{std::numeric_limits<std::uint64_t>::max()};
   std::atomic<bool> stop{false};
   /// Set (with every wake CV notified) by a worker whose window threw, so
@@ -257,7 +244,6 @@ class PsimCtx final : public pgas::SimCtx {
       shard_.pending.push(e);
     else
       shard_.out_events[os].push_back(e);
-    shard_.parked.push({key, task_});
     sched_.park_current();
   }
 
@@ -271,19 +257,6 @@ class PsimCtx final : public pgas::SimCtx {
   Shard& shard_;
   int shard_idx_;
 };
-
-/// The earliest resume key among `s`'s parked tasks if it lies below
-/// `end`, else `end`.
-Key first_parked(Shard& s, Key end) {
-  const sim::Scheduler& sched = *s.sched;
-  while (!s.parked.empty()) {
-    const Key k = s.parked.top();
-    if (sched.is_parked(k.task) && sched.now(k.task) == k.vt)
-      return k < end ? k : end;
-    s.parked.pop();  // woken since
-  }
-  return end;
-}
 
 /// Wake every shard that may be waiting on its channel: its condition
 /// changed elsewhere. Locking each channel (empty critical section) before
@@ -328,16 +301,13 @@ void apply_event(Runtime& rt, int si) {
   ch.cv.notify_one();
 }
 
-/// Record a slice of `s` that crossed the time limit, and lower the run's
-/// stop key to it. The shard itself goes on: a parked task's continuation
-/// below the crossing's key may cross first in key order.
-void note_crossing(Runtime& rt, Shard& s, const sim::TimeLimitExceeded& t) {
-  const Key k{t.slice_ns, s.lo + t.task};
-  if (!s.crossing || k < Key{s.crossing->slice_ns, s.crossing->task})
-    s.crossing.emplace(k.task, t.clock_ns, t.limit_ns, t.slice_ns);
+/// Lower the run's stop key to the slice key of `t`, the crossing a
+/// shard's scheduler holds. The shard itself goes on: a parked task's
+/// continuation below the crossing's key may cross first in key order.
+void note_crossing(Runtime& rt, const sim::TimeLimitExceeded& t) {
   std::uint64_t cur = rt.stop_vt.load(std::memory_order_relaxed);
-  while (k.vt < cur)
-    if (rt.stop_vt.compare_exchange_weak(cur, k.vt,
+  while (t.slice_ns < cur)
+    if (rt.stop_vt.compare_exchange_weak(cur, t.slice_ns,
                                          std::memory_order_acq_rel)) {
       release_waiters(rt);
       return;
@@ -399,12 +369,13 @@ void run_window(Runtime& rt, int si) {
     const bool ev = !s.pending.empty() && s.pending.top().vt < end.vt;
     const Key ek = ev ? Key{s.pending.top().vt, s.pending.top().rank - s.lo}
                       : end;
-    // Local slices run strictly below the next event (or the end).
-    const Key bound = rt.run_ahead ? ek : first_parked(s, ek);
-    try {
-      if (sched.step(bound.vt, bound.task)) continue;
-    } catch (const sim::TimeLimitExceeded& t) {
-      note_crossing(rt, s, t);
+    // Local slices run strictly below the next event (or the end), and
+    // below the crossing the scheduler holds.
+    const Key bound =
+        rt.run_ahead ? ek : std::min(sched.earliest_parked(), ek);
+    if (sched.step(bound.vt, bound.task)) {
+      if (const sim::TimeLimitExceeded* t = sched.held())
+        note_crossing(rt, *t);
       continue;
     }
     if (ev) {
@@ -419,7 +390,7 @@ void run_window(Runtime& rt, int si) {
         apply_event(rt, si);
         continue;
       }
-    } else if (!(first_parked(s, end) < end)) {
+    } else if (!(sched.earliest_parked() < end)) {
       return;
     }
     if (!await_wake(rt, s, stop)) return;  // a peer shard's window threw
@@ -461,7 +432,7 @@ void close_window(Runtime& rt) {
   // each shard's window content is a pure function of the bound and its
   // delivered events).
   for (const Shard& s : rt.shards)
-    if (s.error || s.crossing) {
+    if (s.error || s.sched->held()) {
       rt.tearing_down.store(true, std::memory_order_release);
       rt.stop.store(true, std::memory_order_release);
       return;
@@ -507,17 +478,6 @@ void close_window(Runtime& rt) {
   rt.bound = mvt + rt.lookahead;
 }
 
-std::string hang_report(const Runtime& rt, const pgas::RunConfig& cfg) {
-  std::ostringstream os;
-  os << "progress watchdog: no rank made node-count progress for "
-     << (rt.hang_at - rt.hang_prog) << " virtual ns (window "
-     << rt.watchdog_ns << " ns; last progress at vt=" << rt.hang_prog
-     << " ns, stuck at vt=" << rt.hang_at << " ns)\n";
-  os << "note: parallel engine — per-task state is post-teardown\n";
-  if (cfg.hang_reporter) os << cfg.hang_reporter();
-  return os.str();
-}
-
 }  // namespace
 
 PsimEngine::PsimEngine(int workers) : workers_(workers) {
@@ -555,13 +515,12 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
   }
   const int W = std::min(workers_, cfg.nranks);
 
-  sim::Scheduler::Config scfg;
-  scfg.vt_limit_ns =
-      cfg.vt_limit_ns != 0 ? cfg.vt_limit_ns : 10'000'000'000'000ull;
-  scfg.stack_bytes = cfg.fiber_stack_bytes;
+  sim::Scheduler::Config scfg = pgas::SimEngine::scheduler_config(cfg);
   // The watchdog is a *global* condition (min pending key vs last global
-  // progress); it is checked at the window barrier, not per shard.
+  // progress); it is checked at the window barrier, not per shard. Shards
+  // keep the min-vt order (docs/simulator.md, "Run-ahead on SimEngine").
   scfg.watchdog_ns = 0;
+  scfg.lead_ns = 0;
 
   const pgas::RunFaults faults(cfg);
 
@@ -661,18 +620,26 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
   if (cfg.decision_trail != nullptr) cfg.decision_trail->clear();
 
   if (rt.hang)
-    throw sim::HangDetected(hang_report(rt, cfg), rt.watchdog_ns,
-                            rt.hang_prog, rt.hang_at);
+    throw sim::HangDetected(
+        sim::HangDetected::headline(rt.watchdog_ns, rt.hang_prog,
+                                    rt.hang_at) +
+            "note: parallel engine — per-task state is post-teardown\n" +
+            (cfg.hang_reporter ? cfg.hang_reporter() : std::string()),
+        rt.watchdog_ns, rt.hang_prog, rt.hang_at);
   // Deterministic rethrow. A time-limit crossing first: every shard ran all
   // slices up to the earliest crossing's key, so the earliest in global
   // (slice key, rank) order is the slice the sequential run loop throws at.
   const sim::TimeLimitExceeded* first = nullptr;
+  Key first_key = sim::Scheduler::kNoKey;
   for (const Shard& s : rt.shards)
-    if (s.crossing && (first == nullptr ||
-                       Key{s.crossing->slice_ns, s.crossing->task} <
-                           Key{first->slice_ns, first->task}))
-      first = &*s.crossing;
-  if (first != nullptr) throw *first;
+    if (const sim::TimeLimitExceeded* t = s.sched->held())
+      if (const Key k{t->slice_ns, s.lo + t->task}; k < first_key) {
+        first = t;
+        first_key = k;
+      }
+  if (first != nullptr)
+    throw sim::TimeLimitExceeded(first_key.task, first->clock_ns,
+                                 first->limit_ns, first->slice_ns);
   for (const Shard& s : rt.shards)
     if (s.error) std::rethrow_exception(s.error);
 

@@ -42,8 +42,9 @@ class ReadyQueue {
     return heap_.front();
   }
 
-  /// Insert an entry for `task` at time `vt`. The task must not already
-  /// be queued (each task has at most one entry).
+  /// Insert an entry for `task` at time `vt`. In the ready queue a task
+  /// has at most one entry; the scheduler's parked keys may hold stale
+  /// ones beside it (Scheduler::earliest_parked).
   void push(std::uint64_t vt, int task) {
     heap_.push_back({vt, task});
     sift_up(heap_.size() - 1, heap_.back());

@@ -71,10 +71,11 @@ void Scheduler::yield(int op_owner) {
   const ReadyQueue::Entry self{clocks_[cur], cur};
   const ReadyQueue::Entry next =
       rq_.empty() || self < rq_.top() ? self : rq_.top();
-  // TimeLimitExceeded (caller) and HangDetected (next) must be thrown from
-  // scheduler context, and in stepping mode `next` may only run below the
-  // step() bound — the conservative-window horizon or the next pending
-  // external event, which must interleave at its exact (vt, task) key.
+  // A crossing (caller) is held, and HangDetected (next) thrown, from
+  // scheduler context, and `next` may only run below the bound — a held
+  // crossing's key or, in stepping mode, the conservative-window horizon or
+  // the next pending external event, which must interleave at its exact
+  // (vt, task) key.
   // Otherwise hand the step to `next` directly, counted exactly as the
   // loop would count it: switch counts are deterministic engine output.
   if (self.vt > cfg_.vt_limit_ns || hang_due(next.vt) || !(next < bound_))
@@ -111,16 +112,12 @@ void Scheduler::yield_ahead(ReadyQueue::Entry self, ReadyQueue::Entry next,
 void Scheduler::requeue_current() {
   const int t = current_;
   if (clocks_[t] > cfg_.vt_limit_ns) {
-    if (cfg_.lead_ns == 0)
-      throw TimeLimitExceeded(t, clocks_[t], cfg_.vt_limit_ns, slice_vt_);
-    // The crossing slice may have run ahead of a lower-keyed slice that
-    // crosses too. Hold it and bound the run at its key; run() throws the
-    // earliest once nothing below is left.
-    const ReadyQueue::Entry k{slice_vt_, t};
-    if (k < bound_) {
-      held_.emplace(t, clocks_[t], cfg_.vt_limit_ns, slice_vt_);
-      bound_ = k;
-    }
+    // A slice that ran ahead, or a parked task's continuation, may still
+    // cross at a lower key. Hold the crossing and bound the run at its
+    // key. The slice began below the bound, which is at or below any held
+    // crossing, so this one is the earliest yet.
+    held_.emplace(t, clocks_[t], cfg_.vt_limit_ns, slice_vt_);
+    bound_ = {slice_vt_, t};
     return;
   }
   if (!fibers_[t]->finished() && !parked_[t]) rq_.push(clocks_[t], t);
@@ -130,37 +127,25 @@ void Scheduler::run() {
   running_ = true;
   Scheduler* prev = g_current_scheduler;
   g_current_scheduler = this;
-  try {
-    if (cfg_.policy != nullptr) {
-      run_policy();
-      g_current_scheduler = prev;
-      current_ = -1;
-      running_ = false;
-      return;
-    }
-    while (!rq_.empty() && rq_.top() < bound_) {
-      const ReadyQueue::Entry e = rq_.pop();
-      // The head of the queue holds the global minimum virtual time: if even
-      // the least-advanced task is past the progress window, every task has
-      // spun without real work for watchdog_ns — a hang, not slowness.
-      // Checked before resuming so the stuck state is intact for the report.
-      if (hang_due(e.vt)) throw_hang(e.vt);
-      current_ = e.task;
-      ++switches_;
-      slice_vt_ = e.vt;
-      fibers_[e.task]->resume();
-      requeue_current();
-    }
-    if (held_) throw *held_;
-  } catch (...) {
+  const auto leave = [&] {
     g_current_scheduler = prev;
     current_ = -1;
     running_ = false;
+  };
+  try {
+    if (cfg_.policy != nullptr) {
+      run_policy();
+    } else {
+      // Without a lead nothing lies below a crossing: it throws at once.
+      while (step(kNoKey.vt, kNoKey.task)) {
+      }
+      if (held_) throw *held_;
+    }
+  } catch (...) {
+    leave();
     throw;
   }
-  g_current_scheduler = prev;
-  current_ = -1;
-  running_ = false;
+  leave();
 }
 
 void Scheduler::run_policy() {
@@ -226,13 +211,19 @@ void Scheduler::end_stepping() {
   g_current_scheduler = nullptr;
   current_ = -1;
   running_ = false;
-  bound_ = {UINT64_MAX, 0};
+  bound_ = kNoKey;
 }
 
 bool Scheduler::step(std::uint64_t bound_vt, int bound_task) {
   bound_ = {bound_vt, bound_task};
+  if (held_) bound_ = std::min(bound_, {held_->slice_ns, held_->task});
   if (rq_.empty() || !(rq_.top() < bound_)) return false;
   const ReadyQueue::Entry e = rq_.pop();
+  // The head of the queue holds the least virtual time: if even the
+  // least-advanced task is past the progress window, every task has spun
+  // without real work for watchdog_ns — a hang, not slowness. Checked
+  // before resuming so the stuck state is intact for the report.
+  if (hang_due(e.vt)) throw_hang(e.vt);
   current_ = e.task;
   ++switches_;
   slice_vt_ = e.vt;
@@ -248,24 +239,40 @@ std::optional<ReadyQueue::Entry> Scheduler::peek() const {
 
 void Scheduler::park_current() {
   parked_[current_] = true;
-  ++nparked_;
+  parked_keys_.push(clocks_[current_], current_);
   Fiber::yield_current();
 }
 
 void Scheduler::wake(int task, std::uint64_t vt_ns) {
   parked_[task] = false;
-  --nparked_;
   clocks_[task] = vt_ns;
   rq_.push(vt_ns, task);
 }
 
-void Scheduler::throw_hang(std::uint64_t stuck_at_ns) const {
+ReadyQueue::Entry Scheduler::earliest_parked() {
+  while (!parked_keys_.empty()) {
+    const ReadyQueue::Entry k = parked_keys_.top();
+    if (parked_[k.task] && clocks_[k.task] == k.vt) return k;
+    parked_keys_.pop();  // woken since
+  }
+  return kNoKey;
+}
+
+std::string HangDetected::headline(std::uint64_t window_ns,
+                                   std::uint64_t last_progress_ns,
+                                   std::uint64_t stuck_at_ns) {
   std::ostringstream os;
   os << "progress watchdog: no rank made node-count progress for "
-     << (stuck_at_ns - progress_ns_) << " virtual ns (window "
-     << cfg_.watchdog_ns << " ns; last progress at vt=" << progress_ns_
+     << (stuck_at_ns - last_progress_ns) << " virtual ns (window "
+     << window_ns << " ns; last progress at vt=" << last_progress_ns
      << " ns, stuck at vt=" << stuck_at_ns << " ns)\n";
-  os << "per-task state:\n";
+  return os.str();
+}
+
+void Scheduler::throw_hang(std::uint64_t stuck_at_ns) const {
+  std::ostringstream os;
+  os << HangDetected::headline(cfg_.watchdog_ns, progress_ns_, stuck_at_ns)
+     << "per-task state:\n";
   for (std::size_t i = 0; i < fibers_.size(); ++i)
     os << "  task " << i << ": vt=" << clocks_[i] << " ns "
        << (fibers_[i]->finished() ? "finished" : "runnable") << "\n";
@@ -303,10 +310,7 @@ std::uint64_t Scheduler::skip_inline_yields(std::uint64_t step_ns,
   // skip past it, and then a parked task counts too: its continuation
   // runs at its key (psim), and may reach the skipped slices.
   ReadyQueue::Entry m = rq_.empty() ? bound_ : rq_.top();
-  if (lead_ns > 0 && nparked_ > 0)
-    for (int t = 0; t < static_cast<int>(parked_.size()); ++t)
-      if (parked_[t] && ReadyQueue::Entry{clocks_[t], t} < m)
-        m = {clocks_[t], t};
+  if (lead_ns > 0) m = std::min(m, earliest_parked());
   // yield()'s guards, solved for the last clock `last` at which a yield is
   // accounted: one step within the vt limit, within the progress window
   // from min(progress, M), and (last, cur) below M (or last below M.vt

@@ -63,6 +63,12 @@ class HangDetected : public std::runtime_error {
   std::uint64_t window_ns;         ///< configured watchdog window
   std::uint64_t last_progress_ns;  ///< virtual time of the last progress
   std::uint64_t stuck_at_ns;       ///< virtual time when the watchdog fired
+
+  /// The report's first line, newline included: how long no task made
+  /// progress, the window, and the two clocks.
+  static std::string headline(std::uint64_t window_ns,
+                              std::uint64_t last_progress_ns,
+                              std::uint64_t stuck_at_ns);
 };
 
 class Scheduler {
@@ -109,7 +115,9 @@ class Scheduler {
   /// before run(). Returns the task id (0-based, dense).
   int spawn(std::function<void()> body);
 
-  /// Run all tasks to completion. Throws TimeLimitExceeded on livelock.
+  /// Run all tasks to completion: step() until it declines. Throws
+  /// TimeLimitExceeded on livelock, the held crossing (see held()) once no
+  /// key below it is left.
   void run();
 
   // --- callable from inside tasks ---
@@ -182,6 +190,9 @@ class Scheduler {
   /// One entry per scheduling step that offered >= 2 candidates.
   const std::vector<Decision>& decisions() const { return decisions_; }
 
+  /// A key above every key a task can hold: no bound, no parked task.
+  static constexpr ReadyQueue::Entry kNoKey{UINT64_MAX, 0};
+
   // --- windowed stepping (the parallel PDES engine's shard driver) --------
   //
   // Instead of run()-to-completion, a driver may bracket the scheduler with
@@ -198,10 +209,18 @@ class Scheduler {
   void end_stepping();
 
   /// Resume the ready task with the smallest (vt, id) key if that key is
-  /// lexicographically below (bound_vt, bound_task); otherwise do nothing.
-  /// Returns true when a task was resumed. Throws TimeLimitExceeded exactly
-  /// as run() would.
+  /// lexicographically below (bound_vt, bound_task) and below the held
+  /// crossing, if any; otherwise do nothing. Returns true when a task was
+  /// resumed. A slice that crosses the vt limit is held, not thrown (see
+  /// held()); the watchdog throws HangDetected before the resume.
   bool step(std::uint64_t bound_vt, int bound_task);
+
+  /// The earliest time-limit crossing found so far in (slice key, task)
+  /// order, or null. Once a crossing is held its task stays out of the
+  /// ready queue and only keys below its (slice key, task) run: a slice
+  /// that ran ahead of it, or a parked task's continuation, may still
+  /// cross at a lower key and replace it. run() throws it.
+  const TimeLimitExceeded* held() const { return held_ ? &*held_ : nullptr; }
 
   /// Smallest ready (vt, task) key, or nullopt when the queue is empty.
   std::optional<ReadyQueue::Entry> peek() const;
@@ -218,6 +237,9 @@ class Scheduler {
 
   /// Is `task` parked? Its clock is then its resume key.
   bool is_parked(int task) const { return parked_[task]; }
+
+  /// Least (clock, task) resume key of a parked task, or kNoKey.
+  ReadyQueue::Entry earliest_parked();
 
   /// Has `task` run to completion?
   bool finished(int task) const { return fibers_[task]->finished(); }
@@ -238,9 +260,8 @@ class Scheduler {
   }
 
   /// Back in scheduler context after resume(): current_ is the task that
-  /// gave control back (the last of any handoff chain). Enforce the vt
-  /// limit on it and re-queue it unless it finished or parked. With a lead
-  /// a crossing is held instead: lower keys may still cross first.
+  /// gave control back (the last of any handoff chain). Hold it if it
+  /// crossed the vt limit, else re-queue it unless it finished or parked.
   void requeue_current();
 
   /// yield()'s handoff with a lead: run ahead of `next`, the ready head,
@@ -266,19 +287,19 @@ class Scheduler {
   std::uint64_t slice_vt_ = 0;
   std::uint64_t progress_ns_ = 0;
   std::vector<Decision> decisions_;
-  // Stepping-mode state (see begin_stepping); the bound also gates the
-  // handoff in yield() so a fiber cannot overrun the window horizon. Under
-  // run() it is (UINT64_MAX, 0), which no key reaches, until a held
-  // crossing lowers it to its own key.
-  ReadyQueue::Entry bound_{UINT64_MAX, 0};
-  /// Run-ahead state: pending op yields per owner task (touched only with
-  /// a lead), and the earliest time-limit crossing found so far.
+  /// The bound of the current step: step()'s argument or the held
+  /// crossing's key, whichever is lower. It also gates the handoff in
+  /// yield(), so a fiber cannot overrun the window horizon. Under run() it
+  /// is kNoKey until a crossing is held.
+  ReadyQueue::Entry bound_ = kNoKey;
+  /// Pending op yields per owner task (touched only with a lead).
   std::vector<int> pending_ops_;
   std::optional<TimeLimitExceeded> held_;
   std::vector<bool> parked_;
-  /// How many tasks are parked (the lead skip scans for the earliest only
-  /// while some are).
-  int nparked_ = 0;
+  /// The resume key of every park, earliest on top. A key whose task has
+  /// since been woken is stale, and earliest_parked() drops it when it
+  /// reaches the top.
+  ReadyQueue parked_keys_;
 };
 
 }  // namespace upcws::sim

@@ -333,18 +333,26 @@ TEST(Psim, TimeLimitAbortNamesSimEnginesOffender) {
   // worker count and in every repeat: the earliest crossing by slice key,
   // not by clock, and found even when a shard waits for a peer whose own
   // slice crossed, or runs past a parked rank whose continuation crosses.
+  // The last cell runs on SMP nodes of 4, where each shard stops at its
+  // earliest parked key instead (Runtime::run_ahead is false).
   const ws::UtsProblem prob(uts::scaled_bench(5));
   struct Cell {
     ws::Algo algo;
     std::uint64_t limit_ns;
+    int nranks;
+    pgas::NetModel net;
   };
-  const Cell cells[] = {{ws::Algo::kMpiWs, 1'234'567},
-                        {ws::Algo::kUpcDistMem, 777'777},
-                        {ws::Algo::kUpcTerm, 1'234'567}};
+  const pgas::NetModel dist = pgas::NetModel::distributed();
+  const Cell cells[] = {
+      {ws::Algo::kMpiWs, 1'234'567, 128, dist},
+      {ws::Algo::kUpcDistMem, 777'777, 128, dist},
+      {ws::Algo::kUpcTerm, 1'234'567, 128, dist},
+      {ws::Algo::kUpcDistMem, 4'567'891, 64,
+       pgas::NetModel::hierarchical(4)}};
   for (const Cell& c : cells) {
     pgas::RunConfig rc;
-    rc.nranks = 128;
-    rc.net = pgas::NetModel::distributed();
+    rc.nranks = c.nranks;
+    rc.net = c.net;
     rc.seed = 3;
     rc.vt_limit_ns = c.limit_ns;
     rc.fiber_stack_bytes = 96 * 1024;
@@ -364,8 +372,9 @@ TEST(Psim, TimeLimitAbortNamesSimEnginesOffender) {
       for (int rep = 0; rep < 3; ++rep) {
         psim::PsimEngine par(workers);
         EXPECT_EQ(want, limit_hit(par))
-            << ws::algo_label(c.algo) << " limit=" << c.limit_ns
-            << " workers=" << workers << " repeat " << rep;
+            << ws::algo_label(c.algo) << " ranks=" << c.nranks
+            << " limit=" << c.limit_ns << " workers=" << workers
+            << " repeat " << rep;
         EXPECT_GT(par.last_stats().windows, 0u);
       }
   }

@@ -1,8 +1,9 @@
 // Fiber and discrete-event-scheduler tests: determinism, virtual-time
 // ordering, livelock guard, cooperative interleaving semantics, the
 // fiber-to-fiber handoff checked against a physically switching reference,
-// skip_inline_yields checked against the yields it stands for, and the
-// run-ahead lead checked against the min-vt order.
+// skip_inline_yields checked against the yields it stands for, the
+// scheduler's parked keys and held time-limit crossing, and the run-ahead
+// lead checked against the min-vt order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fiber.hpp"
@@ -816,6 +818,183 @@ TEST(Scheduler, TimeLimitMidChainMatchesReference) {
   EXPECT_EQ(tle[0].task, tle[1].task);
   EXPECT_EQ(tle[0].clock_ns, tle[1].clock_ns);
   EXPECT_EQ(tle[0].limit_ns, tle[1].limit_ns);
+}
+
+TEST(Scheduler, RunThrowsTheFirstCrossing) {
+  // The spinners above, with and without a lead: run() throws the crossing
+  // first in (slice key, task) order, with these figures.
+  struct Want {
+    std::uint64_t lead;
+    int task;
+    std::uint64_t clock, slice, switches;
+  };
+  for (const Want& w :
+       {Want{0, 2, 1001, 988, 309}, Want{2000, 2, 1001, 988, 311}}) {
+    SCOPED_TRACE(testing::Message() << "lead " << w.lead);
+    int live = 0;
+    std::vector<Slice> log;
+    Scheduler::Config cfg = small_stacks();
+    cfg.vt_limit_ns = 1000;
+    cfg.lead_ns = w.lead;
+    Scheduler s(cfg);
+    spawn_spinners(s, log, &live);
+    try {
+      s.run();
+      ADD_FAILURE() << "vt limit did not fire";
+    } catch (const TimeLimitExceeded& e) {
+      EXPECT_EQ(e.task, w.task);
+      EXPECT_EQ(e.clock_ns, w.clock);
+      EXPECT_EQ(e.slice_ns, w.slice);
+      EXPECT_EQ(e.limit_ns, 1000u);
+      EXPECT_EQ(std::string(e.what()),
+                "simulated virtual time limit exceeded: rank " +
+                    std::to_string(w.task) + " at vt=" +
+                    std::to_string(w.clock) + " ns (limit 1000 ns)");
+    }
+    EXPECT_EQ(s.switches(), w.switches);
+  }
+}
+
+// --- The scheduler's books: parked keys and the held crossing ---------------
+
+/// (vt, task) of a key, for comparisons that print.
+std::pair<std::uint64_t, int> key_of(const upcws::sim::ReadyQueue::Entry& e) {
+  return {e.vt, e.task};
+}
+
+/// Step until step() declines with no bound but a held crossing.
+void step_all(Scheduler& s) {
+  while (s.step(UINT64_MAX, 0)) {
+  }
+}
+
+TEST(SchedulerParked, EarliestParkedNamesTheLiveKey) {
+  // Task 1 parks at 100, 150 and 200, woken each time; task 0 stays parked
+  // at 1000. A woken key, and a key its task has since parked past, are
+  // stale and never returned.
+  Scheduler s(small_stacks());
+  s.spawn([] {
+    auto& sc = Scheduler::current();
+    sc.advance(1000);
+    sc.park_current();
+  });
+  s.spawn([] {
+    auto& sc = Scheduler::current();
+    for (int i = 0; i < 3; ++i) {
+      sc.advance(i == 0 ? 100 : 50);
+      sc.park_current();
+    }
+  });
+  using P = std::pair<std::uint64_t, int>;
+  s.begin_stepping();
+  step_all(s);
+  EXPECT_EQ(key_of(s.earliest_parked()), (P{100, 1}));
+  s.wake(1, 100);
+  step_all(s);  // parks again at 150 beside its stale key 100
+  EXPECT_EQ(key_of(s.earliest_parked()), (P{150, 1}));
+  s.wake(1, 150);  // ready at 150, its key still on top
+  EXPECT_EQ(key_of(s.earliest_parked()), (P{1000, 0}));
+  step_all(s);
+  EXPECT_EQ(key_of(s.earliest_parked()), (P{200, 1}));
+  s.wake(1, 200);
+  step_all(s);
+  s.wake(0, 1000);
+  step_all(s);
+  EXPECT_EQ(key_of(s.earliest_parked()), key_of(Scheduler::kNoKey));
+  s.end_stepping();
+}
+
+/// Stepping under a vt limit of 1000: task 0 crosses from its slice keyed
+/// 200; task 1 parks at 100 and, once woken, runs slices of `charge`;
+/// task 2 parks at 300 and, once woken, runs slices of 300. Logs every
+/// slice start.
+void spawn_crossers(Scheduler& s, std::vector<Slice>& log,
+                    std::uint64_t charge) {
+  s.spawn([&log] {
+    auto& sc = Scheduler::current();
+    for (const std::uint64_t c : {200u, 900u}) {
+      log.push_back({0, sc.now()});
+      sc.advance(c);
+      sc.yield();
+    }
+  });
+  s.spawn([&log, charge] {
+    auto& sc = Scheduler::current();
+    log.push_back({1, sc.now()});
+    sc.advance(100);
+    sc.park_current();
+    for (int i = 0; i < 4; ++i) {
+      log.push_back({1, sc.now()});
+      sc.advance(charge);
+      sc.yield();
+    }
+  });
+  s.spawn([&log] {
+    auto& sc = Scheduler::current();
+    log.push_back({2, sc.now()});
+    sc.advance(300);
+    sc.park_current();
+    for (int i = 0; i < 4; ++i) {
+      log.push_back({2, sc.now()});
+      sc.advance(300);
+      sc.yield();
+    }
+  });
+}
+
+Scheduler::Config limit_1000() {
+  Scheduler::Config cfg = small_stacks();
+  cfg.vt_limit_ns = 1000;
+  return cfg;
+}
+
+TEST(SchedulerHeld, CrossingUnderStepIsHeld) {
+  // Without a lead the crossing is held, not thrown: its task stays out of
+  // the ready queue, and later steps run only keys below (200, 0) — task
+  // 1's continuation at 100 and 150, not task 1 at 200 nor task 2 at 300.
+  std::vector<Slice> log;
+  Scheduler s(limit_1000());
+  spawn_crossers(s, log, 50);
+  s.begin_stepping();
+  step_all(s);
+  const TimeLimitExceeded* h = s.held();
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->task, 0);
+  EXPECT_EQ(h->slice_ns, 200u);
+  EXPECT_EQ(h->clock_ns, 1100u);
+  EXPECT_EQ(h->limit_ns, 1000u);
+  EXPECT_FALSE(s.peek().has_value());
+  log.clear();
+  s.wake(1, 100);
+  s.wake(2, 300);
+  step_all(s);
+  EXPECT_EQ(log, (std::vector<Slice>{{1, 100}, {1, 150}}));
+  EXPECT_EQ(key_of(*s.peek()), (std::pair<std::uint64_t, int>{200, 1}));
+  EXPECT_EQ(h->task, 0);
+  EXPECT_EQ(h->slice_ns, 200u);
+  s.end_stepping();
+}
+
+TEST(SchedulerHeld, LowerCrossingReplacesTheHeldOne) {
+  // Task 1's continuation, keyed 100, crosses too: it is the earlier
+  // crossing, and the bound drops to (100, 1).
+  std::vector<Slice> log;
+  Scheduler s(limit_1000());
+  spawn_crossers(s, log, 950);
+  s.begin_stepping();
+  step_all(s);
+  ASSERT_NE(s.held(), nullptr);
+  EXPECT_EQ(s.held()->task, 0);
+  s.wake(1, 100);
+  s.wake(2, 300);
+  EXPECT_FALSE(s.step(100, 1));  // the argument bounds the step too
+  step_all(s);
+  ASSERT_NE(s.held(), nullptr);
+  EXPECT_EQ(s.held()->task, 1);
+  EXPECT_EQ(s.held()->slice_ns, 100u);
+  EXPECT_EQ(s.held()->clock_ns, 1050u);
+  EXPECT_FALSE(s.step(UINT64_MAX, 0));
+  s.end_stepping();
 }
 
 TEST(Scheduler, DestroyAfterTimeLimitUnwindsFibersInSwitchTo) {
