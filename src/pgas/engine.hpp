@@ -370,13 +370,6 @@ class Ctx {
   std::uint64_t locks_revoked() const { return locks_revoked_; }
   std::uint64_t stale_unlocks() const { return stale_unlocks_; }
 
-  /// Timestamped revocations this rank performed (for trace merging).
-  struct RevokeEvent {
-    std::uint64_t t_ns;
-    int dead_holder;
-  };
-  const std::vector<RevokeEvent>& revocations() const { return revoke_log_; }
-
   // ------- convenience cost helpers (shared-memory abstraction à la UPC) --
 
   /// Apply the cost model's timing jitter — and any fault-plan latency
@@ -593,7 +586,7 @@ class Ctx {
               std::memory_order_acq_rel))
         return false;  // raced with the holder's release or another revoker
       ++locks_revoked_;
-      if (revoke_log_.size() < 1024) revoke_log_.push_back({now, h});
+      if (faults_ != nullptr) faults_->note_revoked(now, h);
     }
     if (live_ != nullptr)
       l.lease_expiry_ns.store(now_ns() + lease_ns_, std::memory_order_release);
@@ -643,7 +636,6 @@ class Ctx {
   bool in_unlock_ = false;
   std::uint64_t locks_revoked_ = 0;
   std::uint64_t stale_unlocks_ = 0;
-  std::vector<RevokeEvent> revoke_log_;
 
  private:
   const int rank_;

@@ -129,8 +129,8 @@ double FaultInjector::scale() {
 }
 
 void FaultInjector::record(trace::Kind kind, std::uint64_t t_ns,
-                           std::uint64_t ns) {
-  if (events_.size() < kMaxEvents) events_.push_back({t_ns, kind, ns});
+                           std::uint64_t ns, int peer) {
+  if (events_.size() < kMaxEvents) events_.push_back({t_ns, kind, ns, peer});
 }
 
 std::uint64_t FaultInjector::stall_due(std::uint64_t now_ns) {

@@ -259,15 +259,16 @@ class Liveness {
   std::vector<std::atomic<std::uint8_t>> joined_;
 };
 
-/// One injected fault, timestamped in Ctx time (virtual ns under the
-/// simulator) and kinded as the trace row it becomes: kStall, kSpike,
-/// kMsgDrop, kMsgDup, kRankCrashed, kDrain, kJoin or kPartitionDelay.
-/// Collected per rank; the ws driver merges them into an attached
-/// trace::Trace.
+/// One injected fault, or a lock revocation it led to, timestamped in Ctx
+/// time (virtual ns under the simulator) and kinded as the trace row it
+/// becomes: kStall, kSpike, kMsgDrop, kMsgDup, kRankCrashed, kDrain,
+/// kJoin, kPartitionDelay or kLockRevoked. Collected per rank; the ws
+/// driver merges them into an attached trace::Trace.
 struct FaultEvent {
   std::uint64_t t_ns = 0;
   trace::Kind kind = trace::Kind::kStall;
   std::uint64_t ns = 0;  ///< stall, spike, dup or partition delay (else 0)
+  int peer = 0;          ///< a revocation's dead holder (else 0)
 };
 
 /// Per-rank fault source. Engines construct one per rank when the plan has
@@ -326,6 +327,11 @@ class FaultInjector {
   /// Called once by a joining rank when it enters the membership.
   void note_joined(std::uint64_t now_ns);
 
+  /// Called by a rank that revoked dead `holder`'s lock lease.
+  void note_revoked(std::uint64_t now_ns, int holder) {
+    record(trace::Kind::kLockRevoked, now_ns, 0, holder);
+  }
+
   /// Cross-cut communication hook: extra delay (ns) an op from this rank to
   /// `peer`, initiated at `now_ns`, suffers from any active partition — the
   /// time remaining until the latest separating partition heals, 0 when
@@ -333,7 +339,8 @@ class FaultInjector {
   std::uint64_t partition_extra_ns(int peer, std::uint64_t now_ns);
 
  private:
-  void record(trace::Kind kind, std::uint64_t t_ns, std::uint64_t ns);
+  void record(trace::Kind kind, std::uint64_t t_ns, std::uint64_t ns,
+              int peer = 0);
   /// U[0.5,1.5) scale factor for stall scheduling.
   double scale();
 

@@ -271,13 +271,12 @@ class Trace {
   void retransmit(int rank, std::uint64_t t, int peer) {
     record(rank, {t, rank, Kind::kRetransmit, peer, 0});
   }
-  /// Injected fault (a pgas::FaultEvent); `ns` is the stall, spike, dup or
-  /// partition delay, 0 for the other kinds.
-  void fault(int rank, std::uint64_t t, Kind kind, std::int64_t ns) {
-    record(rank, {t, rank, kind, 0, ns});
-  }
-  void revoke(int rank, std::uint64_t t, int dead_holder) {
-    record(rank, {t, rank, Kind::kLockRevoked, dead_holder, 0});
+  /// Injected fault or lock revocation (a pgas::FaultEvent); `ns` is the
+  /// stall, spike, dup or partition delay, `peer` a revocation's dead
+  /// holder, each 0 for the other kinds.
+  void fault(int rank, std::uint64_t t, Kind kind, std::int64_t ns,
+             int peer = 0) {
+    record(rank, {t, rank, kind, peer, ns});
   }
   void recover(int rank, std::uint64_t t, int from, std::int64_t nodes) {
     record(rank, {t, rank, Kind::kWorkRecovered, from, nodes});

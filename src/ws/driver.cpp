@@ -30,9 +30,8 @@ void harvest_faults(pgas::Ctx& ctx, stats::ThreadStats& st,
   st.c.stale_unlocks = ctx.stale_unlocks();
   if (tr == nullptr) return;
   for (const pgas::FaultEvent& e : fi->events())
-    tr->fault(ctx.rank(), e.t_ns, e.kind, static_cast<std::int64_t>(e.ns));
-  for (const pgas::Ctx::RevokeEvent& rv : ctx.revocations())
-    tr->revoke(ctx.rank(), rv.t_ns, rv.dead_holder);
+    tr->fault(ctx.rank(), e.t_ns, e.kind, static_cast<std::int64_t>(e.ns),
+              e.peer);
 }
 
 /// Per-rank liveness view for hang reports: who is dead, since when, and

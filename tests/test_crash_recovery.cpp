@@ -19,6 +19,7 @@
 #include "pgas/sim_engine.hpp"
 #include "pgas/thread_engine.hpp"
 #include "sim/scheduler.hpp"
+#include "trace/trace.hpp"
 #include "uts/sequential.hpp"
 #include "ws/driver.hpp"
 #include "ws/uts_problem.hpp"
@@ -153,6 +154,41 @@ TEST(CrashRecovery, CrashInsideCriticalSection) {
   // In-lock deaths with contended stacks must force at least one lease
   // revocation across the sweep (any single seed may dodge contention).
   EXPECT_GT(revoked, 0u);
+}
+
+TEST(CrashRecovery, RevocationRowsMatchTheTally) {
+  // uts_cli -t 1 -b 64 -q 0.45 -m 2 -r 1 -n 8 -c 4 -A upc-sharedmem
+  //   --crash 1@30000,3@60000 --crash-in-lock --crash-detect 2000
+  // revokes both dead holders' locks. Each revocation is a fault event of
+  // the revoker, so the trace holds one lock_revoked row per revocation,
+  // naming the dead holder.
+  uts::Params p;
+  p.type = uts::TreeType::kBinomial;
+  p.b0 = 64;
+  p.q = 0.45;
+  p.m = 2;
+  p.root_seed = 1;
+  const ws::UtsProblem prob(p);
+  pgas::RunConfig rcfg;
+  rcfg.nranks = 8;
+  rcfg.net = pgas::NetModel::distributed();
+  rcfg.seed = 1;
+  rcfg.faults = crash_plan({{1, 30'000}, {3, 60'000}},
+                           pgas::CrashSpec::Where::kInLock, 2'000);
+  ws::WsConfig cfg = hardened_cfg(ws::Algo::kUpcSharedMem, 4);
+  trace::Trace tr(rcfg.nranks);
+  cfg.trace = &tr;
+  pgas::SimEngine eng;
+  const ws::SearchResult r = ws::run_search(eng, rcfg, prob, cfg);
+  EXPECT_EQ(r.total_nodes(), uts::search_sequential(p)->nodes);
+  EXPECT_EQ(r.agg.total_locks_revoked, 2u);
+  std::uint64_t rows = 0;
+  for (const trace::Event& e : tr.merged()) {
+    if (e.kind != trace::Kind::kLockRevoked) continue;
+    ++rows;
+    EXPECT_TRUE(e.arg0 == 1 || e.arg0 == 3) << "holder " << e.arg0;
+  }
+  EXPECT_EQ(rows, r.agg.total_locks_revoked);
 }
 
 TEST(CrashRecovery, CrashMidStealReplaysLineageRecords) {

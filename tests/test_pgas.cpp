@@ -318,8 +318,10 @@ SpinRun run_spins(RunConfig cfg, const std::function<void(Ctx&)>& body,
         e.crashed_at = rc.t_ns;
       }
       e.clock = c.now_ns();
-      for (const Ctx::RevokeEvent& r : c.revocations())
-        e.revocations.emplace_back(r.t_ns, r.dead_holder);
+      if (const FaultInjector* fi = c.faults())
+        for (const FaultEvent& f : fi->events())
+          if (f.kind == upcws::trace::Kind::kLockRevoked)
+            e.revocations.emplace_back(f.t_ns, f.peer);
     }).switches;
   } catch (const TimeLimitExceeded& e) {
     o.error = "limit " + std::to_string(e.task) + " " +

@@ -275,7 +275,7 @@ TEST(TraceUnit, AllKindsRoundTripThroughCsvAndChrome) {
 TEST(TraceUnit, CrashEventsRoundTrip) {
   trace::Trace t(4);
   t.fault(3, 20'000, trace::Kind::kRankCrashed, 0);
-  t.revoke(1, 25'000, 3);
+  t.fault(1, 25'000, trace::Kind::kLockRevoked, 0, 3);
   t.recover(2, 30'000, 3, 17);
   const auto all = t.merged();
   ASSERT_EQ(all.size(), 3u);
