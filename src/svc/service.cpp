@@ -27,6 +27,14 @@ static_assert(static_cast<int>(JobState::kCancelled) ==
 static_assert(static_cast<int>(JobState::kRetriesExhausted) ==
               static_cast<int>(check::JobPhase::kRetriesExhausted));
 
+namespace {
+/// Hang fence of an attempt whose JobSpec::watchdog_ns is 0.
+constexpr std::uint64_t kWatchdogNs = 50'000'000'000ull;
+/// Retry backoff: 2 ms before the first retry, doubling up to 64 ms.
+constexpr std::uint64_t kRetryBackoffNs = 2'000'000;
+constexpr std::uint64_t kRetryBackoffMaxNs = 64'000'000;
+}  // namespace
+
 const char* workload_name(Workload w) {
   switch (w) {
     case Workload::kUts: return "uts";
@@ -302,8 +310,7 @@ void Service::execute(JobId id, std::uint64_t start) {
   rcfg.nranks = nranks;
   rcfg.net = cfg_.net;
   rcfg.seed = j.spec.run_seed + static_cast<std::uint64_t>(j.attempts - 1);
-  rcfg.watchdog_ns =
-      j.spec.watchdog_ns > 0 ? j.spec.watchdog_ns : cfg_.watchdog_ns;
+  rcfg.watchdog_ns = j.spec.watchdog_ns > 0 ? j.spec.watchdog_ns : kWatchdogNs;
   rcfg.faults = j.spec.faults;
   // Prune the job's fault plan to the ranks this attempt actually has:
   // specs aimed at absent ranks would otherwise target nothing (or, for
@@ -346,10 +353,8 @@ void Service::execute(JobId id, std::uint64_t start) {
                                                     30'000);
   if (j.deadline_abs_ns > 0)
     wcfg.cancel_at_ns = j.deadline_abs_ns - start;  // > 0: checked at dispatch
-  if (cfg_.observe_jobs) {
+  if (cfg_.observe_jobs)
     wcfg.obs = &job_obs_;  // start_run() inside resets = per-job isolation
-    wcfg.obs_sample_ns = cfg_.obs_sample_ns;
-  }
 
   bool ok = true;
   ws::SearchResult res;
@@ -427,8 +432,8 @@ void Service::execute(JobId id, std::uint64_t start) {
   if (!ok) {
     if (j.attempts <= j.spec.max_retries) {
       const int shift = std::min(j.attempts - 1, 32);
-      const std::uint64_t backoff = std::min(
-          cfg_.retry_backoff_max_ns, cfg_.retry_backoff_ns << shift);
+      const std::uint64_t backoff =
+          std::min(kRetryBackoffMaxNs, kRetryBackoffNs << shift);
       set_state(j, JobState::kQueued, finish);
       retries_.push(Retry{finish + backoff, id});
       if (cfg_.job_log != nullptr) cfg_.job_log->backoff(id, finish + backoff);

@@ -29,12 +29,13 @@
 //
 //  * Retries. An attempt that fails — the watchdog detects a hang, e.g. a
 //    job-injected fault plan the chosen variant cannot absorb — is charged
-//    the watchdog fence, then requeued with exponential backoff
-//    (retry_backoff_ns * 2^(attempt-1), capped). Retry attempts run
-//    hardened (steal ack/timeout on, message drop/dup off) so a job that
-//    lost ranks mid-run degrades to a slower-but-safe configuration instead
-//    of failing the same way forever. The deadline caps the whole retry
-//    ladder; attempts beyond max_retries end in kRetriesExhausted.
+//    the watchdog fence (JobSpec::watchdog_ns, or 50 s of virtual time),
+//    then requeued with exponential backoff (2 ms * 2^(attempt-1), capped
+//    at 64 ms). Retry attempts run hardened (steal ack/timeout on, message
+//    drop/dup off) so a job that lost ranks mid-run degrades to a
+//    slower-but-safe configuration instead of failing the same way
+//    forever. The deadline caps the whole retry ladder; attempts beyond
+//    max_retries end in kRetriesExhausted.
 //
 //  * Graceful degradation. Rank slots that crash or drain during a job are
 //    marked down for repair_ns of service time. Later jobs dispatch on the
@@ -125,7 +126,7 @@ struct JobSpec {
   std::uint64_t deadline_ns = 0;    ///< relative to arrival; 0 = none
   int max_retries = 0;              ///< extra attempts after a failure
   pgas::FaultPlan faults{};         ///< per-job chaos (pruned to run size)
-  std::uint64_t watchdog_ns = 0;    ///< 0 = ServiceConfig::watchdog_ns
+  std::uint64_t watchdog_ns = 0;    ///< hang fence; 0 = 50 s
 };
 
 /// Everything the service knows about one job (returned by jobs()/job()).
@@ -162,13 +163,9 @@ struct JobRecord {
 struct ServiceConfig {
   int pool_ranks = 8;               ///< persistent rank pool size
   std::size_t queue_cap = 16;       ///< admission bound (excludes retries)
-  std::uint64_t retry_backoff_ns = 2'000'000;       ///< first retry delay
-  std::uint64_t retry_backoff_max_ns = 64'000'000;  ///< backoff ceiling
   std::uint64_t repair_ns = 50'000'000;  ///< down-slot repair time
-  std::uint64_t watchdog_ns = 50'000'000'000ull;  ///< per-attempt hang fence
   bool verify_completed = true;     ///< cross-check vs sequential reference
   bool observe_jobs = false;        ///< attach the per-job Observer
-  std::uint64_t obs_sample_ns = 100'000;
   /// Optional job-lifecycle log (see obs/job_log.hpp): the service records
   /// admission, queue wait, attempts, backoffs, and terminal states into it
   /// — pure observation, never read back. With observe_jobs also set, each
